@@ -9,7 +9,9 @@ warnings, tail-bound notes) go to stderr.  Exit codes: 0 success/pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -23,7 +25,6 @@ from .adjoint import (
     case_params,
     rows_to_csv,
     rows_to_json,
-    validate_hypotheses,
 )
 from .bracket import BracketParams, TwiceWeight, rc_bracket
 from .forms import catalog_get, catalog_names
@@ -49,13 +50,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
 def _resolve_form(source: str, precision: int) -> QSeries:
     """A catalog name, or a path to a series JSON file."""
     if source in catalog_names():
         return catalog_get(source, precision)
     if os.path.exists(source):
-        with open(source) as fh:
-            series = QSeries.from_json_dict(json.load(fh))
+        try:
+            with open(source) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot read series file {source}: {exc.strerror}"
+            ) from None
+        series = QSeries.from_json_dict(data)
         if series.precision < precision:
             raise UsageError(
                 f"series file {source} has precision {series.precision}; "
@@ -94,16 +108,29 @@ def _build_case(args, f: QSeries, g: QSeries) -> AdjointCase:
 
 def _emit(text: str, path: Optional[str]):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _print_warnings(caught):
+@contextlib.contextmanager
+def _hypothesis_warnings():
+    """Print each distinct HypothesisWarning raised in the block once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", HypothesisWarning)
+        yield
+    messages = []
     for w in caught:
         if issubclass(w.category, HypothesisWarning):
-            print(f"warning: {w.message}", file=sys.stderr)
+            messages.append(str(w.message))
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    for message in dict.fromkeys(messages):
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _cmd_expand(args) -> int:
@@ -130,17 +157,10 @@ def _adjoint_rows(args):
     f = _resolve_f(args, precision)
     g = _resolve_form(args.g, args.terms + 1)
     case = _build_case(args, f, g)
-    report = validate_hypotheses(case, g.coeff(0) == 0)
-    if not report.ok:
-        print(f"warning: {report.message}", file=sys.stderr)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", HypothesisWarning)
+    with _hypothesis_warnings():
         rows = adjoint_coefficients(
             f, g, case, args.n_max, args.terms, epsilon=args.epsilon
         )
-    _print_warnings(
-        [w for w in caught if "tail exponent" in str(w.message)]
-    )
     return rows, case
 
 
@@ -202,11 +222,7 @@ def _cmd_verify_lambda(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report = validate_hypotheses(case, g.coeff(0) == 0)
-    if not report.ok:
-        print(f"warning: {report.message}", file=sys.stderr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HypothesisWarning)
+    with _hypothesis_warnings():
         lam = lambda_from_first_coefficient(
             case, f, g, M=args.terms, epsilon=args.epsilon
         )
@@ -242,7 +258,7 @@ def _add_adjoint_flags(p, with_f=True):
     p.add_argument("--nu", type=_nonneg_int, default=0)
     p.add_argument("--n-max", type=_positive_int, default=10)
     p.add_argument("--terms", type=_positive_int, default=20000)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_positive_float, default=0.1)
     p.add_argument("--output")
 
 

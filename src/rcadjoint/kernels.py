@@ -1,67 +1,28 @@
-"""Integer convolution kernels behind truncated series multiplication.
+"""Exact integer convolution behind truncated series multiplication.
 
-Three routes, fastest first:
+``convolve_exact`` is the one entry point; it picks a route from its
+inputs:
 
-* a numba ``@njit`` int64 kernel (the default when numba imports cleanly),
-* a pure-numpy fallback (``np.convolve``), selected by setting the
-  environment variable ``RC_KERNEL=numpy`` or when numba is unavailable,
-* Kronecker substitution on Python big integers, used automatically
-  whenever the int64 overflow certificate fails.
+* a loop over nonzero pairs, when the inputs are sparse enough that
+  there are few of them,
+* ``np.convolve`` on int64, when a bound on every output coefficient
+  proves it cannot overflow,
+* Kronecker substitution on Python big integers otherwise.
 
-All routes are exact.  ``benchmarks/kernel_bench.py`` compares them.
+Every route is exact and returns exactly ``prec`` coefficients.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-KERNEL_ENV = "RC_KERNEL"
-
-# Largest value of len * max|a| * max|b| we allow through the int64 paths.
+# Largest value of len * max|a| * max|b| we allow through the int64 route.
 # One bit of headroom under 2**63 for the running sum.
 _INT64_LIMIT = 1 << 62
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _convolve_njit(a, b, prec):  # pragma: no cover - compiled
-        out = np.zeros(prec, dtype=np.int64)
-        na = len(a)
-        for i in range(min(na, prec)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            jmax = min(len(b), prec - i)
-            for j in range(jmax):
-                out[i + j] += ai * b[j]
-        return out
-
-
-def _convolve_numpy(a, b, prec):
-    return np.convolve(a, b)[:prec]
-
-
-def active_kernel() -> str:
-    """Name of the int64 kernel currently selected: 'numba' or 'numpy'."""
-    choice = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("RC_KERNEL=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
+# Below this many nonzero coefficient pairs per output coefficient, the
+# sparse loop beats the dense routes.
+_SPARSE_COST_FACTOR = 16
 
 
 def int64_safe(max_a: int, max_b: int, length: int) -> bool:
@@ -70,12 +31,14 @@ def int64_safe(max_a: int, max_b: int, length: int) -> bool:
 
 
 def convolve_int64(a, b, prec):
-    """Truncated convolution of int64 arrays; caller certifies no overflow."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if active_kernel() == "numba":
-        return _convolve_njit(a, b, prec)
-    return _convolve_numpy(a, b, prec)
+    """Truncated convolution as an int64 array; caller certifies no overflow."""
+    out = np.zeros(prec, dtype=np.int64)
+    a = np.asarray(a[:prec], dtype=np.int64)
+    b = np.asarray(b[:prec], dtype=np.int64)
+    if len(a) and len(b):
+        full = np.convolve(a, b)[:prec]
+        out[: len(full)] = full
+    return out
 
 
 def _pack(vals, width):
@@ -105,6 +68,7 @@ def convolve_bigint(a, b, prec):
     Signed inputs are split into positive/negative parts (four nonnegative
     products) so that packed slots never interact.
     """
+    a, b = a[:prec], b[:prec]
     max_a = max((abs(v) for v in a), default=0)
     max_b = max((abs(v) for v in b), default=0)
     if max_a == 0 or max_b == 0:
@@ -122,12 +86,33 @@ def convolve_bigint(a, b, prec):
     return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(prec)]
 
 
+def _convolve_sparse(nza, nzb, prec):
+    # nza, nzb: (index, value) pairs of the nonzero coefficients, by index.
+    if len(nza) > len(nzb):
+        nza, nzb = nzb, nza
+    out = [0] * prec
+    for i, ci in nza:
+        for j, cj in nzb:
+            if i + j >= prec:
+                break
+            out[i + j] += ci * cj
+    return out
+
+
 def convolve_exact(a, b, prec):
-    """Exact truncated convolution of two lists of Python ints."""
-    max_a = max((abs(v) for v in a), default=0)
-    max_b = max((abs(v) for v in b), default=0)
-    if max_a == 0 or max_b == 0:
+    """Exact truncated convolution of two lists of Python ints.
+
+    Returns exactly ``prec`` Python ints, whichever route runs.
+    """
+    a, b = a[:prec], b[:prec]
+    nza = [(i, v) for i, v in enumerate(a) if v]
+    nzb = [(j, v) for j, v in enumerate(b) if v]
+    if not nza or not nzb:
         return [0] * prec
+    if len(nza) * len(nzb) <= _SPARSE_COST_FACTOR * prec:
+        return _convolve_sparse(nza, nzb, prec)
+    max_a = max(abs(v) for _, v in nza)
+    max_b = max(abs(v) for _, v in nzb)
     if int64_safe(max_a, max_b, min(len(a), len(b))):
-        return [int(v) for v in convolve_int64(a, b, prec)]
+        return convolve_int64(a, b, prec).tolist()
     return convolve_bigint(a, b, prec)

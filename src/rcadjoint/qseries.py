@@ -19,9 +19,6 @@ from .kernels import convolve_exact
 
 Rational = Fraction
 
-# Below this many coefficient pairs a sparse product beats the dense kernels.
-_SPARSE_COST_FACTOR = 16
-
 
 class CharacterMod4(Enum):
     """Dirichlet characters mod 4: the trivial one and (-4/.)."""
@@ -147,17 +144,28 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QSeries":
-        coeffs = [Fraction(s) for s in d["coeffs"]]
+        """Inverse of ``to_json_dict``; malformed input raises ValueError."""
+        if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
+            raise ValueError("a series must be a JSON object with a 'coeffs' list")
+        if not d["coeffs"]:
+            raise ValueError("a series must know at least one coefficient")
+        try:
+            coeffs = [Fraction(s) for s in d["coeffs"]]
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coefficient: {exc}") from None
         if d.get("precision") not in (None, len(coeffs)):
             raise ValueError("precision field disagrees with coefficient count")
         meta = None
         if d.get("twice_weight") is not None:
-            meta = FormMeta(
-                twice_weight=int(d["twice_weight"]),
-                level=int(d["level"]),
-                character=CharacterMod4(d["character"]),
-                is_cusp_at_infinity=(coeffs[0] == 0),
-            )
+            try:
+                meta = FormMeta(
+                    twice_weight=int(d["twice_weight"]),
+                    level=int(d["level"]),
+                    character=CharacterMod4(d["character"]),
+                    is_cusp_at_infinity=(coeffs[0] == 0),
+                )
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"bad form metadata: {exc!r}") from None
         return cls(coeffs, meta)
 
 
@@ -201,38 +209,15 @@ def _mul_meta(a: QSeries, b: QSeries, constant_term: Fraction) -> Optional[FormM
 
 
 def _mul_coeffs(ca: Sequence[Fraction], cb: Sequence[Fraction], prec: int):
-    """Exact truncated Cauchy product of two coefficient tuples."""
-    nza = [(i, c) for i, c in enumerate(ca[:prec]) if c != 0]
-    nzb = [(i, c) for i, c in enumerate(cb[:prec]) if c != 0]
-    if not nza or not nzb:
-        return [Fraction(0)] * prec
-    if len(nza) > len(nzb):
-        nza, nzb = nzb, nza
-    integral = all(c.denominator == 1 for _, c in nza) and all(
-        c.denominator == 1 for _, c in nzb
+    """Exact truncated Cauchy product: clear denominators, convolve, divide back."""
+    ca, cb = ca[:prec], cb[:prec]
+    da = math.lcm(*(c.denominator for c in ca))
+    db = math.lcm(*(c.denominator for c in cb))
+    conv = convolve_exact(
+        [c.numerator * (da // c.denominator) for c in ca],
+        [c.numerator * (db // c.denominator) for c in cb],
+        prec,
     )
-    if len(nza) * len(nzb) <= _SPARSE_COST_FACTOR * prec:
-        if integral:
-            out = [0] * prec
-            for i, ci in ((i, c.numerator) for i, c in nza):
-                for j, cj in nzb:
-                    if i + j >= prec:
-                        break
-                    out[i + j] += ci * cj.numerator
-            return [Fraction(v) for v in out]
-        out = [Fraction(0)] * prec
-        for i, ci in nza:
-            for j, cj in nzb:
-                if i + j >= prec:
-                    break
-                out[i + j] += ci * cj
-        return out
-    # Dense route: clear denominators, convolve integers, divide back.
-    da = math.lcm(*(c.denominator for c in ca[:prec])) if not integral else 1
-    db = math.lcm(*(c.denominator for c in cb[:prec])) if not integral else 1
-    ia = [int(c * da) for c in ca[:prec]]
-    ib = [int(c * db) for c in cb[:prec]]
-    conv = convolve_exact(ia, ib, prec)
     scale = da * db
     if scale == 1:
         return [Fraction(v) for v in conv]
@@ -277,42 +262,37 @@ def make_theta(precision: int) -> QSeries:
 
 
 def _euler_factor(step: int, exponent: int, prec: int) -> list:
-    """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent."""
-    base = [0] * prec
-    base[0] = 1
-    # Pentagonal number theorem: prod (1-x^n) = sum_k (-1)^k x^(k(3k-1)/2).
+    """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent.
+
+    In x = q^step this is P = B^e for the pentagonal series
+    B = prod (1 - x^n) = sum_k (-1)^k x^(k(3k-1)/2), which has B_0 = 1.
+    Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7),
+    n P_n = sum_{j=1..n} ((e+1) j - n) B_j P_(n-j),
+    gives P exactly in integers for every integer e, negative included.
+    """
+    size = (prec - 1) // step + 1  # coefficients of x^0 .. x^(size-1)
+    pentagonal = []  # (j, B_j) for the nonzero B_j with 1 <= j < size
     k = 1
-    while True:
-        hit = False
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            idx = step * g
-            if idx < prec:
-                base[idx] = -1 if k % 2 else 1
-                hit = True
-        if not hit:
-            break
+    while k * (3 * k - 1) // 2 < size:
+        sign = -1 if k % 2 else 1
+        for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if j < size:
+                pentagonal.append((j, sign))
         k += 1
-    e = abs(exponent)
-    result = [0] * prec
-    result[0] = 1
-    sq = base
-    while e:
-        if e & 1:
-            result = convolve_exact(result, sq, prec)
-        e >>= 1
-        if e:
-            sq = convolve_exact(sq, sq, prec)
-    if exponent < 0:
-        result = _invert_unit_int(result, prec)
-    return result
-
-
-def _invert_unit_int(a: list, prec: int) -> list:
-    # Reciprocal of a series with constant term 1; integer coefficients.
+    e1 = exponent + 1
+    p = [0] * size
+    p[0] = 1
+    for n in range(1, size):
+        acc = 0
+        for j, bj in pentagonal:
+            if j > n:
+                break
+            acc += (e1 * j - n) * bj * p[n - j]
+        p[n], rem = divmod(acc, n)
+        if rem:
+            raise ArithmeticError(f"Miller recurrence: {n} does not divide {acc}")
     out = [0] * prec
-    out[0] = 1
-    for n in range(1, prec):
-        out[n] = -sum(a[j] * out[n - j] for j in range(1, n + 1) if a[j])
+    out[::step] = p
     return out
 
 

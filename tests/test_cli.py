@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -143,3 +144,73 @@ class TestVerify:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run(["verify"]) == 2
+
+
+def _series_file(content):
+    def make(tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(content)
+        return ["bracket", "--f", str(path), "--g", "theta", "--nu", "0",
+                "--precision", "3"]
+    return make
+
+
+def _epsilon(value):
+    return lambda tmp_path: [
+        "adjoint", "--case", "2", "--f-product", "theta", "delta_4_6",
+        "--g", "theta", "--n-max", "1", "--terms", "50", "--epsilon", value,
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _series_file("[1, 2, 3]"),
+        _series_file('{"precision": 3}'),
+        _series_file('{"coeffs": ["1/0", "0/1", "0/1"]}'),
+        _series_file('{"twice_weight": 1, "coeffs": ["1/1", "2/1", "0/1"]}'),
+        _series_file('{"twice_weight": 1, "level": 4, "character": "trivial", '
+                     '"coeffs": []}'),
+        lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
+                          "--nu", "0", "--precision", "3"],
+        lambda tmp_path: ["expand", "--form", "theta", "--precision", "3",
+                          "--output", str(tmp_path / "missing" / "t.json")],
+        _epsilon("nan"),
+        _epsilon("inf"),
+        _epsilon("0"),
+        _epsilon("-0.1"),
+    ],
+    ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
+         "directory", "output-dir-missing", "epsilon-nan", "epsilon-inf",
+         "epsilon-zero", "epsilon-negative"],
+)
+def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
+    code = run(make_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    # Our own errors start the line; argparse prefixes the program name.
+    assert re.search(r"^(rcadjoint[\w ]*: )?error: ", err, re.M)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, hypothesis_lines",
+    [
+        (["adjoint", "--case", "integral", "--f", "delta", "--g", "E4",
+          "--nu", "2", "--n-max", "3", "--terms", "300"], 1),
+        (["verify", "ratio", "--case", "2", "--f-product", "theta",
+          "delta_4_6", "--g", "theta", "--n-max", "3", "--terms", "400",
+          "--epsilon", "2"], 0),
+        (["verify", "lambda", "--case", "integral", "--basis", "E4",
+          "--g", "E6", "--nu", "1", "--n-max", "1", "--terms", "300",
+          "--epsilon", "3"], 1),
+    ],
+)
+def test_each_hypothesis_warning_printed_once(argv, hypothesis_lines, capsys):
+    # Every run below has an uncertified tail for each n; one line says so.
+    assert run(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines)
+    tail = [line for line in lines if "tail exponent" in line]
+    assert len(tail) == 1
+    assert len(lines) - 1 == hypothesis_lines

@@ -1,6 +1,7 @@
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcadjoint import kernels
 
@@ -17,9 +18,9 @@ def test_int64_routes_agree_with_naive():
     b = rand_ints(rng, 60, -1000, 1000)
     expected = [int(x) for x in naive_mul(a, b, 60)]
     assert list(kernels.convolve_int64(a, b, 60)) == expected
-    assert list(kernels._convolve_numpy(a, b, 60)) == expected
     assert kernels.convolve_bigint(a, b, 60) == expected
     assert kernels.convolve_exact(a, b, 60) == expected
+    assert list(kernels.convolve_int64([3, -1, 4], [2, 7, 0], 3)) == [6, 19, 1]
 
 
 def test_bigint_route_on_huge_coefficients():
@@ -43,28 +44,33 @@ def test_zero_factor():
     assert kernels.convolve_exact([0, 0], [1, 2], 2) == [0, 0]
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    assert kernels.active_kernel() == "numpy"
-    a = [3, -1, 4]
-    b = [2, 7, 0]
-    assert list(kernels.convolve_int64(a, b, 3)) == [6, 19, 1]
+# Magnitudes on both sides of the int64 certificate.
+_BOUNDS = [1, 1000, 2**30, 2**40, 10**30]
 
 
-def test_default_prefers_numba(monkeypatch):
-    monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-    expected = "numba" if kernels.HAS_NUMBA else "numpy"
-    assert kernels.active_kernel() == expected
-
-
-def test_numba_and_numpy_paths_identical(monkeypatch):
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = random.Random(23)
-    a = rand_ints(rng, 200, -99999, 99999)
-    b = rand_ints(rng, 200, -99999, 99999)
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numba")
-    via_numba = list(kernels.convolve_int64(a, b, 200))
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    via_numpy = list(kernels.convolve_int64(a, b, 200))
-    assert via_numba == via_numpy
+@settings(max_examples=150, deadline=None)
+@given(
+    len_a=st.integers(1, 150),
+    len_b=st.integers(1, 150),
+    bound=st.sampled_from(_BOUNDS),
+    every=st.sampled_from([1, 1, 1, 8]),
+    prec=st.integers(1, 400),
+    seed=st.integers(0, 2**32),
+)
+def test_every_route_returns_prec_coefficients(
+    len_a, len_b, bound, every, prec, seed
+):
+    # Keeping every `every`-th coefficient of a makes the inputs sparse
+    # enough for the sparse route; long dense inputs take the int64 or
+    # big-int route.  prec runs both below and above len_a + len_b - 1.
+    rng = random.Random(seed)
+    a = [rng.randint(-bound, bound) if i % every == 0 else 0 for i in range(len_a)]
+    b = rand_ints(rng, len_b, -bound, bound)
+    expected = [int(x) for x in naive_mul(a, b, prec)]
+    exact = kernels.convolve_exact(a, b, prec)
+    assert exact == expected
+    assert all(type(v) is int for v in exact)
+    assert kernels.convolve_bigint(a, b, prec) == expected
+    length = min(len(a), len(b))
+    if kernels.int64_safe(max(map(abs, a)), max(map(abs, b)), length):
+        assert kernels.convolve_int64(a, b, prec).tolist() == expected

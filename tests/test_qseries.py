@@ -9,6 +9,7 @@ from rcadjoint.qseries import (
     CharacterMod4,
     FormMeta,
     QSeries,
+    _euler_factor,
     apply_D,
     bernoulli_number,
     make_eisenstein,
@@ -196,6 +197,12 @@ class TestEtaProduct:
         # eta(z)^24 * eta(z)^-24 has trivial total order and equals 1
         prod = make_eta_product([(1, 24), (1, -24)], 20)
         assert ints(prod) == [1] + [0] * 19
+
+    def test_inverse_euler_factor_gives_partition_numbers(self):
+        # prod (1 - q^n)^-1 = sum p(n) q^n, eta(z)^-1 without its q^(-1/24)
+        partitions = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+        assert _euler_factor(1, -1, 11) == partitions
+        assert _euler_factor(2, -1, 11)[::2] == partitions[:6]
 
     def test_shift_beyond_precision(self):
         assert make_eta_product([(1, 24)], 1).is_zero()
