@@ -2,8 +2,8 @@
 
 Evaluates c(n) = beta(k,l,nu;n) * L_{f,g,nu,n}(gamma) for the four
 weight configurations (integral/integral, both half-integral, and the
-two mixed cases), together with a rigorous bound on the truncation
-error of the Dirichlet series.
+two mixed cases), together with a bound on the truncation error of the
+Dirichlet series from empirical coefficient-growth profiles.
 
 Floating point lives here and only here; everything upstream is exact.
 Internal arithmetic runs at RC_ADJOINT_PRECISION_DIGITS significant
@@ -18,12 +18,12 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
 
-from .bracket import BracketParams, TwiceWeight, alpha_coeff, rc_coefficient
+from .bracket import BracketParams, TwiceWeight, rc_coefficient
 from .qseries import QSeries
 
 PRECISION_ENV = "RC_ADJOINT_PRECISION_DIGITS"
@@ -174,7 +174,7 @@ def validate_hypotheses(c: AdjointCase, g_is_cusp: bool) -> HypothesisReport:
 
 @dataclass(frozen=True)
 class TailProfile:
-    """Certified coefficient growth |a(n)| <= constant * n^exponent.
+    """Empirical coefficient growth |a(n)| <= constant * n^exponent.
 
     The constant is empirical: the maximum of |a(n)|/n^exponent over the
     computed range, with the exponent supplied by the growth lemmas.
@@ -200,7 +200,7 @@ def growth_exponent(meta) -> float:
 def fit_tail_profile(
     series: QSeries, lemma_exponent: float, epsilon: float = DEFAULT_EPSILON
 ) -> TailProfile:
-    """Certify a growth constant for a series over its computed range."""
+    """Fit an empirical growth constant for a series over its computed range."""
     if series.precision < 10:
         raise ValueError("need at least 10 coefficients to fit a tail profile")
     exponent = lemma_exponent + epsilon
@@ -245,20 +245,19 @@ def l_series_value(
 
     Summed for m = 1..M at high working precision; coefficients must be
     real, so the conjugate on b is the identity.  The tail bound uses
-    certified growth profiles for f and g plus the integral comparison
+    empirical growth profiles for f and g plus the integral comparison
     sum_{m>M} m^t <= M^(t+1)/(-t-1), valid when t < -1.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     s = Fraction(s)
-    if f.precision < n + M + 1:
-        raise ValueError(
-            f"f needs at least {n + M + 1} coefficients, has {f.precision}"
-        )
-    if g.precision < M + 1:
-        raise ValueError(
-            f"g needs at least {M + 1} coefficients, has {g.precision}"
-        )
+    (value,) = _l_series_sums(f, g, p, [n], s, M)
+    tail = _tail_bound(f, g, p, s, M, epsilon)
+    return LValue(value=value, terms_used=M, tail_bound=tail, s=s)
+
+
+def _tail_bound(
+    f: QSeries, g: QSeries, p: BracketParams, s: Fraction, M: int, epsilon: float
+) -> float:
+    """Bound on the terms m > M of every l_series_value sum (free of n)."""
     pf = _profile_for(f, epsilon)
     pg = _profile_for(g, epsilon)
     alpha_weight = float(
@@ -266,31 +265,81 @@ def l_series_value(
     )
     t = pf.exponent + p.nu + pg.exponent - float(s)
     if t < -1.0:
-        tail = pf.constant * pg.constant * alpha_weight * M ** (t + 1) / (-(t + 1))
-    else:
-        tail = math.inf
-        warnings.warn(
-            f"tail exponent {t:.3f} >= -1: truncated series not certified "
-            "convergent under the fitted profiles",
-            HypothesisWarning,
-            stacklevel=2,
+        return pf.constant * pg.constant * alpha_weight * M ** (t + 1) / (-(t + 1))
+    warnings.warn(
+        f"tail exponent {t:.3f} >= -1: truncated series not certified "
+        "convergent under the fitted profiles",
+        HypothesisWarning,
+        stacklevel=3,
+    )
+    return math.inf
+
+
+def _l_series_sums(
+    f: QSeries,
+    g: QSeries,
+    p: BracketParams,
+    ns: Sequence[int],
+    s: Fraction,
+    M: int,
+) -> List[mpf]:
+    """The partial sums of l_series_value for every n in ns, in one pass.
+
+    Denominators are cleared once, so each term is an exact integer
+    B_m * alpha(n,m) times a shared mpf weight w_j = A_j j^-s, j = n+m;
+    w_j is computed the first time a nonzero b(m) reaches j.  Each sum is
+    divided by the common denominator once.
+    """
+    if min(ns) < 1:
+        raise ValueError("n must be positive")
+    top = max(ns) + M
+    if f.precision < top + 1:
+        raise ValueError(
+            f"f needs at least {top + 1} coefficients, has {f.precision}"
         )
+    if g.precision < M + 1:
+        raise ValueError(
+            f"g needs at least {M + 1} coefficients, has {g.precision}"
+        )
+    c = [rc_coefficient(p, r) for r in range(p.nu + 1)]
+    # alpha(n,m) = sum_r c_r n^r m^(nu-r) = (1/D) sum_r C_r n^r m^(nu-r).
+    D = math.lcm(*(c_r.denominator for c_r in c))
+    C = [c_r.numerator * (D // c_r.denominator) for c_r in c]
+    a_coeffs = f.coeffs[: top + 1]
+    da = math.lcm(*(a.denominator for a in a_coeffs))
+    db = math.lcm(*(g.coeffs[m].denominator for m in range(1, M + 1)))
+    B = [
+        (m, b.numerator * (db // b.denominator))
+        for m, b in enumerate(g.coeffs[1 : M + 1], start=1)
+        if b != 0
+    ]
     with mpmath.workdps(working_digits()):
         s_mp = _to_mpf(s)
-        total = mpf(0)
-        for m in range(1, M + 1):
-            b = g.coeffs[m]
-            if b == 0:
-                continue
-            a = f.coeffs[n + m]
-            if a == 0:
-                continue
-            term = _to_mpf(a) * _to_mpf(b)
-            if p.nu > 0:
-                term *= _to_mpf(alpha_coeff(p, n, m))
-            term *= mpmath.power(n + m, -s_mp)
-            total += term
-        return LValue(value=total, terms_used=M, tail_bound=tail, s=s)
+        w = [None] * (top + 1)
+        sums = []
+        for n in ns:
+            # Horner in m, from m^nu (coefficient C_0) down to m^0 (C_nu n^nu).
+            horner = [C_r * n**r for r, C_r in enumerate(C)]
+            total = mpf(0)
+            for m, b in B:
+                j = n + m
+                wj = w[j]
+                if wj is None:
+                    a = a_coeffs[j]
+                    wj = w[j] = (
+                        mpf(a.numerator * (da // a.denominator))
+                        * mpmath.power(j, -s_mp)
+                        if a
+                        else 0
+                    )
+                if not wj:
+                    continue
+                alpha = 0
+                for h in horner:
+                    alpha = alpha * m + h
+                total += wj * (b * alpha)
+            sums.append(total / (D * da * db))
+    return sums
 
 
 def gamma_half_integer(x: Fraction) -> mpf:
@@ -354,23 +403,26 @@ def adjoint_coefficients(
     report = validate_hypotheses(c, g_is_cusp)
     if not report.ok:
         warnings.warn(report.message, HypothesisWarning, stacklevel=2)
+    if n_max == 0:
+        return []
     params = case_params(c)
     p = BracketParams(c.k, c.l, c.nu)
+    ns = range(1, n_max + 1)
+    sums = _l_series_sums(f, g, p, ns, params.gamma_s, M)
+    tail = _tail_bound(f, g, p, params.gamma_s, M, epsilon)
     b0 = g.coeff(0)
     c_nu = rc_coefficient(p, c.nu)
     rows = []
     with mpmath.workdps(working_digits()):
         s_mp = _to_mpf(params.gamma_s)
-        for n in range(1, n_max + 1):
-            lv = l_series_value(f, g, p, n, params.gamma_s, M, epsilon)
-            total = lv.value
+        for n, total in zip(ns, sums):
             if b0 != 0:
                 total += (
                     _to_mpf(b0 * f.coeff(n) * c_nu * n**c.nu)
                     * mpmath.power(n, -s_mp)
                 )
             beta = beta_value(params, n)
-            rows.append((n, float(beta * total), float(beta * lv.tail_bound)))
+            rows.append((n, float(beta * total), float(beta * tail)))
     return rows
 
 

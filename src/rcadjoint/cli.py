@@ -57,6 +57,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonneg_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative and finite")
+    return value
+
+
 def _resolve_form(source: str, precision: int) -> QSeries:
     """A catalog name, or a path to a series JSON file."""
     if source in catalog_names():
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("ratio", help="proportionality on a 1-dim space")
     _add_adjoint_flags(p)
     p.add_argument("--basis", help="basis form of the 1-dim target space")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_nonneg_float, default=1e-3)
     p.set_defaults(func=_cmd_verify_ratio)
 
     p = vsub.add_parser("lambda", help="eigenvalue from the first coefficient")

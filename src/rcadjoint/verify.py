@@ -11,6 +11,7 @@ positivity application (theta against the weight-6 level-4 newform).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import mpmath
@@ -19,10 +20,11 @@ from mpmath import mpf
 from .adjoint import (
     AdjointCase,
     DEFAULT_EPSILON,
+    _l_series_sums,
     adjoint_coefficients,
     working_digits,
 )
-from .bracket import BracketParams, rc_bracket
+from .bracket import BracketParams, TwiceWeight, rc_bracket
 from .forms import catalog_get
 from .qseries import QSeries, series_mul
 
@@ -103,7 +105,8 @@ def rewritten_sum_report(M: int) -> Tuple[float, float]:
 
     Faithful sum: sum_{m=1}^M a(m+1) b(m) / (m+1)^(11/2) with a the
     coefficients of theta times the weight-6 level-4 newform and b the
-    theta coefficients (so b carries its factor 2 at squares).
+    theta coefficients (so b carries its factor 2 at squares); this is
+    the n = 1, nu = 0 L-series sum of the flagship adjoint.
 
     Rewritten sum: the squares-indexed double sum
     sum_m (sum_{r=1}^{m^2+1} tau(m^2+1-r^2)) / (m^2+1)^(11/2), which
@@ -119,17 +122,10 @@ def rewritten_sum_report(M: int) -> Tuple[float, float]:
     theta = catalog_get("theta", prec)
     newform = catalog_get("delta_4_6", prec)
     product = series_mul(theta, newform)
+    p = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
+    (faithful,) = _l_series_sums(product, theta, p, [1], Fraction(11, 2), M)
     with mpmath.workdps(working_digits()):
         s = mpf(11) / 2
-        faithful = mpf(0)
-        for m in range(1, M + 1):
-            b = theta.coeffs[m]
-            if b == 0:
-                continue
-            a = product.coeffs[m + 1]
-            if a == 0:
-                continue
-            faithful += mpf(int(a)) * mpf(int(b)) * mpmath.power(m + 1, -s)
         rewritten = mpf(0)
         m = 1
         while m * m + 1 <= M + 1:

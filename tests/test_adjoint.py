@@ -1,9 +1,13 @@
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import rcadjoint.adjoint as adjoint_module
+import rcadjoint.bracket as bracket_module
 from rcadjoint.adjoint import (
     AdjointCase,
     CaseId,
@@ -18,10 +22,19 @@ from rcadjoint.adjoint import (
     rows_to_csv,
     validate_hypotheses,
     working_digits,
+    _l_series_sums,
+    _to_mpf,
 )
-from rcadjoint.bracket import BracketParams, TwiceWeight
+from rcadjoint.bracket import BracketParams, TwiceWeight, alpha_coeff, rc_coefficient
 from rcadjoint.forms import catalog_get
-from rcadjoint.qseries import QSeries, make_theta, series_mul, zero_series
+from rcadjoint.qseries import (
+    CharacterMod4,
+    FormMeta,
+    QSeries,
+    make_theta,
+    series_mul,
+    zero_series,
+)
 
 HALF = Fraction(1, 2)
 
@@ -264,3 +277,125 @@ def test_env_precision_override(monkeypatch, sec5_forms):
     monkeypatch.delenv("RC_ADJOINT_PRECISION_DIGITS")
     rows50 = adjoint_coefficients(f, theta, SEC5_CASE, 1, 500)
     assert rows30[0][1] == pytest.approx(rows50[0][1], rel=1e-20)
+
+
+# (k, l) twice-weights with the parities each case needs.
+ORACLE_WEIGHTS = {
+    CaseId.INTEGRAL: (12, 4),
+    CaseId.HALF_HALF: (11, 5),
+    CaseId.INT_FROM_HALF_G: (12, 1),
+    CaseId.HALF_FROM_INT_G: (13, 4),
+}
+
+
+def _random_pair(rng, case, n_max, M, sparse_g):
+    """Random f, g with fractional coefficients; f often vanishes where g does not."""
+
+    def rational():
+        return Fraction(rng.randint(-60, 60) or 1, rng.choice([1, 2, 3, 7, 12]))
+
+    f_coeffs = [Fraction(0)] + [
+        rational() if rng.random() < 0.6 else Fraction(0)
+        for _ in range(n_max + M)
+    ]
+    squares = {i * i for i in range(M + 1)}
+    g_coeffs = [rational() if sparse_g else Fraction(0)] + [
+        rational() if (m in squares or not sparse_g) else Fraction(0)
+        for m in range(1, M + 1)
+    ]
+    w_f = case.k.w2 + case.l.w2 + 4 * case.nu
+    f = QSeries(f_coeffs, FormMeta(w_f, 4, CharacterMod4.TRIVIAL, True))
+    g_meta = FormMeta(case.l.w2, 4, CharacterMod4.TRIVIAL, g_coeffs[0] == 0)
+    return f, QSeries(g_coeffs, g_meta)
+
+
+def _brute_l_sum(f, g, p, n, s, M):
+    total = mpmath.mpf(0)
+    for m in range(1, M + 1):
+        term = f.coeff(n + m) * g.coeff(m) * alpha_coeff(p, n, m)
+        total += _to_mpf(term) * mpmath.power(n + m, -_to_mpf(s))
+    return total
+
+
+@pytest.mark.filterwarnings("ignore::rcadjoint.adjoint.HypothesisWarning")
+@pytest.mark.parametrize("sparse_g", [False, True], ids=["dense-g", "sparse-g"])
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+@pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.name)
+def test_one_pass_sums_match_per_term_oracle(case_id, nu, sparse_g):
+    rng = random.Random(f"{case_id.name}/{nu}/{sparse_g}")
+    n_max, M = 4, 30
+    k2, l2 = ORACLE_WEIGHTS[case_id]
+    case = AdjointCase(case_id, TwiceWeight(k2), TwiceWeight(l2), nu)
+    p = BracketParams(case.k, case.l, nu)
+    f, g = _random_pair(rng, case, n_max, M, sparse_g)
+    params = case_params(case)
+    s = params.gamma_s
+    ns = range(1, n_max + 1)
+    with mpmath.workdps(50):
+        sums = _l_series_sums(f, g, p, ns, s, M)
+        for n, got in zip(ns, sums):
+            want = _brute_l_sum(f, g, p, n, s, M)
+            assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
+
+    # adjoint_coefficients is the per-n l_series_value plus the m = 0 term.
+    rows = adjoint_coefficients(f, g, case, n_max, M)
+    expected = []
+    b0, c_nu = g.coeff(0), rc_coefficient(p, nu)
+    with mpmath.workdps(working_digits()):
+        for n in ns:
+            lv = l_series_value(f, g, p, n, s, M)
+            total = lv.value + _to_mpf(b0 * f.coeff(n) * c_nu * n**nu) * (
+                mpmath.power(n, -_to_mpf(s))
+            )
+            beta = beta_value(params, n)
+            expected.append((n, float(beta * total), float(beta * lv.tail_bound)))
+    assert rows == expected
+
+
+def test_profiles_fitted_once_per_call(monkeypatch):
+    fits = []
+    real_fit = adjoint_module.fit_tail_profile
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[0])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint_module, "fit_tail_profile", counting_fit)
+    f, g = catalog_get("delta", 311), catalog_get("E4", 311)
+    case = AdjointCase(CaseId.INTEGRAL, TwiceWeight(8), TwiceWeight(8), 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        adjoint_coefficients(f, g, case, n_max=10, M=300)
+    assert len(fits) == 2
+    tail = [w for w in caught if "tail exponent" in str(w.message)]
+    assert len(tail) == 1
+    assert issubclass(tail[0].category, HypothesisWarning)
+
+
+def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
+    f = series_mul(catalog_get("delta", 221), catalog_get("delta", 221))
+    g = catalog_get("delta", 221)
+    case = AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(24), 0)
+    n_max, M = 10, 200
+    bases = []
+    real_power = mpmath.power
+
+    def counting_power(x, y):
+        if y < 0:  # beta_value's powers have positive exponents
+            bases.append(int(x))
+        return real_power(x, y)
+
+    def no_alpha(*args):
+        raise AssertionError("alpha_coeff called in the adjoint sum")
+
+    monkeypatch.setattr(mpmath, "power", counting_power)
+    monkeypatch.setattr(bracket_module, "alpha_coeff", no_alpha)
+    monkeypatch.setattr(adjoint_module, "alpha_coeff", no_alpha, raising=False)
+    adjoint_coefficients(f, g, case, n_max, M)
+    reachable = {
+        n + m
+        for n in range(1, n_max + 1)
+        for m in range(1, M + 1)
+        if g.coeff(m) != 0 and f.coeff(n + m) != 0
+    }
+    assert sorted(bases) == sorted(reachable)

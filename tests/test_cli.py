@@ -162,6 +162,13 @@ def _epsilon(value):
     ]
 
 
+def _tolerance(value):
+    return lambda tmp_path: [
+        "verify", "ratio", "--case", "2", "--f-product", "theta", "delta_4_6",
+        "--g", "theta", "--n-max", "2", "--terms", "50", "--tolerance", value,
+    ]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -179,15 +186,20 @@ def _epsilon(value):
         _epsilon("inf"),
         _epsilon("0"),
         _epsilon("-0.1"),
+        _tolerance("nan"),
+        _tolerance("inf"),
+        _tolerance("-1"),
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
          "directory", "output-dir-missing", "epsilon-nan", "epsilon-inf",
-         "epsilon-zero", "epsilon-negative"],
+         "epsilon-zero", "epsilon-negative", "tolerance-nan", "tolerance-inf",
+         "tolerance-negative"],
 )
 def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     code = run(make_argv(tmp_path))
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     # Our own errors start the line; argparse prefixes the program name.
     assert re.search(r"^(rcadjoint[\w ]*: )?error: ", err, re.M)
     assert "Traceback" not in err
