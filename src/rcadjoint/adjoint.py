@@ -292,6 +292,8 @@ def _l_series_sums(
     """
     if min(ns) < 1:
         raise ValueError("n must be positive")
+    if M < 1:
+        raise ValueError("M must be positive")
     top = max(ns) + M
     if f.precision < top + 1:
         raise ValueError(

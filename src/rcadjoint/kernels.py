@@ -1,60 +1,66 @@
 """Exact integer convolution behind truncated series multiplication.
 
-``convolve_exact`` is the one entry point; it picks a route from its
-inputs:
+``convolve_exact`` is the one entry point; it picks one of three routes
+from its inputs:
 
 * a loop over nonzero pairs, when the inputs are sparse enough that
   there are few of them,
-* ``np.convolve`` on int64, when a bound on every output coefficient
-  proves it cannot overflow,
-* Kronecker substitution on Python big integers otherwise.
+* ``convolve_fft``, a limb-split floating-point FFT convolution, for
+  dense inputs whose a-priori rounding bound (Percival 2003, Thm 5.1,
+  applied to numpy's pocketfft under the assumption stated in
+  ``fft_error_bound``) and run-time residual check both hold,
+* Kronecker substitution on Python big integers (``convolve_bigint``),
+  only when that bound or that check fails.
 
-Every route is exact and returns exactly ``prec`` coefficients.
+Every route is exact and returns exactly ``prec`` Python ints.
 """
 
 from __future__ import annotations
 
+import logging
+import math
+from collections import deque
+from typing import List, Optional
+
 import numpy as np
 
-# Largest value of len * max|a| * max|b| we allow through the int64 route.
-# One bit of headroom under 2**63 for the running sum.
-_INT64_LIMIT = 1 << 62
+_log = logging.getLogger(__name__)
 
 # Below this many nonzero coefficient pairs per output coefficient, the
 # sparse loop beats the dense routes.
 _SPARSE_COST_FACTOR = 16
 
+# Bits per limb of the FFT route: the limbs are the bytes of each
+# magnitude.  With 16-bit limbs the rounding bound of the bracket products
+# (length ~8000, ~110-bit coefficients) exceeds 1; with bytes it is ~1e-3.
+# Fixed, not a setting: limbs are read as bytes and the digit buffer is
+# uint8, so any other value gives wrong limbs.
+_LIMB_BITS = 8
+_LIMB_MAX = (1 << _LIMB_BITS) - 1
 
-def int64_safe(max_a: int, max_b: int, length: int) -> bool:
-    """True when a truncated convolution provably fits in int64."""
-    return max_a * max_b * max(length, 1) < _INT64_LIMIT
+# The FFT route is taken when the a-priori rounding bound is below this
+# (rint is then exact with room to spare), and kept only when every
+# computed value lies within _RESIDUAL_LIMIT of an integer.
+_CERT_LIMIT = 0.25
+_RESIDUAL_LIMIT = 0.125
+
+_EPS = 2.0**-53
 
 
-def convolve_int64(a, b, prec):
-    """Truncated convolution as an int64 array; caller certifies no overflow."""
-    out = np.zeros(prec, dtype=np.int64)
-    a = np.asarray(a[:prec], dtype=np.int64)
-    b = np.asarray(b[:prec], dtype=np.int64)
-    if len(a) and len(b):
-        full = np.convolve(a, b)[:prec]
-        out[: len(full)] = full
-    return out
-
-
-def _pack(vals, width):
+def _pack(vals, width) -> bytearray:
+    """Nonnegative ints as consecutive little-endian slots of ``width`` bytes."""
     buf = bytearray(width * len(vals))
     for i, v in enumerate(vals):
         if v:
-            off = i * width
-            buf[off : off + (v.bit_length() + 7) // 8] = v.to_bytes(
-                (v.bit_length() + 7) // 8, "little"
-            )
-    return int.from_bytes(buf, "little")
+            buf[i * width : (i + 1) * width] = v.to_bytes(width, "little")
+    return buf
 
 
 def _kronecker_nonneg(a, b, prec, width):
     out_len = len(a) + len(b)
-    c = _pack(a, width) * _pack(b, width)
+    c = int.from_bytes(_pack(a, width), "little") * int.from_bytes(
+        _pack(b, width), "little"
+    )
     data = c.to_bytes(width * out_len, "little")
     return [
         int.from_bytes(data[i * width : (i + 1) * width], "little")
@@ -86,6 +92,162 @@ def convolve_bigint(a, b, prec):
     return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(prec)]
 
 
+def _head(vals, prec):
+    """The first prec entries of vals, copied only when it is longer."""
+    return vals if len(vals) <= prec else vals[:prec]
+
+
+def _limb_count(vals) -> int:
+    bits = max(map(abs, vals), default=0).bit_length()
+    return (bits + _LIMB_BITS - 1) // _LIMB_BITS
+
+
+def _fft_length(n: int) -> int:
+    """The least 5-smooth integer >= n (pocketfft's fast sizes)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fft_error_bound(limbs_a: int, limbs_b: int, len_a: int, len_b: int) -> float:
+    """A-priori bound on the rounding error of each limb-shift sum of convolve_fft.
+
+    C. Percival, "Rapid multiplication modulo the sum and difference of
+    highly composite numbers", Math. Comp. 72 (2003), Thm 5.1: a
+    floating-point FFT convolution of x and y, of length 2^k, is off by
+    less than ||x|| ||y|| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1) in
+    every coordinate, with e the unit roundoff and b the error of the
+    precomputed twiddle factors.  Here e = b = 2^-53, k = ceil(log2 N),
+    ||x|| <= 255 sqrt(len_a) for one 8-bit limb row, and the bound is
+    summed over all limbs_a * limbs_b limb pairs, which overcounts the at
+    most min(limbs_a, limbs_b) pairs that meet in one shift and leaves
+    room for adding them in the frequency domain.
+
+    The theorem is stated for radix-2 transforms; it is applied to
+    numpy's pocketfft, which runs mixed radix on the 5-smooth N used
+    here, under the assumption that its transforms meet the same error
+    model.  convolve_fft therefore also checks every computed value's
+    distance to the nearest integer at run time.
+    """
+    k = (_fft_length(len_a + len_b - 1) - 1).bit_length()
+    growth = math.expm1(
+        6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
+    )
+    return limbs_a * limbs_b * _LIMB_MAX**2 * math.sqrt(len_a * len_b) * growth
+
+
+def fft_certificate(a, b):
+    """(limbs_a, limbs_b, bound): the 8-bit limb counts of a and b and
+    fft_error_bound for their product by convolve_fft."""
+    limbs_a, limbs_b = _limb_count(a), _limb_count(b)
+    return limbs_a, limbs_b, fft_error_bound(limbs_a, limbs_b, len(a), len(b))
+
+
+def _limb_matrix(vals, limbs):
+    """(len(vals), limbs) little-endian uint8 magnitude limbs, and int8 signs."""
+    n = len(vals)
+    try:
+        arr = np.array(vals, dtype="<i8")
+    except OverflowError:  # some |v| >= 2**63: pack the magnitudes instead
+        mags = np.frombuffer(_pack(list(map(abs, vals)), limbs), dtype=np.uint8)
+        signs = np.fromiter((-1 if v < 0 else 1 for v in vals), np.int8, n)
+        return mags.reshape(n, limbs), signs
+    signs = np.sign(arr).astype(np.int8)
+    # abs(-2**63) wraps to -2**63, whose bytes read as 2**63 unsigned.
+    np.abs(arr, out=arr)
+    return arr.view(np.uint8).reshape(n, 8)[:, :limbs].copy(), signs
+
+
+def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
+    """Exact truncated convolution by a limb-split floating-point FFT.
+
+    Each coefficient's magnitude is split into 8-bit limbs carrying its
+    sign; the limb rows are transformed with real FFTs of a 5-smooth
+    length N >= len(a) + len(b) - 1, the products of limb rows i and j
+    are summed in the frequency domain per shift s = i + j, and one
+    inverse FFT per shift gives integers after rint.  The shifts are
+    carry-normalised in base 2^8 into a digit buffer from which each
+    coefficient is rebuilt.  Only the spectra of the operand with fewer
+    limbs, and one accumulator per open shift, are kept alive.
+
+    Returns None, and computes nothing, when fft_error_bound (Percival
+    2003, Thm 5.1, applied to numpy's pocketfft under the assumption
+    stated there) does not certify rounding, i.e. the bound is >= 1/4;
+    returns None when some computed value lies farther than 1/8 from an
+    integer.  Otherwise returns exactly ``prec`` Python ints.
+
+    ``certificate``, if given, is fft_certificate of the first ``prec``
+    coefficients of a and b, so that a caller who has it need not
+    compute it again.
+    """
+    a, b = _head(a, prec), _head(b, prec)
+    limbs_a, limbs_b, bound = certificate or fft_certificate(a, b)
+    if not limbs_a or not limbs_b:
+        return [0] * prec
+    if bound >= _CERT_LIMIT:
+        return None
+    if limbs_b > limbs_a:
+        a, b, limbs_a, limbs_b = b, a, limbs_b, limbs_a
+    n_out = min(prec, len(a) + len(b) - 1)
+    size = _fft_length(len(a) + len(b) - 1)
+    mags_a, signs_a = _limb_matrix(a, limbs_a)
+    mags_b, signs_b = _limb_matrix(b, limbs_b)
+    # Fixed buffers, reused for every limb row and shift: `row` holds a
+    # signed limb row, then the rounded values of a shift; the inverse
+    # transform of a shift is written over `prod`, free until the next row.
+    row = np.empty(max(len(a), len(b), n_out))
+    spec = np.empty(size // 2 + 1, dtype=np.complex128)
+    prod = np.empty_like(spec)
+    x = prod.view(np.float64)[:size]
+    spectra_b = [
+        np.fft.rfft(np.multiply(mags_b[:, j], signs_b, out=row[: len(b)]), size)
+        for j in range(limbs_b)
+    ]
+    shifts = limbs_a + limbs_b - 1
+    digits = np.empty((n_out, shifts), dtype=np.uint8)
+    carry = np.zeros(n_out, dtype=np.int64)
+    # open_shifts[j] accumulates shift s + j while limb row s of a is added.
+    open_shifts = deque(np.zeros_like(spec) for _ in range(limbs_b))
+    for s in range(shifts):
+        if s < limbs_a:
+            np.multiply(mags_a[:, s], signs_a, out=row[: len(a)])
+            np.fft.rfft(row[: len(a)], size, out=spec)
+            for acc, spec_b in zip(open_shifts, spectra_b):
+                acc += np.multiply(spec, spec_b, out=prod)
+        # No later row of a reaches shift s: it is complete.
+        acc = open_shifts.popleft()
+        np.fft.irfft(acc, size, out=x)
+        if s + limbs_b < shifts:
+            acc[:] = 0
+            open_shifts.append(acc)
+        value = x[:n_out]
+        rounded = np.rint(value, out=row[:n_out])
+        if np.max(np.abs(np.subtract(value, rounded, out=value), out=value)) > (
+            _RESIDUAL_LIMIT
+        ):
+            return None
+        np.add(carry, rounded, out=carry, casting="unsafe")
+        np.bitwise_and(carry, _LIMB_MAX, out=digits[:, s], casting="unsafe")
+        carry >>= _LIMB_BITS
+    raw = digits.tobytes()
+    top_shift = _LIMB_BITS * shifts
+    out = [
+        int.from_bytes(raw[off : off + shifts], "little") + (top << top_shift)
+        for off, top in zip(range(0, n_out * shifts, shifts), carry.tolist())
+    ]
+    out.extend([0] * (prec - n_out))
+    return out
+
+
 def _convolve_sparse(nza, nzb, prec):
     # nza, nzb: (index, value) pairs of the nonzero coefficients, by index.
     if len(nza) > len(nzb):
@@ -104,15 +266,23 @@ def convolve_exact(a, b, prec):
 
     Returns exactly ``prec`` Python ints, whichever route runs.
     """
-    a, b = a[:prec], b[:prec]
-    nza = [(i, v) for i, v in enumerate(a) if v]
-    nzb = [(j, v) for j, v in enumerate(b) if v]
-    if not nza or not nzb:
-        return [0] * prec
-    if len(nza) * len(nzb) <= _SPARSE_COST_FACTOR * prec:
-        return _convolve_sparse(nza, nzb, prec)
-    max_a = max(abs(v) for _, v in nza)
-    max_b = max(abs(v) for _, v in nzb)
-    if int64_safe(max_a, max_b, min(len(a), len(b))):
-        return convolve_int64(a, b, prec).tolist()
-    return convolve_bigint(a, b, prec)
+    a, b = _head(a, prec), _head(b, prec)
+    pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
+    certificate = (None, None, None)
+    if pairs <= _SPARSE_COST_FACTOR * prec:
+        route = "sparse"
+        out = _convolve_sparse(
+            [(i, v) for i, v in enumerate(a) if v],
+            [(j, v) for j, v in enumerate(b) if v],
+            prec,
+        )
+    else:
+        certificate = fft_certificate(a, b)
+        route, out = "fft", convolve_fft(a, b, prec, certificate)
+        if out is None:
+            route, out = "kronecker", convolve_bigint(a, b, prec)
+    _log.debug(
+        "convolve_exact route=%s len=%d,%d prec=%d limbs=%s,%s bound=%s limit=%s",
+        route, len(a), len(b), prec, *certificate, _CERT_LIMIT,
+    )
+    return out

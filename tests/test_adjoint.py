@@ -163,6 +163,12 @@ class TestLSeriesValue:
         with pytest.raises(ValueError, match=str(1 + 5000 + 1)):
             l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), 5000)
 
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_nonpositive_M_rejected(self, sec5_forms, M):
+        theta, _, f = sec5_forms
+        with pytest.raises(ValueError, match="M must be positive"):
+            l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), M)
+
     def test_tail_monotone_in_M(self, sec5_forms):
         theta, _, f = sec5_forms
         bounds = [
@@ -251,6 +257,12 @@ class TestAdjointCoefficients:
         theta, _, _ = sec5_forms
         with pytest.raises(ValueError, match="cusp"):
             adjoint_coefficients(theta, theta, SEC5_CASE, 1, 100)
+
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_nonpositive_M_rejected(self, sec5_forms, M):
+        theta, _, f = sec5_forms
+        with pytest.raises(ValueError, match="M must be positive"):
+            adjoint_coefficients(f, theta, SEC5_CASE, 1, M)
 
     def test_hypothesis_warning_emitted(self):
         # case 1 with target weight 3/2 (k = 1) and a cusp g needs k > 2

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import pytest
@@ -226,3 +227,13 @@ def test_each_hypothesis_warning_printed_once(argv, hypothesis_lines, capsys):
     tail = [line for line in lines if "tail exponent" in line]
     assert len(tail) == 1
     assert len(lines) - 1 == hypothesis_lines
+
+
+def test_debug_route_log_leaves_output_unchanged(capsys, caplog):
+    argv = ["bracket", "--f", "E4", "--g", "E6", "--nu", "1", "--precision", "100"]
+    assert run(argv) == 0
+    quiet = capsys.readouterr()
+    with caplog.at_level(logging.DEBUG, logger="rcadjoint.kernels"):
+        assert run(argv) == 0
+    assert capsys.readouterr() == quiet
+    assert any("route=fft" in r.getMessage() for r in caplog.records)

@@ -1,5 +1,7 @@
+import logging
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,25 +14,24 @@ def rand_ints(rng, n, lo, hi):
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
-def test_int64_routes_agree_with_naive():
+def test_dense_routes_agree_with_naive():
     rng = random.Random(7)
     a = rand_ints(rng, 60, -1000, 1000)
     b = rand_ints(rng, 60, -1000, 1000)
     expected = [int(x) for x in naive_mul(a, b, 60)]
-    assert list(kernels.convolve_int64(a, b, 60)) == expected
+    assert kernels.convolve_fft(a, b, 60) == expected
     assert kernels.convolve_bigint(a, b, 60) == expected
     assert kernels.convolve_exact(a, b, 60) == expected
-    assert list(kernels.convolve_int64([3, -1, 4], [2, 7, 0], 3)) == [6, 19, 1]
+    assert kernels.convolve_fft([3, -1, 4], [2, 7, 0], 3) == [6, 19, 1]
 
 
 def test_bigint_route_on_huge_coefficients():
     rng = random.Random(11)
     a = rand_ints(rng, 40, -(10**30), 10**30)
     b = rand_ints(rng, 40, -(10**30), 10**30)
-    assert not kernels.int64_safe(
-        max(map(abs, a)), max(map(abs, b)), 40
-    )
     expected = [int(x) for x in naive_mul(a, b, 40)]
+    assert kernels.convolve_fft(a, b, 40) == expected
+    assert kernels.convolve_bigint(a, b, 40) == expected
     assert kernels.convolve_exact(a, b, 40) == expected
 
 
@@ -44,8 +45,9 @@ def test_zero_factor():
     assert kernels.convolve_exact([0, 0], [1, 2], 2) == [0, 0]
 
 
-# Magnitudes on both sides of the int64 certificate.
-_BOUNDS = [1, 1000, 2**30, 2**40, 10**30]
+# Magnitudes on both sides of the 8-bit limb boundary and of the int64
+# limb extraction (2**63 does not fit), and one of 125 limbs (10**300).
+_BOUNDS = [1, 255, 256, 1000, 2**30, 2**40, 2**63 - 1, 2**63, 10**30, 10**300]
 
 
 @settings(max_examples=150, deadline=None)
@@ -61,16 +63,88 @@ def test_every_route_returns_prec_coefficients(
     len_a, len_b, bound, every, prec, seed
 ):
     # Keeping every `every`-th coefficient of a makes the inputs sparse
-    # enough for the sparse route; long dense inputs take the int64 or
-    # big-int route.  prec runs both below and above len_a + len_b - 1.
+    # enough for the sparse route; long dense inputs take the FFT or the
+    # Kronecker route.  prec runs both below and above len_a + len_b - 1.
+    # The first coefficients are -bound and bound, so the magnitude sits
+    # exactly on the boundary under test.
     rng = random.Random(seed)
     a = [rng.randint(-bound, bound) if i % every == 0 else 0 for i in range(len_a)]
     b = rand_ints(rng, len_b, -bound, bound)
+    a[0], b[0] = -bound, bound
     expected = [int(x) for x in naive_mul(a, b, prec)]
     exact = kernels.convolve_exact(a, b, prec)
     assert exact == expected
     assert all(type(v) is int for v in exact)
     assert kernels.convolve_bigint(a, b, prec) == expected
-    length = min(len(a), len(b))
-    if kernels.int64_safe(max(map(abs, a)), max(map(abs, b)), length):
-        assert kernels.convolve_int64(a, b, prec).tolist() == expected
+    # At these sizes the rounding bound is far below the limit, so the FFT
+    # route must certify and answer; a None here would hide a limb bug.
+    assert kernels.fft_certificate(a[:prec], b[:prec])[2] < kernels._CERT_LIMIT
+    assert kernels.convolve_fft(a, b, prec) == expected
+
+
+_ROUTES = {
+    "sparse": "_convolve_sparse",
+    "fft": "convolve_fft",
+    "kronecker": "convolve_bigint",
+}
+
+
+def _spy_routes(monkeypatch):
+    """Record, in order, which route functions convolve_exact calls."""
+    calls = []
+    for route, name in _ROUTES.items():
+        real = getattr(kernels, name)
+
+        def spy(*args, _real=real, _route=route, **kwargs):
+            calls.append(_route)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def _dense(bound, n=200, seed=3):
+    rng = random.Random(seed)
+    return rand_ints(rng, n, -bound, bound), rand_ints(rng, n, -bound, bound)
+
+
+@pytest.mark.parametrize(
+    "a, b, routes",
+    [
+        ([1] + [0] * 199 + [2], [3] * 201, ["sparse"]),
+        (*_dense(1000), ["fft"]),
+        # 5814 limbs at length 20: the rounding bound is ~0.38.
+        (*_dense(10**14000, n=20), ["fft", "kronecker"]),
+    ],
+    ids=["sparse", "fft", "kronecker"],
+)
+def test_convolve_exact_routes(monkeypatch, a, b, routes):
+    expected = [int(x) for x in naive_mul(a, b, len(a))]
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_exact(a, b, len(a)) == expected
+    assert calls == routes
+
+
+@pytest.mark.parametrize("limit", ["_CERT_LIMIT", "_RESIDUAL_LIMIT"])
+def test_failed_fft_check_falls_back_to_kronecker(monkeypatch, limit):
+    a, b = _dense(10**6)
+    expected = kernels.convolve_exact(a, b, 200)
+    monkeypatch.setattr(kernels, limit, -1.0)
+    assert kernels.convolve_fft(a, b, 200) is None
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_exact(a, b, 200) == expected
+    assert calls == ["fft", "kronecker"]
+
+
+def test_route_is_logged_at_debug_only(caplog, capsys):
+    a, b = _dense(1000)
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        kernels.convolve_exact(a, b, 200)
+    (record,) = [r for r in caplog.records if r.name == kernels.__name__]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "route=fft" in message
+    assert "len=200,200" in message
+    assert "limbs=2,2" in message
+    assert "bound=" in message
+    assert capsys.readouterr().out == ""
