@@ -24,7 +24,7 @@ import mpmath
 from mpmath import mpf
 
 from .bracket import BracketParams, TwiceWeight, rc_coefficient
-from .qseries import QSeries
+from .qseries import QSeries, _lowest_terms
 
 PRECISION_ENV = "RC_ADJOINT_PRECISION_DIGITS"
 DEFAULT_EPSILON = 0.1
@@ -205,10 +205,11 @@ def fit_tail_profile(
         raise ValueError("need at least 10 coefficients to fit a tail profile")
     exponent = lemma_exponent + epsilon
     constant = 0.0
-    for n in range(1, series.precision):
-        c = series.coeffs[n]
-        if c != 0:
-            constant = max(constant, abs(float(c)) / n**exponent)
+    den = series.den
+    for n, v in enumerate(series.num[1:], start=1):
+        if v:
+            # int / int rounds correctly, exactly as float(Fraction) does.
+            constant = max(constant, abs(v) / den / n**exponent)
     return TailProfile(exponent, constant)
 
 
@@ -307,14 +308,9 @@ def _l_series_sums(
     # alpha(n,m) = sum_r c_r n^r m^(nu-r) = (1/D) sum_r C_r n^r m^(nu-r).
     D = math.lcm(*(c_r.denominator for c_r in c))
     C = [c_r.numerator * (D // c_r.denominator) for c_r in c]
-    a_coeffs = f.coeffs[: top + 1]
-    da = math.lcm(*(a.denominator for a in a_coeffs))
-    db = math.lcm(*(g.coeffs[m].denominator for m in range(1, M + 1)))
-    B = [
-        (m, b.numerator * (db // b.denominator))
-        for m, b in enumerate(g.coeffs[1 : M + 1], start=1)
-        if b != 0
-    ]
+    A, da = _lowest_terms(f.num[: top + 1], f.den)
+    Bm, db = _lowest_terms(g.num[1 : M + 1], g.den)
+    B = [(m, b) for m, b in enumerate(Bm, start=1) if b]
     with mpmath.workdps(working_digits()):
         s_mp = _to_mpf(s)
         w = [None] * (top + 1)
@@ -327,13 +323,8 @@ def _l_series_sums(
                 j = n + m
                 wj = w[j]
                 if wj is None:
-                    a = a_coeffs[j]
-                    wj = w[j] = (
-                        mpf(a.numerator * (da // a.denominator))
-                        * mpmath.power(j, -s_mp)
-                        if a
-                        else 0
-                    )
+                    a = A[j]
+                    wj = w[j] = mpf(a) * mpmath.power(j, -s_mp) if a else 0
                 if not wj:
                     continue
                 alpha = 0

@@ -2,7 +2,8 @@
 
 Exact for integral and half-integral weights: every scalar here is a
 ``Fraction``, with gamma-function ratios evaluated as telescoping
-products so no transcendental values appear.
+integer products over a power of two, so no transcendental values
+appear.
 """
 
 from __future__ import annotations
@@ -53,31 +54,41 @@ class BracketParams:
             raise ValueError("bracket order nu must be nonnegative")
 
 
-def gamma_ratio(x: TwiceWeight, hi: int, lo: int) -> Fraction:
-    """Gamma(x+hi)/Gamma(x+lo) as the telescoping product of (x+j).
-
-    Exact for any half-integral x; equals 1 when hi == lo.
-    """
-    if hi < lo:
-        raise ValueError("gamma_ratio needs hi >= lo")
-    w = x.weight
-    out = Fraction(1)
+def _twice_rising(w2: int, hi: int, lo: int) -> int:
+    """prod_{j=lo}^{hi-1} (w2 + 2j) = 2^(hi-lo) Gamma(w2/2+hi)/Gamma(w2/2+lo)."""
+    out = 1
     for j in range(lo, hi):
-        out *= w + j
+        out *= w2 + 2 * j
     return out
 
 
+def gamma_ratio(x: TwiceWeight, hi: int, lo: int) -> Fraction:
+    """Gamma(x+hi)/Gamma(x+lo) as the telescoping product of (x+j).
+
+    Exact for any half-integral x: the integer prod (2x + 2j) over
+    2^(hi-lo).  Equals 1 when hi == lo.
+    """
+    if hi < lo:
+        raise ValueError("gamma_ratio needs hi >= lo")
+    return Fraction(_twice_rising(x.w2, hi, lo), 1 << (hi - lo))
+
+
 def rc_coefficient(p: BracketParams, r: int) -> Fraction:
-    """The scalar weighting D^r f D^(nu-r) g inside the bracket."""
+    """The scalar weighting D^r f D^(nu-r) g inside the bracket.
+
+    (-1)^(nu-r) C(nu,r) Gamma(k+nu)/Gamma(k+r) Gamma(l+nu)/Gamma(l+nu-r):
+    the two ratios contribute 2^(nu-r) and 2^r, so one integer over 2^nu.
+    """
     if not 0 <= r <= p.nu:
         raise ValueError("need 0 <= r <= nu")
     sign = -1 if (p.nu - r) % 2 else 1
-    return (
+    top = (
         sign
         * math.comb(p.nu, r)
-        * gamma_ratio(p.k, p.nu, r)
-        * gamma_ratio(p.l, p.nu, p.nu - r)
+        * _twice_rising(p.k.w2, p.nu, r)
+        * _twice_rising(p.l.w2, p.nu, p.nu - r)
     )
+    return Fraction(top, 1 << p.nu)
 
 
 def alpha_coeff(p: BracketParams, n: int, m: int) -> Fraction:
@@ -130,7 +141,7 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
     acc = zero_series(prec)
     for r in range(p.nu + 1):
         term = series_mul(apply_D(f, r), apply_D(g, p.nu - r))
-        acc = series_add(acc, term, Fraction(1), rc_coefficient(p, r))
+        acc = series_add(acc, term, 1, rc_coefficient(p, r))
     meta = None
     if f.meta is not None and g.meta is not None:
         meta = FormMeta(

@@ -9,8 +9,8 @@ from its inputs:
   dense inputs whose a-priori rounding bound (Percival 2003, Thm 5.1,
   applied to numpy's pocketfft under the assumption stated in
   ``fft_error_bound``) and run-time residual check both hold,
-* Kronecker substitution on Python big integers (``convolve_bigint``),
-  only when that bound or that check fails.
+* Kronecker substitution on Python big integers (``convolve_bigint``,
+  one signed product), only when that bound or that check fails.
 
 Every route is exact and returns exactly ``prec`` Python ints.
 """
@@ -56,23 +56,21 @@ def _pack(vals, width) -> bytearray:
     return buf
 
 
-def _kronecker_nonneg(a, b, prec, width):
-    out_len = len(a) + len(b)
-    c = int.from_bytes(_pack(a, width), "little") * int.from_bytes(
-        _pack(b, width), "little"
-    )
-    data = c.to_bytes(width * out_len, "little")
-    return [
-        int.from_bytes(data[i * width : (i + 1) * width], "little")
-        for i in range(prec)
-    ]
+def _kronecker_eval(vals, width) -> int:
+    """sum_i vals[i] * 2^(8 width i), for signed ints vals."""
+    pos = _pack([v if v > 0 else 0 for v in vals], width)
+    neg = _pack([-v if v < 0 else 0 for v in vals], width)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def convolve_bigint(a, b, prec):
     """Exact truncated convolution via Kronecker substitution.
 
-    Signed inputs are split into positive/negative parts (four nonnegative
-    products) so that packed slots never interact.
+    a and b are evaluated at X = 2^(8 width), with every product
+    coefficient below X/2 in magnitude, and multiplied once as signed big
+    integers.  Slot i of the product's two's-complement bytes holds
+    c_i mod X plus a borrow: a slot value >= X/2 is the negative c_i - X
+    and lends one to the slot above.
     """
     a, b = a[:prec], b[:prec]
     max_a = max((abs(v) for v in a), default=0)
@@ -81,15 +79,19 @@ def convolve_bigint(a, b, prec):
         return [0] * prec
     bound = max_a * max_b * min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8 + 1  # bytes per slot, with headroom
-    ap = [v if v > 0 else 0 for v in a]
-    an = [-v if v < 0 else 0 for v in a]
-    bp = [v if v > 0 else 0 for v in b]
-    bn = [-v if v < 0 else 0 for v in b]
-    pp = _kronecker_nonneg(ap, bp, prec, width)
-    nn = _kronecker_nonneg(an, bn, prec, width)
-    pn = _kronecker_nonneg(ap, bn, prec, width)
-    np_ = _kronecker_nonneg(an, bp, prec, width)
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(prec)]
+    n_out = min(prec, len(a) + len(b) - 1)
+    product = _kronecker_eval(a, width) * _kronecker_eval(b, width)
+    data = product.to_bytes(width * (len(a) + len(b)), "little", signed=True)
+    x = 1 << (8 * width)
+    half = x >> 1
+    out = []
+    borrow = 0
+    for off in range(0, width * n_out, width):
+        v = int.from_bytes(data[off : off + width], "little") + borrow
+        borrow = v >= half
+        out.append(v - x if borrow else v)
+    out.extend([0] * (prec - n_out))
+    return out
 
 
 def _head(vals, prec):

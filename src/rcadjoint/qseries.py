@@ -1,10 +1,14 @@
 """Exact truncated q-expansion arithmetic and classical constructors.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``)
-throughout; floating point never enters this module.  A series knows
-exactly ``precision`` coefficients (of q^0 .. q^(precision-1)) and
-arithmetic never reports coefficients beyond the minimum precision of
-its inputs.
+A series stores its coefficients as Python-int numerators over one
+common positive denominator, in lowest terms, so every operation runs on
+integers: products are integer convolutions over the product of the
+denominators, derivatives scale numerators, and sums put both sides over
+one least common denominator.  ``Fraction`` appears only at the edges
+(the public constructor, ``coeff``/``coeffs`` and JSON input); floating
+point never enters this module.  A series knows exactly ``precision``
+coefficients (of q^0 .. q^(precision-1)) and arithmetic never reports
+coefficients beyond the minimum precision of its inputs.
 """
 
 from __future__ import annotations
@@ -76,82 +80,134 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _lowest_terms(num: Sequence[int], den: int) -> tuple:
+    """(num', den') with num'[i]/den' == num[i]/den and gcd(den', *num') == 1.
+
+    den > 0.  For reduced fractions p_i/q_i, den' is lcm(q_i).
+    """
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return tuple(v // g for v in num), den // g
+    return num, den
+
+
+def _store(series: "QSeries", num, den: int, meta: Optional[FormMeta]) -> None:
+    """Set num/den/meta on a new series, in canonical form.
+
+    num[i]/den is the coefficient of q^i; den > 0 on entry.  Canonical
+    means gcd(den, *num) == 1, so equal series have equal (num, den).
+    """
+    num, den = _lowest_terms(tuple(num), den)
+    if not num:
+        raise ValueError("a series must know at least one coefficient")
+    object.__setattr__(series, "num", num)
+    object.__setattr__(series, "den", den)
+    object.__setattr__(series, "meta", meta)
+
+
+def _from_ints(num, den: int, meta: Optional[FormMeta] = None) -> "QSeries":
+    """The series with coefficients num[i]/den (den > 0)."""
+    series = object.__new__(QSeries)
+    _store(series, num, den, meta)
+    return series
+
+
 class QSeries:
     """Truncated q-expansion with exact rational coefficients.
 
+    Stored as a tuple of integer numerators ``num`` over one positive
+    denominator ``den``, in lowest terms (gcd(den, *num) == 1).
     Immutable; safe to share between threads.
     """
 
-    __slots__ = ("coeffs", "meta")
+    __slots__ = ("num", "den", "meta")
 
     def __init__(self, coeffs: Sequence, meta: Optional[FormMeta] = None):
-        cs = tuple(_as_fraction(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a series must know at least one coefficient")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "meta", meta)
+        cs = [_as_fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        _store(self, (c.numerator * (den // c.denominator) for c in cs), den, meta)
 
     def __setattr__(self, *args):
         raise AttributeError("QSeries is immutable")
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self.num)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions (built on each access)."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     def coeff(self, n: int) -> Fraction:
-        if not 0 <= n < len(self.coeffs):
+        if not 0 <= n < len(self.num):
             raise IndexError(
-                f"coefficient of q^{n} unknown (precision {len(self.coeffs)})"
+                f"coefficient of q^{n} unknown (precision {len(self.num)})"
             )
-        return self.coeffs[n]
+        return Fraction(self.num[n], self.den)
 
     def truncate(self, precision: int) -> "QSeries":
-        if not 1 <= precision <= len(self.coeffs):
+        if not 1 <= precision <= len(self.num):
             raise ValueError("cannot truncate beyond known precision")
-        return QSeries(self.coeffs[:precision], self.meta)
+        return _from_ints(self.num[:precision], self.den, self.meta)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def with_meta(self, meta: Optional[FormMeta]) -> "QSeries":
-        return QSeries(self.coeffs, meta)
+        return _from_ints(self.num, self.den, meta)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.meta == other.meta
+        return (self.num, self.den, self.meta) == (other.num, other.den, other.meta)
 
     def __hash__(self):
-        return hash((self.coeffs, self.meta))
+        return hash((self.num, self.den, self.meta))
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
-        return f"QSeries([{head}{tail}], precision={len(self.coeffs)})"
+        head = ", ".join(str(self.coeff(n)) for n in range(min(6, len(self.num))))
+        tail = ", ..." if len(self.num) > 6 else ""
+        return f"QSeries([{head}{tail}], precision={len(self.num)})"
 
     def to_json_dict(self) -> dict:
         m = self.meta
+        den = self.den
+        coeffs = []
+        for v in self.num:
+            g = math.gcd(v, den)
+            coeffs.append(f"{v // g}/{den // g}")
         return {
             "twice_weight": m.twice_weight if m else None,
             "level": m.level if m else None,
             "character": m.character.value if m else None,
-            "precision": len(self.coeffs),
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "precision": len(self.num),
+            "coeffs": coeffs,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QSeries":
-        """Inverse of ``to_json_dict``; malformed input raises ValueError."""
+        """Inverse of ``to_json_dict``; malformed input raises ValueError.
+
+        Each coefficient must be a string such as "-3/4" or a JSON integer;
+        floats, booleans and null are rejected rather than read inexactly.
+        """
         if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
             raise ValueError("a series must be a JSON object with a 'coeffs' list")
         if not d["coeffs"]:
             raise ValueError("a series must know at least one coefficient")
+        for s in d["coeffs"]:
+            if isinstance(s, bool) or not isinstance(s, (str, int)):
+                raise ValueError(
+                    f"bad coefficient {s!r}: expected a string 'p/q' or an integer"
+                )
         try:
             coeffs = [Fraction(s) for s in d["coeffs"]]
-        except (TypeError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ValueError(f"bad coefficient: {exc}") from None
         if d.get("precision") not in (None, len(coeffs)):
             raise ValueError("precision field disagrees with coefficient count")
@@ -170,19 +226,25 @@ class QSeries:
 
 
 def zero_series(precision: int) -> QSeries:
-    return QSeries([Fraction(0)] * precision)
+    return _from_ints((0,) * precision, 1)
 
 
-def one_series(precision: int) -> QSeries:
-    return QSeries([Fraction(1)] + [Fraction(0)] * (precision - 1))
+def series_add(a: QSeries, b: QSeries, ca=1, cb=1) -> QSeries:
+    """Coefficient-wise ca*a + cb*b at the minimum of the two precisions.
 
-
-def series_add(a: QSeries, b: QSeries, ca=Fraction(1), cb=Fraction(1)) -> QSeries:
-    """Coefficient-wise ca*a + cb*b at the minimum of the two precisions."""
-    ca = _as_fraction(ca)
-    cb = _as_fraction(cb)
+    ca and cb are exact rationals (int or Fraction).  Both sides are put
+    over the common denominator lcm(ca.den * a.den, cb.den * b.den).
+    """
+    for c in (ca, cb):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot interpret {c!r} as an exact rational")
     prec = min(a.precision, b.precision)
-    coeffs = [ca * a.coeffs[i] + cb * b.coeffs[i] for i in range(prec)]
+    da = ca.denominator * a.den
+    db = cb.denominator * b.den
+    den = math.lcm(da, db)
+    ma = ca.numerator * (den // da)
+    mb = cb.numerator * (den // db)
+    num = [ma * x + mb * y for x, y in zip(a.num[:prec], b.num[:prec])]
     meta = None
     if (
         a.meta is not None
@@ -192,12 +254,12 @@ def series_add(a: QSeries, b: QSeries, ca=Fraction(1), cb=Fraction(1)) -> QSerie
         and a.meta.character == b.meta.character
     ):
         meta = FormMeta(
-            a.meta.twice_weight, a.meta.level, a.meta.character, coeffs[0] == 0
+            a.meta.twice_weight, a.meta.level, a.meta.character, num[0] == 0
         )
-    return QSeries(coeffs, meta)
+    return _from_ints(num, den, meta)
 
 
-def _mul_meta(a: QSeries, b: QSeries, constant_term: Fraction) -> Optional[FormMeta]:
+def _mul_meta(a: QSeries, b: QSeries, constant_term: int) -> Optional[FormMeta]:
     if a.meta is None or b.meta is None:
         return None
     return FormMeta(
@@ -208,27 +270,11 @@ def _mul_meta(a: QSeries, b: QSeries, constant_term: Fraction) -> Optional[FormM
     )
 
 
-def _mul_coeffs(ca: Sequence[Fraction], cb: Sequence[Fraction], prec: int):
-    """Exact truncated Cauchy product: clear denominators, convolve, divide back."""
-    ca, cb = ca[:prec], cb[:prec]
-    da = math.lcm(*(c.denominator for c in ca))
-    db = math.lcm(*(c.denominator for c in cb))
-    conv = convolve_exact(
-        [c.numerator * (da // c.denominator) for c in ca],
-        [c.numerator * (db // c.denominator) for c in cb],
-        prec,
-    )
-    scale = da * db
-    if scale == 1:
-        return [Fraction(v) for v in conv]
-    return [Fraction(v, scale) for v in conv]
-
-
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product truncated to the minimum precision of the inputs."""
     prec = min(a.precision, b.precision)
-    coeffs = _mul_coeffs(a.coeffs, b.coeffs, prec)
-    return QSeries(coeffs, _mul_meta(a, b, coeffs[0]))
+    num = convolve_exact(a.num, b.num, prec)
+    return _from_ints(num, a.den * b.den, _mul_meta(a, b, num[0]))
 
 
 def apply_D(a: QSeries, r: int) -> QSeries:
@@ -240,8 +286,10 @@ def apply_D(a: QSeries, r: int) -> QSeries:
     if r < 0:
         raise ValueError("derivative order must be nonnegative")
     if r == 0:
-        return QSeries(a.coeffs, None) if a.meta is not None else a
-    return QSeries([c * n**r for n, c in enumerate(a.coeffs)])
+        return a.with_meta(None) if a.meta is not None else a
+    return _from_ints(
+        [v * n**r if v else 0 for n, v in enumerate(a.num)], a.den
+    )
 
 
 def make_theta(precision: int) -> QSeries:
@@ -252,13 +300,13 @@ def make_theta(precision: int) -> QSeries:
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    coeffs = [Fraction(0)] * precision
-    coeffs[0] = Fraction(1)
+    num = [0] * precision
+    num[0] = 1
     n = 1
     while n * n < precision:
-        coeffs[n * n] = Fraction(2)
+        num[n * n] = 2
         n += 1
-    return QSeries(coeffs, FormMeta(1, 4, CharacterMod4.TRIVIAL, False))
+    return _from_ints(num, 1, FormMeta(1, 4, CharacterMod4.TRIVIAL, False))
 
 
 def _euler_factor(step: int, exponent: int, prec: int) -> list:
@@ -321,14 +369,13 @@ def make_eta_product(
         )
     shift = order24 // 24
     if shift >= precision:
-        return QSeries([Fraction(0)] * precision, meta)
+        return _from_ints([0] * precision, 1, meta)
     inner = precision - shift
     prod = [0] * inner
     prod[0] = 1
     for mult, expo in factors:
         prod = convolve_exact(prod, _euler_factor(mult, expo, inner), inner)
-    coeffs = [Fraction(0)] * shift + [Fraction(v) for v in prod]
-    return QSeries(coeffs, meta)
+    return _from_ints([0] * shift + prod, 1, meta)
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -355,7 +402,9 @@ def make_eisenstein(weight_k: int, precision: int) -> QSeries:
         dk = d ** (weight_k - 1)
         for mult in range(d, precision, d):
             sigma[mult] += dk
-    coeffs = [Fraction(1)] + [factor * sigma[n] for n in range(1, precision)]
-    return QSeries(
-        coeffs, FormMeta(2 * weight_k, 1, CharacterMod4.TRIVIAL, False)
+    # 1 + (p/q) sum sigma(n) q^n, over the denominator q of the factor.
+    p, q = factor.numerator, factor.denominator
+    num = [q] + [p * sigma[n] for n in range(1, precision)]
+    return _from_ints(
+        num, q, FormMeta(2 * weight_k, 1, CharacterMod4.TRIVIAL, False)
     )

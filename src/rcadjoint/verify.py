@@ -88,7 +88,7 @@ def lambda_from_first_coefficient(
     lambda = c(m0) / a(m0).
     """
     if m0 is None:
-        m0 = next((i for i, a in enumerate(f.coeffs) if i >= 1 and a != 0), None)
+        m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
         if m0 is None:
             raise ValueError("f is the zero series")
     a_m0 = f.coeff(m0)
@@ -135,7 +135,7 @@ def rewritten_sum_report(M: int) -> Tuple[float, float]:
                 idx = top - r * r
                 if idx < 1:
                     break
-                inner += int(newform.coeffs[idx])
+                inner += newform.num[idx]  # an eta product: den == 1
             rewritten += mpf(inner) * mpmath.power(top, -s)
             m += 1
         return float(faithful), float(rewritten)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,29 @@ class TestRcCoefficient:
         p = BracketParams(TwiceWeight(4), TwiceWeight(4), 1)
         with pytest.raises(ValueError):
             rc_coefficient(p, 2)
+
+    def test_matches_fraction_product(self):
+        # (-1)^(nu-r) C(nu,r) Gamma(k+nu)/Gamma(k+r) Gamma(l+nu)/Gamma(l+nu-r),
+        # each ratio a product of Fraction factors (x + j).
+        def ratio(w2, hi, lo):
+            out = Fraction(1)
+            for j in range(lo, hi):
+                out *= Fraction(w2, 2) + j
+            return out
+
+        for k2 in range(1, 14):
+            for l2 in range(1, 14):
+                for nu in range(6):
+                    p = BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu)
+                    for r in range(nu + 1):
+                        want = (
+                            (-1) ** (nu - r)
+                            * math.comb(nu, r)
+                            * ratio(k2, nu, r)
+                            * ratio(l2, nu, nu - r)
+                        )
+                        assert rc_coefficient(p, r) == want
+                        assert gamma_ratio(p.k, nu, r) == ratio(k2, nu, r)
 
 
 class TestAlphaCoeff:

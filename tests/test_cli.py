@@ -156,6 +156,9 @@ def _series_file(content):
     return make
 
 
+_THETA_META = '{"twice_weight": 1, "level": 4, "character": "trivial", '
+
+
 def _epsilon(value):
     return lambda tmp_path: [
         "adjoint", "--case", "2", "--f-product", "theta", "delta_4_6",
@@ -179,6 +182,10 @@ def _tolerance(value):
         _series_file('{"twice_weight": 1, "coeffs": ["1/1", "2/1", "0/1"]}'),
         _series_file('{"twice_weight": 1, "level": 4, "character": "trivial", '
                      '"coeffs": []}'),
+        # With valid metadata, so only the coefficient type is wrong.
+        _series_file(_THETA_META + '"coeffs": [Infinity, "0/1", "0/1"]}'),
+        _series_file(_THETA_META + '"coeffs": [true, false, "0/1"]}'),
+        _series_file(_THETA_META + '"coeffs": [0.1, "0/1", "0/1"]}'),
         lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
                           "--nu", "0", "--precision", "3"],
         lambda tmp_path: ["expand", "--form", "theta", "--precision", "3",
@@ -192,6 +199,7 @@ def _tolerance(value):
         _tolerance("-1"),
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
+         "infinity", "booleans", "float",
          "directory", "output-dir-missing", "epsilon-nan", "epsilon-inf",
          "epsilon-zero", "epsilon-negative", "tolerance-nan", "tolerance-inf",
          "tolerance-negative"],

@@ -125,6 +125,19 @@ def test_convolve_exact_routes(monkeypatch, a, b, routes):
     assert calls == routes
 
 
+def test_kronecker_past_the_product_length():
+    # Mixed signs at magnitudes the FFT certificate refuses, and prec
+    # beyond len(a) + len(b): a negative top coefficient leaves
+    # sign-extension bytes above the product, and those slots must read 0.
+    a, b = _dense(10**27000, n=6, seed=5)
+    a[-1], b[-1] = -(10**27000), 10**27000
+    prec = len(a) + len(b) + 7
+    assert kernels.fft_certificate(a, b)[2] >= kernels._CERT_LIMIT
+    expected = [int(x) for x in naive_mul(a, b, prec)]
+    assert expected[len(a) + len(b) - 2] < 0
+    assert kernels.convolve_bigint(a, b, prec) == expected
+
+
 @pytest.mark.parametrize("limit", ["_CERT_LIMIT", "_RESIDUAL_LIMIT"])
 def test_failed_fft_check_falls_back_to_kronecker(monkeypatch, limit):
     a, b = _dense(10**6)

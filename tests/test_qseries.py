@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from rcadjoint.qseries import (
     FormMeta,
     QSeries,
     _euler_factor,
+    _from_ints,
     apply_D,
     bernoulli_number,
     make_eisenstein,
@@ -215,6 +217,14 @@ class TestEisenstein:
     def test_e6(self):
         assert ints(make_eisenstein(6, 3)) == [1, -504, -16632]
 
+    def test_e12_over_691(self):
+        # E_12 = 1 + (65520/691) sum sigma_11(n) q^n: one denominator 691.
+        e12 = make_eisenstein(12, 4)
+        assert_canonical(e12)
+        assert e12.den == 691
+        assert e12.coeffs == (1, Fraction(65520, 691), Fraction(65520 * 2049, 691),
+                              Fraction(65520 * 177148, 691))
+
     def test_weight_two_rejected(self):
         with pytest.raises(ValueError):
             make_eisenstein(2, 10)
@@ -246,6 +256,79 @@ class TestJsonFormat:
         d = QSeries([1, 2]).to_json_dict()
         assert d["twice_weight"] is None
         assert QSeries.from_json_dict(d).meta is None
+
+
+# Series of 1..40 coefficients: fractional, negative, and all-zero.
+core_coeffs = st.one_of(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=60),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(1, 40).map(lambda n: [Fraction(0)] * n),
+)
+core_scalars = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def assert_canonical(series):
+    assert type(series.den) is int and series.den > 0
+    assert all(type(v) is int for v in series.num)
+    assert math.gcd(series.den, *series.num) == 1
+
+
+def assert_equals_oracle(series, coeffs):
+    assert_canonical(series)
+    assert list(series.coeffs) == list(coeffs)
+    assert series == QSeries(coeffs)
+
+
+class TestIntegerNumeratorCore:
+    @settings(max_examples=80, deadline=None)
+    @given(core_coeffs, st.integers(1, 7))
+    def test_equal_constructions_are_equal(self, coeffs, k):
+        s = QSeries(coeffs)
+        assert_canonical(s)
+        # The same coefficients over a needlessly large denominator.
+        scaled = _from_ints([k * v for v in s.num], k * s.den)
+        as_strings = QSeries([str(c) for c in coeffs])
+        for other in (scaled, as_strings):
+            assert_canonical(other)
+            assert other == s
+            assert hash(other) == hash(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(core_coeffs, core_coeffs, core_scalars, core_scalars)
+    def test_add_matches_fraction_oracle(self, ca_list, cb_list, ca, cb):
+        prec = min(len(ca_list), len(cb_list))
+        want = [ca * x + cb * y for x, y in zip(ca_list, cb_list)][:prec]
+        out = series_add(QSeries(ca_list), QSeries(cb_list), ca, cb)
+        assert_equals_oracle(out, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(core_coeffs, core_coeffs)
+    def test_mul_matches_fraction_oracle(self, ca_list, cb_list):
+        prec = min(len(ca_list), len(cb_list))
+        out = series_mul(QSeries(ca_list), QSeries(cb_list))
+        assert_equals_oracle(out, naive_mul(ca_list, cb_list, prec))
+
+    @settings(max_examples=80, deadline=None)
+    @given(core_coeffs, st.integers(0, 4))
+    def test_apply_D_matches_fraction_oracle(self, coeffs, r):
+        out = apply_D(QSeries(coeffs), r)
+        assert_equals_oracle(out, [c * n**r for n, c in enumerate(coeffs)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(core_coeffs, st.data())
+    def test_truncate_matches_fraction_oracle(self, coeffs, data):
+        prec = data.draw(st.integers(1, len(coeffs)))
+        assert_equals_oracle(QSeries(coeffs).truncate(prec), coeffs[:prec])
+
+    @settings(max_examples=80, deadline=None)
+    @given(core_coeffs)
+    def test_json_round_trip_matches_fraction_oracle(self, coeffs):
+        d = json.loads(json.dumps(QSeries(coeffs).to_json_dict()))
+        assert d["coeffs"] == [f"{c.numerator}/{c.denominator}" for c in coeffs]
+        assert_equals_oracle(QSeries.from_json_dict(d), coeffs)
 
 
 class TestFormMeta:
