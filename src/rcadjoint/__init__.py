@@ -5,7 +5,6 @@ from .qseries import (
     CharacterMod4,
     FormMeta,
     QSeries,
-    Rational,
     apply_D,
     make_eisenstein,
     make_eta_product,
@@ -16,7 +15,6 @@ from .qseries import (
 from .bracket import (
     BracketParams,
     TwiceWeight,
-    alpha_coeff,
     gamma_ratio,
     rc_bracket,
     rc_coefficient,
@@ -25,12 +23,10 @@ from .forms import catalog_get, check_cusp_at_infinity, check_hecke_multiplicati
 from .adjoint import (
     AdjointCase,
     CaseId,
-    LValue,
     TailProfile,
     adjoint_coefficients,
-    case_params,
+    beta_value,
     fit_tail_profile,
-    l_series_value,
     validate_hypotheses,
 )
 from .verify import (
@@ -48,22 +44,18 @@ __all__ = [
     "CaseId",
     "CharacterMod4",
     "FormMeta",
-    "LValue",
     "QSeries",
-    "Rational",
     "RatioReport",
     "TailProfile",
     "TwiceWeight",
     "adjoint_coefficients",
-    "alpha_coeff",
     "apply_D",
-    "case_params",
+    "beta_value",
     "catalog_get",
     "check_cusp_at_infinity",
     "check_hecke_multiplicativity",
     "fit_tail_profile",
     "gamma_ratio",
-    "l_series_value",
     "lambda_from_first_coefficient",
     "make_eisenstein",
     "make_eta_product",

@@ -1,13 +1,18 @@
 """Special values of the adjoint-map coefficient formula.
 
-Evaluates c(n) = beta(k,l,nu;n) * L_{f,g,nu,n}(gamma) for the four
-weight configurations (integral/integral, both half-integral, and the
-two mixed cases), together with a bound on the truncation error of the
-Dirichlet series from empirical coefficient-growth profiles.
+Evaluates c(n) = beta(k,l,nu;n) * L_{f,g,nu,n}(gamma), with one formula
+in the true weights k and l (integral or half-integral):
+gamma = k + l + 2 nu - 1 and
+beta(n) = Gamma(gamma)/Gamma(k-1) * n^(k-1) / (4 pi)^(l+2 nu).
+Only the convergence hypotheses differ between the four weight
+configurations (integral/integral, both half-integral, and the two mixed
+cases), and the configuration is read off the weights.  The Dirichlet
+series runs over m >= 0 and carries a bound on its truncation error from
+empirical coefficient-growth profiles.
 
 Floating point lives here and only here; everything upstream is exact.
 Internal arithmetic runs at RC_ADJOINT_PRECISION_DIGITS significant
-decimal digits (default 50) via mpmath.
+decimal digits (default 50, at most 10000) via mpmath.
 """
 
 from __future__ import annotations
@@ -27,17 +32,24 @@ from .bracket import BracketParams, TwiceWeight, rc_coefficient
 from .qseries import QSeries, _lowest_terms
 
 PRECISION_ENV = "RC_ADJOINT_PRECISION_DIGITS"
+DIGITS_RANGE = (15, 10000)
 DEFAULT_EPSILON = 0.1
 
 
 def working_digits() -> int:
     raw = os.environ.get(PRECISION_ENV, "").strip()
-    if raw:
+    if not raw:
+        return 50
+    lo, hi = DIGITS_RANGE
+    try:
         digits = int(raw)
-        if digits < 15:
-            raise ValueError("need at least 15 working digits")
-        return digits
-    return 50
+    except ValueError:
+        digits = None
+    if digits is None or not lo <= digits <= hi:
+        raise ValueError(
+            f"{PRECISION_ENV} must be an integer from {lo} to {hi}, got {raw!r}"
+        )
+    return digits
 
 
 class HypothesisWarning(UserWarning):
@@ -51,25 +63,16 @@ class CaseId(Enum):
     HALF_FROM_INT_G = "3"  # half-integral target, integral g
 
 
-# (target weight integral?, g weight integral?) expected per case.
-_PARITY = {
-    CaseId.INTEGRAL: (True, True),
-    CaseId.HALF_HALF: (False, False),
-    CaseId.INT_FROM_HALF_G: (True, False),
-    CaseId.HALF_FROM_INT_G: (False, True),
-}
-
-
 @dataclass(frozen=True)
 class AdjointCase:
     """One weight configuration of the adjoint map.
 
-    ``k`` is the weight of the forms in the adjoint's image space (an
-    integer k or k+1/2 depending on the case); ``l`` is the weight of
-    the fixed form g.
+    ``k`` is the weight of the forms in the adjoint's image space and
+    ``l`` the weight of the fixed form g; either may be half-integral,
+    and their parities fix ``case_id``.  The target weight must exceed 1
+    so that Gamma(k-1) in beta is finite.
     """
 
-    case_id: CaseId
     k: TwiceWeight
     l: TwiceWeight
     nu: int
@@ -77,13 +80,22 @@ class AdjointCase:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
-        want_k, want_l = _PARITY[self.case_id]
-        if self.k.is_integral != want_k or self.l.is_integral != want_l:
+        if self.k.w2 < 3:
             raise ValueError(
-                f"case {self.case_id.value} needs target weight "
-                f"{'integral' if want_k else 'half-integral'} and g weight "
-                f"{'integral' if want_l else 'half-integral'}"
+                f"target weight {self.k.weight} must exceed 1: "
+                "beta needs Gamma(k-1) at a positive argument"
             )
+
+    @property
+    def case_id(self) -> CaseId:
+        if self.k.is_integral:
+            return CaseId.INTEGRAL if self.l.is_integral else CaseId.INT_FROM_HALF_G
+        return CaseId.HALF_FROM_INT_G if self.l.is_integral else CaseId.HALF_HALF
+
+    @property
+    def gamma_s(self) -> Fraction:
+        """The point gamma = k + l + 2 nu - 1 at which the series is taken."""
+        return self.k.weight + self.l.weight + 2 * self.nu - 1
 
     @property
     def k_int(self) -> int:
@@ -97,42 +109,6 @@ class AdjointCase:
 
 
 @dataclass(frozen=True)
-class CaseParams:
-    """One row of the four-case parameter table.
-
-    beta(k,l,nu;n) = Gamma(beta_gamma_num)/Gamma(beta_gamma_den)
-                     * n^n_exponent / (4*pi)^four_pi_exponent,
-    evaluated at s = gamma_s.
-    """
-
-    gamma_s: Fraction
-    beta_gamma_num: Fraction
-    beta_gamma_den: Fraction
-    n_exponent: Fraction
-    four_pi_exponent: Fraction
-
-
-def case_params(c: AdjointCase) -> CaseParams:
-    k, l, nu = c.k_int, c.l_int, c.nu
-    half = Fraction(1, 2)
-    if c.case_id is CaseId.INTEGRAL:
-        gamma_s = Fraction(k + l + 2 * nu - 1)
-        return CaseParams(gamma_s, gamma_s, Fraction(k - 1),
-                          Fraction(k - 1), Fraction(l + 2 * nu))
-    if c.case_id is CaseId.HALF_HALF:
-        gamma_s = Fraction(k + l + 2 * nu)
-        return CaseParams(gamma_s, gamma_s, k - half,
-                          k - half, l + 2 * nu + half)
-    if c.case_id is CaseId.INT_FROM_HALF_G:
-        gamma_s = k + l + 2 * nu - half
-        return CaseParams(gamma_s, gamma_s, Fraction(k - 1),
-                          Fraction(k - 1), l + 2 * nu + half)
-    gamma_s = k + l + 2 * nu - half
-    return CaseParams(gamma_s, gamma_s, k - half,
-                      k - half, Fraction(l + 2 * nu))
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     ok: bool
     message: Optional[str] = None
@@ -141,10 +117,11 @@ class HypothesisReport:
 def validate_hypotheses(c: AdjointCase, g_is_cusp: bool) -> HypothesisReport:
     """Check the convergence hypotheses of the relevant theorem.
 
-    Returns ok or a warning report; a warning never blocks computation.
+    These are all that differ between the four cases.  Returns ok or a
+    warning report; a warning never blocks computation.
     """
-    k, l = c.k_int, c.l_int
-    if c.case_id is CaseId.INTEGRAL:
+    k, l, case_id = c.k_int, c.l_int, c.case_id
+    if case_id is CaseId.INTEGRAL:
         if k < 6:
             return HypothesisReport(False, f"integral case needs k >= 6 (k={k})")
         if g_is_cusp or l < k - 3:
@@ -152,7 +129,7 @@ def validate_hypotheses(c: AdjointCase, g_is_cusp: bool) -> HypothesisReport:
         return HypothesisReport(
             False, f"non-cusp g needs l < k - 3 (l={l}, k={k})"
         )
-    if c.case_id is CaseId.HALF_HALF:
+    if case_id is CaseId.HALF_HALF:
         if g_is_cusp:
             if k > 2:
                 return HypothesisReport(True)
@@ -213,16 +190,6 @@ def fit_tail_profile(
     return TailProfile(exponent, constant)
 
 
-@dataclass(frozen=True)
-class LValue:
-    """A truncated Dirichlet-series value with an explicit tail bound."""
-
-    value: mpf
-    terms_used: int
-    tail_bound: float
-    s: Fraction
-
-
 def _to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
 
@@ -233,32 +200,14 @@ def _profile_for(series: QSeries, epsilon: float) -> TailProfile:
     return fit_tail_profile(series, growth_exponent(series.meta), epsilon)
 
 
-def l_series_value(
-    f: QSeries,
-    g: QSeries,
-    p: BracketParams,
-    n: int,
-    s: Fraction,
-    M: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> LValue:
-    """Partial sum of sum_m a(n+m) b(m) alpha(k,l,nu,n,m) (n+m)^-s.
-
-    Summed for m = 1..M at high working precision; coefficients must be
-    real, so the conjugate on b is the identity.  The tail bound uses
-    empirical growth profiles for f and g plus the integral comparison
-    sum_{m>M} m^t <= M^(t+1)/(-t-1), valid when t < -1.
-    """
-    s = Fraction(s)
-    (value,) = _l_series_sums(f, g, p, [n], s, M)
-    tail = _tail_bound(f, g, p, s, M, epsilon)
-    return LValue(value=value, terms_used=M, tail_bound=tail, s=s)
-
-
 def _tail_bound(
     f: QSeries, g: QSeries, p: BracketParams, s: Fraction, M: int, epsilon: float
 ) -> float:
-    """Bound on the terms m > M of every l_series_value sum (free of n)."""
+    """Bound on the terms m > M of every _l_series_sums sum (free of n).
+
+    Uses the empirical growth profiles of f and g plus the integral
+    comparison sum_{m>M} m^t <= M^(t+1)/(-t-1), valid when t < -1.
+    """
     pf = _profile_for(f, epsilon)
     pg = _profile_for(g, epsilon)
     alpha_weight = float(
@@ -284,7 +233,12 @@ def _l_series_sums(
     s: Fraction,
     M: int,
 ) -> List[mpf]:
-    """The partial sums of l_series_value for every n in ns, in one pass.
+    """Partial sums of sum_m a(n+m) b(m) alpha(k,l,nu;n,m) (n+m)^-s.
+
+    Summed over m = 0..M for every n in ns, in one pass, at working
+    precision; coefficients must be real, so the conjugate on b is the
+    identity.  The m = 0 term b(0) a(n) c_nu n^nu n^-s is the one the
+    unfolding picks up when g is not a cusp form.
 
     Denominators are cleared once, so each term is an exact integer
     B_m * alpha(n,m) times a shared mpf weight w_j = A_j j^-s, j = n+m;
@@ -309,8 +263,8 @@ def _l_series_sums(
     D = math.lcm(*(c_r.denominator for c_r in c))
     C = [c_r.numerator * (D // c_r.denominator) for c_r in c]
     A, da = _lowest_terms(f.num[: top + 1], f.den)
-    Bm, db = _lowest_terms(g.num[1 : M + 1], g.den)
-    B = [(m, b) for m, b in enumerate(Bm, start=1) if b]
+    Bm, db = _lowest_terms(g.num[: M + 1], g.den)
+    B = [(m, b) for m, b in enumerate(Bm) if b]
     with mpmath.workdps(working_digits()):
         s_mp = _to_mpf(s)
         w = [None] * (top + 1)
@@ -354,16 +308,17 @@ def gamma_half_integer(x: Fraction) -> mpf:
     return out
 
 
-def beta_value(params: CaseParams, n: int) -> mpf:
-    """The normalizing constant beta(k,l,nu;n), at working precision."""
-    num = gamma_half_integer(params.beta_gamma_num)
-    den = gamma_half_integer(params.beta_gamma_den)
+def beta_value(c: AdjointCase, n: int) -> mpf:
+    """beta(k,l,nu;n) = Gamma(gamma)/Gamma(k-1) n^(k-1) / (4 pi)^(l+2 nu)."""
+    k_minus_1 = c.k.weight - 1
+    num = gamma_half_integer(c.gamma_s)
+    den = gamma_half_integer(k_minus_1)
     four_pi = 4 * mpmath.pi
     return (
         num
         / den
-        * mpmath.power(n, _to_mpf(params.n_exponent))
-        / mpmath.power(four_pi, _to_mpf(params.four_pi_exponent))
+        * mpmath.power(n, _to_mpf(k_minus_1))
+        / mpmath.power(four_pi, _to_mpf(c.l.weight + 2 * c.nu))
     )
 
 
@@ -377,11 +332,9 @@ def adjoint_coefficients(
 ) -> List[Tuple[int, float, float]]:
     """Coefficients c(n) = beta(n) * L_{f,g,nu,n}(gamma) for n = 1..n_max.
 
-    When g has a nonzero constant term, the unfolding that produces the
-    Dirichlet series also picks up an m = 0 term, b(0) a(n) C_nu n^nu / n^s,
-    which the m >= 1 series omits; it is added here.  Without it the
-    adjoint identity fails for non-cusp g (verified numerically), and
-    with it c(n) is exactly proportional to the basis coefficients on
+    The series includes its m = 0 term, which is nonzero when g has a
+    constant term; without it the adjoint identity fails for non-cusp g,
+    and with it c(n) is exactly proportional to the basis coefficients on
     one-dimensional spaces.
 
     Returns (n, c_n, err_bound) triples; err_bound is beta(n) times the
@@ -392,29 +345,19 @@ def adjoint_coefficients(
         raise ValueError("n_max must be nonnegative")
     if f.coeff(0) != 0:
         raise ValueError("f must be a cusp form at infinity (a(0) = 0)")
-    g_is_cusp = g.coeff(0) == 0
-    report = validate_hypotheses(c, g_is_cusp)
+    report = validate_hypotheses(c, g_is_cusp=g.coeff(0) == 0)
     if not report.ok:
         warnings.warn(report.message, HypothesisWarning, stacklevel=2)
     if n_max == 0:
         return []
-    params = case_params(c)
     p = BracketParams(c.k, c.l, c.nu)
     ns = range(1, n_max + 1)
-    sums = _l_series_sums(f, g, p, ns, params.gamma_s, M)
-    tail = _tail_bound(f, g, p, params.gamma_s, M, epsilon)
-    b0 = g.coeff(0)
-    c_nu = rc_coefficient(p, c.nu)
+    sums = _l_series_sums(f, g, p, ns, c.gamma_s, M)
+    tail = _tail_bound(f, g, p, c.gamma_s, M, epsilon)
     rows = []
     with mpmath.workdps(working_digits()):
-        s_mp = _to_mpf(params.gamma_s)
         for n, total in zip(ns, sums):
-            if b0 != 0:
-                total += (
-                    _to_mpf(b0 * f.coeff(n) * c_nu * n**c.nu)
-                    * mpmath.power(n, -s_mp)
-                )
-            beta = beta_value(params, n)
+            beta = beta_value(c, n)
             rows.append((n, float(beta * total), float(beta * tail)))
     return rows
 

@@ -91,19 +91,6 @@ def rc_coefficient(p: BracketParams, r: int) -> Fraction:
     return Fraction(top, 1 << p.nu)
 
 
-def alpha_coeff(p: BracketParams, n: int, m: int) -> Fraction:
-    """Combinatorial kernel of the adjoint-map Dirichlet series.
-
-    Equals the q^(n+m) coefficient of the bracket of the monomials q^n
-    and q^m; the two are cross-checked against each other in tests.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("indices must be positive")
-    return sum(
-        rc_coefficient(p, r) * n**r * m ** (p.nu - r) for r in range(p.nu + 1)
-    )
-
-
 def cohen_character(k2: int, l2: int) -> CharacterMod4:
     """The extra character picked up by a bracket of weights k2/2, l2/2.
 

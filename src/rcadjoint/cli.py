@@ -22,7 +22,6 @@ from .adjoint import (
     CaseId,
     HypothesisWarning,
     adjoint_coefficients,
-    case_params,
     rows_to_csv,
     rows_to_json,
 )
@@ -96,21 +95,30 @@ def _resolve_f(args, precision: int) -> QSeries:
     return _resolve_form(args.f, precision)
 
 
+def _make_case(args, k2: int, l2: int) -> AdjointCase:
+    """The case of target twice-weight k2 and g twice-weight l2.
+
+    The weights fix the case; a --case given on the command line must
+    name that same case.
+    """
+    try:
+        case = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), args.nu)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.case is not None and CaseId(args.case) is not case.case_id:
+        raise UsageError(
+            f"--case {args.case} does not match the weights: target weight "
+            f"{case.k.weight} and g weight {case.l.weight} give case "
+            f"{case.case_id.value}"
+        )
+    return case
+
+
 def _build_case(args, f: QSeries, g: QSeries) -> AdjointCase:
     if f.meta is None or g.meta is None:
         raise UsageError("adjoint needs weight metadata on both forms")
     k2 = f.meta.twice_weight - g.meta.twice_weight - 4 * args.nu
-    if k2 < 1:
-        raise UsageError("inconsistent weights: target weight would be < 1/2")
-    try:
-        return AdjointCase(
-            CaseId(args.case),
-            TwiceWeight(k2),
-            TwiceWeight(g.meta.twice_weight),
-            args.nu,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _make_case(args, k2, g.meta.twice_weight)
 
 
 def _emit(text: str, path: Optional[str]):
@@ -176,7 +184,7 @@ def _cmd_adjoint(args) -> int:
     if args.format == "csv":
         _emit(rows_to_csv(rows), args.output)
     else:
-        payload = rows_to_json(rows, args.terms, case_params(case).gamma_s)
+        payload = rows_to_json(rows, args.terms, case.gamma_s)
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
@@ -197,7 +205,7 @@ def _cmd_verify_ratio(args) -> int:
             raise UsageError("verify ratio needs --basis (or --f-product)")
     basis = _resolve_form(basis_name, args.n_max + 1)
     report = ratio_test(rows, basis, args.tolerance)
-    config = f"case {args.case}, nu={args.nu}, basis {basis_name}"
+    config = f"case {case.case_id.value}, nu={args.nu}, basis {basis_name}"
     return _verdict(
         args,
         config,
@@ -220,20 +228,12 @@ def _cmd_verify_lambda(args) -> int:
     g = _resolve_form(args.g, precision)
     if f.meta is None or g.meta is None:
         raise UsageError("verify lambda needs weight metadata on both forms")
-    try:
-        case = AdjointCase(
-            CaseId(args.case),
-            TwiceWeight(f.meta.twice_weight),
-            TwiceWeight(g.meta.twice_weight),
-            args.nu,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    case = _make_case(args, f.meta.twice_weight, g.meta.twice_weight)
     with _hypothesis_warnings():
         lam = lambda_from_first_coefficient(
             case, f, g, M=args.terms, epsilon=args.epsilon
         )
-    config = f"case {args.case}, nu={args.nu}, f={args.basis}, g={args.g}"
+    config = f"case {case.case_id.value}, nu={args.nu}, f={args.basis}, g={args.g}"
     return _verdict(args, config, {"lambda": lam, "M": args.terms}, True)
 
 
@@ -261,7 +261,11 @@ def _add_adjoint_flags(p, with_f=True):
             help="build f as the product A*B",
         )
     p.add_argument("--g", required=True, help="fixed form g")
-    p.add_argument("--case", required=True, choices=["integral", "1", "2", "3"])
+    p.add_argument(
+        "--case",
+        choices=[c.value for c in CaseId],
+        help="optional: the weights fix the case; if given, it must match",
+    )
     p.add_argument("--nu", type=_nonneg_int, default=0)
     p.add_argument("--n-max", type=_positive_int, default=10)
     p.add_argument("--terms", type=_positive_int, default=20000)

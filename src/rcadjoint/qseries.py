@@ -21,8 +21,6 @@ from typing import Optional, Sequence
 
 from .kernels import convolve_exact
 
-Rational = Fraction
-
 
 class CharacterMod4(Enum):
     """Dirichlet characters mod 4: the trivial one and (-4/.)."""
@@ -36,13 +34,6 @@ class CharacterMod4(Enum):
         if self is CharacterMod4.TRIVIAL:
             return other
         return self
-
-    def value_at(self, d: int) -> int:
-        if self is CharacterMod4.TRIVIAL:
-            return 1
-        if d % 2 == 0:
-            return 0
-        return 1 if d % 4 == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -193,8 +184,9 @@ class QSeries:
     def from_json_dict(cls, d: dict) -> "QSeries":
         """Inverse of ``to_json_dict``; malformed input raises ValueError.
 
-        Each coefficient must be a string such as "-3/4" or a JSON integer;
-        floats, booleans and null are rejected rather than read inexactly.
+        Each coefficient must be a string such as "-3/4" or a JSON integer,
+        and ``twice_weight`` and ``level`` must be JSON integers; floats,
+        booleans and null are rejected rather than read inexactly.
         """
         if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
             raise ValueError("a series must be a JSON object with a 'coeffs' list")
@@ -213,10 +205,16 @@ class QSeries:
             raise ValueError("precision field disagrees with coefficient count")
         meta = None
         if d.get("twice_weight") is not None:
+            for key in ("twice_weight", "level"):
+                value = d.get(key)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(
+                        f"bad form metadata: {key} must be an integer, got {value!r}"
+                    )
             try:
                 meta = FormMeta(
-                    twice_weight=int(d["twice_weight"]),
-                    level=int(d["level"]),
+                    twice_weight=d["twice_weight"],
+                    level=d["level"],
                     character=CharacterMod4(d["character"]),
                     is_cusp_at_infinity=(coeffs[0] == 0),
                 )

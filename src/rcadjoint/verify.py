@@ -5,7 +5,8 @@ with its adjoint acts as a scalar lambda >= 0, so the computed c(n) must
 be proportional to the basis form's coefficients and the proportionality
 constant must be positive.  Both are falsifiable numerically; this
 module runs those checks and evaluates the two partial sums behind the
-positivity application (theta against the weight-6 level-4 newform).
+positivity application (theta against the weight-6 level-4 newform),
+the faithful one being the m >= 1 part of the flagship's L-series sum.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def rewritten_sum_report(M: int) -> Tuple[float, float]:
     Faithful sum: sum_{m=1}^M a(m+1) b(m) / (m+1)^(11/2) with a the
     coefficients of theta times the weight-6 level-4 newform and b the
     theta coefficients (so b carries its factor 2 at squares); this is
-    the n = 1, nu = 0 L-series sum of the flagship adjoint.
+    the n = 1, nu = 0 L-series sum of the flagship adjoint without its
+    m = 0 term, so it is summed against theta with b(0) set to 0.
 
     Rewritten sum: the squares-indexed double sum
     sum_m (sum_{r=1}^{m^2+1} tau(m^2+1-r^2)) / (m^2+1)^(11/2), which
@@ -123,7 +125,8 @@ def rewritten_sum_report(M: int) -> Tuple[float, float]:
     newform = catalog_get("delta_4_6", prec)
     product = series_mul(theta, newform)
     p = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
-    (faithful,) = _l_series_sums(product, theta, p, [1], Fraction(11, 2), M)
+    theta_m1 = QSeries((0,) + theta.num[1:])  # theta is integral: den == 1
+    (faithful,) = _l_series_sums(product, theta_m1, p, [1], Fraction(11, 2), M)
     with mpmath.workdps(working_digits()):
         s = mpf(11) / 2
         rewritten = mpf(0)

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here avoids the package's series engine on purpose: naive
-convolution, direct lattice-point counting, and a separate Bernoulli
-recurrence, so that equalities between library output and oracle output
-are genuine cross-checks.
+convolution, direct lattice-point counting, a separate Bernoulli
+recurrence and a term-by-term alpha, so that equalities between library
+output and oracle output are genuine cross-checks.
 """
 
 from fractions import Fraction
+
+from rcadjoint.bracket import rc_coefficient
 
 
 def naive_mul(a, b, prec):
@@ -81,3 +83,18 @@ def bernoulli_oracle(n):
         for j in range(m, 0, -1):
             a[j - 1] = j * (a[j - 1] - a[j])
     return a[0]
+
+
+def alpha_coeff(p, n, m):
+    """alpha(k, l, nu; n, m) = sum_r c_r n^r m^(nu-r), the adjoint sum's kernel.
+
+    Built term by term from the bracket's scalar coefficients, with the
+    bracket's own convention that m^0 = 1, so m = 0 gives c_nu n^nu.  It
+    equals the q^(n+m) coefficient of the bracket of q^n and q^m, which
+    test_criterion_1 checks over a full grid.
+    """
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    return sum(
+        rc_coefficient(p, r) * n**r * m ** (p.nu - r) for r in range(p.nu + 1)
+    )

@@ -10,15 +10,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rcadjoint.adjoint import (
-    AdjointCase,
-    CaseId,
-    adjoint_coefficients,
-    beta_value,
-    case_params,
-    l_series_value,
-)
-from rcadjoint.bracket import BracketParams, TwiceWeight, alpha_coeff, rc_bracket
+from rcadjoint.adjoint import AdjointCase, adjoint_coefficients, beta_value
+from rcadjoint.bracket import BracketParams, TwiceWeight, rc_bracket
 from rcadjoint.forms import catalog_get, check_hecke_multiplicativity
 from rcadjoint.qseries import (
     QSeries,
@@ -31,7 +24,7 @@ from rcadjoint.qseries import (
 )
 from rcadjoint.verify import ratio_test
 
-from oracles import delta_4_6_oracle, delta_oracle, two_squares_count
+from oracles import alpha_coeff, delta_4_6_oracle, delta_oracle, two_squares_count
 
 import math
 
@@ -56,7 +49,7 @@ def random_series(rng, max_len=10):
     )
 
 
-SEC5_CASE = AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0)
+SEC5_CASE = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +123,7 @@ def test_criterion_4_integral_analog():
     e4 = catalog_get("E4", prec)
     delta = catalog_get("delta", prec)
     f = series_mul(e4, delta)
-    case = AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(8), 0)
+    case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
     rows = adjoint_coefficients(f, e4, case, n_max, M)
     result = ratio_test(rows, delta, tolerance=1e-3)
     assert result.passed
@@ -143,7 +136,7 @@ def test_criterion_4_integral_analog():
 def test_criterion_5_beta_anchor():
     """Case-2 beta at k=6, l=0, nu=0, n=1 equals Gamma(11/2)/(Gamma(5) 2 sqrt(pi))."""
     with mpmath.workdps(50):
-        got = beta_value(case_params(SEC5_CASE), 1)
+        got = beta_value(SEC5_CASE, 1)
         ref = mpmath.gamma(mpmath.mpf(11) / 2) / (
             mpmath.gamma(5) * 2 * mpmath.sqrt(mpmath.pi)
         )
@@ -153,16 +146,15 @@ def test_criterion_5_beta_anchor():
 
 
 def test_criterion_6_truncation_soundness(sec5_data):
-    """|value(M) - value(2M)| <= tail_bound(M); bounds nonincreasing."""
+    """|c(n; M) - c(n; 2M)| <= err_bound(n; M); bounds nonincreasing."""
     theta, _, f = sec5_data
-    p = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
-    s = Fraction(11, 2)
     bounds = []
     for M in (100, 1000, 10000):
-        lv = l_series_value(f, theta, p, 1, s, M)
-        lv2 = l_series_value(f, theta, p, 1, s, 2 * M)
-        assert abs(float(lv.value - lv2.value)) <= lv.tail_bound
-        bounds.append(lv.tail_bound)
+        rows = adjoint_coefficients(f, theta, SEC5_CASE, 3, M)
+        rows2 = adjoint_coefficients(f, theta, SEC5_CASE, 3, 2 * M)
+        for (_, c, err), (_, c2, _) in zip(rows, rows2):
+            assert abs(c - c2) <= err
+        bounds.append(rows[0][2])
     assert bounds[0] >= bounds[1] >= bounds[2]
     report(6, f"truncation soundness, tail bounds {bounds}")
 

