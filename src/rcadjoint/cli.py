@@ -63,10 +63,13 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
-def _resolve_form(source: str, precision: int) -> QSeries:
-    """A catalog name, or a path to a series JSON file."""
+def _open_form(source: str, precision: int):
+    """(twice weight or None, build) for a catalog name or a series JSON file:
+    the weight is read without expanding the form, and build() returns the
+    form at ``precision``.  A file is read here, once."""
     if source in catalog_names():
-        return catalog_get(source, precision)
+        twice_weight = catalog_get(source, 1).meta.twice_weight
+        return twice_weight, lambda: catalog_get(source, precision)
     if os.path.exists(source):
         try:
             with open(source) as fh:
@@ -81,26 +84,35 @@ def _resolve_form(source: str, precision: int) -> QSeries:
                 f"series file {source} has precision {series.precision}; "
                 f"this run needs at least {precision}"
             )
-        return series.truncate(precision)
+        series = series.truncate(precision)
+        return (series.meta.twice_weight if series.meta else None), lambda: series
     raise UsageError(f"unknown form {source!r} (not a catalog name or file)")
 
 
-def _resolve_f(args, precision: int) -> QSeries:
+def _resolve_form(source: str, precision: int) -> QSeries:
+    return _open_form(source, precision)[1]()
+
+
+def _open_f(args, precision: int):
+    """_open_form for f: --f, or the product of the two --f-product forms."""
     if getattr(args, "f_product", None):
-        left = _resolve_form(args.f_product[0], precision)
-        right = _resolve_form(args.f_product[1], precision)
-        return series_mul(left, right)
+        w_a, build_a = _open_form(args.f_product[0], precision)
+        w_b, build_b = _open_form(args.f_product[1], precision)
+        twice_weight = None if w_a is None or w_b is None else w_a + w_b
+        return twice_weight, lambda: series_mul(build_a(), build_b())
     if args.f is None:
         raise UsageError("provide --f or --f-product")
-    return _resolve_form(args.f, precision)
+    return _open_form(args.f, precision)
 
 
-def _make_case(args, k2: int, l2: int) -> AdjointCase:
+def _make_case(args, command: str, k2, l2) -> AdjointCase:
     """The case of target twice-weight k2 and g twice-weight l2.
 
     The weights fix the case; a --case given on the command line must
-    name that same case.
+    name that same case.  Called before either form is expanded.
     """
+    if k2 is None or l2 is None:
+        raise UsageError(f"{command} needs weight metadata on both forms")
     try:
         case = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), args.nu)
     except ValueError as exc:
@@ -112,13 +124,6 @@ def _make_case(args, k2: int, l2: int) -> AdjointCase:
             f"{case.case_id.value}"
         )
     return case
-
-
-def _build_case(args, f: QSeries, g: QSeries) -> AdjointCase:
-    if f.meta is None or g.meta is None:
-        raise UsageError("adjoint needs weight metadata on both forms")
-    k2 = f.meta.twice_weight - g.meta.twice_weight - 4 * args.nu
-    return _make_case(args, k2, g.meta.twice_weight)
 
 
 def _emit(text: str, path: Optional[str]):
@@ -168,10 +173,11 @@ def _cmd_bracket(args) -> int:
 
 
 def _adjoint_rows(args):
-    precision = args.n_max + args.terms + 1
-    f = _resolve_f(args, precision)
-    g = _resolve_form(args.g, args.terms + 1)
-    case = _build_case(args, f, g)
+    f_w2, build_f = _open_f(args, args.n_max + args.terms + 1)
+    g_w2, build_g = _open_form(args.g, args.terms + 1)
+    k2 = None if f_w2 is None or g_w2 is None else f_w2 - g_w2 - 4 * args.nu
+    case = _make_case(args, "adjoint", k2, g_w2)
+    f, g = build_f(), build_g()
     with _hypothesis_warnings():
         rows = adjoint_coefficients(
             f, g, case, args.n_max, args.terms, epsilon=args.epsilon
@@ -224,11 +230,10 @@ def _cmd_verify_lambda(args) -> int:
     precision = args.n_max + args.terms + 1
     if args.basis is None:
         raise UsageError("verify lambda needs --basis")
-    f = _resolve_form(args.basis, precision)
-    g = _resolve_form(args.g, precision)
-    if f.meta is None or g.meta is None:
-        raise UsageError("verify lambda needs weight metadata on both forms")
-    case = _make_case(args, f.meta.twice_weight, g.meta.twice_weight)
+    f_w2, build_f = _open_form(args.basis, precision)
+    g_w2, build_g = _open_form(args.g, precision)
+    case = _make_case(args, "verify lambda", f_w2, g_w2)
+    f, g = build_f(), build_g()
     with _hypothesis_warnings():
         lam = lambda_from_first_coefficient(
             case, f, g, M=args.terms, epsilon=args.epsilon

@@ -12,6 +12,10 @@ from its inputs:
 * Kronecker substitution on Python big integers (``convolve_bigint``,
   one signed product), only when that bound or that check fails.
 
+Both dense routes share one byte-row format: ``_byte_rows`` turns ints into
+rows of little-endian magnitude bytes and a negative mask, and
+``_ints_from_rows`` reads rows back as signed two's-complement ints.
+
 Every route is exact and returns exactly ``prec`` Python ints.
 """
 
@@ -33,8 +37,8 @@ _SPARSE_COST_FACTOR = 16
 # Bits per limb of the FFT route: the limbs are the bytes of each
 # magnitude.  With 16-bit limbs the rounding bound of the bracket products
 # (length ~8000, ~110-bit coefficients) exceeds 1; with bytes it is ~1e-3.
-# Fixed, not a setting: limbs are read as bytes and the digit buffer is
-# uint8, so any other value gives wrong limbs.
+# Fixed, not a setting: limbs are the byte rows of _byte_rows and the digit
+# rows are uint8, so any other value gives wrong limbs.
 _LIMB_BITS = 8
 _LIMB_MAX = (1 << _LIMB_BITS) - 1
 
@@ -47,30 +51,41 @@ _RESIDUAL_LIMIT = 0.125
 _EPS = 2.0**-53
 
 
-def _pack(vals, width) -> bytearray:
-    """Nonnegative ints as consecutive little-endian slots of ``width`` bytes."""
-    buf = bytearray(width * len(vals))
-    for i, v in enumerate(vals):
-        if v:
-            buf[i * width : (i + 1) * width] = v.to_bytes(width, "little")
-    return buf
+def _byte_rows(vals, width):
+    """(len(vals), width) uint8 little-endian magnitudes of vals, and vals < 0."""
+    raw = b"".join([abs(v).to_bytes(width, "little") for v in vals])
+    mags = np.frombuffer(raw, dtype=np.uint8).reshape(len(vals), width)
+    return mags, np.fromiter((v < 0 for v in vals), bool, len(vals))
+
+
+def _ints_from_rows(rows) -> List[int]:
+    """Each row of a uint8 array as a signed little-endian two's-complement int."""
+    raw, width = rows.tobytes(), rows.shape[1]
+    return [
+        int.from_bytes(raw[off : off + width], "little", signed=True)
+        for off in range(0, len(raw), width)
+    ]
 
 
 def _kronecker_eval(vals, width) -> int:
-    """sum_i vals[i] * 2^(8 width i), for signed ints vals."""
-    pos = _pack([v if v > 0 else 0 for v in vals], width)
-    neg = _pack([-v if v < 0 else 0 for v in vals], width)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i vals[i] * 2^(8 width i) for signed ints vals: positive part
+    minus negative part."""
+    mags, neg = _byte_rows(vals, width)
+    pos, negs = (
+        int.from_bytes((mags * keep[:, None]).tobytes(), "little")
+        for keep in (~neg, neg)
+    )
+    return pos - negs
 
 
 def convolve_bigint(a, b, prec):
     """Exact truncated convolution via Kronecker substitution.
 
     a and b are evaluated at X = 2^(8 width), with every product
-    coefficient below X/2 in magnitude, and multiplied once as signed big
-    integers.  Slot i of the product's two's-complement bytes holds
-    c_i mod X plus a borrow: a slot value >= X/2 is the negative c_i - X
-    and lends one to the slot above.
+    coefficient c_i below X/2 in magnitude, and multiplied once as signed
+    big integers.  Adding X/2 to every slot makes slot i hold
+    c_i + X/2 in [0, X), with no borrow between slots; flipping each
+    slot's top bit then leaves c_i in two's complement.
     """
     a, b = a[:prec], b[:prec]
     max_a = max((abs(v) for v in a), default=0)
@@ -79,19 +94,14 @@ def convolve_bigint(a, b, prec):
         return [0] * prec
     bound = max_a * max_b * min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8 + 1  # bytes per slot, with headroom
-    n_out = min(prec, len(a) + len(b) - 1)
-    product = _kronecker_eval(a, width) * _kronecker_eval(b, width)
-    data = product.to_bytes(width * (len(a) + len(b)), "little", signed=True)
-    x = 1 << (8 * width)
-    half = x >> 1
-    out = []
-    borrow = 0
-    for off in range(0, width * n_out, width):
-        v = int.from_bytes(data[off : off + width], "little") + borrow
-        borrow = v >= half
-        out.append(v - x if borrow else v)
-    out.extend([0] * (prec - n_out))
-    return out
+    slots = len(a) + len(b) - 1
+    n_out = min(prec, slots)
+    half = _kronecker_eval([1 << (8 * width - 1)] * slots, width)  # X/2 per slot
+    product = _kronecker_eval(a, width) * _kronecker_eval(b, width) + half
+    data = product.to_bytes(width * slots, "little")
+    rows = np.frombuffer(data, np.uint8, width * n_out).reshape(n_out, width).copy()
+    rows[:, -1] ^= 0x80
+    return _ints_from_rows(rows) + [0] * (prec - n_out)
 
 
 def _head(vals, prec):
@@ -154,21 +164,6 @@ def fft_certificate(a, b):
     return limbs_a, limbs_b, fft_error_bound(limbs_a, limbs_b, len(a), len(b))
 
 
-def _limb_matrix(vals, limbs):
-    """(len(vals), limbs) little-endian uint8 magnitude limbs, and int8 signs."""
-    n = len(vals)
-    try:
-        arr = np.array(vals, dtype="<i8")
-    except OverflowError:  # some |v| >= 2**63: pack the magnitudes instead
-        mags = np.frombuffer(_pack(list(map(abs, vals)), limbs), dtype=np.uint8)
-        signs = np.fromiter((-1 if v < 0 else 1 for v in vals), np.int8, n)
-        return mags.reshape(n, limbs), signs
-    signs = np.sign(arr).astype(np.int8)
-    # abs(-2**63) wraps to -2**63, whose bytes read as 2**63 unsigned.
-    np.abs(arr, out=arr)
-    return arr.view(np.uint8).reshape(n, 8)[:, :limbs].copy(), signs
-
-
 def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
     """Exact truncated convolution by a limb-split floating-point FFT.
 
@@ -177,9 +172,11 @@ def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
     length N >= len(a) + len(b) - 1, the products of limb rows i and j
     are summed in the frequency domain per shift s = i + j, and one
     inverse FFT per shift gives integers after rint.  The shifts are
-    carry-normalised in base 2^8 into a digit buffer from which each
-    coefficient is rebuilt.  Only the spectra of the operand with fewer
-    limbs, and one accumulator per open shift, are kept alive.
+    carry-normalised in base 2^8 into one row of digits per coefficient;
+    the row's final int64 carry is appended as 8 more bytes, so that the
+    row read as a signed int is the coefficient.  Only the spectra of the
+    operand with fewer limbs, and one accumulator per open shift, are
+    kept alive.
 
     Returns None, and computes nothing, when fft_error_bound (Percival
     2003, Thm 5.1, applied to numpy's pocketfft under the assumption
@@ -201,8 +198,9 @@ def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
         a, b, limbs_a, limbs_b = b, a, limbs_b, limbs_a
     n_out = min(prec, len(a) + len(b) - 1)
     size = _fft_length(len(a) + len(b) - 1)
-    mags_a, signs_a = _limb_matrix(a, limbs_a)
-    mags_b, signs_b = _limb_matrix(b, limbs_b)
+    mags_a, neg_a = _byte_rows(a, limbs_a)
+    mags_b, neg_b = _byte_rows(b, limbs_b)
+    signs_a, signs_b = np.where(neg_a, -1.0, 1.0), np.where(neg_b, -1.0, 1.0)
     # Fixed buffers, reused for every limb row and shift: `row` holds a
     # signed limb row, then the rounded values of a shift; the inverse
     # transform of a shift is written over `prod`, free until the next row.
@@ -215,8 +213,9 @@ def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
         for j in range(limbs_b)
     ]
     shifts = limbs_a + limbs_b - 1
-    digits = np.empty((n_out, shifts), dtype=np.uint8)
-    carry = np.zeros(n_out, dtype=np.int64)
+    # Row i: the base-2^8 digits of coefficient i, then its final carry.
+    digits = np.empty((n_out, shifts + 8), dtype=np.uint8)
+    carry = np.zeros(n_out, dtype="<i8")
     # open_shifts[j] accumulates shift s + j while limb row s of a is added.
     open_shifts = deque(np.zeros_like(spec) for _ in range(limbs_b))
     for s in range(shifts):
@@ -240,14 +239,8 @@ def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
         np.add(carry, rounded, out=carry, casting="unsafe")
         np.bitwise_and(carry, _LIMB_MAX, out=digits[:, s], casting="unsafe")
         carry >>= _LIMB_BITS
-    raw = digits.tobytes()
-    top_shift = _LIMB_BITS * shifts
-    out = [
-        int.from_bytes(raw[off : off + shifts], "little") + (top << top_shift)
-        for off, top in zip(range(0, n_out * shifts, shifts), carry.tolist())
-    ]
-    out.extend([0] * (prec - n_out))
-    return out
+    digits[:, shifts:] = carry.view(np.uint8).reshape(n_out, 8)
+    return _ints_from_rows(digits) + [0] * (prec - n_out)
 
 
 def _convolve_sparse(nza, nzb, prec):

@@ -5,11 +5,23 @@ import re
 import pytest
 
 import rcadjoint.adjoint as adjoint_module
+import rcadjoint.forms as forms_module
 from rcadjoint.cli import main
 
 
 def run(args):
     return main(args)
+
+
+def forbid_expansion(monkeypatch):
+    """Fail the test if any catalog form is built above precision 1."""
+    for name, build in list(forms_module._CATALOG.items()):
+        def spy(precision, name=name, build=build):
+            if precision > 1:
+                raise AssertionError(f"{name} expanded to {precision} terms")
+            return build(precision)
+
+        monkeypatch.setitem(forms_module._CATALOG, name, spy)
 
 
 class TestExpand:
@@ -272,6 +284,7 @@ def test_target_weight_at_most_one_stops_before_the_sum(monkeypatch, capsys):
         raise AssertionError("L-series sum started")
 
     monkeypatch.setattr(adjoint_module, "_l_series_sums", no_sum)
+    forbid_expansion(monkeypatch)
     # 13/2 - 4 - 2 = 1/2: beta would need Gamma(-1/2).
     code = run(["adjoint", "--case", "3", "--f-product", "theta", "delta_4_6",
                 "--g", "E4", "--nu", "1", "--terms", "2000"])
@@ -296,12 +309,14 @@ def test_target_weight_at_most_one_stops_before_the_sum(monkeypatch, capsys):
                       "--nu", "1", "--n-max", "1", "--terms", "300"]),
     ],
 )
-def test_case_flag_is_optional_and_checked(case, argv, capsys):
+def test_case_flag_is_optional_and_checked(case, argv, monkeypatch, capsys):
     # The weights fix the case: --case may be left out, and must match if given.
     assert run(argv) == 0
     without = capsys.readouterr().out
     assert run(argv + ["--case", case]) == 0
     assert capsys.readouterr().out == without
+    # A mismatch is found from the weights alone, before any expansion.
+    forbid_expansion(monkeypatch)
     for other in ["integral", "1", "2", "3"]:
         if other != case:
             assert run(argv + ["--case", other]) == 2

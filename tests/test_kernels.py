@@ -1,6 +1,7 @@
 import logging
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +46,29 @@ def test_zero_factor():
     assert kernels.convolve_exact([0, 0], [1, 2], 2) == [0, 0]
 
 
-# Magnitudes on both sides of the 8-bit limb boundary and of the int64
-# limb extraction (2**63 does not fit), and one of 125 limbs (10**300).
+def test_byte_row_codec_round_trips():
+    # The one int <-> byte-row conversion of both dense routes, at every
+    # width from one byte to 40, on the extreme values of each width.
+    rng = random.Random(3)
+    for width in range(1, 41):
+        top = 1 << (8 * width - 1)
+        signed = [0, 1, -1, top - 1, -(top - 1), -top]
+        signed += [rng.randrange(-top, top) for _ in range(4)]
+        raw = b"".join(v.to_bytes(width, "little", signed=True) for v in signed)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(signed), width)
+        assert kernels._ints_from_rows(rows) == signed
+        vals = signed + [2 * top - 1, -(2 * top - 1)]
+        mags, neg = kernels._byte_rows(vals, width)
+        assert mags.dtype == np.uint8 and mags.shape == (len(vals), width)
+        assert [int.from_bytes(bytes(row), "little") for row in mags] == [
+            abs(v) for v in vals
+        ]
+        assert neg.tolist() == [v < 0 for v in vals]
+
+
+# Magnitudes on both sides of the 8-bit limb boundary and of a 64-bit word
+# (2**63 - 1 fits in a signed one, 2**63 does not), and one of 125 limbs
+# (10**300).
 _BOUNDS = [1, 255, 256, 1000, 2**30, 2**40, 2**63 - 1, 2**63, 10**30, 10**300]
 
 
