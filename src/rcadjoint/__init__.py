@@ -15,7 +15,6 @@ from .qseries import (
 from .bracket import (
     BracketParams,
     TwiceWeight,
-    gamma_ratio,
     rc_bracket,
     rc_coefficient,
 )
@@ -24,6 +23,7 @@ from .adjoint import (
     AdjointCase,
     CaseId,
     TailProfile,
+    adjoint_case,
     adjoint_coefficients,
     beta_value,
     fit_tail_profile,
@@ -48,6 +48,7 @@ __all__ = [
     "RatioReport",
     "TailProfile",
     "TwiceWeight",
+    "adjoint_case",
     "adjoint_coefficients",
     "apply_D",
     "beta_value",
@@ -55,7 +56,6 @@ __all__ = [
     "check_cusp_at_infinity",
     "check_hecke_multiplicativity",
     "fit_tail_profile",
-    "gamma_ratio",
     "lambda_from_first_coefficient",
     "make_eisenstein",
     "make_eta_product",

@@ -6,9 +6,12 @@ gamma = k + l + 2 nu - 1 and
 beta(n) = Gamma(gamma)/Gamma(k-1) * n^(k-1) / (4 pi)^(l+2 nu).
 Only the convergence hypotheses differ between the four weight
 configurations (integral/integral, both half-integral, and the two mixed
-cases), and the configuration is read off the weights.  The Dirichlet
-series runs over m >= 0 and carries a bound on its truncation error from
-empirical coefficient-growth profiles.
+cases).  Callers give f, g and nu; the weights are read off the forms'
+metadata: g has weight l, f lies in the image weight k + l + 2 nu, so
+``adjoint_case`` derives k, and the configuration follows from the
+parities of k and l.  The Dirichlet series runs over m >= 0 and carries
+a bound on its truncation error from empirical coefficient-growth
+profiles.
 
 Floating point lives here and only here; everything upstream is exact.
 Internal arithmetic runs at RC_ADJOINT_PRECISION_DIGITS significant
@@ -97,15 +100,20 @@ class AdjointCase:
         """The point gamma = k + l + 2 nu - 1 at which the series is taken."""
         return self.k.weight + self.l.weight + 2 * self.nu - 1
 
-    @property
-    def k_int(self) -> int:
-        """The integer part k of the target weight (k or k+1/2)."""
-        return self.k.w2 // 2
 
-    @property
-    def l_int(self) -> int:
-        """The integer part l of g's weight (l or l+1/2)."""
-        return self.l.w2 // 2
+def adjoint_case(f_w2: int, g_w2: int, nu: int) -> AdjointCase:
+    """The case of the adjoint of T_{g,nu} applied to f, from twice-weights.
+
+    f lies in the image weight k + l + 2 nu, so the target twice-weight
+    is f_w2 - g_w2 - 4 nu; ValueError if nu < 0 or that weight is <= 1.
+    """
+    return AdjointCase(TwiceWeight(f_w2 - g_w2 - 4 * nu), TwiceWeight(g_w2), nu)
+
+
+def _twice_weights(f: QSeries, g: QSeries) -> Tuple[int, int]:
+    if f.meta is None or g.meta is None:
+        raise ValueError("f and g need form metadata (their weights)")
+    return f.meta.twice_weight, g.meta.twice_weight
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ def validate_hypotheses(c: AdjointCase, g_is_cusp: bool) -> HypothesisReport:
     These are all that differ between the four cases.  Returns ok or a
     warning report; a warning never blocks computation.
     """
-    k, l, case_id = c.k_int, c.l_int, c.case_id
+    k, l, case_id = c.k.w2 // 2, c.l.w2 // 2, c.case_id
     if case_id is CaseId.INTEGRAL:
         if k < 6:
             return HypothesisReport(False, f"integral case needs k >= 6 (k={k})")
@@ -161,16 +169,17 @@ class TailProfile:
     constant: float
 
 
-def growth_exponent(meta) -> float:
+def growth_exponent(series: QSeries) -> float:
     """Growth-lemma exponent for a form's coefficients (before epsilon).
 
-    Weight w: non-cusp forms grow like n^(w-1), cusp forms like
-    n^(w/2 - 1/4), for integral and half-integral weight alike.  Floored
-    at 0 (an exponent below zero would let the empirical constant drift
-    with precision while coefficients of bounded forms stay put).
+    Weight w (from the metadata): non-cusp forms grow like n^(w-1), cusp
+    forms (constant term 0) like n^(w/2 - 1/4), for integral and
+    half-integral weight alike.  Floored at 0 (an exponent below zero
+    would let the empirical constant drift with precision while
+    coefficients of bounded forms stay put).
     """
-    w = float(meta.twice_weight) / 2.0
-    e = (w / 2.0 - 0.25) if meta.is_cusp_at_infinity else (w - 1.0)
+    w = float(series.meta.twice_weight) / 2.0
+    e = (w / 2.0 - 0.25) if series.num[0] == 0 else (w - 1.0)
     return max(e, 0.0)
 
 
@@ -194,12 +203,6 @@ def _to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
 
 
-def _profile_for(series: QSeries, epsilon: float) -> TailProfile:
-    if series.meta is None:
-        raise ValueError("tail bound needs form metadata (weight, cusp flag)")
-    return fit_tail_profile(series, growth_exponent(series.meta), epsilon)
-
-
 def _tail_bound(
     f: QSeries, g: QSeries, p: BracketParams, s: Fraction, M: int, epsilon: float
 ) -> float:
@@ -208,8 +211,8 @@ def _tail_bound(
     Uses the empirical growth profiles of f and g plus the integral
     comparison sum_{m>M} m^t <= M^(t+1)/(-t-1), valid when t < -1.
     """
-    pf = _profile_for(f, epsilon)
-    pg = _profile_for(g, epsilon)
+    pf = fit_tail_profile(f, growth_exponent(f), epsilon)
+    pg = fit_tail_profile(g, growth_exponent(g), epsilon)
     alpha_weight = float(
         sum(abs(rc_coefficient(p, r)) for r in range(p.nu + 1))
     )
@@ -325,12 +328,15 @@ def beta_value(c: AdjointCase, n: int) -> mpf:
 def adjoint_coefficients(
     f: QSeries,
     g: QSeries,
-    c: AdjointCase,
+    nu: int,
     n_max: int,
     M: int,
     epsilon: float = DEFAULT_EPSILON,
 ) -> List[Tuple[int, float, float]]:
     """Coefficients c(n) = beta(n) * L_{f,g,nu,n}(gamma) for n = 1..n_max.
+
+    f and g must carry form metadata: the case is ``adjoint_case`` of
+    their twice-weights and nu, derived before anything is summed.
 
     The series includes its m = 0 term, which is nonzero when g has a
     constant term; without it the adjoint identity fails for non-cusp g,
@@ -341,6 +347,7 @@ def adjoint_coefficients(
     L-value tail bound.  Emits a HypothesisWarning when the relevant
     theorem's hypotheses fail (the numbers are still computed).
     """
+    c = adjoint_case(*_twice_weights(f, g), nu)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if f.coeff(0) != 0:
@@ -350,7 +357,7 @@ def adjoint_coefficients(
         warnings.warn(report.message, HypothesisWarning, stacklevel=2)
     if n_max == 0:
         return []
-    p = BracketParams(c.k, c.l, c.nu)
+    p = BracketParams(c.k, c.l, nu)
     ns = range(1, n_max + 1)
     sums = _l_series_sums(f, g, p, ns, c.gamma_s, M)
     tail = _tail_bound(f, g, p, c.gamma_s, M, epsilon)

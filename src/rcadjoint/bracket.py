@@ -62,17 +62,6 @@ def _twice_rising(w2: int, hi: int, lo: int) -> int:
     return out
 
 
-def gamma_ratio(x: TwiceWeight, hi: int, lo: int) -> Fraction:
-    """Gamma(x+hi)/Gamma(x+lo) as the telescoping product of (x+j).
-
-    Exact for any half-integral x: the integer prod (2x + 2j) over
-    2^(hi-lo).  Equals 1 when hi == lo.
-    """
-    if hi < lo:
-        raise ValueError("gamma_ratio needs hi >= lo")
-    return Fraction(_twice_rising(x.w2, hi, lo), 1 << (hi - lo))
-
-
 def rc_coefficient(p: BracketParams, r: int) -> Fraction:
     """The scalar weighting D^r f D^(nu-r) g inside the bracket.
 
@@ -97,13 +86,13 @@ def cohen_character(k2: int, l2: int) -> CharacterMod4:
     Trivial for two integral weights; a power of (-4/.) otherwise, with
     the exponent read off the integral part(s) of the weights.
     """
-    k_int = k2 % 2 == 0
-    l_int = l2 % 2 == 0
-    if k_int and l_int:
+    k2_even = k2 % 2 == 0
+    l2_even = l2 % 2 == 0
+    if k2_even and l2_even:
         return CharacterMod4.TRIVIAL
-    if k_int:
+    if k2_even:
         exponent = k2 // 2
-    elif l_int:
+    elif l2_even:
         exponent = l2 // 2
     else:
         exponent = (k2 + l2) // 2
@@ -137,6 +126,5 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
             character=f.meta.character
             * g.meta.character
             * cohen_character(p.k.w2, p.l.w2),
-            is_cusp_at_infinity=(p.nu > 0 or acc.coeff(0) == 0),
         )
     return acc.with_meta(meta)

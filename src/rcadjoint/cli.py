@@ -21,6 +21,7 @@ from .adjoint import (
     AdjointCase,
     CaseId,
     HypothesisWarning,
+    adjoint_case,
     adjoint_coefficients,
     rows_to_csv,
     rows_to_json,
@@ -78,6 +79,8 @@ def _open_form(source: str, precision: int):
             raise UsageError(
                 f"cannot read series file {source}: {exc.strerror}"
             ) from None
+        except RecursionError:
+            raise UsageError(f"series file {source} is nested too deeply") from None
         series = QSeries.from_json_dict(data)
         if series.precision < precision:
             raise UsageError(
@@ -105,16 +108,18 @@ def _open_f(args, precision: int):
     return _open_form(args.f, precision)
 
 
-def _make_case(args, command: str, k2, l2) -> AdjointCase:
-    """The case of target twice-weight k2 and g twice-weight l2.
+def _make_case(args, command: str, f_w2, g_w2, derive=adjoint_case) -> AdjointCase:
+    """The case ``derive(f_w2, g_w2, args.nu)`` for twice-weights of f and g.
 
+    ``adjoint_case`` when the adjoint is applied to f itself; verify
+    lambda brackets its f with g first, so f's weight is the target's.
     The weights fix the case; a --case given on the command line must
     name that same case.  Called before either form is expanded.
     """
-    if k2 is None or l2 is None:
+    if f_w2 is None or g_w2 is None:
         raise UsageError(f"{command} needs weight metadata on both forms")
     try:
-        case = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), args.nu)
+        case = derive(f_w2, g_w2, args.nu)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.case is not None and CaseId(args.case) is not case.case_id:
@@ -175,12 +180,11 @@ def _cmd_bracket(args) -> int:
 def _adjoint_rows(args):
     f_w2, build_f = _open_f(args, args.n_max + args.terms + 1)
     g_w2, build_g = _open_form(args.g, args.terms + 1)
-    k2 = None if f_w2 is None or g_w2 is None else f_w2 - g_w2 - 4 * args.nu
-    case = _make_case(args, "adjoint", k2, g_w2)
+    case = _make_case(args, "adjoint", f_w2, g_w2)
     f, g = build_f(), build_g()
     with _hypothesis_warnings():
         rows = adjoint_coefficients(
-            f, g, case, args.n_max, args.terms, epsilon=args.epsilon
+            f, g, args.nu, args.n_max, args.terms, epsilon=args.epsilon
         )
     return rows, case
 
@@ -232,11 +236,17 @@ def _cmd_verify_lambda(args) -> int:
         raise UsageError("verify lambda needs --basis")
     f_w2, build_f = _open_form(args.basis, precision)
     g_w2, build_g = _open_form(args.g, precision)
-    case = _make_case(args, "verify lambda", f_w2, g_w2)
+    case = _make_case(
+        args,
+        "verify lambda",
+        f_w2,
+        g_w2,
+        lambda k2, l2, nu: AdjointCase(TwiceWeight(k2), TwiceWeight(l2), nu),
+    )
     f, g = build_f(), build_g()
     with _hypothesis_warnings():
         lam = lambda_from_first_coefficient(
-            case, f, g, M=args.terms, epsilon=args.epsilon
+            f, g, args.nu, M=args.terms, epsilon=args.epsilon
         )
     config = f"case {case.case_id.value}, nu={args.nu}, f={args.basis}, g={args.g}"
     return _verdict(args, config, {"lambda": lam, "M": args.terms}, True)

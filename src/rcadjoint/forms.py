@@ -21,19 +21,13 @@ from .qseries import (
 
 
 def _delta(precision: int) -> QSeries:
-    return make_eta_product(
-        [(1, 24)],
-        precision,
-        meta=FormMeta(24, 1, CharacterMod4.TRIVIAL, True),
-    )
+    meta = FormMeta(24, 1, CharacterMod4.TRIVIAL)
+    return make_eta_product([(1, 24)], precision, meta)
 
 
 def _delta_4_6(precision: int) -> QSeries:
-    return make_eta_product(
-        [(2, 12)],
-        precision,
-        meta=FormMeta(12, 4, CharacterMod4.TRIVIAL, True),
-    )
+    meta = FormMeta(12, 4, CharacterMod4.TRIVIAL)
+    return make_eta_product([(2, 12)], precision, meta)
 
 
 _CATALOG: Dict[str, Callable[[int], QSeries]] = {

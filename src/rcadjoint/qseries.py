@@ -9,6 +9,10 @@ one least common denominator.  ``Fraction`` appears only at the edges
 point never enters this module.  A series knows exactly ``precision``
 coefficients (of q^0 .. q^(precision-1)) and arithmetic never reports
 coefficients beyond the minimum precision of its inputs.
+
+Form metadata (``FormMeta``) holds weight, level and character only;
+whether a series is a cusp form at infinity is read off its constant
+term, so no operation has to keep a separate flag in step with it.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ class FormMeta:
 
     ``twice_weight`` stores 2k so half-integral weights are exact.
     Half-integral weight forces 4 | level (such forms live inside
-    Gamma_0(4)).
+    Gamma_0(4)).  Cusp-ness at infinity is not stored: it is the
+    vanishing of the series' constant term.
     """
 
     twice_weight: int
     level: int
     character: CharacterMod4
-    is_cusp_at_infinity: bool
 
     def __post_init__(self):
         if self.level <= 0:
@@ -216,7 +220,6 @@ class QSeries:
                     twice_weight=d["twice_weight"],
                     level=d["level"],
                     character=CharacterMod4(d["character"]),
-                    is_cusp_at_infinity=(coeffs[0] == 0),
                 )
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad form metadata: {exc!r}") from None
@@ -243,28 +246,16 @@ def series_add(a: QSeries, b: QSeries, ca=1, cb=1) -> QSeries:
     ma = ca.numerator * (den // da)
     mb = cb.numerator * (den // db)
     num = [ma * x + mb * y for x, y in zip(a.num[:prec], b.num[:prec])]
-    meta = None
-    if (
-        a.meta is not None
-        and b.meta is not None
-        and a.meta.twice_weight == b.meta.twice_weight
-        and a.meta.level == b.meta.level
-        and a.meta.character == b.meta.character
-    ):
-        meta = FormMeta(
-            a.meta.twice_weight, a.meta.level, a.meta.character, num[0] == 0
-        )
-    return _from_ints(num, den, meta)
+    return _from_ints(num, den, a.meta if a.meta == b.meta else None)
 
 
-def _mul_meta(a: QSeries, b: QSeries, constant_term: int) -> Optional[FormMeta]:
+def _mul_meta(a: QSeries, b: QSeries) -> Optional[FormMeta]:
     if a.meta is None or b.meta is None:
         return None
     return FormMeta(
         twice_weight=a.meta.twice_weight + b.meta.twice_weight,
         level=math.lcm(a.meta.level, b.meta.level),
         character=a.meta.character * b.meta.character,
-        is_cusp_at_infinity=(constant_term == 0),
     )
 
 
@@ -272,7 +263,7 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     """Cauchy product truncated to the minimum precision of the inputs."""
     prec = min(a.precision, b.precision)
     num = convolve_exact(a.num, b.num, prec)
-    return _from_ints(num, a.den * b.den, _mul_meta(a, b, num[0]))
+    return _from_ints(num, a.den * b.den, _mul_meta(a, b))
 
 
 def apply_D(a: QSeries, r: int) -> QSeries:
@@ -304,7 +295,7 @@ def make_theta(precision: int) -> QSeries:
     while n * n < precision:
         num[n * n] = 2
         n += 1
-    return _from_ints(num, 1, FormMeta(1, 4, CharacterMod4.TRIVIAL, False))
+    return _from_ints(num, 1, FormMeta(1, 4, CharacterMod4.TRIVIAL))
 
 
 def _euler_factor(step: int, exponent: int, prec: int) -> list:
@@ -403,6 +394,4 @@ def make_eisenstein(weight_k: int, precision: int) -> QSeries:
     # 1 + (p/q) sum sigma(n) q^n, over the denominator q of the factor.
     p, q = factor.numerator, factor.denominator
     num = [q] + [p * sigma[n] for n in range(1, precision)]
-    return _from_ints(
-        num, q, FormMeta(2 * weight_k, 1, CharacterMod4.TRIVIAL, False)
-    )
+    return _from_ints(num, q, FormMeta(2 * weight_k, 1, CharacterMod4.TRIVIAL))

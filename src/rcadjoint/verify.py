@@ -7,21 +7,23 @@ constant must be positive.  Both are falsifiable numerically; this
 module runs those checks and evaluates the two partial sums behind the
 positivity application (theta against the weight-6 level-4 newform),
 the faithful one being the m >= 1 part of the flagship's L-series sum.
+Like the adjoint itself, the checks take f, g and nu and read the
+weights, and with them the case, off the forms' metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
 
 from .adjoint import (
-    AdjointCase,
     DEFAULT_EPSILON,
     _l_series_sums,
+    _twice_weights,
     adjoint_coefficients,
     working_digits,
 )
@@ -75,30 +77,26 @@ def ratio_test(
 
 
 def lambda_from_first_coefficient(
-    c: AdjointCase,
     f: QSeries,
     g: QSeries,
+    nu: int,
     M: int,
-    m0: Optional[int] = None,
     epsilon: float = DEFAULT_EPSILON,
 ) -> float:
     """The eigenvalue of the adjoint composed with the bracket map on f.
 
-    Computes h = [f, g]_nu, applies the adjoint formula at the index of
-    f's first nonzero coefficient, and divides:
-    lambda = c(m0) / a(m0).
+    Computes h = [f, g]_nu with the weights of f's and g's metadata,
+    applies the adjoint formula at the index m0 of f's first nonzero
+    coefficient, and divides: lambda = c(m0) / a(m0).
     """
+    m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
     if m0 is None:
-        m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
-        if m0 is None:
-            raise ValueError("f is the zero series")
-    a_m0 = f.coeff(m0)
-    if a_m0 == 0:
-        raise ValueError(f"a({m0}) = 0; need the first nonzero coefficient")
-    h = rc_bracket(f, g, BracketParams(c.k, c.l, c.nu))
-    rows = adjoint_coefficients(h, g, c, n_max=m0, M=M, epsilon=epsilon)
+        raise ValueError("f is the zero series")
+    k2, l2 = _twice_weights(f, g)
+    h = rc_bracket(f, g, BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu))
+    rows = adjoint_coefficients(h, g, nu, n_max=m0, M=M, epsilon=epsilon)
     _, c_m0, _ = rows[m0 - 1]
-    return c_m0 / float(a_m0)
+    return c_m0 / float(f.coeff(m0))
 
 
 def rewritten_sum_report(M: int) -> Tuple[float, float]:

@@ -107,7 +107,7 @@ def test_criterion_2_nu_zero_reduction():
 def test_criterion_3_sec5_reproduction(sec5_data):
     """theta * Delta_{4,6} against theta: proportional, lambda positive."""
     theta, d46, f = sec5_data
-    rows = adjoint_coefficients(f, theta, SEC5_CASE, 10, 20000)
+    rows = adjoint_coefficients(f, theta, 0, 10, 20000)
     result = ratio_test(rows, d46, tolerance=1e-3)
     assert result.passed, f"spread {result.spread} exceeds tolerance"
     assert result.spread <= 1e-3
@@ -123,8 +123,7 @@ def test_criterion_4_integral_analog():
     e4 = catalog_get("E4", prec)
     delta = catalog_get("delta", prec)
     f = series_mul(e4, delta)
-    case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
-    rows = adjoint_coefficients(f, e4, case, n_max, M)
+    rows = adjoint_coefficients(f, e4, 0, n_max, M)
     result = ratio_test(rows, delta, tolerance=1e-3)
     assert result.passed
     assert result.spread <= 1e-3
@@ -150,8 +149,8 @@ def test_criterion_6_truncation_soundness(sec5_data):
     theta, _, f = sec5_data
     bounds = []
     for M in (100, 1000, 10000):
-        rows = adjoint_coefficients(f, theta, SEC5_CASE, 3, M)
-        rows2 = adjoint_coefficients(f, theta, SEC5_CASE, 3, 2 * M)
+        rows = adjoint_coefficients(f, theta, 0, 3, M)
+        rows2 = adjoint_coefficients(f, theta, 0, 3, 2 * M)
         for (_, c, err), (_, c2, _) in zip(rows, rows2):
             assert abs(c - c2) <= err
         bounds.append(rows[0][2])

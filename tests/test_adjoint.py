@@ -12,6 +12,7 @@ from rcadjoint.adjoint import (
     AdjointCase,
     CaseId,
     HypothesisWarning,
+    adjoint_case,
     adjoint_coefficients,
     beta_value,
     fit_tail_profile,
@@ -31,6 +32,7 @@ from rcadjoint.qseries import (
     FormMeta,
     QSeries,
     make_theta,
+    series_add,
     series_mul,
     zero_series,
 )
@@ -63,9 +65,18 @@ class TestAdjointCase:
             AdjointCase(TwiceWeight(k2), TwiceWeight(4), 1)
 
     def test_integer_parts(self):
-        c = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
-        assert c.k_int == 6
-        assert c.l_int == 0
+        # The hypotheses read the integer parts: weight 7/2 has k = 3.
+        c = AdjointCase(TwiceWeight(7), TwiceWeight(4), 0)
+        report = validate_hypotheses(c, g_is_cusp=False)
+        assert report.message == "non-cusp g needs l < k - 2 (l=2, k=3)"
+
+    def test_case_derived_from_form_weights(self):
+        # f = [h, g]_nu has weight k + l + 2 nu: 13/2 = 6 + 1/2 + 0.
+        assert adjoint_case(13, 1, 0) == AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
+        # [Delta, E4]_2 has weight 12 + 4 + 4 = 20.
+        assert adjoint_case(40, 8, 2) == AdjointCase(TwiceWeight(24), TwiceWeight(8), 2)
+        with pytest.raises(ValueError, match="nu must be nonnegative"):
+            adjoint_case(13, 1, -1)
 
 
 def _beta_ref(n, gamma_arg, gamma_den, n_exponent, four_pi_exponent):
@@ -154,12 +165,21 @@ class TestTailProfile:
             fit_tail_profile(make_theta(5), 0.0)
 
     def test_growth_exponents(self):
-        assert growth_exponent(catalog_get("delta", 12).meta) == pytest.approx(
+        assert growth_exponent(catalog_get("delta", 12)) == pytest.approx(
             11 / 2 + 1 / 4
         )
-        assert growth_exponent(catalog_get("E4", 12).meta) == pytest.approx(3.0)
+        assert growth_exponent(catalog_get("E4", 12)) == pytest.approx(3.0)
         # theta: weight 1/2 non-cusp would give -1/2, floored at 0
-        assert growth_exponent(make_theta(12).meta) == 0.0
+        assert growth_exponent(make_theta(12)) == 0.0
+
+    def test_cancelled_constant_term_takes_the_cusp_branch(self):
+        # E4 - 1, with E4's metadata on the 1: the sum keeps it and a(0) = 0.
+        e4 = catalog_get("E4", 12)
+        one = QSeries([1] + [0] * 11, e4.meta)
+        cusp = series_add(e4, one, 1, -1)
+        assert cusp.meta == e4.meta
+        assert cusp.coeff(0) == 0
+        assert growth_exponent(cusp) == pytest.approx(4 / 2 - 1 / 4)
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +226,7 @@ class TestLSeriesValue:
     def test_tail_monotone_in_M(self, sec5_forms):
         theta, _, f = sec5_forms
         bounds = [
-            adjoint_coefficients(f, theta, SEC5_CASE, 1, M)[0][2]
+            adjoint_coefficients(f, theta, 0, 1, M)[0][2]
             for M in (100, 200, 400, 800, 1600)
         ]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
@@ -221,8 +241,8 @@ class TestLSeriesValue:
         case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 1)  # 18 = 12 + 4 + 2
         db = Fraction(4, 3)
         moved = QSeries((1 + db,) + e4.coeffs[1:], e4.meta)
-        rows = adjoint_coefficients(f, e4, case, n_max, M)
-        rows_moved = adjoint_coefficients(f, moved, case, n_max, M)
+        rows = adjoint_coefficients(f, e4, 1, n_max, M)
+        rows_moved = adjoint_coefficients(f, moved, 1, n_max, M)
         c_nu = rc_coefficient(BracketParams(case.k, case.l, 1), 1)
         assert c_nu == 4
         with mpmath.workdps(working_digits()):
@@ -290,35 +310,56 @@ class TestBeta:
 class TestAdjointCoefficients:
     def test_empty_for_n_max_zero(self, sec5_forms):
         theta, _, f = sec5_forms
-        assert adjoint_coefficients(f, theta, SEC5_CASE, 0, 100) == []
+        assert adjoint_coefficients(f, theta, 0, 0, 100) == []
 
     def test_sec5_first_coefficient_positive(self, sec5_forms):
         theta, d46, f = sec5_forms
-        rows = adjoint_coefficients(f, theta, SEC5_CASE, 1, 2000)
+        rows = adjoint_coefficients(f, theta, 0, 1, 2000)
         n, c1, err = rows[0]
         assert n == 1
         assert c1 > err > 0  # lambda = c(1) since tau(1) = 1
 
     def test_non_cusp_f_rejected(self, sec5_forms):
         theta, _, _ = sec5_forms
+        f = series_mul(theta, catalog_get("E6", theta.precision))  # weight 13/2
         with pytest.raises(ValueError, match="cusp"):
-            adjoint_coefficients(theta, theta, SEC5_CASE, 1, 100)
+            adjoint_coefficients(f, theta, 0, 1, 100)
 
     @pytest.mark.parametrize("M", [0, -3])
     def test_nonpositive_M_rejected(self, sec5_forms, M):
         theta, _, f = sec5_forms
         with pytest.raises(ValueError, match="M must be positive"):
-            adjoint_coefficients(f, theta, SEC5_CASE, 1, M)
+            adjoint_coefficients(f, theta, 0, 1, M)
 
+    @pytest.mark.filterwarnings("ignore:tail exponent")
     def test_hypothesis_warning_emitted(self):
         # case 1 with target weight 3/2 (k = 1) and a cusp g needs k > 2
         prec = 160
         theta = catalog_get("theta", prec)
         d46 = catalog_get("delta_4_6", prec)
         g = series_mul(theta, d46)  # weight 13/2 cusp form
-        case = AdjointCase(TwiceWeight(3), TwiceWeight(13), 0)
+        theta2 = series_mul(theta, theta)
+        f = series_mul(d46, series_mul(theta2, theta2))  # weight 8 = 3/2 + 13/2
         with pytest.warns(HypothesisWarning, match="k > 2"):
-            adjoint_coefficients(d46, g, case, 1, 100)
+            adjoint_coefficients(f, g, 0, 1, 100)
+
+    @pytest.mark.parametrize("bare", ["f", "g"])
+    def test_missing_metadata_stops_before_the_sum(self, sec5_forms, bare, monkeypatch):
+        def no_sum(*args, **kwargs):
+            raise AssertionError("L-series sum started")
+
+        monkeypatch.setattr(adjoint_module, "_l_series_sums", no_sum)
+        theta, _, f = sec5_forms
+        forms = {"f": f, "g": theta}
+        forms[bare] = forms[bare].with_meta(None)
+        with pytest.raises(ValueError, match="metadata"):
+            adjoint_coefficients(forms["f"], forms["g"], 0, 3, 300)
+
+    def test_target_weight_at_most_one_rejected(self, sec5_forms):
+        # Delta_{4,6} against theta * Delta_{4,6}: 6 - 13/2 - 0 = -1/2.
+        _, d46, f = sec5_forms
+        with pytest.raises(ValueError, match="target weight -1/2 must exceed 1"):
+            adjoint_coefficients(d46, f, 0, 1, 100)
 
     def test_csv_format(self):
         text = rows_to_csv([(1, 0.5, 1e-9)])
@@ -331,9 +372,9 @@ def test_env_precision_override(monkeypatch, sec5_forms):
     theta, _, f = sec5_forms
     monkeypatch.setenv("RC_ADJOINT_PRECISION_DIGITS", "30")
     assert working_digits() == 30
-    rows30 = adjoint_coefficients(f, theta, SEC5_CASE, 1, 500)
+    rows30 = adjoint_coefficients(f, theta, 0, 1, 500)
     monkeypatch.delenv("RC_ADJOINT_PRECISION_DIGITS")
-    rows50 = adjoint_coefficients(f, theta, SEC5_CASE, 1, 500)
+    rows50 = adjoint_coefficients(f, theta, 0, 1, 500)
     assert rows30[0][1] == pytest.approx(rows50[0][1], rel=1e-20)
 
 
@@ -353,9 +394,8 @@ def _random_pair(rng, case, n_max, M, sparse_g):
         for m in range(1, M + 1)
     ]
     w_f = case.k.w2 + case.l.w2 + 4 * case.nu
-    f = QSeries(f_coeffs, FormMeta(w_f, 4, CharacterMod4.TRIVIAL, True))
-    g_meta = FormMeta(case.l.w2, 4, CharacterMod4.TRIVIAL, g_coeffs[0] == 0)
-    return f, QSeries(g_coeffs, g_meta)
+    f = QSeries(f_coeffs, FormMeta(w_f, 4, CharacterMod4.TRIVIAL))
+    return f, QSeries(g_coeffs, FormMeta(case.l.w2, 4, CharacterMod4.TRIVIAL))
 
 
 def _brute_l_sum(f, g, p, n, s, M):
@@ -388,7 +428,7 @@ def test_one_pass_sums_match_per_term_oracle(case_id, nu, sparse_g):
             assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
 
     # adjoint_coefficients is beta(n) times the per-n sum and tail bound.
-    rows = adjoint_coefficients(f, g, case, n_max, M)
+    rows = adjoint_coefficients(f, g, nu, n_max, M)
     tail = _tail_bound(f, g, p, s, M, 0.1)
     expected = []
     with mpmath.workdps(working_digits()):
@@ -409,10 +449,9 @@ def test_profiles_fitted_once_per_call(monkeypatch):
 
     monkeypatch.setattr(adjoint_module, "fit_tail_profile", counting_fit)
     f, g = catalog_get("delta", 311), catalog_get("E4", 311)
-    case = AdjointCase(TwiceWeight(8), TwiceWeight(8), 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        adjoint_coefficients(f, g, case, n_max=10, M=300)
+        adjoint_coefficients(f, g, 2, n_max=10, M=300)
     assert len(fits) == 2
     tail = [w for w in caught if "tail exponent" in str(w.message)]
     assert len(tail) == 1
@@ -423,7 +462,6 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
     # g = E4 has b(0) != 0: the m = 0 term reuses the weight a(n) n^-s.
     f = series_mul(catalog_get("delta", 221), catalog_get("delta", 221))
     g = catalog_get("E4", 221)
-    case = AdjointCase(TwiceWeight(40), TwiceWeight(8), 0)
     n_max, M = 10, 200
     bases = []
     real_power = mpmath.power
@@ -437,7 +475,7 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
     assert not hasattr(bracket_module, "alpha_coeff")
     assert not hasattr(adjoint_module, "alpha_coeff")
     monkeypatch.setattr(mpmath, "power", counting_power)
-    adjoint_coefficients(f, g, case, n_max, M)
+    adjoint_coefficients(f, g, 0, n_max, M)
     reachable = {
         n + m
         for n in range(1, n_max + 1)

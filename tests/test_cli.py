@@ -204,6 +204,8 @@ def _tolerance(value):
                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
         _series_file('{"twice_weight": 24, "level": true, "character": "trivial", '
                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
+        # Deeper than any interpreter's recursion limit for the JSON decoder.
+        _series_file("[" * 200000 + "]" * 200000),
         lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
                           "--nu", "0", "--precision", "3"],
         lambda tmp_path: ["expand", "--form", "theta", "--precision", "3",
@@ -218,9 +220,9 @@ def _tolerance(value):
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
          "infinity", "booleans", "float", "twice-weight-float", "level-bool",
-         "directory", "output-dir-missing", "epsilon-nan", "epsilon-inf",
-         "epsilon-zero", "epsilon-negative", "tolerance-nan", "tolerance-inf",
-         "tolerance-negative"],
+         "deeply-nested", "directory", "output-dir-missing", "epsilon-nan",
+         "epsilon-inf", "epsilon-zero", "epsilon-negative", "tolerance-nan",
+         "tolerance-inf", "tolerance-negative"],
 )
 def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     code = run(make_argv(tmp_path))

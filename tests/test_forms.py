@@ -23,7 +23,7 @@ def test_delta_4_6_entry():
     assert [int(c) for c in d.coeffs] == [0, 1, 0]
     assert d.meta.twice_weight == 12
     assert d.meta.level == 4
-    assert d.meta.is_cusp_at_infinity
+    assert check_cusp_at_infinity(d)
 
 
 def test_unknown_name():

@@ -64,7 +64,7 @@ class TestSeriesAdd:
         t = make_theta(5)
         s = series_add(t, t)
         assert s.meta is not None and s.meta.twice_weight == 1
-        assert not s.meta.is_cusp_at_infinity
+        assert s.meta == t.meta
 
     def test_meta_dropped_on_mismatch(self):
         t = make_theta(5)
@@ -98,7 +98,7 @@ class TestSeriesMul:
         assert prod.meta.character is CharacterMod4.TRIVIAL
 
     def test_chi_minus4_squares_to_trivial(self):
-        meta = FormMeta(1, 4, CharacterMod4.CHI_MINUS4, False)
+        meta = FormMeta(1, 4, CharacterMod4.CHI_MINUS4)
         t = make_theta(5).with_meta(meta)
         assert series_mul(t, t).meta.character is CharacterMod4.TRIVIAL
 
@@ -173,7 +173,7 @@ class TestTheta:
         meta = make_theta(3).meta
         assert meta.twice_weight == 1
         assert meta.level == 4
-        assert not meta.is_cusp_at_infinity
+        assert meta == FormMeta(1, 4, CharacterMod4.TRIVIAL)
 
     def test_rejects_zero_precision(self):
         with pytest.raises(ValueError):
@@ -334,7 +334,7 @@ class TestIntegerNumeratorCore:
 class TestFormMeta:
     def test_half_integral_weight_needs_level_4(self):
         with pytest.raises(ValueError):
-            FormMeta(1, 1, CharacterMod4.TRIVIAL, False)
+            FormMeta(1, 1, CharacterMod4.TRIVIAL)
 
     def test_immutability(self):
         t = make_theta(3)

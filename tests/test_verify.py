@@ -3,8 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rcadjoint.adjoint import AdjointCase, adjoint_coefficients
-from rcadjoint.bracket import TwiceWeight
+from rcadjoint.adjoint import adjoint_coefficients
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import QSeries, series_mul
 from rcadjoint.verify import (
@@ -12,8 +11,6 @@ from rcadjoint.verify import (
     ratio_test,
     rewritten_sum_report,
 )
-
-SEC5_CASE = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
 
 
 class TestRatioTest:
@@ -55,13 +52,13 @@ class TestLambdaEstimates:
         theta = catalog_get("theta", prec)
         d46 = catalog_get("delta_4_6", prec)
         f = series_mul(theta, d46)
-        rows = adjoint_coefficients(f, theta, SEC5_CASE, n_max, M)
+        rows = adjoint_coefficients(f, theta, 0, n_max, M)
         return theta, d46, rows, M
 
     def test_mean_and_first_coefficient_agree(self, sec5_rows):
         theta, d46, rows, M = sec5_rows
         report = ratio_test(rows, d46, tolerance=1e-3)
-        lam0 = lambda_from_first_coefficient(SEC5_CASE, d46, theta, M=M)
+        lam0 = lambda_from_first_coefficient(d46, theta, 0, M=M)
         assert report.passed
         assert abs(lam0 - report.lam) <= abs(report.lam) * (
             report.error_budget + 1e-6
@@ -76,8 +73,8 @@ class TestLambdaEstimates:
         theta, d46, rows, M = sec5_rows
         # basis with a(1) = 2: lambda halves
         doubled = QSeries([2 * c for c in d46.coeffs], d46.meta)
-        lam = lambda_from_first_coefficient(SEC5_CASE, doubled, theta, M=M)
-        lam_ref = lambda_from_first_coefficient(SEC5_CASE, d46, theta, M=M)
+        lam = lambda_from_first_coefficient(doubled, theta, 0, M=M)
+        lam_ref = lambda_from_first_coefficient(d46, theta, 0, M=M)
         # c(1) scales with the doubled input, a(1) = 2 divides it back out
         assert lam == pytest.approx(lam_ref, rel=1e-12)
 
@@ -85,14 +82,13 @@ class TestLambdaEstimates:
         M, prec = 1200, 1211
         e4 = catalog_get("E4", prec)
         delta = catalog_get("delta", prec)
-        case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
-        lam = lambda_from_first_coefficient(case, delta, e4, M=M)
+        lam = lambda_from_first_coefficient(delta, e4, 0, M=M)
         assert lam > 0
 
     def test_zero_series_rejected(self):
         zero = QSeries([0] * 50)
         with pytest.raises(ValueError, match="zero series"):
-            lambda_from_first_coefficient(SEC5_CASE, zero, catalog_get("theta", 50), M=10)
+            lambda_from_first_coefficient(zero, catalog_get("theta", 50), 0, M=10)
 
 
 class TestRewrittenSum:
