@@ -20,13 +20,14 @@ from .bracket import (
 )
 from .forms import catalog_get, check_cusp_at_infinity, check_hecke_multiplicativity
 from .adjoint import (
-    AdjointCase,
     CaseId,
     TailProfile,
     adjoint_case,
     adjoint_coefficients,
     beta_value,
+    case_id,
     fit_tail_profile,
+    gamma_s,
     validate_hypotheses,
 )
 from .verify import (
@@ -39,7 +40,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointCase",
     "BracketParams",
     "CaseId",
     "CharacterMod4",
@@ -52,10 +52,12 @@ __all__ = [
     "adjoint_coefficients",
     "apply_D",
     "beta_value",
+    "case_id",
     "catalog_get",
     "check_cusp_at_infinity",
     "check_hecke_multiplicativity",
     "fit_tail_profile",
+    "gamma_s",
     "lambda_from_first_coefficient",
     "make_eisenstein",
     "make_eta_product",

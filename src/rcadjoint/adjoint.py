@@ -1,21 +1,25 @@
 """Special values of the adjoint-map coefficient formula.
 
-Evaluates c(n) = beta(k,l,nu;n) * L_{f,g,nu,n}(gamma), with one formula
-in the true weights k and l (integral or half-integral):
-gamma = k + l + 2 nu - 1 and
-beta(n) = Gamma(gamma)/Gamma(k-1) * n^(k-1) / (4 pi)^(l+2 nu).
-Only the convergence hypotheses differ between the four weight
-configurations (integral/integral, both half-integral, and the two mixed
-cases).  Callers give f, g and nu; the weights are read off the forms'
-metadata: g has weight l, f lies in the image weight k + l + 2 nu, so
-``adjoint_case`` derives k, and the configuration follows from the
-parities of k and l.  The Dirichlet series runs over m >= 0 and carries
-a bound on its truncation error from empirical coefficient-growth
-profiles.
+The adjoint of T_{g,nu}: f -> [f, g]_nu is fixed by the same triple
+(k, l, nu) as the bracket, a ``BracketParams``: k is the weight of the
+adjoint's image, l the weight of g.  Callers give f, g and nu, and
+``adjoint_case`` reads the triple off the forms' metadata (f lies in
+weight k + l + 2 nu).  Everything else is derived from it: the
+configuration ``case_id`` (integral/integral, both half-integral, or
+one of the two mixed cases) from the parities of k and l, the point
+``gamma_s`` = k + l + 2 nu - 1, and
 
-Floating point lives here and only here; everything upstream is exact.
-Internal arithmetic runs at RC_ADJOINT_PRECISION_DIGITS significant
-decimal digits (default 50, at most 10000) via mpmath.
+    c(n) = beta(n) * L_{f,g,nu,n}(gamma),
+    beta(n) = Gamma(gamma)/Gamma(k-1) * n^(k-1) / (4 pi)^(l+2 nu),
+
+one formula for all four configurations; only the convergence
+hypotheses differ between them.  The Dirichlet series runs over m >= 0
+and carries a bound on its truncation error from empirical
+coefficient-growth profiles.
+
+The series arithmetic upstream is exact; the L-sums and Gamma factors
+here run at RC_ADJOINT_PRECISION_DIGITS significant decimal digits
+(default 50, at most 10000) via mpmath.
 """
 
 from __future__ import annotations
@@ -66,48 +70,32 @@ class CaseId(Enum):
     HALF_FROM_INT_G = "3"  # half-integral target, integral g
 
 
-@dataclass(frozen=True)
-class AdjointCase:
-    """One weight configuration of the adjoint map.
-
-    ``k`` is the weight of the forms in the adjoint's image space and
-    ``l`` the weight of the fixed form g; either may be half-integral,
-    and their parities fix ``case_id``.  The target weight must exceed 1
-    so that Gamma(k-1) in beta is finite.
-    """
-
-    k: TwiceWeight
-    l: TwiceWeight
-    nu: int
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
-        if self.k.w2 < 3:
-            raise ValueError(
-                f"target weight {self.k.weight} must exceed 1: "
-                "beta needs Gamma(k-1) at a positive argument"
-            )
-
-    @property
-    def case_id(self) -> CaseId:
-        if self.k.is_integral:
-            return CaseId.INTEGRAL if self.l.is_integral else CaseId.INT_FROM_HALF_G
-        return CaseId.HALF_FROM_INT_G if self.l.is_integral else CaseId.HALF_HALF
-
-    @property
-    def gamma_s(self) -> Fraction:
-        """The point gamma = k + l + 2 nu - 1 at which the series is taken."""
-        return self.k.weight + self.l.weight + 2 * self.nu - 1
-
-
-def adjoint_case(f_w2: int, g_w2: int, nu: int) -> AdjointCase:
-    """The case of the adjoint of T_{g,nu} applied to f, from twice-weights.
+def adjoint_case(f_w2: int, g_w2: int, nu: int) -> BracketParams:
+    """The triple (k, l, nu) of the bracket map whose adjoint is applied to f.
 
     f lies in the image weight k + l + 2 nu, so the target twice-weight
-    is f_w2 - g_w2 - 4 nu; ValueError if nu < 0 or that weight is <= 1.
+    is f_w2 - g_w2 - 4 nu; ValueError if nu < 0 or that weight is <= 1,
+    since beta needs Gamma(k-1) at a positive argument.
     """
-    return AdjointCase(TwiceWeight(f_w2 - g_w2 - 4 * nu), TwiceWeight(g_w2), nu)
+    p = BracketParams(TwiceWeight(f_w2 - g_w2 - 4 * nu), TwiceWeight(g_w2), nu)
+    if p.k.w2 < 3:
+        raise ValueError(
+            f"target weight {p.k.weight} must exceed 1: "
+            "beta needs Gamma(k-1) at a positive argument"
+        )
+    return p
+
+
+def case_id(p: BracketParams) -> CaseId:
+    """The weight configuration, read off the parities of k and l."""
+    if p.k.is_integral:
+        return CaseId.INTEGRAL if p.l.is_integral else CaseId.INT_FROM_HALF_G
+    return CaseId.HALF_FROM_INT_G if p.l.is_integral else CaseId.HALF_HALF
+
+
+def gamma_s(p: BracketParams) -> Fraction:
+    """The point gamma = k + l + 2 nu - 1 at which the series is taken."""
+    return p.k.weight + p.l.weight + 2 * p.nu - 1
 
 
 def _twice_weights(f: QSeries, g: QSeries) -> Tuple[int, int]:
@@ -116,45 +104,31 @@ def _twice_weights(f: QSeries, g: QSeries) -> Tuple[int, int]:
     return f.meta.twice_weight, g.meta.twice_weight
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    ok: bool
-    message: Optional[str] = None
+def validate_hypotheses(p: BracketParams, g_is_cusp: bool) -> Optional[str]:
+    """The message of the failed convergence hypothesis, or None.
 
-
-def validate_hypotheses(c: AdjointCase, g_is_cusp: bool) -> HypothesisReport:
-    """Check the convergence hypotheses of the relevant theorem.
-
-    These are all that differ between the four cases.  Returns ok or a
-    warning report; a warning never blocks computation.
+    These hypotheses are all that differ between the four cases; a
+    failure is a warning and never blocks computation.
     """
-    k, l, case_id = c.k.w2 // 2, c.l.w2 // 2, c.case_id
-    if case_id is CaseId.INTEGRAL:
+    k, l, case = p.k.w2 // 2, p.l.w2 // 2, case_id(p)
+    if case is CaseId.INTEGRAL:
         if k < 6:
-            return HypothesisReport(False, f"integral case needs k >= 6 (k={k})")
+            return f"integral case needs k >= 6 (k={k})"
         if g_is_cusp or l < k - 3:
-            return HypothesisReport(True)
-        return HypothesisReport(
-            False, f"non-cusp g needs l < k - 3 (l={l}, k={k})"
-        )
-    if case_id is CaseId.HALF_HALF:
+            return None
+        return f"non-cusp g needs l < k - 3 (l={l}, k={k})"
+    if case is CaseId.HALF_HALF:
         if g_is_cusp:
-            if k > 2:
-                return HypothesisReport(True)
-            return HypothesisReport(False, f"cusp g needs k > 2 (k={k})")
+            return None if k > 2 else f"cusp g needs k > 2 (k={k})"
         if Fraction(l) < Fraction(k) - Fraction(3, 2):
-            return HypothesisReport(True)
-        return HypothesisReport(
-            False, f"non-cusp g needs l < k - 3/2 (l={l}, k={k})"
-        )
+            return None
+        return f"non-cusp g needs l < k - 3/2 (l={l}, k={k})"
     # Cases 2 and 3 share their hypothesis.
     if g_is_cusp:
-        if k > 3:
-            return HypothesisReport(True)
-        return HypothesisReport(False, f"cusp g needs k > 3 (k={k})")
+        return None if k > 3 else f"cusp g needs k > 3 (k={k})"
     if l < k - 2:
-        return HypothesisReport(True)
-    return HypothesisReport(False, f"non-cusp g needs l < k - 2 (l={l}, k={k})")
+        return None
+    return f"non-cusp g needs l < k - 2 (l={l}, k={k})"
 
 
 @dataclass(frozen=True)
@@ -183,19 +157,26 @@ def growth_exponent(series: QSeries) -> float:
     return max(e, 0.0)
 
 
-def fit_tail_profile(
-    series: QSeries, lemma_exponent: float, epsilon: float = DEFAULT_EPSILON
-) -> TailProfile:
-    """Fit an empirical growth constant for a series over its computed range."""
+def fit_tail_profile(series: QSeries, epsilon: float = DEFAULT_EPSILON) -> TailProfile:
+    """Fit an empirical growth constant for a series over its computed range.
+
+    The exponent is ``growth_exponent(series)`` plus epsilon.  ValueError
+    names a coefficient whose quotient is out of float range.
+    """
     if series.precision < 10:
         raise ValueError("need at least 10 coefficients to fit a tail profile")
-    exponent = lemma_exponent + epsilon
+    exponent = growth_exponent(series) + epsilon
     constant = 0.0
     den = series.den
     for n, v in enumerate(series.num[1:], start=1):
         if v:
-            # int / int rounds correctly, exactly as float(Fraction) does.
-            constant = max(constant, abs(v) / den / n**exponent)
+            try:
+                # int / int rounds correctly, exactly as float(Fraction) does.
+                constant = max(constant, abs(v) / den / n**exponent)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient {n} is out of float range for the tail profile"
+                ) from None
     return TailProfile(exponent, constant)
 
 
@@ -204,19 +185,19 @@ def _to_mpf(x: Fraction) -> mpf:
 
 
 def _tail_bound(
-    f: QSeries, g: QSeries, p: BracketParams, s: Fraction, M: int, epsilon: float
+    f: QSeries, g: QSeries, p: BracketParams, M: int, epsilon: float
 ) -> float:
     """Bound on the terms m > M of every _l_series_sums sum (free of n).
 
     Uses the empirical growth profiles of f and g plus the integral
     comparison sum_{m>M} m^t <= M^(t+1)/(-t-1), valid when t < -1.
     """
-    pf = fit_tail_profile(f, growth_exponent(f), epsilon)
-    pg = fit_tail_profile(g, growth_exponent(g), epsilon)
+    pf = fit_tail_profile(f, epsilon)
+    pg = fit_tail_profile(g, epsilon)
     alpha_weight = float(
         sum(abs(rc_coefficient(p, r)) for r in range(p.nu + 1))
     )
-    t = pf.exponent + p.nu + pg.exponent - float(s)
+    t = pf.exponent + p.nu + pg.exponent - float(gamma_s(p))
     if t < -1.0:
         return pf.constant * pg.constant * alpha_weight * M ** (t + 1) / (-(t + 1))
     warnings.warn(
@@ -233,18 +214,17 @@ def _l_series_sums(
     g: QSeries,
     p: BracketParams,
     ns: Sequence[int],
-    s: Fraction,
     M: int,
 ) -> List[mpf]:
-    """Partial sums of sum_m a(n+m) b(m) alpha(k,l,nu;n,m) (n+m)^-s.
+    """Partial sums of sum_m a(n+m) b(m) alpha(k,l,nu;n,m) (n+m)^-gamma.
 
     Summed over m = 0..M for every n in ns, in one pass, at working
     precision; coefficients must be real, so the conjugate on b is the
     identity.  The m = 0 term b(0) a(n) c_nu n^nu n^-s is the one the
-    unfolding picks up when g is not a cusp form.
+    unfolding picks up when g is not a cusp form.  gamma is ``gamma_s(p)``.
 
     Denominators are cleared once, so each term is an exact integer
-    B_m * alpha(n,m) times a shared mpf weight w_j = A_j j^-s, j = n+m;
+    B_m * alpha(n,m) times a shared mpf weight w_j = A_j j^-gamma, j = n+m;
     w_j is computed the first time a nonzero b(m) reaches j.  Each sum is
     divided by the common denominator once.
     """
@@ -269,7 +249,7 @@ def _l_series_sums(
     Bm, db = _lowest_terms(g.num[: M + 1], g.den)
     B = [(m, b) for m, b in enumerate(Bm) if b]
     with mpmath.workdps(working_digits()):
-        s_mp = _to_mpf(s)
+        minus_gamma = -_to_mpf(gamma_s(p))
         w = [None] * (top + 1)
         sums = []
         for n in ns:
@@ -281,7 +261,7 @@ def _l_series_sums(
                 wj = w[j]
                 if wj is None:
                     a = A[j]
-                    wj = w[j] = mpf(a) * mpmath.power(j, -s_mp) if a else 0
+                    wj = w[j] = mpf(a) * mpmath.power(j, minus_gamma) if a else 0
                 if not wj:
                     continue
                 alpha = 0
@@ -292,36 +272,14 @@ def _l_series_sums(
     return sums
 
 
-def gamma_half_integer(x: Fraction) -> mpf:
-    """Gamma at a positive integer or half-integer argument.
-
-    Built from Gamma(1/2) = sqrt(pi) and Gamma(1) = 1 by upward
-    recursion, at the current mpmath working precision.
-    """
-    x = Fraction(x)
-    if x <= 0 or x.denominator not in (1, 2):
-        raise ValueError("argument must be a positive (half-)integer")
-    if x.denominator == 1:
-        return mpmath.factorial(int(x) - 1)
-    out = mpmath.sqrt(mpmath.pi)
-    step = Fraction(1, 2)
-    while step < x:
-        out *= _to_mpf(step)
-        step += 1
-    return out
-
-
-def beta_value(c: AdjointCase, n: int) -> mpf:
+def beta_value(p: BracketParams, n: int) -> mpf:
     """beta(k,l,nu;n) = Gamma(gamma)/Gamma(k-1) n^(k-1) / (4 pi)^(l+2 nu)."""
-    k_minus_1 = c.k.weight - 1
-    num = gamma_half_integer(c.gamma_s)
-    den = gamma_half_integer(k_minus_1)
-    four_pi = 4 * mpmath.pi
+    k_minus_1 = _to_mpf(p.k.weight - 1)
     return (
-        num
-        / den
-        * mpmath.power(n, _to_mpf(k_minus_1))
-        / mpmath.power(four_pi, _to_mpf(c.l.weight + 2 * c.nu))
+        mpmath.gamma(_to_mpf(gamma_s(p)))
+        / mpmath.gamma(k_minus_1)
+        * mpmath.power(n, k_minus_1)
+        / mpmath.power(4 * mpmath.pi, _to_mpf(p.l.weight + 2 * p.nu))
     )
 
 
@@ -335,8 +293,9 @@ def adjoint_coefficients(
 ) -> List[Tuple[int, float, float]]:
     """Coefficients c(n) = beta(n) * L_{f,g,nu,n}(gamma) for n = 1..n_max.
 
-    f and g must carry form metadata: the case is ``adjoint_case`` of
-    their twice-weights and nu, derived before anything is summed.
+    f and g must carry form metadata: the triple (k, l, nu) is
+    ``adjoint_case`` of their twice-weights and nu, derived before
+    anything is summed.
 
     The series includes its m = 0 term, which is nonzero when g has a
     constant term; without it the adjoint identity fails for non-cusp g,
@@ -347,24 +306,23 @@ def adjoint_coefficients(
     L-value tail bound.  Emits a HypothesisWarning when the relevant
     theorem's hypotheses fail (the numbers are still computed).
     """
-    c = adjoint_case(*_twice_weights(f, g), nu)
+    p = adjoint_case(*_twice_weights(f, g), nu)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if f.coeff(0) != 0:
         raise ValueError("f must be a cusp form at infinity (a(0) = 0)")
-    report = validate_hypotheses(c, g_is_cusp=g.coeff(0) == 0)
-    if not report.ok:
-        warnings.warn(report.message, HypothesisWarning, stacklevel=2)
+    message = validate_hypotheses(p, g_is_cusp=g.coeff(0) == 0)
+    if message is not None:
+        warnings.warn(message, HypothesisWarning, stacklevel=2)
     if n_max == 0:
         return []
-    p = BracketParams(c.k, c.l, nu)
     ns = range(1, n_max + 1)
-    sums = _l_series_sums(f, g, p, ns, c.gamma_s, M)
-    tail = _tail_bound(f, g, p, c.gamma_s, M, epsilon)
+    sums = _l_series_sums(f, g, p, ns, M)
+    tail = _tail_bound(f, g, p, M, epsilon)
     rows = []
     with mpmath.workdps(working_digits()):
         for n, total in zip(ns, sums):
-            beta = beta_value(c, n)
+            beta = beta_value(p, n)
             rows.append((n, float(beta * total), float(beta * tail)))
     return rows
 
@@ -376,14 +334,14 @@ def rows_to_csv(rows: List[Tuple[int, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows, terms_used: int, s: Fraction) -> list:
+def rows_to_json(rows, terms_used: int, p: BracketParams) -> list:
     return [
         {
             "n": n,
             "value": f"{c_n:.17g}",
             "tail_bound": f"{err:.17g}",
             "terms_used": terms_used,
-            "s": str(s),
+            "s": str(gamma_s(p)),
         }
         for n, c_n, err in rows
     ]

@@ -18,11 +18,11 @@ import warnings
 from typing import List, Optional
 
 from .adjoint import (
-    AdjointCase,
     CaseId,
     HypothesisWarning,
     adjoint_case,
     adjoint_coefficients,
+    case_id,
     rows_to_csv,
     rows_to_json,
 )
@@ -108,27 +108,23 @@ def _open_f(args, precision: int):
     return _open_form(args.f, precision)
 
 
-def _make_case(args, command: str, f_w2, g_w2, derive=adjoint_case) -> AdjointCase:
-    """The case ``derive(f_w2, g_w2, args.nu)`` for twice-weights of f and g.
+def _make_case(args, command: str, f_w2, g_w2) -> BracketParams:
+    """The triple ``adjoint_case(f_w2, g_w2, args.nu)``.
 
-    ``adjoint_case`` when the adjoint is applied to f itself; verify
-    lambda brackets its f with g first, so f's weight is the target's.
-    The weights fix the case; a --case given on the command line must
-    name that same case.  Called before either form is expanded.
+    f_w2 is the twice-weight of the form the adjoint is applied to, g_w2
+    that of g.  The weights fix the case; a --case given on the command
+    line must name that same case.  Called before either form is expanded.
     """
     if f_w2 is None or g_w2 is None:
         raise UsageError(f"{command} needs weight metadata on both forms")
-    try:
-        case = derive(f_w2, g_w2, args.nu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.case is not None and CaseId(args.case) is not case.case_id:
+    p = adjoint_case(f_w2, g_w2, args.nu)
+    if args.case is not None and CaseId(args.case) is not case_id(p):
         raise UsageError(
             f"--case {args.case} does not match the weights: target weight "
-            f"{case.k.weight} and g weight {case.l.weight} give case "
-            f"{case.case_id.value}"
+            f"{p.k.weight} and g weight {p.l.weight} give case "
+            f"{case_id(p).value}"
         )
-    return case
+    return p
 
 
 def _emit(text: str, path: Optional[str]):
@@ -180,33 +176,38 @@ def _cmd_bracket(args) -> int:
 def _adjoint_rows(args):
     f_w2, build_f = _open_f(args, args.n_max + args.terms + 1)
     g_w2, build_g = _open_form(args.g, args.terms + 1)
-    case = _make_case(args, "adjoint", f_w2, g_w2)
+    p = _make_case(args, "adjoint", f_w2, g_w2)
     f, g = build_f(), build_g()
     with _hypothesis_warnings():
         rows = adjoint_coefficients(
             f, g, args.nu, args.n_max, args.terms, epsilon=args.epsilon
         )
-    return rows, case
+    return rows, p
 
 
 def _cmd_adjoint(args) -> int:
-    rows, case = _adjoint_rows(args)
+    rows, p = _adjoint_rows(args)
     if args.format == "csv":
         _emit(rows_to_csv(rows), args.output)
     else:
-        payload = rows_to_json(rows, args.terms, case.gamma_s)
+        payload = rows_to_json(rows, args.terms, p)
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
 
 def _verdict(args, config: str, extra: dict, passed: bool) -> int:
+    """Print the verdict as strict JSON: a non-finite number is null."""
+    extra = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in extra.items()
+    }
     payload = {"config": config, **extra, "pass": passed}
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     return 0 if passed else 1
 
 
 def _cmd_verify_ratio(args) -> int:
-    rows, case = _adjoint_rows(args)
+    rows, p = _adjoint_rows(args)
     basis_name = args.basis
     if basis_name is None:
         if getattr(args, "f_product", None):
@@ -215,7 +216,7 @@ def _cmd_verify_ratio(args) -> int:
             raise UsageError("verify ratio needs --basis (or --f-product)")
     basis = _resolve_form(basis_name, args.n_max + 1)
     report = ratio_test(rows, basis, args.tolerance)
-    config = f"case {case.case_id.value}, nu={args.nu}, basis {basis_name}"
+    config = f"case {case_id(p).value}, nu={args.nu}, basis {basis_name}"
     return _verdict(
         args,
         config,
@@ -236,19 +237,15 @@ def _cmd_verify_lambda(args) -> int:
         raise UsageError("verify lambda needs --basis")
     f_w2, build_f = _open_form(args.basis, precision)
     g_w2, build_g = _open_form(args.g, precision)
-    case = _make_case(
-        args,
-        "verify lambda",
-        f_w2,
-        g_w2,
-        lambda k2, l2, nu: AdjointCase(TwiceWeight(k2), TwiceWeight(l2), nu),
-    )
+    # The adjoint is applied to [f, g]_nu, of twice-weight f_w2 + g_w2 + 4 nu.
+    h_w2 = None if None in (f_w2, g_w2) else f_w2 + g_w2 + 4 * args.nu
+    p = _make_case(args, "verify lambda", h_w2, g_w2)
     f, g = build_f(), build_g()
     with _hypothesis_warnings():
         lam = lambda_from_first_coefficient(
             f, g, args.nu, M=args.terms, epsilon=args.epsilon
         )
-    config = f"case {case.case_id.value}, nu={args.nu}, f={args.basis}, g={args.g}"
+    config = f"case {case_id(p).value}, nu={args.nu}, f={args.basis}, g={args.g}"
     return _verdict(args, config, {"lambda": lam, "M": args.terms}, True)
 
 
@@ -345,10 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ term, so no operation has to keep a separate flag in step with it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -108,6 +109,10 @@ def _from_ints(num, den: int, meta: Optional[FormMeta] = None) -> "QSeries":
     return series
 
 
+# A coefficient string as to_json_dict writes it, sign and "/q" optional.
+_COEFF_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class QSeries:
     """Truncated q-expansion with exact rational coefficients.
 
@@ -188,16 +193,22 @@ class QSeries:
     def from_json_dict(cls, d: dict) -> "QSeries":
         """Inverse of ``to_json_dict``; malformed input raises ValueError.
 
-        Each coefficient must be a string such as "-3/4" or a JSON integer,
-        and ``twice_weight`` and ``level`` must be JSON integers; floats,
-        booleans and null are rejected rather than read inexactly.
+        Each coefficient must be a JSON integer or a string in the form
+        ``to_json_dict`` writes, an optional sign and digits with an
+        optional "/digits" ("-3/4", "5"); ``twice_weight`` and ``level``
+        must be JSON integers.  Floats, booleans, null and strings such
+        as "1e5" or "1.5" are rejected rather than read inexactly.
         """
         if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
             raise ValueError("a series must be a JSON object with a 'coeffs' list")
         if not d["coeffs"]:
             raise ValueError("a series must know at least one coefficient")
         for s in d["coeffs"]:
-            if isinstance(s, bool) or not isinstance(s, (str, int)):
+            if isinstance(s, str):
+                ok = _COEFF_STRING.fullmatch(s) is not None
+            else:
+                ok = isinstance(s, int) and not isinstance(s, bool)
+            if not ok:
                 raise ValueError(
                     f"bad coefficient {s!r}: expected a string 'p/q' or an integer"
                 )

@@ -13,8 +13,8 @@ weights, and with them the case, off the forms' metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 import mpmath
@@ -23,8 +23,10 @@ from mpmath import mpf
 from .adjoint import (
     DEFAULT_EPSILON,
     _l_series_sums,
+    _to_mpf,
     _twice_weights,
     adjoint_coefficients,
+    gamma_s,
     working_digits,
 )
 from .bracket import BracketParams, TwiceWeight, rc_bracket
@@ -49,7 +51,10 @@ def ratio_test(
     basis_form: QSeries,
     tolerance: float,
 ) -> RatioReport:
-    """Is c(n)/a(n) constant, within tolerance plus the error budget?"""
+    """Is c(n)/a(n) constant, within tolerance plus the error budget?
+
+    An infinite budget (an uncertified tail) fails: it would pass any spread.
+    """
     ratios = []
     budget = 0.0
     for n, c_n, err in c_list:
@@ -72,7 +77,7 @@ def ratio_test(
         spread=spread,
         error_budget=budget,
         tolerance=tolerance,
-        passed=spread <= tolerance + budget,
+        passed=math.isfinite(budget) and spread <= tolerance + budget,
     )
 
 
@@ -124,9 +129,9 @@ def rewritten_sum_report(M: int) -> Tuple[float, float]:
     product = series_mul(theta, newform)
     p = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
     theta_m1 = QSeries((0,) + theta.num[1:])  # theta is integral: den == 1
-    (faithful,) = _l_series_sums(product, theta_m1, p, [1], Fraction(11, 2), M)
+    (faithful,) = _l_series_sums(product, theta_m1, p, [1], M)
     with mpmath.workdps(working_digits()):
-        s = mpf(11) / 2
+        s = _to_mpf(gamma_s(p))  # 11/2
         rewritten = mpf(0)
         m = 1
         while m * m + 1 <= M + 1:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rcadjoint.adjoint import AdjointCase, adjoint_coefficients, beta_value
+from rcadjoint.adjoint import adjoint_coefficients, beta_value
 from rcadjoint.bracket import BracketParams, TwiceWeight, rc_bracket
 from rcadjoint.forms import catalog_get, check_hecke_multiplicativity
 from rcadjoint.qseries import (
@@ -49,7 +49,7 @@ def random_series(rng, max_len=10):
     )
 
 
-SEC5_CASE = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
+SEC5_PARAMS = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ def test_criterion_4_integral_analog():
 def test_criterion_5_beta_anchor():
     """Case-2 beta at k=6, l=0, nu=0, n=1 equals Gamma(11/2)/(Gamma(5) 2 sqrt(pi))."""
     with mpmath.workdps(50):
-        got = beta_value(SEC5_CASE, 1)
+        got = beta_value(SEC5_PARAMS, 1)
         ref = mpmath.gamma(mpmath.mpf(11) / 2) / (
             mpmath.gamma(5) * 2 * mpmath.sqrt(mpmath.pi)
         )

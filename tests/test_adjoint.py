@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.bracket as bracket_module
 from rcadjoint.adjoint import (
-    AdjointCase,
     CaseId,
     HypothesisWarning,
     adjoint_case,
     adjoint_coefficients,
     beta_value,
+    case_id,
     fit_tail_profile,
-    gamma_half_integer,
+    gamma_s,
     growth_exponent,
     rows_to_csv,
     validate_hypotheses,
@@ -25,7 +27,7 @@ from rcadjoint.adjoint import (
     _tail_bound,
     _to_mpf,
 )
-from rcadjoint.bracket import BracketParams, TwiceWeight, rc_coefficient
+from rcadjoint.bracket import BracketParams, TwiceWeight, rc_bracket, rc_coefficient
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import (
     CharacterMod4,
@@ -41,6 +43,11 @@ from oracles import alpha_coeff
 
 HALF = Fraction(1, 2)
 
+
+def params(k2, l2, nu):
+    return BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu)
+
+
 # (k, l) twice-weights with the parities of each case.
 ORACLE_WEIGHTS = {
     CaseId.INTEGRAL: (12, 4),
@@ -53,30 +60,46 @@ ORACLE_WEIGHTS = {
 class TestAdjointCase:
     def test_parity_validation(self):
         # The parities of the two weights fix the case, for every nu.
-        for case_id, (k2, l2) in ORACLE_WEIGHTS.items():
+        for expected, (k2, l2) in ORACLE_WEIGHTS.items():
             for nu in (0, 2):
-                c = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), nu)
-                assert c.case_id is case_id
-                assert c.gamma_s == Fraction(k2 + l2, 2) + 2 * nu - 1
+                p = params(k2, l2, nu)
+                assert case_id(p) is expected
+                assert gamma_s(p) == Fraction(k2 + l2, 2) + 2 * nu - 1
 
     @pytest.mark.parametrize("k2", [2, 1, 0, -3])
     def test_target_weight_at_most_one_rejected(self, k2):
+        # f = [h, g]_1 with g of twice-weight 4 has twice-weight k2 + 4 + 4.
         with pytest.raises(ValueError, match=r"Gamma\(k-1\)"):
-            AdjointCase(TwiceWeight(k2), TwiceWeight(4), 1)
+            adjoint_case(k2 + 8, 4, 1)
 
     def test_integer_parts(self):
         # The hypotheses read the integer parts: weight 7/2 has k = 3.
-        c = AdjointCase(TwiceWeight(7), TwiceWeight(4), 0)
-        report = validate_hypotheses(c, g_is_cusp=False)
-        assert report.message == "non-cusp g needs l < k - 2 (l=2, k=3)"
+        message = validate_hypotheses(params(7, 4, 0), g_is_cusp=False)
+        assert message == "non-cusp g needs l < k - 2 (l=2, k=3)"
 
     def test_case_derived_from_form_weights(self):
         # f = [h, g]_nu has weight k + l + 2 nu: 13/2 = 6 + 1/2 + 0.
-        assert adjoint_case(13, 1, 0) == AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
+        assert adjoint_case(13, 1, 0) == params(12, 1, 0)
         # [Delta, E4]_2 has weight 12 + 4 + 4 = 20.
-        assert adjoint_case(40, 8, 2) == AdjointCase(TwiceWeight(24), TwiceWeight(8), 2)
+        assert adjoint_case(40, 8, 2) == params(24, 8, 2)
         with pytest.raises(ValueError, match="nu must be nonnegative"):
             adjoint_case(13, 1, -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(-4, 40), st.integers(0, 40), st.integers(0, 4))
+    def test_adjoint_case_inverts_the_bracket_weight(self, k2, l2, nu):
+        # One triple: the adjoint of T_{g,nu} applied to [f, g]_nu is the
+        # bracket's own (k, l, nu), read back off the bracket's metadata.
+        def form(w2):
+            return QSeries([0, 1, 2], FormMeta(w2, 4, CharacterMod4.TRIVIAL))
+
+        p = params(k2, l2, nu)
+        h_w2 = rc_bracket(form(k2), form(l2), p).meta.twice_weight
+        if k2 < 3:  # target weight <= 1
+            with pytest.raises(ValueError, match="must exceed 1"):
+                adjoint_case(h_w2, l2, nu)
+        else:
+            assert adjoint_case(h_w2, l2, nu) == p
 
 
 def _beta_ref(n, gamma_arg, gamma_den, n_exponent, four_pi_exponent):
@@ -96,69 +119,68 @@ class TestCaseParams:
     of n and the power of 4 pi, written out as the paper states them.
     """
 
-    def _check_row(self, c, gamma_s, gamma_den, n_exponent, four_pi_exponent):
-        assert c.gamma_s == gamma_s
+    def _check_row(self, p, gamma, gamma_den, n_exponent, four_pi_exponent):
+        assert gamma_s(p) == gamma
         with mpmath.workdps(50):
             for n in (1, 2, 7):
-                got = beta_value(c, n)
-                ref = _beta_ref(n, gamma_s, gamma_den, n_exponent, four_pi_exponent)
+                got = beta_value(p, n)
+                ref = _beta_ref(n, gamma, gamma_den, n_exponent, four_pi_exponent)
                 assert abs(got - ref) <= mpmath.mpf(10) ** -45 * ref
 
     def test_integral_row(self):
-        c = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
-        assert c.case_id is CaseId.INTEGRAL
-        self._check_row(c, 15, 11, 11, 4)
+        p = params(24, 8, 0)
+        assert case_id(p) is CaseId.INTEGRAL
+        self._check_row(p, 15, 11, 11, 4)
 
     def test_case2_row(self):
-        c = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
-        assert c.case_id is CaseId.INT_FROM_HALF_G
-        self._check_row(c, Fraction(11, 2), 5, 5, HALF)
+        p = params(12, 1, 0)
+        assert case_id(p) is CaseId.INT_FROM_HALF_G
+        self._check_row(p, Fraction(11, 2), 5, 5, HALF)
 
     def test_case1_row(self):
         # target weight 5 + 1/2, g weight 2 + 1/2, nu = 1
-        c = AdjointCase(TwiceWeight(11), TwiceWeight(5), 1)
-        assert c.case_id is CaseId.HALF_HALF
-        self._check_row(c, 9, Fraction(9, 2), Fraction(9, 2), Fraction(9, 2))
+        p = params(11, 5, 1)
+        assert case_id(p) is CaseId.HALF_HALF
+        self._check_row(p, 9, Fraction(9, 2), Fraction(9, 2), Fraction(9, 2))
 
     def test_case3_row(self):
-        c = AdjointCase(TwiceWeight(13), TwiceWeight(4), 0)
-        assert c.case_id is CaseId.HALF_FROM_INT_G
-        self._check_row(c, 6 + 2 - HALF, 6 - HALF, 6 - HALF, 2)
+        p = params(13, 4, 0)
+        assert case_id(p) is CaseId.HALF_FROM_INT_G
+        self._check_row(p, 6 + 2 - HALF, 6 - HALF, 6 - HALF, 2)
 
 
 class TestHypotheses:
     def test_case2_theta_ok(self):
-        c = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
-        assert validate_hypotheses(c, g_is_cusp=False).ok
+        assert validate_hypotheses(params(12, 1, 0), g_is_cusp=False) is None
 
     def test_case1_small_k_warns(self):
-        c = AdjointCase(TwiceWeight(5), TwiceWeight(5), 0)
-        report = validate_hypotheses(c, g_is_cusp=True)
-        assert not report.ok
-        assert "k > 2" in report.message
+        message = validate_hypotheses(params(5, 5, 0), g_is_cusp=True)
+        assert message is not None
+        assert "k > 2" in message
 
     def test_integral_e4_ok(self):
-        c = AdjointCase(TwiceWeight(24), TwiceWeight(8), 0)
-        assert validate_hypotheses(c, g_is_cusp=False).ok
+        assert validate_hypotheses(params(24, 8, 0), g_is_cusp=False) is None
 
     def test_integral_small_k_warns(self):
-        c = AdjointCase(TwiceWeight(8), TwiceWeight(8), 0)
-        assert not validate_hypotheses(c, g_is_cusp=True).ok
+        assert validate_hypotheses(params(8, 8, 0), g_is_cusp=True) is not None
 
 
 class TestTailProfile:
     def test_theta_bounded(self):
-        profile = fit_tail_profile(make_theta(60), 0.0, 0.1)
+        # theta's growth exponent is 0 (see test_growth_exponents).
+        profile = fit_tail_profile(make_theta(60), 0.1)
         assert profile.exponent == pytest.approx(0.1)
         assert profile.constant <= 2.0
 
     def test_delta_finite(self):
         delta = catalog_get("delta", 50)
-        profile = fit_tail_profile(delta, 11 / 2 + 1 / 4, 0.1)
+        profile = fit_tail_profile(delta, 0.1)
+        assert profile.exponent == pytest.approx(11 / 2 + 1 / 4 + 0.1)
         assert 0 < profile.constant < math.inf
 
     def test_zero_series(self):
-        assert fit_tail_profile(zero_series(20), 1.0).constant == 0.0
+        zero = zero_series(20).with_meta(catalog_get("E4", 1).meta)
+        assert fit_tail_profile(zero).constant == 0.0
 
     def test_needs_ten_coefficients(self):
         with pytest.raises(ValueError):
@@ -190,9 +212,7 @@ def sec5_forms():
     return theta, d46, series_mul(theta, d46)
 
 
-SEC5_CASE = AdjointCase(TwiceWeight(12), TwiceWeight(1), 0)
-SEC5_PARAMS = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
-S_SEC5 = SEC5_CASE.gamma_s
+SEC5 = params(12, 1, 0)  # gamma = 11/2
 
 
 class TestLSeriesValue:
@@ -200,28 +220,28 @@ class TestLSeriesValue:
         # g = 1: only m = 0 contributes, a(n) n^-s, and the tail is empty.
         _, _, f = sec5_forms
         g = QSeries([1] + [0] * 2011, make_theta(2).meta)
-        sums = _l_series_sums(f, g, SEC5_PARAMS, [1, 2, 3], S_SEC5, 500)
+        sums = _l_series_sums(f, g, SEC5, [1, 2, 3], 500)
         with mpmath.workdps(working_digits()):
             for n, got in zip([1, 2, 3], sums):
-                want = _to_mpf(f.coeff(n)) * mpmath.power(n, -_to_mpf(S_SEC5))
+                want = _to_mpf(f.coeff(n)) * mpmath.power(n, -mpmath.mpf(11) / 2)
                 assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
-        assert _tail_bound(f, g, SEC5_PARAMS, S_SEC5, 500, 0.1) == 0
+        assert _tail_bound(f, g, SEC5, 500, 0.1) == 0
 
     def test_positive_value(self, sec5_forms):
         theta, _, f = sec5_forms
-        (value,) = _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, 1000)
+        (value,) = _l_series_sums(f, theta, SEC5, [1], 1000)
         assert value > 0
 
     def test_insufficient_precision_reports_requirement(self, sec5_forms):
         theta, _, f = sec5_forms
         with pytest.raises(ValueError, match=str(1 + 5000 + 1)):
-            _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, 5000)
+            _l_series_sums(f, theta, SEC5, [1], 5000)
 
     @pytest.mark.parametrize("M", [0, -3])
     def test_nonpositive_M_rejected(self, sec5_forms, M):
         theta, _, f = sec5_forms
         with pytest.raises(ValueError, match="M must be positive"):
-            _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, M)
+            _l_series_sums(f, theta, SEC5, [1], M)
 
     def test_tail_monotone_in_M(self, sec5_forms):
         theta, _, f = sec5_forms
@@ -238,19 +258,19 @@ class TestLSeriesValue:
         prec = n_max + M + 1
         e4 = catalog_get("E4", M + 1)
         f = series_mul(catalog_get("delta", prec), catalog_get("E6", prec))
-        case = AdjointCase(TwiceWeight(24), TwiceWeight(8), 1)  # 18 = 12 + 4 + 2
+        p = params(24, 8, 1)  # 18 = 12 + 4 + 2
         db = Fraction(4, 3)
         moved = QSeries((1 + db,) + e4.coeffs[1:], e4.meta)
         rows = adjoint_coefficients(f, e4, 1, n_max, M)
         rows_moved = adjoint_coefficients(f, moved, 1, n_max, M)
-        c_nu = rc_coefficient(BracketParams(case.k, case.l, 1), 1)
+        c_nu = rc_coefficient(p, 1)
         assert c_nu == 4
         with mpmath.workdps(working_digits()):
             for (n, c, _), (_, c_moved, _) in zip(rows, rows_moved):
                 shift = (
-                    beta_value(case, n)
+                    beta_value(p, n)
                     * _to_mpf(db * f.coeff(n) * c_nu * n)
-                    * mpmath.power(n, -_to_mpf(case.gamma_s))
+                    * mpmath.power(n, -_to_mpf(gamma_s(p)))
                 )
                 assert c_moved - c == pytest.approx(float(shift), rel=1e-9)
                 assert abs(float(shift)) > 1e-3 * abs(c)
@@ -258,7 +278,7 @@ class TestLSeriesValue:
     def test_nu_zero_summand_is_plain(self, sec5_forms):
         # alpha = 1 for nu = 0: manual partial sum over theta's support m = 0, 1, 4
         theta, _, f = sec5_forms
-        (value,) = _l_series_sums(f, theta, SEC5_PARAMS, [1], S_SEC5, 4)
+        (value,) = _l_series_sums(f, theta, SEC5, [1], 4)
         manual = sum(
             float(f.coeff(1 + m)) * float(theta.coeff(m)) * (1 + m) ** (-11 / 2)
             for m in (0, 1, 4)
@@ -266,41 +286,22 @@ class TestLSeriesValue:
         assert float(value) == pytest.approx(manual, rel=1e-12)
 
 
-class TestGammaHalfInteger:
-    def test_integer_arguments(self):
-        with mpmath.workdps(50):
-            assert gamma_half_integer(Fraction(5)) == mpmath.factorial(4)
-
-    def test_half_arguments_match_mpmath(self):
-        with mpmath.workdps(50):
-            for arg in (HALF, Fraction(3, 2), Fraction(11, 2), Fraction(21, 2)):
-                mine = gamma_half_integer(arg)
-                ref = mpmath.gamma(mpmath.mpf(arg.numerator) / arg.denominator)
-                assert abs(mine - ref) / ref < mpmath.mpf(10) ** -45
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            gamma_half_integer(Fraction(-1, 2))
-        with pytest.raises(ValueError):
-            gamma_half_integer(Fraction(1, 3))
-
-
 class TestBeta:
     def test_positive_for_all_cases(self):
-        cases = [
-            AdjointCase(TwiceWeight(24), TwiceWeight(8), 0),
-            AdjointCase(TwiceWeight(11), TwiceWeight(5), 1),
-            AdjointCase(TwiceWeight(12), TwiceWeight(1), 0),
-            AdjointCase(TwiceWeight(13), TwiceWeight(4), 2),
+        triples = [
+            params(24, 8, 0),
+            params(11, 5, 1),
+            params(12, 1, 0),
+            params(13, 4, 2),
         ]
         with mpmath.workdps(30):
-            for c in cases:
+            for p in triples:
                 for n in (1, 2, 7, 50):
-                    assert beta_value(c, n) > 0
+                    assert beta_value(p, n) > 0
 
     def test_sec5_anchor(self):
         with mpmath.workdps(50):
-            got = beta_value(SEC5_CASE, 1)
+            got = beta_value(SEC5, 1)
             ref = mpmath.gamma(mpmath.mpf(11) / 2) / (
                 mpmath.gamma(5) * 2 * mpmath.sqrt(mpmath.pi)
             )
@@ -378,7 +379,7 @@ def test_env_precision_override(monkeypatch, sec5_forms):
     assert rows30[0][1] == pytest.approx(rows50[0][1], rel=1e-20)
 
 
-def _random_pair(rng, case, n_max, M, sparse_g):
+def _random_pair(rng, p, n_max, M, sparse_g):
     """Random f, g with fractional coefficients; f often vanishes where g does not."""
 
     def rational():
@@ -393,48 +394,47 @@ def _random_pair(rng, case, n_max, M, sparse_g):
         rational() if (m in squares or not sparse_g) else Fraction(0)
         for m in range(1, M + 1)
     ]
-    w_f = case.k.w2 + case.l.w2 + 4 * case.nu
+    w_f = p.k.w2 + p.l.w2 + 4 * p.nu
     f = QSeries(f_coeffs, FormMeta(w_f, 4, CharacterMod4.TRIVIAL))
-    return f, QSeries(g_coeffs, FormMeta(case.l.w2, 4, CharacterMod4.TRIVIAL))
+    return f, QSeries(g_coeffs, FormMeta(p.l.w2, 4, CharacterMod4.TRIVIAL))
 
 
-def _brute_l_sum(f, g, p, n, s, M):
+def _brute_l_sum(f, g, p, n, M):
     total = mpmath.mpf(0)
+    s = _to_mpf(Fraction(p.k.w2 + p.l.w2, 2) + 2 * p.nu - 1)
     for m in range(M + 1):
         term = f.coeff(n + m) * g.coeff(m) * alpha_coeff(p, n, m)
-        total += _to_mpf(term) * mpmath.power(n + m, -_to_mpf(s))
+        total += _to_mpf(term) * mpmath.power(n + m, -s)
     return total
 
 
 @pytest.mark.filterwarnings("ignore::rcadjoint.adjoint.HypothesisWarning")
 @pytest.mark.parametrize("sparse_g", [False, True], ids=["dense-g", "sparse-g"])
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
-@pytest.mark.parametrize("case_id", list(CaseId), ids=lambda c: c.name)
-def test_one_pass_sums_match_per_term_oracle(case_id, nu, sparse_g):
+@pytest.mark.parametrize("cid", list(CaseId), ids=lambda c: c.name)
+def test_one_pass_sums_match_per_term_oracle(cid, nu, sparse_g):
     # Sparse g has b(0) != 0, so the m = 0 term is checked there.
-    rng = random.Random(f"{case_id.name}/{nu}/{sparse_g}")
+    rng = random.Random(f"{cid.name}/{nu}/{sparse_g}")
     n_max, M = 4, 30
-    k2, l2 = ORACLE_WEIGHTS[case_id]
-    case = AdjointCase(TwiceWeight(k2), TwiceWeight(l2), nu)
-    assert case.case_id is case_id
-    p = BracketParams(case.k, case.l, nu)
-    f, g = _random_pair(rng, case, n_max, M, sparse_g)
-    s = case.gamma_s
+    k2, l2 = ORACLE_WEIGHTS[cid]
+    p = params(k2, l2, nu)
+    assert case_id(p) is cid
+    f, g = _random_pair(rng, p, n_max, M, sparse_g)
     ns = range(1, n_max + 1)
     with mpmath.workdps(50):
-        sums = _l_series_sums(f, g, p, ns, s, M)
+        sums = _l_series_sums(f, g, p, ns, M)
         for n, got in zip(ns, sums):
-            want = _brute_l_sum(f, g, p, n, s, M)
+            want = _brute_l_sum(f, g, p, n, M)
             assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
 
     # adjoint_coefficients is beta(n) times the per-n sum and tail bound.
     rows = adjoint_coefficients(f, g, nu, n_max, M)
-    tail = _tail_bound(f, g, p, s, M, 0.1)
+    tail = _tail_bound(f, g, p, M, 0.1)
     expected = []
     with mpmath.workdps(working_digits()):
         for n in ns:
-            (total,) = _l_series_sums(f, g, p, [n], s, M)
-            beta = beta_value(case, n)
+            (total,) = _l_series_sums(f, g, p, [n], M)
+            beta = beta_value(p, n)
             expected.append((n, float(beta * total), float(beta * tail)))
     assert rows == expected
 

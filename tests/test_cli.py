@@ -172,6 +172,16 @@ def _series_file(content):
 _THETA_META = '{"twice_weight": 1, "level": 4, "character": "trivial", '
 
 
+def _big_coefficient(tmp_path):
+    # 401 digits: a Python int, but out of float range for the tail fit.
+    path = tmp_path / "big.json"
+    coeffs = ["0/1", "1" + "0" * 400 + "/1"] + ["0/1"] * 51
+    path.write_text(json.dumps({"twice_weight": 13, "level": 4,
+                                "character": "trivial", "coeffs": coeffs}))
+    return ["adjoint", "--f", str(path), "--g", "theta", "--n-max", "2",
+            "--terms", "50"]
+
+
 def _epsilon(value):
     return lambda tmp_path: [
         "adjoint", "--case", "2", "--f-product", "theta", "delta_4_6",
@@ -199,6 +209,9 @@ def _tolerance(value):
         _series_file(_THETA_META + '"coeffs": [Infinity, "0/1", "0/1"]}'),
         _series_file(_THETA_META + '"coeffs": [true, false, "0/1"]}'),
         _series_file(_THETA_META + '"coeffs": [0.1, "0/1", "0/1"]}'),
+        # Strings that Fraction() reads but to_json_dict never writes.
+        _series_file(_THETA_META + '"coeffs": ["1e5", "0/1", "0/1"]}'),
+        _series_file(_THETA_META + '"coeffs": ["1.5", "0/1", "0/1"]}'),
         # Metadata that int() would have read as weight 12 and level 1.
         _series_file('{"twice_weight": 24.9, "level": 1, "character": "trivial", '
                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
@@ -217,12 +230,14 @@ def _tolerance(value):
         _tolerance("nan"),
         _tolerance("inf"),
         _tolerance("-1"),
+        _big_coefficient,
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
-         "infinity", "booleans", "float", "twice-weight-float", "level-bool",
+         "infinity", "booleans", "float", "exponent-string", "decimal-string",
+         "twice-weight-float", "level-bool",
          "deeply-nested", "directory", "output-dir-missing", "epsilon-nan",
          "epsilon-inf", "epsilon-zero", "epsilon-negative", "tolerance-nan",
-         "tolerance-inf", "tolerance-negative"],
+         "tolerance-inf", "tolerance-negative", "coefficient-out-of-float-range"],
 )
 def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     code = run(make_argv(tmp_path))
@@ -235,26 +250,56 @@ def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, hypothesis_lines",
+    "argv, hypothesis_lines, code",
     [
         (["adjoint", "--case", "integral", "--f", "delta", "--g", "E4",
-          "--nu", "2", "--n-max", "3", "--terms", "300"], 1),
+          "--nu", "2", "--n-max", "3", "--terms", "300"], 1, 0),
+        # An uncertified tail gives an infinite error budget: the ratio fails.
         (["verify", "ratio", "--case", "2", "--f-product", "theta",
           "delta_4_6", "--g", "theta", "--n-max", "3", "--terms", "400",
-          "--epsilon", "2"], 0),
+          "--epsilon", "2"], 0, 1),
         (["verify", "lambda", "--case", "integral", "--basis", "E4",
           "--g", "E6", "--nu", "1", "--n-max", "1", "--terms", "300",
-          "--epsilon", "3"], 1),
+          "--epsilon", "3"], 1, 0),
     ],
+    ids=["argv0-1", "argv1-0", "argv2-1"],
 )
-def test_each_hypothesis_warning_printed_once(argv, hypothesis_lines, capsys):
+def test_each_hypothesis_warning_printed_once(argv, hypothesis_lines, code, capsys):
     # Every run below has an uncertified tail for each n; one line says so.
-    assert run(argv) == 0
+    assert run(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert all(line.startswith("warning: ") for line in lines)
     tail = [line for line in lines if "tail exponent" in line]
     assert len(tail) == 1
     assert len(lines) - 1 == hypothesis_lines
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_error_budget_fails_the_ratio(tmp_path, capsys):
+    # Delta * E4^3 against g = E4^3: the non-cusp g leaves the tail
+    # uncertified (an infinite budget), and the spread is about 6.7; the
+    # budget must not excuse it.
+    e8, e12, de12 = (str(tmp_path / n) for n in ("e8.json", "e12.json", "de12.json"))
+    for argv in (
+        ["bracket", "--f", "E4", "--g", "E4", "--nu", "0", "--output", e8],
+        ["bracket", "--f", e8, "--g", "E4", "--nu", "0", "--output", e12],
+        ["bracket", "--f", "delta", "--g", e12, "--nu", "0", "--output", de12],
+    ):
+        assert run(argv + ["--precision", "700"]) == 0
+    code = run(["verify", "ratio", "--f", de12, "--g", e12, "--basis", "delta",
+                "--n-max", "10", "--terms", "600"])
+    verdict = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert verdict["pass"] is False
+    assert verdict["error_budget"] is None
+    assert verdict["spread"] > 1
 
 
 def test_debug_route_log_leaves_output_unchanged(capsys, caplog):

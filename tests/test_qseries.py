@@ -257,6 +257,13 @@ class TestJsonFormat:
         assert d["twice_weight"] is None
         assert QSeries.from_json_dict(d).meta is None
 
+    def test_only_the_written_coefficient_format_is_read(self):
+        # Fraction(str) would build 10**3000000 before anything failed.
+        with pytest.raises(ValueError, match=r"bad coefficient '1e3000000'"):
+            QSeries.from_json_dict({"coeffs": ["1e3000000"]})
+        read = QSeries.from_json_dict({"coeffs": ["-3/4", "+5", "0/1", 7]})
+        assert read.coeffs == (Fraction(-3, 4), 5, 0, 7)
+
 
 # Series of 1..40 coefficients: fractional, negative, and all-zero.
 core_coeffs = st.one_of(
