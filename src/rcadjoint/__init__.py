@@ -31,8 +31,10 @@ from .adjoint import (
     validate_hypotheses,
 )
 from .verify import (
+    LambdaReport,
     RatioReport,
     lambda_from_first_coefficient,
+    lambda_test,
     ratio_test,
     rewritten_sum_report,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "CaseId",
     "CharacterMod4",
     "FormMeta",
+    "LambdaReport",
     "QSeries",
     "RatioReport",
     "TailProfile",
@@ -59,6 +62,7 @@ __all__ = [
     "fit_tail_profile",
     "gamma_s",
     "lambda_from_first_coefficient",
+    "lambda_test",
     "make_eisenstein",
     "make_eta_product",
     "make_theta",

@@ -29,7 +29,7 @@ from .adjoint import (
 from .bracket import BracketParams, TwiceWeight, rc_bracket
 from .forms import catalog_get, catalog_names
 from .qseries import QSeries, series_mul
-from .verify import lambda_from_first_coefficient, ratio_test, rewritten_sum_report
+from .verify import lambda_test, ratio_test, rewritten_sum_report
 
 
 class UsageError(Exception):
@@ -242,11 +242,14 @@ def _cmd_verify_lambda(args) -> int:
     p = _make_case(args, "verify lambda", h_w2, g_w2)
     f, g = build_f(), build_g()
     with _hypothesis_warnings():
-        lam = lambda_from_first_coefficient(
-            f, g, args.nu, M=args.terms, epsilon=args.epsilon
-        )
+        report = lambda_test(f, g, args.nu, M=args.terms, epsilon=args.epsilon)
     config = f"case {case_id(p).value}, nu={args.nu}, f={args.basis}, g={args.g}"
-    return _verdict(args, config, {"lambda": lam, "M": args.terms}, True)
+    return _verdict(
+        args,
+        config,
+        {"lambda": report.lam, "error_budget": report.error_budget, "M": args.terms},
+        report.passed,
+    )
 
 
 def _cmd_verify_rewritten(args) -> int:

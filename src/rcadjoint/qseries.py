@@ -309,24 +309,56 @@ def make_theta(precision: int) -> QSeries:
     return _from_ints(num, 1, FormMeta(1, 4, CharacterMod4.TRIVIAL))
 
 
-def _euler_factor(step: int, exponent: int, prec: int) -> list:
-    """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent.
+def _power_product(powers, size: int) -> list:
+    """prod base^n over the (base, n) pairs, to size coefficients.
 
-    In x = q^step this is P = B^e for the pentagonal series
-    B = prod (1 - x^n) = sum_k (-1)^k x^(k(3k-1)/2), which has B_0 = 1.
-    Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7),
-    n P_n = sum_{j=1..n} ((e+1) j - n) B_j P_(n-j),
-    gives P exactly in integers for every integer e, negative included.
+    Each power is built by square-and-multiply and every product goes
+    through convolve_exact; the first factor is taken as it is, so only
+    an empty product (every n zero) is the series 1.
     """
-    size = (prec - 1) // step + 1  # coefficients of x^0 .. x^(size-1)
-    pentagonal = []  # (j, B_j) for the nonzero B_j with 1 <= j < size
-    k = 1
+    result = None
+    for base, n in powers:
+        while n:
+            if n & 1:
+                result = base if result is None else convolve_exact(result, base, size)
+            n >>= 1
+            if n:
+                base = convolve_exact(base, base, size)
+    return [1] + [0] * (size - 1) if result is None else result
+
+
+def _pentagonal(size: int) -> list:
+    """B = prod (1 - x^n) = sum_k (-1)^k x^(k(3k-1)/2), k over all integers
+    (Euler's pentagonal number theorem), to size coefficients."""
+    b = [0] * size
+    k = 0
     while k * (3 * k - 1) // 2 < size:
-        sign = -1 if k % 2 else 1
         for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
             if j < size:
-                pentagonal.append((j, sign))
+                b[j] = -1 if k % 2 else 1
         k += 1
+    return b
+
+
+def _jacobi(size: int) -> list:
+    """J = prod (1 - x^n)^3 = sum_{k>=0} (-1)^k (2k+1) x^(k(k+1)/2)
+    (Jacobi's identity; Hardy & Wright, Thm 357), to size coefficients."""
+    jac = [0] * size
+    k = 0
+    while k * (k + 1) // 2 < size:
+        jac[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return jac
+
+
+def _miller_power(exponent: int, size: int) -> list:
+    """B^exponent to size coefficients, for any integer exponent.
+
+    Miller's power recurrence (Knuth, TAOCP Vol. 2, 4.7) on the sparse
+    B, n P_n = sum_{j=1..n} ((e+1) j - n) B_j P_(n-j), is exact in
+    integers; it costs O(size^1.5) Python-int steps.
+    """
+    pentagonal = [(j, bj) for j, bj in enumerate(_pentagonal(size)) if bj][1:]
     e1 = exponent + 1
     p = [0] * size
     p[0] = 1
@@ -339,6 +371,27 @@ def _euler_factor(step: int, exponent: int, prec: int) -> list:
         p[n], rem = divmod(acc, n)
         if rem:
             raise ArithmeticError(f"Miller recurrence: {n} does not divide {acc}")
+    return p
+
+
+def _euler_factor(step: int, exponent: int, prec: int) -> list:
+    """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent.
+
+    In x = q^step this is B^e for the pentagonal series B = prod (1 - x^n).
+    For e >= 0 it is J^(e // 3) * B^(e % 3), with J = B^3 the sparse
+    series of Jacobi's identity: a few products by square-and-multiply,
+    all through convolve_exact, where the sparse first ones take the
+    sparse route and the dense later ones the certified FFT route.
+    For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
+    first need a dense series inverse, while Miller's recurrence gives
+    B^e directly, so negative exponents keep it.
+    """
+    size = (prec - 1) // step + 1  # coefficients of x^0 .. x^(size-1)
+    if exponent < 0:
+        p = _miller_power(exponent, size)
+    else:
+        q, r = divmod(exponent, 3)
+        p = _power_product([(_jacobi(size), q), (_pentagonal(size), r)], size)
     out = [0] * prec
     out[::step] = p
     return out
@@ -353,7 +406,13 @@ def make_eta_product(
 
     Each eta factor contributes a leading power q^(multiplier*exponent/24);
     the total leading power must be a nonnegative integer, otherwise the
-    product is not a q-series and we refuse.
+    product is not a q-series and we refuse.  The rest of factor i is
+    prod_n (1 - q^(multiplier_i n))^exponent_i (``_euler_factor``): for a
+    nonnegative exponent e, J^(e // 3) * B^(e % 3) from Jacobi's identity
+    prod (1 - x^n)^3 = sum_k (-1)^k (2k+1) x^(k(k+1)/2) and the pentagonal
+    series B; for a negative one, Miller's recurrence, since powers of J
+    and B reach it only through a series inverse.  The factors are
+    multiplied with convolve_exact, starting from the first one.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -371,10 +430,9 @@ def make_eta_product(
     if shift >= precision:
         return _from_ints([0] * precision, 1, meta)
     inner = precision - shift
-    prod = [0] * inner
-    prod[0] = 1
-    for mult, expo in factors:
-        prod = convolve_exact(prod, _euler_factor(mult, expo, inner), inner)
+    prod = _power_product(
+        ((_euler_factor(mult, expo, inner), 1) for mult, expo in factors), inner
+    )
     return _from_ints([0] * shift + prod, 1, meta)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import mpmath
@@ -46,6 +47,27 @@ class RatioReport:
     passed: bool
 
 
+@dataclass(frozen=True)
+class LambdaReport:
+    """The eigenvalue read off one adjoint coefficient, with its budget."""
+
+    lam: float  # c(m0) / a(m0)
+    error_budget: float  # propagated err / |c(m0)|
+    passed: bool
+
+
+def _coefficient_float(a: Fraction, name: str) -> float:
+    """A nonzero coefficient as a nonzero finite float, or a ValueError
+    naming it when a float overflows or rounds it to zero."""
+    try:
+        value = float(a)
+    except OverflowError:
+        value = math.inf
+    if value == 0 or math.isinf(value):
+        raise ValueError(f"{name} is out of float range")
+    return value
+
+
 def ratio_test(
     c_list: Sequence[Tuple[int, float, float]],
     basis_form: QSeries,
@@ -61,7 +83,7 @@ def ratio_test(
         a = basis_form.coeff(n)
         if a == 0:
             continue
-        ratios.append((n, c_n / float(a)))
+        ratios.append((n, c_n / _coefficient_float(a, f"basis coefficient {n}")))
         if c_n != 0:
             budget = max(budget, abs(err) / abs(c_n))
     if not ratios:
@@ -81,6 +103,39 @@ def ratio_test(
     )
 
 
+def lambda_test(
+    f: QSeries,
+    g: QSeries,
+    nu: int,
+    M: int,
+    epsilon: float = DEFAULT_EPSILON,
+) -> LambdaReport:
+    """The eigenvalue of the adjoint composed with the bracket map on f.
+
+    Computes h = [f, g]_nu with the weights of f's and g's metadata,
+    applies the adjoint formula at the index m0 of f's first nonzero
+    coefficient, and divides: lambda = c(m0) / a(m0).  The composition is
+    positive semidefinite, so lambda passes when its budget err/|c(m0)|
+    is finite and lambda >= -|lambda| * budget; c(m0) = 0 has no relative
+    budget and fails.
+    """
+    m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
+    if m0 is None:
+        raise ValueError("f is the zero series")
+    a_m0 = _coefficient_float(f.coeff(m0), f"f coefficient {m0}")
+    k2, l2 = _twice_weights(f, g)
+    h = rc_bracket(f, g, BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu))
+    rows = adjoint_coefficients(h, g, nu, n_max=m0, M=M, epsilon=epsilon)
+    _, c_m0, err = rows[m0 - 1]
+    lam = c_m0 / a_m0
+    budget = abs(err) / abs(c_m0) if c_m0 else math.inf
+    return LambdaReport(
+        lam=lam,
+        error_budget=budget,
+        passed=math.isfinite(budget) and lam >= -abs(lam) * budget,
+    )
+
+
 def lambda_from_first_coefficient(
     f: QSeries,
     g: QSeries,
@@ -88,20 +143,8 @@ def lambda_from_first_coefficient(
     M: int,
     epsilon: float = DEFAULT_EPSILON,
 ) -> float:
-    """The eigenvalue of the adjoint composed with the bracket map on f.
-
-    Computes h = [f, g]_nu with the weights of f's and g's metadata,
-    applies the adjoint formula at the index m0 of f's first nonzero
-    coefficient, and divides: lambda = c(m0) / a(m0).
-    """
-    m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
-    if m0 is None:
-        raise ValueError("f is the zero series")
-    k2, l2 = _twice_weights(f, g)
-    h = rc_bracket(f, g, BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu))
-    rows = adjoint_coefficients(h, g, nu, n_max=m0, M=M, epsilon=epsilon)
-    _, c_m0, _ = rows[m0 - 1]
-    return c_m0 / float(f.coeff(m0))
+    """lambda_test's eigenvalue c(m0) / a(m0) alone."""
+    return lambda_test(f, g, nu, M, epsilon).lam
 
 
 def rewritten_sum_report(M: int) -> Tuple[float, float]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import re
@@ -42,6 +43,22 @@ class TestExpand:
     def test_unknown_form(self, capsys):
         assert run(["expand", "--form", "nosuch", "--precision", "5"]) == 2
         assert "unknown form" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "form, precision, digest",
+        [
+            ("delta_4_6", "20011",
+             "2b557cb1c2b2ec8fc27d5a631940d8af5f8d73e017219d0167baa338eb48c368"),
+            ("delta", "8000",
+             "27c4e4aa4b8dc312e16385668c6ae7ee20d719fb8b0748f2035367f2b16c88d1"),
+        ],
+    )
+    def test_eta_products_byte_identical(self, form, precision, digest, capsys):
+        # Digests of the expansions built by Miller's recurrence alone:
+        # building eta powers through Jacobi's identity changes no byte.
+        assert run(["expand", "--form", form, "--precision", precision]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBracket:
@@ -182,6 +199,20 @@ def _big_coefficient(tmp_path):
             "--terms", "50"]
 
 
+def _basis_coefficient(text):
+    # A basis coefficient that float() overflows, or rounds to 0.0.
+    def make_argv(tmp_path):
+        path = tmp_path / "basis.json"
+        coeffs = ["0/1", text, "0/1", "0/1"]
+        path.write_text(json.dumps({"twice_weight": 24, "level": 4,
+                                    "character": "trivial", "coeffs": coeffs}))
+        return ["verify", "ratio", "--f-product", "theta", "delta_4_6",
+                "--g", "theta", "--basis", str(path), "--n-max", "3",
+                "--terms", "200"]
+
+    return make_argv
+
+
 def _epsilon(value):
     return lambda tmp_path: [
         "adjoint", "--case", "2", "--f-product", "theta", "delta_4_6",
@@ -231,13 +262,16 @@ def _tolerance(value):
         _tolerance("inf"),
         _tolerance("-1"),
         _big_coefficient,
+        _basis_coefficient("1" + "0" * 400),
+        _basis_coefficient("1/1" + "0" * 400),
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
          "infinity", "booleans", "float", "exponent-string", "decimal-string",
          "twice-weight-float", "level-bool",
          "deeply-nested", "directory", "output-dir-missing", "epsilon-nan",
          "epsilon-inf", "epsilon-zero", "epsilon-negative", "tolerance-nan",
-         "tolerance-inf", "tolerance-negative", "coefficient-out-of-float-range"],
+         "tolerance-inf", "tolerance-negative", "coefficient-out-of-float-range",
+         "basis-coefficient-overflow", "basis-coefficient-underflow"],
 )
 def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     code = run(make_argv(tmp_path))
@@ -258,9 +292,10 @@ def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
         (["verify", "ratio", "--case", "2", "--f-product", "theta",
           "delta_4_6", "--g", "theta", "--n-max", "3", "--terms", "400",
           "--epsilon", "2"], 0, 1),
+        # The same infinite budget fails the lambda verdict.
         (["verify", "lambda", "--case", "integral", "--basis", "E4",
           "--g", "E6", "--nu", "1", "--n-max", "1", "--terms", "300",
-          "--epsilon", "3"], 1, 0),
+          "--epsilon", "3"], 1, 1),
     ],
     ids=["argv0-1", "argv1-0", "argv2-1"],
 )
@@ -352,7 +387,7 @@ def test_target_weight_at_most_one_stops_before_the_sum(monkeypatch, capsys):
                "--n-max", "2", "--terms", "50"]),
         ("3", ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "E4",
                "--n-max", "2", "--terms", "50", "--format", "json"]),
-        ("integral", ["verify", "lambda", "--basis", "E4", "--g", "E6",
+        ("integral", ["verify", "lambda", "--basis", "delta", "--g", "E4",
                       "--nu", "1", "--n-max", "1", "--terms", "300"]),
     ],
 )

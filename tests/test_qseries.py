@@ -12,6 +12,7 @@ from rcadjoint.qseries import (
     QSeries,
     _euler_factor,
     _from_ints,
+    _miller_power,
     apply_D,
     bernoulli_number,
     make_eisenstein,
@@ -26,6 +27,7 @@ from oracles import (
     bernoulli_oracle,
     delta_4_6_oracle,
     delta_oracle,
+    eta_power_oracle,
     naive_mul,
     two_squares_count,
 )
@@ -208,6 +210,27 @@ class TestEtaProduct:
 
     def test_shift_beyond_precision(self):
         assert make_eta_product([(1, 24)], 1).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(-24, 24),
+        st.sampled_from([1, 2, 4]),
+        st.one_of(st.integers(1, 60), st.integers(1, 500)),
+    )
+    def test_euler_factor_against_miller_and_oracle(self, exponent, step, prec):
+        size = (prec - 1) // step + 1
+        got = _euler_factor(step, exponent, prec)
+        assert len(got) == prec
+        assert all(got[i] == 0 for i in range(prec) if i % step)
+        assert got[::step] == _miller_power(exponent, size)
+        if prec <= 60:
+            # Not resting on the recurrence: the naive expansion of the
+            # product, or for a negative exponent, of its inverse.
+            oracle = eta_power_oracle(abs(exponent), size)
+            if exponent >= 0:
+                assert got[::step] == oracle
+            else:
+                assert naive_mul(got[::step], oracle, size) == [1] + [0] * (size - 1)
 
 
 class TestEisenstein:

@@ -8,6 +8,7 @@ from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import QSeries, series_mul
 from rcadjoint.verify import (
     lambda_from_first_coefficient,
+    lambda_test,
     ratio_test,
     rewritten_sum_report,
 )
@@ -68,6 +69,15 @@ class TestLambdaEstimates:
         theta, d46, rows, M = sec5_rows
         report = ratio_test(rows, d46, tolerance=1e-3)
         assert report.lam > report.error_budget > 0
+
+    def test_lambda_budget_is_its_row(self, sec5_rows):
+        # h = [d46, theta]_0 is the product the rows were computed from.
+        theta, d46, rows, M = sec5_rows
+        n, c_1, err = rows[0]
+        report = lambda_test(d46, theta, 0, M=M)
+        assert (n, report.lam) == (1, c_1)
+        assert report.error_budget == abs(err) / abs(c_1)
+        assert report.passed and 0 < report.error_budget < 1e-2
 
     def test_synthetic_rescaled_basis(self, sec5_rows):
         theta, d46, rows, M = sec5_rows
