@@ -18,7 +18,7 @@ from .bracket import (
     rc_bracket,
     rc_coefficient,
 )
-from .forms import catalog_get, check_cusp_at_infinity, check_hecke_multiplicativity
+from .forms import catalog_get, check_hecke_multiplicativity
 from .adjoint import (
     CaseId,
     TailProfile,
@@ -30,14 +30,7 @@ from .adjoint import (
     gamma_s,
     validate_hypotheses,
 )
-from .verify import (
-    LambdaReport,
-    RatioReport,
-    lambda_from_first_coefficient,
-    lambda_test,
-    ratio_test,
-    rewritten_sum_report,
-)
+from .verify import RatioReport, lambda_test, ratio_test
 
 __version__ = "0.1.0"
 
@@ -46,7 +39,6 @@ __all__ = [
     "CaseId",
     "CharacterMod4",
     "FormMeta",
-    "LambdaReport",
     "QSeries",
     "RatioReport",
     "TailProfile",
@@ -57,11 +49,9 @@ __all__ = [
     "beta_value",
     "case_id",
     "catalog_get",
-    "check_cusp_at_infinity",
     "check_hecke_multiplicativity",
     "fit_tail_profile",
     "gamma_s",
-    "lambda_from_first_coefficient",
     "lambda_test",
     "make_eisenstein",
     "make_eta_product",
@@ -69,7 +59,6 @@ __all__ = [
     "ratio_test",
     "rc_bracket",
     "rc_coefficient",
-    "rewritten_sum_report",
     "series_add",
     "series_mul",
     "validate_hypotheses",

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: expand, bracket, adjoint, verify (ratio | lambda |
-rewritten).  Data goes to stdout or --output; diagnostics (hypothesis
-warnings, tail-bound notes) go to stderr.  Exit codes: 0 success/pass,
-1 verification failure, 2 usage error.
+Subcommands: expand, bracket, adjoint, verify (ratio: the shape check,
+c(n) proportional to a basis form | lambda: the sign check, lambda >= 0
+for the bracket of the basis form itself).  Data goes to stdout or
+--output; diagnostics (hypothesis warnings, tail-bound notes) go to
+stderr.  Exit codes: 0 success/pass, 1 verification failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .adjoint import (
 from .bracket import BracketParams, TwiceWeight, rc_bracket
 from .forms import catalog_get, catalog_names
 from .qseries import QSeries, series_mul
-from .verify import lambda_test, ratio_test, rewritten_sum_report
+from .verify import lambda_test, ratio_test
 
 
 class UsageError(Exception):
@@ -252,20 +254,6 @@ def _cmd_verify_lambda(args) -> int:
     )
 
 
-def _cmd_verify_rewritten(args) -> int:
-    faithful, rewritten = rewritten_sum_report(args.terms)
-    return _verdict(
-        args,
-        "theta against the weight-6 level-4 newform",
-        {
-            "faithful_sum": faithful,
-            "squares_indexed_sum": rewritten,
-            "M": args.terms,
-        },
-        faithful > 0,
-    )
-
-
 def _add_adjoint_flags(p, with_f=True):
     if with_f:
         p.add_argument("--f", help="cusp form: catalog name or series file")
@@ -324,15 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_nonneg_float, default=1e-3)
     p.set_defaults(func=_cmd_verify_ratio)
 
-    p = vsub.add_parser("lambda", help="eigenvalue from the first coefficient")
+    p = vsub.add_parser("lambda", help="sign of the eigenvalue on the basis form")
     _add_adjoint_flags(p, with_f=False)
     p.add_argument("--basis", help="generator f of the 1-dim space")
     p.set_defaults(func=_cmd_verify_lambda)
-
-    p = vsub.add_parser("rewritten", help="the two positivity partial sums")
-    p.add_argument("--terms", type=_nonneg_int, required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_verify_rewritten)
 
     return parser
 

@@ -54,11 +54,6 @@ def catalog_get(name: str, precision: int) -> QSeries:
     return builder(precision)
 
 
-def check_cusp_at_infinity(f: QSeries) -> bool:
-    """Partial cusp check: vanishing of the constant term only."""
-    return f.coeff(0) == 0
-
-
 def check_hecke_multiplicativity(
     f: QSeries, pairs: Sequence[Tuple[int, int]]
 ) -> List[bool]:

@@ -166,12 +166,21 @@ class TestVerify:
         assert code == 0
         assert out["lambda"] > 0
 
-    def test_rewritten_subcommand(self, capsys):
-        code = run(["verify", "rewritten", "--terms", "500"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert out["faithful_sum"] > 0
-        assert "squares_indexed_sum" in out
+    def test_ratio_checks_rows_where_the_basis_vanishes(self, tmp_path, capsys):
+        # A basis with a(1) = 1 and no other nonzero coefficient: c(3) and
+        # c(5) of theta * Delta_{4,6} (about -8.14 and 36.6) are not zero.
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({
+            "twice_weight": 12, "level": 4, "character": "trivial",
+            "coeffs": ["0/1", "1/1"] + ["0/1"] * 2100,
+        }))
+        code = run(["verify", "ratio", "--f-product", "theta", "delta_4_6",
+                    "--g", "theta", "--basis", str(path), "--n-max", "10",
+                    "--terms", "2000"])
+        verdict = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert verdict["pass"] is False
+        assert verdict["spread"] == 0.0
 
     def test_missing_subcommand_is_usage_error(self):
         assert run(["verify"]) == 2
@@ -209,6 +218,19 @@ def _basis_coefficient(text):
         return ["verify", "ratio", "--f-product", "theta", "delta_4_6",
                 "--g", "theta", "--basis", str(path), "--n-max", "3",
                 "--terms", "200"]
+
+    return make_argv
+
+
+def _f_coefficient(text):
+    # verify lambda's f with an a(1) that float() overflows, or rounds to 0.0.
+    def make_argv(tmp_path):
+        path = tmp_path / "f.json"
+        coeffs = ["0/1", text] + ["0/1"] * 60
+        path.write_text(json.dumps({"twice_weight": 24, "level": 1,
+                                    "character": "trivial", "coeffs": coeffs}))
+        return ["verify", "lambda", "--basis", str(path), "--g", "E4",
+                "--n-max", "1", "--terms", "50"]
 
     return make_argv
 
@@ -264,6 +286,8 @@ def _tolerance(value):
         _big_coefficient,
         _basis_coefficient("1" + "0" * 400),
         _basis_coefficient("1/1" + "0" * 400),
+        _f_coefficient("1" + "0" * 400),
+        _f_coefficient("1/1" + "0" * 400),
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
          "infinity", "booleans", "float", "exponent-string", "decimal-string",
@@ -271,7 +295,8 @@ def _tolerance(value):
          "deeply-nested", "directory", "output-dir-missing", "epsilon-nan",
          "epsilon-inf", "epsilon-zero", "epsilon-negative", "tolerance-nan",
          "tolerance-inf", "tolerance-negative", "coefficient-out-of-float-range",
-         "basis-coefficient-overflow", "basis-coefficient-underflow"],
+         "basis-coefficient-overflow", "basis-coefficient-underflow",
+         "f-coefficient-overflow", "f-coefficient-underflow"],
 )
 def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     code = run(make_argv(tmp_path))
@@ -281,6 +306,20 @@ def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     # Our own errors start the line; argparse prefixes the program name.
     assert re.search(r"^(rcadjoint[\w ]*: )?error: ", err, re.M)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 400, "1/1" + "0" * 400])
+def test_f_coefficient_out_of_float_range_stops_before_the_bracket(
+    text, tmp_path, monkeypatch, capsys
+):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("L-series sum started")
+
+    monkeypatch.setattr(adjoint_module, "_l_series_sums", no_sum)
+    assert run(_f_coefficient(text)(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: f coefficient 1 is out of float range\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from rcadjoint.forms import (
     catalog_get,
     catalog_names,
-    check_cusp_at_infinity,
     check_hecke_multiplicativity,
 )
 
@@ -23,7 +22,7 @@ def test_delta_4_6_entry():
     assert [int(c) for c in d.coeffs] == [0, 1, 0]
     assert d.meta.twice_weight == 12
     assert d.meta.level == 4
-    assert check_cusp_at_infinity(d)
+    assert d.coeff(0) == 0
 
 
 def test_unknown_name():
@@ -43,11 +42,11 @@ def test_precision_monotone(name):
 
 
 def test_cusp_flags():
-    assert check_cusp_at_infinity(catalog_get("delta_4_6", 5))
-    assert check_cusp_at_infinity(catalog_get("delta", 5))
-    assert not check_cusp_at_infinity(catalog_get("theta", 5))
-    assert not check_cusp_at_infinity(catalog_get("E4", 5))
-    assert not check_cusp_at_infinity(catalog_get("E6", 5))
+    assert catalog_get("delta_4_6", 5).coeff(0) == 0
+    assert catalog_get("delta", 5).coeff(0) == 0
+    assert catalog_get("theta", 5).coeff(0) != 0
+    assert catalog_get("E4", 5).coeff(0) != 0
+    assert catalog_get("E6", 5).coeff(0) != 0
 
 
 def test_delta_hecke_pair():

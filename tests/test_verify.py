@@ -1,17 +1,9 @@
-from fractions import Fraction
-
-import mpmath
 import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import QSeries, series_mul
-from rcadjoint.verify import (
-    lambda_from_first_coefficient,
-    lambda_test,
-    ratio_test,
-    rewritten_sum_report,
-)
+from rcadjoint.verify import lambda_test, ratio_test
 
 
 class TestRatioTest:
@@ -43,6 +35,33 @@ class TestRatioTest:
         assert len(report.ratios) == 2
         assert report.lam == 5.0
 
+    def test_row_off_the_basis_support_fails(self):
+        # a(2) = 0, so c(2) must vanish within err(2) + tolerance * |lambda|.
+        basis = QSeries([0, 2, 0, 4])
+        report = ratio_test(
+            [(1, 10.0, 0.0), (2, 0.1, 0.0), (3, 20.0, 0.0)], basis, 1e-3
+        )
+        assert (report.lam, report.spread, report.stray) == (5.0, 0.0, (2,))
+        assert not report.passed
+
+    @pytest.mark.parametrize("c_2, err_2", [(0.004, 0.0), (0.5, 0.6), (0.0, 0.0)])
+    def test_row_off_the_basis_support_within_budget_passes(self, c_2, err_2):
+        basis = QSeries([0, 2, 0, 4])
+        report = ratio_test(
+            [(1, 10.0, 0.0), (2, c_2, err_2), (3, 20.0, 0.0)], basis, 1e-3
+        )
+        assert report.stray == ()
+        assert report.passed
+
+    def test_vanishing_c_at_a_basis_index_has_no_budget(self):
+        # The zero map is proportional to every basis with lambda = 0, but
+        # c(n) = 0 at a(n) != 0 has no relative budget: it fails.
+        basis = QSeries([0, 1, -3, 0, 7])
+        report = ratio_test([(n, 0.0, 0.0) for n in range(1, 5)], basis, 1e-3)
+        assert (report.lam, report.spread) == (0.0, 0.0)
+        assert report.error_budget == float("inf")
+        assert not report.passed
+
 
 class TestLambdaEstimates:
     @pytest.fixture(scope="class")
@@ -59,7 +78,7 @@ class TestLambdaEstimates:
     def test_mean_and_first_coefficient_agree(self, sec5_rows):
         theta, d46, rows, M = sec5_rows
         report = ratio_test(rows, d46, tolerance=1e-3)
-        lam0 = lambda_from_first_coefficient(d46, theta, 0, M=M)
+        lam0 = lambda_test(d46, theta, 0, M=M).lam
         assert report.passed
         assert abs(lam0 - report.lam) <= abs(report.lam) * (
             report.error_budget + 1e-6
@@ -83,8 +102,8 @@ class TestLambdaEstimates:
         theta, d46, rows, M = sec5_rows
         # basis with a(1) = 2: lambda halves
         doubled = QSeries([2 * c for c in d46.coeffs], d46.meta)
-        lam = lambda_from_first_coefficient(doubled, theta, 0, M=M)
-        lam_ref = lambda_from_first_coefficient(d46, theta, 0, M=M)
+        lam = lambda_test(doubled, theta, 0, M=M).lam
+        lam_ref = lambda_test(d46, theta, 0, M=M).lam
         # c(1) scales with the doubled input, a(1) = 2 divides it back out
         assert lam == pytest.approx(lam_ref, rel=1e-12)
 
@@ -92,34 +111,10 @@ class TestLambdaEstimates:
         M, prec = 1200, 1211
         e4 = catalog_get("E4", prec)
         delta = catalog_get("delta", prec)
-        lam = lambda_from_first_coefficient(delta, e4, 0, M=M)
+        lam = lambda_test(delta, e4, 0, M=M).lam
         assert lam > 0
 
     def test_zero_series_rejected(self):
         zero = QSeries([0] * 50)
         with pytest.raises(ValueError, match="zero series"):
-            lambda_from_first_coefficient(zero, catalog_get("theta", 50), 0, M=10)
-
-
-class TestRewrittenSum:
-    def test_zero_terms(self):
-        assert rewritten_sum_report(0) == (0.0, 0.0)
-
-    def test_single_term_matches_manual(self):
-        theta = catalog_get("theta", 3)
-        d46 = catalog_get("delta_4_6", 3)
-        a2 = series_mul(theta, d46).coeff(2)
-        expected = float(a2) * 2 / 2 ** (11 / 2)
-        faithful, _ = rewritten_sum_report(1)
-        assert faithful == pytest.approx(expected, rel=1e-14)
-
-    def test_faithful_sum_positive(self):
-        faithful, rewritten = rewritten_sum_report(1000)
-        assert faithful > 0
-        # the rewritten squares-indexed sum is reported, not asserted
-        assert isinstance(rewritten, float)
-
-    def test_converges(self):
-        f1, _ = rewritten_sum_report(500)
-        f2, _ = rewritten_sum_report(1000)
-        assert f1 == pytest.approx(f2, rel=1e-3)
+            lambda_test(zero, catalog_get("theta", 50), 0, M=10).lam
