@@ -17,15 +17,14 @@ hypotheses differ between them.  The Dirichlet series runs over m >= 0
 and carries a bound on its truncation error from empirical
 coefficient-growth profiles.
 
-The series arithmetic upstream is exact; the L-sums and Gamma factors
-here run at RC_ADJOINT_PRECISION_DIGITS significant decimal digits
-(default 50, at most 10000) via mpmath.
+The series arithmetic upstream is exact.  Each L-sum is an integer sum
+within 2^-168 times its terms' absolute sum (``_l_series_sums``); beta and
+one division per sum run in mpmath, at DIGITS = 50 decimal digits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -38,25 +37,9 @@ from mpmath import mpf
 from .bracket import BracketParams, TwiceWeight, rc_coefficient
 from .qseries import QSeries, _lowest_terms
 
-PRECISION_ENV = "RC_ADJOINT_PRECISION_DIGITS"
-DIGITS_RANGE = (15, 10000)
+DIGITS = 50
+GUARD_BITS = 168
 DEFAULT_EPSILON = 0.1
-
-
-def working_digits() -> int:
-    raw = os.environ.get(PRECISION_ENV, "").strip()
-    if not raw:
-        return 50
-    lo, hi = DIGITS_RANGE
-    try:
-        digits = int(raw)
-    except ValueError:
-        digits = None
-    if digits is None or not lo <= digits <= hi:
-        raise ValueError(
-            f"{PRECISION_ENV} must be an integer from {lo} to {hi}, got {raw!r}"
-        )
-    return digits
 
 
 class HypothesisWarning(UserWarning):
@@ -215,23 +198,28 @@ def _l_series_sums(
     p: BracketParams,
     ns: Sequence[int],
     M: int,
-) -> List[mpf]:
+) -> List[Fraction]:
     """Partial sums of sum_m a(n+m) b(m) alpha(k,l,nu;n,m) (n+m)^-gamma.
 
-    Summed over m = 0..M for every n in ns, in one pass, at working
-    precision; coefficients must be real, so the conjugate on b is the
-    identity.  The m = 0 term b(0) a(n) c_nu n^nu n^-s is the one the
-    unfolding picks up when g is not a cusp form.  gamma is ``gamma_s(p)``.
+    Summed over m = 0..M for every n in ns, in one pass, in integers;
+    coefficients must be real, so the conjugate on b is the identity.  The
+    m = 0 term b(0) a(n) c_nu n^nu n^-s is the one the unfolding picks up
+    when g is not a cusp form.  gamma is ``gamma_s(p)``.
 
     Denominators are cleared once, so each term is an exact integer
-    B_m * alpha(n,m) times a shared mpf weight w_j = A_j j^-gamma, j = n+m;
-    w_j is computed the first time a nonzero b(m) reaches j.  Each sum is
-    divided by the common denominator once.
+    B_m * alpha(n,m) times a shared integer weight w_j = A_j floor(2^P
+    j^-gamma), j = n+m, computed the first time a nonzero b(m) reaches j.
+    P = GUARD_BITS + ceil(gamma * bit_length(max(ns) + M)) keeps every
+    floor above 2^GUARD_BITS, so each returned Fraction is within 2^-168
+    times the sum of the terms' absolute values of the exact partial sum.
     """
     if min(ns) < 1:
         raise ValueError("n must be positive")
     if M < 1:
         raise ValueError("M must be positive")
+    gamma = gamma_s(p)
+    if gamma < 0:
+        raise ValueError(f"gamma = {gamma} must be nonnegative (f of weight >= 1)")
     top = max(ns) + M
     if f.precision < top + 1:
         raise ValueError(
@@ -248,27 +236,28 @@ def _l_series_sums(
     A, da = _lowest_terms(f.num[: top + 1], f.den)
     Bm, db = _lowest_terms(g.num[: M + 1], g.den)
     B = [(m, b) for m, b in enumerate(Bm) if b]
-    with mpmath.workdps(working_digits()):
-        minus_gamma = -_to_mpf(gamma_s(p))
-        w = [None] * (top + 1)
-        sums = []
-        for n in ns:
-            # Horner in m, from m^nu (coefficient C_0) down to m^0 (C_nu n^nu).
-            horner = [C_r * n**r for r, C_r in enumerate(C)]
-            total = mpf(0)
-            for m, b in B:
-                j = n + m
-                wj = w[j]
-                if wj is None:
-                    a = A[j]
-                    wj = w[j] = mpf(a) * mpmath.power(j, minus_gamma) if a else 0
-                if not wj:
-                    continue
-                alpha = 0
-                for h in horner:
-                    alpha = alpha * m + h
-                total += wj * (b * alpha)
-            sums.append(total / (D * da * db))
+    two_gamma = int(2 * gamma)
+    P = GUARD_BITS + math.ceil(gamma * top.bit_length())
+    w = [None] * (top + 1)
+    sums = []
+    for n in ns:
+        # Horner in m, from m^nu (coefficient C_0) down to m^0 (C_nu n^nu).
+        horner = [C_r * n**r for r, C_r in enumerate(C)]
+        total = 0
+        for m, b in B:
+            j = n + m
+            wj = w[j]
+            if wj is None:
+                a = A[j]
+                # floor(2^P j^-gamma) = isqrt(floor(2^2P j^-2gamma)), exactly.
+                wj = w[j] = a * math.isqrt((1 << 2 * P) // j**two_gamma) if a else 0
+            if not wj:
+                continue
+            alpha = 0
+            for h in horner:
+                alpha = alpha * m + h
+            total += wj * (b * alpha)
+        sums.append(Fraction(total, D * da * db << P))
     return sums
 
 
@@ -320,10 +309,10 @@ def adjoint_coefficients(
     sums = _l_series_sums(f, g, p, ns, M)
     tail = _tail_bound(f, g, p, M, epsilon)
     rows = []
-    with mpmath.workdps(working_digits()):
+    with mpmath.workdps(DIGITS):
         for n, total in zip(ns, sums):
             beta = beta_value(p, n)
-            rows.append((n, float(beta * total), float(beta * tail)))
+            rows.append((n, float(beta * _to_mpf(total)), float(beta * tail)))
     return rows
 
 

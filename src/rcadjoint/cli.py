@@ -234,15 +234,23 @@ def _cmd_verify_ratio(args) -> int:
 
 
 def _cmd_verify_lambda(args) -> int:
-    precision = args.n_max + args.terms + 1
     if args.basis is None:
         raise UsageError("verify lambda needs --basis")
+    # Rows run to n = m0, f's first nonzero index: forms need m0 + terms + 1.
+    precision = args.terms + 2
     f_w2, build_f = _open_form(args.basis, precision)
-    g_w2, build_g = _open_form(args.g, precision)
+    g_w2, _ = _open_form(args.g, precision)
     # The adjoint is applied to [f, g]_nu, of twice-weight f_w2 + g_w2 + 4 nu.
     h_w2 = None if None in (f_w2, g_w2) else f_w2 + g_w2 + 4 * args.nu
     p = _make_case(args, "verify lambda", h_w2, g_w2)
-    f, g = build_f(), build_g()
+    f = build_f()
+    while True:
+        m0 = next((i for i, a in enumerate(f.num) if i and a), precision)
+        if m0 + args.terms < precision:
+            break
+        precision = m0 + args.terms + 1
+        f = _resolve_form(args.basis, precision)
+    g = _resolve_form(args.g, precision)
     with _hypothesis_warnings():
         report = lambda_test(f, g, args.nu, M=args.terms, epsilon=args.epsilon)
     config = f"case {case_id(p).value}, nu={args.nu}, f={args.basis}, g={args.g}"
@@ -270,7 +278,8 @@ def _add_adjoint_flags(p, with_f=True):
         help="optional: the weights fix the case; if given, it must match",
     )
     p.add_argument("--nu", type=_nonneg_int, default=0)
-    p.add_argument("--n-max", type=_positive_int, default=10)
+    if with_f:  # verify lambda's rows follow from its --basis
+        p.add_argument("--n-max", type=_positive_int, default=10)
     p.add_argument("--terms", type=_positive_int, default=20000)
     p.add_argument("--epsilon", type=_positive_float, default=0.1)
     p.add_argument("--output")

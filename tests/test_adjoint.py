@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.bracket as bracket_module
 from rcadjoint.adjoint import (
+    DIGITS,
+    GUARD_BITS,
     CaseId,
     HypothesisWarning,
     adjoint_case,
@@ -22,7 +24,6 @@ from rcadjoint.adjoint import (
     growth_exponent,
     rows_to_csv,
     validate_hypotheses,
-    working_digits,
     _l_series_sums,
     _tail_bound,
     _to_mpf,
@@ -221,10 +222,10 @@ class TestLSeriesValue:
         _, _, f = sec5_forms
         g = QSeries([1] + [0] * 2011, make_theta(2).meta)
         sums = _l_series_sums(f, g, SEC5, [1, 2, 3], 500)
-        with mpmath.workdps(working_digits()):
+        with mpmath.workdps(DIGITS):
             for n, got in zip([1, 2, 3], sums):
                 want = _to_mpf(f.coeff(n)) * mpmath.power(n, -mpmath.mpf(11) / 2)
-                assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
+                assert abs(_to_mpf(got) - want) <= mpmath.mpf(10) ** -45 * abs(want)
         assert _tail_bound(f, g, SEC5, 500, 0.1) == 0
 
     def test_positive_value(self, sec5_forms):
@@ -242,6 +243,16 @@ class TestLSeriesValue:
         theta, _, f = sec5_forms
         with pytest.raises(ValueError, match="M must be positive"):
             _l_series_sums(f, theta, SEC5, [1], M)
+
+    def test_negative_gamma_rejected(self):
+        # k = 5/2 with g of weight -2: f has weight 1/2, so gamma = -1/2,
+        # and the integer weights floor(2^P j^-gamma) are not defined.
+        f = QSeries([0, 1, 0, 0], FormMeta(1, 4, CharacterMod4.TRIVIAL))
+        g = QSeries([1, 0, 0], FormMeta(-4, 4, CharacterMod4.TRIVIAL))
+        p = adjoint_case(1, -4, 0)
+        assert gamma_s(p) == -HALF
+        with pytest.raises(ValueError, match="gamma = -1/2 must be nonnegative"):
+            _l_series_sums(f, g, p, [1], 2)
 
     def test_tail_monotone_in_M(self, sec5_forms):
         theta, _, f = sec5_forms
@@ -265,7 +276,7 @@ class TestLSeriesValue:
         rows_moved = adjoint_coefficients(f, moved, 1, n_max, M)
         c_nu = rc_coefficient(p, 1)
         assert c_nu == 4
-        with mpmath.workdps(working_digits()):
+        with mpmath.workdps(DIGITS):
             for (n, c, _), (_, c_moved, _) in zip(rows, rows_moved):
                 shift = (
                     beta_value(p, n)
@@ -369,18 +380,9 @@ class TestAdjointCoefficients:
         assert lines[1].startswith("1,0.5,")
 
 
-def test_env_precision_override(monkeypatch, sec5_forms):
-    theta, _, f = sec5_forms
-    monkeypatch.setenv("RC_ADJOINT_PRECISION_DIGITS", "30")
-    assert working_digits() == 30
-    rows30 = adjoint_coefficients(f, theta, 0, 1, 500)
-    monkeypatch.delenv("RC_ADJOINT_PRECISION_DIGITS")
-    rows50 = adjoint_coefficients(f, theta, 0, 1, 500)
-    assert rows30[0][1] == pytest.approx(rows50[0][1], rel=1e-20)
-
-
-def _random_pair(rng, p, n_max, M, sparse_g):
-    """Random f, g with fractional coefficients; f often vanishes where g does not."""
+def _random_pair(rng, p, n_max, M, sparse_g, f_from):
+    """Random f, g with fractional coefficients; f often vanishes where g
+    does not, and always below index f_from."""
 
     def rational():
         return Fraction(rng.randint(-60, 60) or 1, rng.choice([1, 2, 3, 7, 12]))
@@ -389,6 +391,7 @@ def _random_pair(rng, p, n_max, M, sparse_g):
         rational() if rng.random() < 0.6 else Fraction(0)
         for _ in range(n_max + M)
     ]
+    f_coeffs[:f_from] = [Fraction(0)] * f_from
     squares = {i * i for i in range(M + 1)}
     g_coeffs = [rational() if sparse_g else Fraction(0)] + [
         rational() if (m in squares or not sparse_g) else Fraction(0)
@@ -404,38 +407,48 @@ def _brute_l_sum(f, g, p, n, M):
     s = _to_mpf(Fraction(p.k.w2 + p.l.w2, 2) + 2 * p.nu - 1)
     for m in range(M + 1):
         term = f.coeff(n + m) * g.coeff(m) * alpha_coeff(p, n, m)
-        total += _to_mpf(term) * mpmath.power(n + m, -s)
+        if term:
+            total += _to_mpf(term) * mpmath.power(n + m, -s)
     return total
 
 
+# (k2, l2, nu, sparse_g, M, f_from): each case's weights at every nu, with
+# dense and sparse g; then dense_nu2's gamma = 19 at top = 2504, with f
+# vanishing below 2000, so every weight j^-19 is below 1e-62 and a fixed
+# point keeps its digits only with the gamma * log2(top) bits in P.
+ORACLE_CASES = [
+    pytest.param(*ORACLE_WEIGHTS[cid], nu, sparse_g, 30, 1,
+                 id=f"{cid.name}-{nu}-{'sparse' if sparse_g else 'dense'}-g")
+    for cid in CaseId
+    for nu in range(4)
+    for sparse_g in (False, True)
+] + [pytest.param(24, 8, 2, True, 2500, 2000, id="INTEGRAL-2-sparse-g-top-2504")]
+
+
 @pytest.mark.filterwarnings("ignore::rcadjoint.adjoint.HypothesisWarning")
-@pytest.mark.parametrize("sparse_g", [False, True], ids=["dense-g", "sparse-g"])
-@pytest.mark.parametrize("nu", [0, 1, 2, 3])
-@pytest.mark.parametrize("cid", list(CaseId), ids=lambda c: c.name)
-def test_one_pass_sums_match_per_term_oracle(cid, nu, sparse_g):
+@pytest.mark.parametrize("k2, l2, nu, sparse_g, M, f_from", ORACLE_CASES)
+def test_one_pass_sums_match_per_term_oracle(k2, l2, nu, sparse_g, M, f_from):
     # Sparse g has b(0) != 0, so the m = 0 term is checked there.
-    rng = random.Random(f"{cid.name}/{nu}/{sparse_g}")
-    n_max, M = 4, 30
-    k2, l2 = ORACLE_WEIGHTS[cid]
     p = params(k2, l2, nu)
-    assert case_id(p) is cid
-    f, g = _random_pair(rng, p, n_max, M, sparse_g)
+    rng = random.Random(f"{case_id(p).name}/{nu}/{sparse_g}")
+    n_max = 4
+    f, g = _random_pair(rng, p, n_max, M, sparse_g, f_from)
     ns = range(1, n_max + 1)
-    with mpmath.workdps(50):
-        sums = _l_series_sums(f, g, p, ns, M)
+    sums = _l_series_sums(f, g, p, ns, M)
+    with mpmath.workdps(DIGITS):
         for n, got in zip(ns, sums):
             want = _brute_l_sum(f, g, p, n, M)
-            assert abs(got - want) <= mpmath.mpf(10) ** -45 * abs(want)
+            assert abs(_to_mpf(got) - want) <= mpmath.mpf(10) ** -45 * abs(want)
 
     # adjoint_coefficients is beta(n) times the per-n sum and tail bound.
     rows = adjoint_coefficients(f, g, nu, n_max, M)
     tail = _tail_bound(f, g, p, M, 0.1)
     expected = []
-    with mpmath.workdps(working_digits()):
+    with mpmath.workdps(DIGITS):
         for n in ns:
             (total,) = _l_series_sums(f, g, p, [n], M)
             beta = beta_value(p, n)
-            expected.append((n, float(beta * total), float(beta * tail)))
+            expected.append((n, float(beta * _to_mpf(total)), float(beta * tail)))
     assert rows == expected
 
 
@@ -463,18 +476,22 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
     f = series_mul(catalog_get("delta", 221), catalog_get("delta", 221))
     g = catalog_get("E4", 221)
     n_max, M = 10, 200
-    bases = []
-    real_power = mpmath.power
+    roots = []
 
-    def counting_power(x, y):
-        if y < 0:  # beta_value's powers have positive exponents
-            bases.append(int(x))
-        return real_power(x, y)
+    class CountingMath:
+        """math, with each isqrt argument recorded: one per integer weight."""
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def isqrt(self, x):
+            roots.append(x)
+            return math.isqrt(x)
 
     # alpha_coeff is a test oracle only; the library sums exact integer alpha.
     assert not hasattr(bracket_module, "alpha_coeff")
     assert not hasattr(adjoint_module, "alpha_coeff")
-    monkeypatch.setattr(mpmath, "power", counting_power)
+    monkeypatch.setattr(adjoint_module, "math", CountingMath())
     adjoint_coefficients(f, g, 0, n_max, M)
     reachable = {
         n + m
@@ -482,4 +499,7 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
         for m in range(M + 1)
         if g.coeff(m) != 0 and f.coeff(n + m) != 0
     }
-    assert sorted(bases) == sorted(reachable)
+    # Weight 24 against E4 at nu = 0: gamma = 23 and top = 210, 8 bits, so
+    # P = 168 + 23 * 8 and the weight of j is isqrt(2^2P // j^46).
+    P = GUARD_BITS + 23 * 8
+    assert sorted(roots) == sorted((1 << 2 * P) // j**46 for j in reachable)

@@ -160,11 +160,35 @@ class TestVerify:
     def test_lambda_subcommand(self, capsys):
         code = run(
             ["verify", "lambda", "--case", "2", "--basis", "delta_4_6",
-             "--g", "theta", "--nu", "0", "--n-max", "1", "--terms", "1500"]
+             "--g", "theta", "--nu", "0", "--terms", "1500"]
         )
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["lambda"] > 0
+
+    def test_lambda_sizes_the_forms_from_the_basis(self, tmp_path, capsys):
+        # A basis whose first nonzero coefficient is a(3): the rows run to
+        # n = 3, so the forms need 3 + terms + 1 coefficients.
+        def basis(precision):
+            path = tmp_path / f"q3_{precision}.json"
+            path.write_text(json.dumps({
+                "twice_weight": 12, "level": 4, "character": "trivial",
+                "coeffs": ["0/1"] * 3 + ["1/1"] + ["0/1"] * (precision - 4),
+            }))
+            return ["verify", "lambda", "--basis", str(path), "--g", "theta",
+                    "--terms", "200"]
+
+        assert run(basis(400)) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["lambda"] == 0.6614071335868891
+        assert err == ""
+        assert run(basis(203)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("has precision 203; this run needs at least 204\n")
+        # The rows follow from the basis: verify lambda takes no --n-max.
+        assert run(basis(400) + ["--n-max", "3"]) == 2
+        assert "unrecognized arguments: --n-max 3" in capsys.readouterr().err
 
     def test_ratio_checks_rows_where_the_basis_vanishes(self, tmp_path, capsys):
         # A basis with a(1) = 1 and no other nonzero coefficient: c(3) and
@@ -230,7 +254,7 @@ def _f_coefficient(text):
         path.write_text(json.dumps({"twice_weight": 24, "level": 1,
                                     "character": "trivial", "coeffs": coeffs}))
         return ["verify", "lambda", "--basis", str(path), "--g", "E4",
-                "--n-max", "1", "--terms", "50"]
+                "--terms", "50"]
 
     return make_argv
 
@@ -333,8 +357,7 @@ def test_f_coefficient_out_of_float_range_stops_before_the_bracket(
           "--epsilon", "2"], 0, 1),
         # The same infinite budget fails the lambda verdict.
         (["verify", "lambda", "--case", "integral", "--basis", "E4",
-          "--g", "E6", "--nu", "1", "--n-max", "1", "--terms", "300",
-          "--epsilon", "3"], 1, 1),
+          "--g", "E6", "--nu", "1", "--terms", "300", "--epsilon", "3"], 1, 1),
     ],
     ids=["argv0-1", "argv1-0", "argv2-1"],
 )
@@ -390,16 +413,6 @@ _SEC5_ADJOINT = ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",
                  "--n-max", "2", "--terms", "50"]
 
 
-@pytest.mark.parametrize("digits", ["14", "abc", "100000000"])
-def test_precision_digits_out_of_range_is_usage_error(digits, monkeypatch, capsys):
-    monkeypatch.setenv("RC_ADJOINT_PRECISION_DIGITS", digits)
-    assert run(_SEC5_ADJOINT) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: RC_ADJOINT_PRECISION_DIGITS ")
-    assert "15 to 10000" in err
-
-
 def test_target_weight_at_most_one_stops_before_the_sum(monkeypatch, capsys):
     def no_sum(*args, **kwargs):
         raise AssertionError("L-series sum started")
@@ -427,7 +440,7 @@ def test_target_weight_at_most_one_stops_before_the_sum(monkeypatch, capsys):
         ("3", ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "E4",
                "--n-max", "2", "--terms", "50", "--format", "json"]),
         ("integral", ["verify", "lambda", "--basis", "delta", "--g", "E4",
-                      "--nu", "1", "--n-max", "1", "--terms", "300"]),
+                      "--nu", "1", "--terms", "300"]),
     ],
 )
 def test_case_flag_is_optional_and_checked(case, argv, monkeypatch, capsys):
@@ -444,3 +457,31 @@ def test_case_flag_is_optional_and_checked(case, argv, monkeypatch, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(f"error: --case {other} does not match")
+
+
+@pytest.mark.parametrize(
+    "case, argv, rows",
+    [
+        ("2", _SEC5_ADJOINT,
+         "1,0.67865391790982665,0.0058541821414640916\n"
+         "2,0.00026698030188364319,0.18733382852685093\n"),
+        ("1", ["adjoint", "--f", "delta_4_6", "--g", "theta", "--nu", "1",
+               "--n-max", "2", "--terms", "50"],
+         "1,-0.00038438729255137969,4.2434771148094699\n"
+         "2,-9.7836272127743269e-06,24.004731549533613\n"),
+        ("3", ["adjoint", "--f-product", "theta", "delta", "--g", "delta_4_6",
+               "--n-max", "2", "--terms", "50"],
+         "1,-0.00034182095428129906,8.6631283853137844e-05\n"
+         "2,-0.00014565804646407476,0.0039204843696288277\n"),
+        ("integral", ["adjoint", "--f-product", "delta", "E6", "--g", "E4",
+                      "--nu", "1", "--n-max", "2", "--terms", "300"],
+         "1,17.751225025125255,6.1656223274670637e-05\n"
+         "2,-426.02940804820389,0.12627194526652546\n"),
+    ],
+    ids=["2", "1", "3", "integral"],
+)
+def test_adjoint_csv_is_pinned(case, argv, rows, capsys):
+    # One small run per case, byte for byte: a change in how the L-sums
+    # round shows here first.
+    assert run(argv + ["--case", case, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "n,c_n,err_bound\n" + rows
