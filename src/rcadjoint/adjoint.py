@@ -18,8 +18,10 @@ and carries a bound on its truncation error from empirical
 coefficient-growth profiles.
 
 The series arithmetic upstream is exact.  Each L-sum is an integer sum
-within 2^-168 times its terms' absolute sum (``_l_series_sums``); beta and
-one division per sum run in mpmath, at DIGITS = 50 decimal digits.
+within 2^-168 times its terms' absolute sum (``_l_series_sums``), and beta
+is a rational times integer powers of sqrt(n) and pi, taken to BETA_BITS
+bits (``beta_value``).  Each printed number is one Fraction, rounded to a
+float once.
 """
 
 from __future__ import annotations
@@ -31,14 +33,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
-from mpmath import mpf
-
-from .bracket import BracketParams, TwiceWeight, rc_coefficient
+from .bracket import BracketParams, TwiceWeight, _twice_rising, rc_coefficient
 from .qseries import QSeries, _lowest_terms
 
-DIGITS = 50
 GUARD_BITS = 168
+BETA_BITS = 320
 DEFAULT_EPSILON = 0.1
 
 
@@ -163,10 +162,6 @@ def fit_tail_profile(series: QSeries, epsilon: float = DEFAULT_EPSILON) -> TailP
     return TailProfile(exponent, constant)
 
 
-def _to_mpf(x: Fraction) -> mpf:
-    return mpf(x.numerator) / mpf(x.denominator)
-
-
 def _tail_bound(
     f: QSeries, g: QSeries, p: BracketParams, M: int, epsilon: float
 ) -> float:
@@ -261,15 +256,75 @@ def _l_series_sums(
     return sums
 
 
-def beta_value(p: BracketParams, n: int) -> mpf:
-    """beta(k,l,nu;n) = Gamma(gamma)/Gamma(k-1) n^(k-1) / (4 pi)^(l+2 nu)."""
-    k_minus_1 = _to_mpf(p.k.weight - 1)
-    return (
-        mpmath.gamma(_to_mpf(gamma_s(p)))
-        / mpmath.gamma(k_minus_1)
-        * mpmath.power(n, k_minus_1)
-        / mpmath.power(4 * mpmath.pi, _to_mpf(p.l.weight + 2 * p.nu))
+def _pi_fixed(bits: int) -> int:
+    """floor(pi 2^bits), give or take 1: Machin's formula in integers.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239); 16 guard bits absorb the floor
+    of every series term.
+    """
+    one = 1 << (bits + 16)
+
+    def arctan_inv(x: int) -> int:
+        total, power, k = 0, one // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> 16
+
+
+_PI = _pi_fixed(BETA_BITS)
+
+
+def _gamma_rational(x: Fraction) -> Fraction:
+    """Gamma(x), less its factor sqrt(pi) when x is half-integral (x > 0).
+
+    Gamma(x0 + m) = Gamma(x0) * prod_{j<m} (x0 + j) with x0 = 1 or 1/2,
+    and Gamma(1) = 1, Gamma(1/2) = sqrt(pi).
+    """
+    w2 = 2 if x.denominator == 1 else 1
+    m = int(x - Fraction(w2, 2))
+    return Fraction(_twice_rising(w2, m, 0), 1 << m)
+
+
+def beta_value(p: BracketParams, n: int) -> Fraction:
+    """beta(k,l,nu;n) = Gamma(gamma)/Gamma(k-1) n^(k-1) / (4 pi)^(l+2 nu).
+
+    Gamma at a half-integer is a rational times sqrt(pi), and the sqrt(pi)
+    of Gamma(gamma), Gamma(k-1) and (4 pi)^(l+2 nu) cancel, so beta is
+    R n^floor(k-1) (times sqrt(n) if k is not integral) pi^-j, R rational
+    and j an integer.  pi and sqrt(n) are BETA_BITS-bit fixed-point
+    integers, so the Fraction returned is within (|j| + 2) 2^-BETA_BITS
+    relative of beta(n): below 2^-250 for any |j| < 2^69.
+    """
+    gamma = gamma_s(p)
+    if gamma <= 0:
+        raise ValueError(f"gamma = {gamma} must be positive: beta needs Gamma(gamma)")
+    k2, twice_exponent = p.k.w2, p.l.w2 + 4 * p.nu  # (4 pi)^(l+2 nu)
+    half_k = k2 % 2
+    # pi^(twice_exponent/2) times the sqrt(pi) of Gamma(k-1), over that of
+    # Gamma(gamma): an integer power of pi.
+    j = (twice_exponent + half_k - (gamma.denominator == 2)) // 2
+    value = (
+        _gamma_rational(gamma)
+        / _gamma_rational(p.k.weight - 1)
+        * Fraction(2) ** -twice_exponent
+        * n ** ((k2 - 2) // 2)
+        * Fraction(_PI, 1 << BETA_BITS) ** -j
     )
+    if half_k:
+        value *= Fraction(math.isqrt(n << 2 * BETA_BITS), 1 << BETA_BITS)
+    return value
+
+
+def _rounded(x: Fraction) -> float:
+    """x rounded to a float once, or +-inf when x is beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def adjoint_coefficients(
@@ -309,10 +364,10 @@ def adjoint_coefficients(
     sums = _l_series_sums(f, g, p, ns, M)
     tail = _tail_bound(f, g, p, M, epsilon)
     rows = []
-    with mpmath.workdps(DIGITS):
-        for n, total in zip(ns, sums):
-            beta = beta_value(p, n)
-            rows.append((n, float(beta * _to_mpf(total)), float(beta * tail)))
+    for n, total in zip(ns, sums):
+        beta = beta_value(p, n)
+        err = _rounded(beta * Fraction(tail)) if math.isfinite(tail) else tail
+        rows.append((n, _rounded(beta * total), err))
     return rows
 
 

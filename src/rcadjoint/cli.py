@@ -31,7 +31,7 @@ from .adjoint import (
 from .bracket import BracketParams, TwiceWeight, rc_bracket
 from .forms import catalog_get, catalog_names
 from .qseries import QSeries, series_mul
-from .verify import lambda_test, ratio_test
+from .verify import first_index, lambda_test, ratio_test
 
 
 class UsageError(Exception):
@@ -67,12 +67,20 @@ def _nonneg_float(text: str) -> float:
 
 
 def _open_form(source: str, precision: int):
-    """(twice weight or None, build) for a catalog name or a series JSON file:
-    the weight is read without expanding the form, and build() returns the
-    form at ``precision``.  A file is read here, once."""
+    """(twice weight or None, build) for a catalog name or a series JSON file.
+
+    The weight is read without expanding the form.  build(size) returns the
+    form at ``size`` coefficients, ``precision`` by default.  A file is read
+    here, once; it is refused here when shorter than ``precision``, and in
+    build when shorter than ``size``.  build(None) returns every coefficient
+    a file holds, and a catalog form at ``precision``: every catalog form
+    has a(1) != 0, so either shows the form's first nonzero coefficient.
+    """
     if source in catalog_names():
         twice_weight = catalog_get(source, 1).meta.twice_weight
-        return twice_weight, lambda: catalog_get(source, precision)
+        return twice_weight, lambda size=precision: catalog_get(
+            source, size or precision
+        )
     if os.path.exists(source):
         try:
             with open(source) as fh:
@@ -84,13 +92,19 @@ def _open_form(source: str, precision: int):
         except RecursionError:
             raise UsageError(f"series file {source} is nested too deeply") from None
         series = QSeries.from_json_dict(data)
-        if series.precision < precision:
-            raise UsageError(
-                f"series file {source} has precision {series.precision}; "
-                f"this run needs at least {precision}"
-            )
-        series = series.truncate(precision)
-        return (series.meta.twice_weight if series.meta else None), lambda: series
+
+        def build(size=precision):
+            if size is None:
+                return series
+            if series.precision < size:
+                raise UsageError(
+                    f"series file {source} has precision {series.precision}; "
+                    f"this run needs at least {size}"
+                )
+            return series.truncate(size)
+
+        build()  # a short file is refused before any weight or --case error
+        return (series.meta.twice_weight if series.meta else None), build
     raise UsageError(f"unknown form {source!r} (not a catalog name or file)")
 
 
@@ -237,20 +251,16 @@ def _cmd_verify_lambda(args) -> int:
     if args.basis is None:
         raise UsageError("verify lambda needs --basis")
     # Rows run to n = m0, f's first nonzero index: forms need m0 + terms + 1.
-    precision = args.terms + 2
-    f_w2, build_f = _open_form(args.basis, precision)
-    g_w2, _ = _open_form(args.g, precision)
+    f_w2, build_f = _open_form(args.basis, args.terms + 2)
+    g_w2, build_g = _open_form(args.g, args.terms + 2)
     # The adjoint is applied to [f, g]_nu, of twice-weight f_w2 + g_w2 + 4 nu.
     h_w2 = None if None in (f_w2, g_w2) else f_w2 + g_w2 + 4 * args.nu
     p = _make_case(args, "verify lambda", h_w2, g_w2)
-    f = build_f()
-    while True:
-        m0 = next((i for i, a in enumerate(f.num) if i and a), precision)
-        if m0 + args.terms < precision:
-            break
-        precision = m0 + args.terms + 1
-        f = _resolve_form(args.basis, precision)
-    g = _resolve_form(args.g, precision)
+    f = build_f(None)
+    precision = first_index(f) + args.terms + 1
+    if f.precision != precision:
+        f = build_f(precision)
+    g = build_g(precision)
     with _hypothesis_warnings():
         report = lambda_test(f, g, args.nu, M=args.terms, epsilon=args.epsilon)
     config = f"case {case_id(p).value}, nu={args.nu}, f={args.basis}, g={args.g}"

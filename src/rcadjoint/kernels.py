@@ -23,10 +23,22 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from collections import deque
 from typing import List, Optional
 
-import numpy as np
+# Loading numpy starts OpenBLAS's thread pool, one thread per core, though
+# nothing here calls BLAS (the FFT route is pocketfft); on two cores that
+# pool is about half of numpy's import time.  Load it with one thread
+# unless the user chose a count, and leave the environment as it was.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 _log = logging.getLogger(__name__)
 

@@ -91,6 +91,15 @@ def ratio_test(
     )
 
 
+def first_index(f: QSeries) -> int:
+    """m0 >= 1, the index of f's first nonzero coefficient past a(0);
+    ValueError if there is none within f's precision."""
+    m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
+    if m0 is None:
+        raise ValueError("f is the zero series")
+    return m0
+
+
 def lambda_test(
     f: QSeries,
     g: QSeries,
@@ -107,9 +116,7 @@ def lambda_test(
     composition is positive semidefinite, so the report passes only if
     also lambda >= -|lambda| * budget.
     """
-    m0 = next((i for i, a in enumerate(f.num) if i >= 1 and a), None)
-    if m0 is None:
-        raise ValueError("f is the zero series")
+    m0 = first_index(f)
     # Fail fast: ratio_test would reject an a(m0) that a float cannot
     # hold only after the bracket and the whole sum.
     _coefficient_float(f.coeff(m0), f"f coefficient {m0}")

@@ -2,11 +2,14 @@
 
 Everything here avoids the package's series engine on purpose: naive
 convolution, direct lattice-point counting, a separate Bernoulli
-recurrence and a term-by-term alpha, so that equalities between library
-output and oracle output are genuine cross-checks.
+recurrence, a term-by-term alpha and beta from mpmath's Gamma and pi, so
+that equalities between library output and oracle output are genuine
+cross-checks.
 """
 
 from fractions import Fraction
+
+import mpmath
 
 from rcadjoint.bracket import rc_coefficient
 
@@ -97,4 +100,21 @@ def alpha_coeff(p, n, m):
         raise ValueError("need n >= 1 and m >= 0")
     return sum(
         rc_coefficient(p, r) * n**r * m ** (p.nu - r) for r in range(p.nu + 1)
+    )
+
+
+def to_mpf(x):
+    """An exact rational as an mpf at the working precision."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def beta_oracle(p, n):
+    """beta(n) = Gamma(gamma)/Gamma(k-1) n^(k-1) / (4 pi)^(l+2 nu) in mpmath."""
+    k, l = to_mpf(p.k.weight), to_mpf(p.l.weight)
+    return (
+        mpmath.gamma(k + l + 2 * p.nu - 1)
+        / mpmath.gamma(k - 1)
+        * mpmath.power(n, k - 1)
+        / mpmath.power(4 * mpmath.pi, l + 2 * p.nu)
     )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.bracket as bracket_module
 from rcadjoint.adjoint import (
-    DIGITS,
+    BETA_BITS,
     GUARD_BITS,
     CaseId,
     HypothesisWarning,
@@ -25,8 +25,8 @@ from rcadjoint.adjoint import (
     rows_to_csv,
     validate_hypotheses,
     _l_series_sums,
+    _pi_fixed,
     _tail_bound,
-    _to_mpf,
 )
 from rcadjoint.bracket import BracketParams, TwiceWeight, rc_bracket, rc_coefficient
 from rcadjoint.forms import catalog_get
@@ -40,7 +40,7 @@ from rcadjoint.qseries import (
     zero_series,
 )
 
-from oracles import alpha_coeff
+from oracles import alpha_coeff, beta_oracle, to_mpf
 
 HALF = Fraction(1, 2)
 
@@ -106,10 +106,10 @@ class TestAdjointCase:
 def _beta_ref(n, gamma_arg, gamma_den, n_exponent, four_pi_exponent):
     """beta from one row of the per-case table, with mpmath's own Gamma."""
     return (
-        mpmath.gamma(_to_mpf(gamma_arg))
-        / mpmath.gamma(_to_mpf(gamma_den))
-        * mpmath.power(n, _to_mpf(n_exponent))
-        / mpmath.power(4 * mpmath.pi, _to_mpf(four_pi_exponent))
+        mpmath.gamma(to_mpf(gamma_arg))
+        / mpmath.gamma(to_mpf(gamma_den))
+        * mpmath.power(n, to_mpf(n_exponent))
+        / mpmath.power(4 * mpmath.pi, to_mpf(four_pi_exponent))
     )
 
 
@@ -117,16 +117,17 @@ class TestCaseParams:
     """The paper's four per-case rows are the one formula in the true weights.
 
     Each row: gamma, the Gamma argument in beta's denominator, the power
-    of n and the power of 4 pi, written out as the paper states them.
+    of n and the power of 4 pi, written out as the paper states them.  The
+    exact beta_value is within 2^-250 of mpmath's Gamma and pi at 400 bits.
     """
 
     def _check_row(self, p, gamma, gamma_den, n_exponent, four_pi_exponent):
         assert gamma_s(p) == gamma
-        with mpmath.workdps(50):
-            for n in (1, 2, 7):
-                got = beta_value(p, n)
+        with mpmath.workprec(400):
+            for n in (1, 2, 7, 10**9 + 7):
+                got = to_mpf(beta_value(p, n))
                 ref = _beta_ref(n, gamma, gamma_den, n_exponent, four_pi_exponent)
-                assert abs(got - ref) <= mpmath.mpf(10) ** -45 * ref
+                assert abs(got - ref) <= mpmath.mpf(2) ** -250 * ref
 
     def test_integral_row(self):
         p = params(24, 8, 0)
@@ -222,10 +223,10 @@ class TestLSeriesValue:
         _, _, f = sec5_forms
         g = QSeries([1] + [0] * 2011, make_theta(2).meta)
         sums = _l_series_sums(f, g, SEC5, [1, 2, 3], 500)
-        with mpmath.workdps(DIGITS):
+        with mpmath.workdps(50):
             for n, got in zip([1, 2, 3], sums):
-                want = _to_mpf(f.coeff(n)) * mpmath.power(n, -mpmath.mpf(11) / 2)
-                assert abs(_to_mpf(got) - want) <= mpmath.mpf(10) ** -45 * abs(want)
+                want = to_mpf(f.coeff(n)) * mpmath.power(n, -mpmath.mpf(11) / 2)
+                assert abs(to_mpf(got) - want) <= mpmath.mpf(10) ** -45 * abs(want)
         assert _tail_bound(f, g, SEC5, 500, 0.1) == 0
 
     def test_positive_value(self, sec5_forms):
@@ -276,12 +277,12 @@ class TestLSeriesValue:
         rows_moved = adjoint_coefficients(f, moved, 1, n_max, M)
         c_nu = rc_coefficient(p, 1)
         assert c_nu == 4
-        with mpmath.workdps(DIGITS):
+        with mpmath.workdps(50):
             for (n, c, _), (_, c_moved, _) in zip(rows, rows_moved):
                 shift = (
-                    beta_value(p, n)
-                    * _to_mpf(db * f.coeff(n) * c_nu * n)
-                    * mpmath.power(n, -_to_mpf(gamma_s(p)))
+                    beta_oracle(p, n)
+                    * to_mpf(db * f.coeff(n) * c_nu * n)
+                    * mpmath.power(n, -to_mpf(gamma_s(p)))
                 )
                 assert c_moved - c == pytest.approx(float(shift), rel=1e-9)
                 assert abs(float(shift)) > 1e-3 * abs(c)
@@ -305,18 +306,38 @@ class TestBeta:
             params(12, 1, 0),
             params(13, 4, 2),
         ]
-        with mpmath.workdps(30):
-            for p in triples:
-                for n in (1, 2, 7, 50):
-                    assert beta_value(p, n) > 0
+        for p in triples:
+            for n in (1, 2, 7, 50):
+                assert beta_value(p, n) > 0
 
     def test_sec5_anchor(self):
         with mpmath.workdps(50):
-            got = beta_value(SEC5, 1)
+            got = to_mpf(beta_value(SEC5, 1))
             ref = mpmath.gamma(mpmath.mpf(11) / 2) / (
                 mpmath.gamma(5) * 2 * mpmath.sqrt(mpmath.pi)
             )
-            assert abs(got - ref) / ref < mpmath.mpf(10) ** -12
+            assert abs(got - ref) / ref < mpmath.mpf(10) ** -45
+
+
+    def test_exact_with_a_fixed_point_pi(self):
+        assert isinstance(beta_value(SEC5, 3), Fraction)
+        with mpmath.workprec(400):
+            assert abs(to_mpf(Fraction(_pi_fixed(BETA_BITS), 1 << BETA_BITS))
+                       - mpmath.pi) <= mpmath.mpf(2) ** -BETA_BITS
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 80), st.integers(-8, 80), st.integers(0, 30),
+           st.integers(1, 10**12))
+    def test_matches_mpmath_gamma_and_pi(self, k2, l2, nu, n):
+        # All four parities, pi^-j with j from -2 to 61, sqrt(n) beyond 2^20.
+        p = params(k2, l2, nu)
+        if gamma_s(p) <= 0:
+            with pytest.raises(ValueError, match="must be positive"):
+                beta_value(p, n)
+            return
+        with mpmath.workprec(400):
+            ref = beta_oracle(p, n)
+            assert abs(to_mpf(beta_value(p, n)) - ref) <= mpmath.mpf(2) ** -250 * ref
 
 
 class TestAdjointCoefficients:
@@ -373,6 +394,15 @@ class TestAdjointCoefficients:
         with pytest.raises(ValueError, match="target weight -1/2 must exceed 1"):
             adjoint_coefficients(d46, f, 0, 1, 100)
 
+    def test_c_beyond_float_range_is_infinite(self):
+        # k = 400, l = 200: c(1) = beta(1) = Gamma(599)/Gamma(399)/(4 pi)^200
+        # is about 1e319, and c(2) = beta(2) a(2) 2^-599 about -1e259 * 1e80.
+        meta = FormMeta(1200, 1, CharacterMod4.TRIVIAL)
+        f = QSeries([0, 1, -(10**80)] + [0] * 20, meta)
+        g = QSeries([1] + [0] * 20, FormMeta(400, 1, CharacterMod4.TRIVIAL))
+        rows = adjoint_coefficients(f, g, 0, 3, 10)
+        assert rows == [(1, math.inf, 0.0), (2, -math.inf, 0.0), (3, 0.0, 0.0)]
+
     def test_csv_format(self):
         text = rows_to_csv([(1, 0.5, 1e-9)])
         lines = text.strip().split("\n")
@@ -404,11 +434,11 @@ def _random_pair(rng, p, n_max, M, sparse_g, f_from):
 
 def _brute_l_sum(f, g, p, n, M):
     total = mpmath.mpf(0)
-    s = _to_mpf(Fraction(p.k.w2 + p.l.w2, 2) + 2 * p.nu - 1)
+    s = to_mpf(Fraction(p.k.w2 + p.l.w2, 2) + 2 * p.nu - 1)
     for m in range(M + 1):
         term = f.coeff(n + m) * g.coeff(m) * alpha_coeff(p, n, m)
         if term:
-            total += _to_mpf(term) * mpmath.power(n + m, -s)
+            total += to_mpf(term) * mpmath.power(n + m, -s)
     return total
 
 
@@ -435,20 +465,21 @@ def test_one_pass_sums_match_per_term_oracle(k2, l2, nu, sparse_g, M, f_from):
     f, g = _random_pair(rng, p, n_max, M, sparse_g, f_from)
     ns = range(1, n_max + 1)
     sums = _l_series_sums(f, g, p, ns, M)
-    with mpmath.workdps(DIGITS):
+    with mpmath.workdps(50):
         for n, got in zip(ns, sums):
             want = _brute_l_sum(f, g, p, n, M)
-            assert abs(_to_mpf(got) - want) <= mpmath.mpf(10) ** -45 * abs(want)
+            assert abs(to_mpf(got) - want) <= mpmath.mpf(10) ** -45 * abs(want)
 
-    # adjoint_coefficients is beta(n) times the per-n sum and tail bound.
+    # adjoint_coefficients is beta(n) times the per-n sum and tail bound,
+    # each rounded once: the floats of mpmath's beta times them at 50 digits.
     rows = adjoint_coefficients(f, g, nu, n_max, M)
     tail = _tail_bound(f, g, p, M, 0.1)
     expected = []
-    with mpmath.workdps(DIGITS):
+    with mpmath.workdps(50):
         for n in ns:
             (total,) = _l_series_sums(f, g, p, [n], M)
-            beta = beta_value(p, n)
-            expected.append((n, float(beta * _to_mpf(total)), float(beta * tail)))
+            beta = beta_oracle(p, n)
+            expected.append((n, float(beta * to_mpf(total)), float(beta * tail)))
     assert rows == expected
 
 

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import rcadjoint
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.forms as forms_module
 from rcadjoint.cli import main
@@ -189,6 +193,55 @@ class TestVerify:
         # The rows follow from the basis: verify lambda takes no --n-max.
         assert run(basis(400) + ["--n-max", "3"]) == 2
         assert "unrecognized arguments: --n-max 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "m0, message",
+        [
+            (None, "f is the zero series"),
+            # m0 + terms + 1 = 501: the size the run needs, not a probe size.
+            (300, "series file q.json has precision 400; "
+                  "this run needs at least 501"),
+        ],
+        ids=["zero", "m0-past-the-probe"],
+    )
+    def test_lambda_basis_known_only_from_its_file(
+        self, m0, message, tmp_path, monkeypatch, capsys
+    ):
+        # A basis file zero through index terms + 1: m0 is read off the
+        # whole file, so all-zero is the zero series.
+        coeffs = ["0/1"] * 400
+        if m0 is not None:
+            coeffs[m0] = "1/1"
+        (tmp_path / "q.json").write_text(json.dumps({
+            "twice_weight": 12, "level": 4, "character": "trivial",
+            "coeffs": coeffs,
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "lambda", "--basis", "q.json", "--g", "theta",
+                    "--terms", "200"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_lambda_reads_each_series_file_once(self, tmp_path, monkeypatch, capsys):
+        # The basis has m0 = 3, so both forms grow past the first size.
+        basis, theta = tmp_path / "q3.json", tmp_path / "theta.json"
+        basis.write_text(json.dumps({
+            "twice_weight": 12, "level": 4, "character": "trivial",
+            "coeffs": ["0/1"] * 3 + ["1/1"] + ["0/1"] * 396,
+        }))
+        theta_series = forms_module.catalog_get("theta", 400)
+        theta.write_text(json.dumps(theta_series.to_json_dict()))
+        loads = []
+        real_load = json.load
+
+        def counting_load(fh, *args, **kwargs):
+            loads.append(fh.name)
+            return real_load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        assert run(["verify", "lambda", "--basis", str(basis), "--g", str(theta),
+                    "--terms", "200"]) == 1
+        assert json.loads(capsys.readouterr().out)["lambda"] == 0.6614071335868891
+        assert loads == [str(basis), str(theta)]
 
     def test_ratio_checks_rows_where_the_basis_vanishes(self, tmp_path, capsys):
         # A basis with a(1) = 1 and no other nonzero coefficient: c(3) and
@@ -485,3 +538,55 @@ def test_adjoint_csv_is_pinned(case, argv, rows, capsys):
     # round shows here first.
     assert run(argv + ["--case", case, "--format", "csv"]) == 0
     assert capsys.readouterr().out == "n,c_n,err_bound\n" + rows
+
+
+def _fresh_interpreter(code, env_updates):
+    """Run code in a new interpreter that imports this rcadjoint, with
+    OPENBLAS_NUM_THREADS unset unless env_updates sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(rcadjoint.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_updates)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+class TestStartup:
+    def test_flagship_runs_without_mpmath(self):
+        done = _fresh_interpreter(
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from rcadjoint.cli import main\n"
+            "sys.exit(main(['verify', 'ratio', '--f-product', 'theta',"
+            " 'delta_4_6', '--g', 'theta', '--n-max', '10', '--terms', '2000']))\n",
+            {},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["pass"] is True
+
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+    def test_import_leaves_the_environment_as_it_was(self, threads):
+        env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        done = _fresh_interpreter(
+            "import os\n"
+            "before = dict(os.environ)\n"
+            "import rcadjoint.cli\n"
+            "assert dict(os.environ) == before\n",
+            env,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+    )
+    def test_import_starts_no_thread(self):
+        # numpy's OpenBLAS would start one thread per core while loading.
+        done = _fresh_interpreter(
+            "import os\n"
+            "import rcadjoint.cli\n"
+            "print(len(os.listdir('/proc/self/task')))\n",
+            {},
+        )
+        assert (done.returncode, done.stdout) == (0, "1\n")
