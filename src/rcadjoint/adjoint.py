@@ -27,6 +27,7 @@ float once.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -34,11 +35,17 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, TwiceWeight, _twice_rising, rc_coefficient
+from .kernels import np
 from .qseries import QSeries, _lowest_terms
 
 GUARD_BITS = 168
 BETA_BITS = 320
 DEFAULT_EPSILON = 0.1
+
+# The float64 screen of the tail fit keeps every n within this relative
+# distance of its largest value, far above its few-ulp rounding error.
+_SCREEN_SLACK = 1e-9
+_FLOAT_TINY = sys.float_info.min
 
 
 class HypothesisWarning(UserWarning):
@@ -139,18 +146,62 @@ def growth_exponent(series: QSeries) -> float:
     return max(e, 0.0)
 
 
+def _tail_candidates(coeffs, den: int, exponent: float) -> Optional[List[int]]:
+    """The n at which |a(n)|/den/n^exponent can be largest, a(n) = coeffs[n-1].
+
+    A float64 screen: every quotient is computed in floats, and the n whose
+    value is within _SCREEN_SLACK relative of the largest are returned.  The
+    float value is within a few ulps of the exact expression's when every
+    operand and quotient is a normal float, so the largest exact value is
+    among them.  None, so that every n is evaluated exactly, when the screen
+    cannot vouch for that: a float conversion overflows, n^exponent at a
+    nonzero a(n) is not a normal float below 2^1023, |a(n)|/den is
+    subnormal, or the largest value is not finite or is near the subnormals
+    (the zero series included).
+    """
+    try:
+        mags = np.abs(np.array(coeffs, dtype=np.float64))
+        scale = float(den)
+    except OverflowError:
+        return None
+    n = np.flatnonzero(mags) + 1
+    if not n.size:
+        return None
+    with np.errstate(all="ignore"):
+        quotients = mags[n - 1] / scale
+        powers = np.power(n.astype(np.float64), exponent)
+        if not (
+            quotients.min() >= _FLOAT_TINY
+            and _FLOAT_TINY <= powers.min()
+            and powers.max() < 2.0**1023
+        ):
+            return None
+        quotients /= powers
+        peak = quotients.max()
+        if not 2 * _FLOAT_TINY <= peak < math.inf:
+            return None
+        return n[quotients >= peak * (1 - _SCREEN_SLACK)].tolist()
+
+
 def fit_tail_profile(series: QSeries, epsilon: float = DEFAULT_EPSILON) -> TailProfile:
     """Fit an empirical growth constant for a series over its computed range.
 
-    The exponent is ``growth_exponent(series)`` plus epsilon.  ValueError
-    names a coefficient whose quotient is out of float range.
+    The exponent is ``growth_exponent(series)`` plus epsilon.  The constant
+    is the largest |a(n)|/den/n^exponent, evaluated exactly at the n that
+    ``_tail_candidates`` screens in, or at every n when it cannot screen.
+    ValueError names a coefficient whose quotient is out of float range.
     """
     if series.precision < 10:
         raise ValueError("need at least 10 coefficients to fit a tail profile")
     exponent = growth_exponent(series) + epsilon
     constant = 0.0
     den = series.den
-    for n, v in enumerate(series.num[1:], start=1):
+    coeffs = series.num[1:]
+    candidates = _tail_candidates(coeffs, den, exponent)
+    if candidates is None:
+        candidates = range(1, len(coeffs) + 1)
+    for n in candidates:
+        v = coeffs[n - 1]
         if v:
             try:
                 # int / int rounds correctly, exactly as float(Fraction) does.
@@ -172,12 +223,13 @@ def _tail_bound(
     """
     pf = fit_tail_profile(f, epsilon)
     pg = fit_tail_profile(g, epsilon)
-    alpha_weight = float(
-        sum(abs(rc_coefficient(p, r)) for r in range(p.nu + 1))
-    )
+    alpha_weight = _rounded(sum(abs(rc_coefficient(p, r)) for r in range(p.nu + 1)))
     t = pf.exponent + p.nu + pg.exponent - float(gamma_s(p))
     if t < -1.0:
-        return pf.constant * pg.constant * alpha_weight * M ** (t + 1) / (-(t + 1))
+        bound = pf.constant * pg.constant * alpha_weight * M ** (t + 1) / (-(t + 1))
+        # An alpha_weight beyond float range is inf, and inf times a zero
+        # factor is nan; inf is then still a bound.
+        return math.inf if math.isnan(bound) else bound
     warnings.warn(
         f"tail exponent {t:.3f} >= -1: truncated series not certified "
         "convergent under the fitted profiles",

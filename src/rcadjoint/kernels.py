@@ -14,7 +14,10 @@ from its inputs:
 
 Both dense routes share one byte-row format: ``_byte_rows`` turns ints into
 rows of little-endian magnitude bytes and a negative mask, and
-``_ints_from_rows`` reads rows back as signed two's-complement ints.
+``_ints_from_rows`` reads rows back as signed two's-complement ints.  The
+codec picks how from its input: rows of at most 7 bytes are written, and
+rows whose values all fit in an int64 are read, as one int64 array; wider
+rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
 
 Every route is exact and returns exactly ``prec`` Python ints.
 """
@@ -62,17 +65,43 @@ _RESIDUAL_LIMIT = 0.125
 
 _EPS = 2.0**-53
 
+# Bytes of the int64 word that narrow byte rows are read and written as.
+_WORD_BYTES = 8
+
 
 def _byte_rows(vals, width):
-    """(len(vals), width) uint8 little-endian magnitudes of vals, and vals < 0."""
+    """(len(vals), width) uint8 little-endian magnitudes of vals, and vals < 0.
+
+    Every |v| must be below 2^(8 width).  Rows of at most 7 bytes hold
+    magnitudes below 2^56, which numpy reads as one int64 array; wider rows
+    are written one int at a time.
+    """
+    if width < _WORD_BYTES:
+        words = np.array(vals, dtype="<i8")
+        neg = (words >> 63).astype(bool)  # the shift leaves -1 in negatives
+        mags = np.abs(words, out=words).view(np.uint8)
+        return mags.reshape(len(vals), _WORD_BYTES)[:, :width], neg
     raw = b"".join([abs(v).to_bytes(width, "little") for v in vals])
     mags = np.frombuffer(raw, dtype=np.uint8).reshape(len(vals), width)
     return mags, np.fromiter((v < 0 for v in vals), bool, len(vals))
 
 
 def _ints_from_rows(rows) -> List[int]:
-    """Each row of a uint8 array as a signed little-endian two's-complement int."""
-    raw, width = rows.tobytes(), rows.shape[1]
+    """Each row of a uint8 array as a signed little-endian two's-complement int.
+
+    When rows have at least 8 bytes and every row's bytes past the 8th
+    only sign-extend its first 8 (every value fits in an int64), the rows
+    are read as one int64 array; otherwise one int at a time.
+    """
+    count, width = rows.shape
+    if width >= _WORD_BYTES:
+        low = np.ascontiguousarray(rows[:, :_WORD_BYTES]).view("<i8").reshape(count)
+        # Compared as byte strings: the first call of a numpy comparison
+        # loop would map about 128 KB more of numpy's code.
+        extension = (low >> 63).astype(np.uint8).repeat(width - _WORD_BYTES)
+        if rows[:, _WORD_BYTES:].tobytes() == extension.tobytes():
+            return low.tolist()
+    raw = rows.tobytes()
     return [
         int.from_bytes(raw[off : off + width], "little", signed=True)
         for off in range(0, len(raw), width)

@@ -69,7 +69,9 @@ def ratio_test(
             zero_rows.append((n, c_n, err))
             continue
         ratios.append((n, c_n / _coefficient_float(a, f"basis coefficient {n}")))
-        budget = max(budget, abs(err) / abs(c_n) if c_n else math.inf)
+        # An infinite err is an infinite budget: inf / inf is a nan max() drops.
+        finite = c_n != 0 and math.isfinite(err)
+        budget = max(budget, abs(err) / abs(c_n) if finite else math.inf)
     if not ratios:
         raise ValueError("basis form vanishes at every tested index")
     lam = sum(r for _, r in ratios) / len(ratios)

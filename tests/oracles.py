@@ -118,3 +118,21 @@ def beta_oracle(p, n):
         * mpmath.power(n, k - 1)
         / mpmath.power(4 * mpmath.pi, l + 2 * p.nu)
     )
+
+
+def tail_constant_oracle(num, den, exponent):
+    """max |a(n)|/den/n^exponent over the nonzero a(n) = num[n]/den, n >= 1.
+
+    The exact expression at every n, in order, as a loop; ValueError names
+    the first n whose quotient is out of float range.
+    """
+    constant = 0.0
+    for n, v in enumerate(num[1:], start=1):
+        if v:
+            try:
+                constant = max(constant, abs(v) / den / n**exponent)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient {n} is out of float range for the tail profile"
+                ) from None
+    return constant

@@ -34,13 +34,14 @@ from rcadjoint.qseries import (
     CharacterMod4,
     FormMeta,
     QSeries,
+    _from_ints,
     make_theta,
     series_add,
     series_mul,
     zero_series,
 )
 
-from oracles import alpha_coeff, beta_oracle, to_mpf
+from oracles import alpha_coeff, beta_oracle, tail_constant_oracle, to_mpf
 
 HALF = Fraction(1, 2)
 
@@ -187,6 +188,49 @@ class TestTailProfile:
     def test_needs_ten_coefficients(self):
         with pytest.raises(ValueError):
             fit_tail_profile(make_theta(5), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        support=st.sampled_from(["dense", "squares", "last", "zero"]),
+        length=st.integers(10, 300),
+        # Past 2^1024 a float conversion overflows; 10^307 and 10^330 put
+        # quotients near and below the subnormals, or over a huge den.
+        bound=st.sampled_from([1, 10**6, 2**60, 10**300, 10**400]),
+        den=st.sampled_from([1, 3, 10**20, 10**307, 10**330]),
+        twice_weight=st.integers(1, 40),
+        # 150 and 400: n^e overflows at some n; negative: n^e underflows.
+        epsilon=st.sampled_from([0.1, 2.5, 150.0, 400.0, -60.0, -200.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_screened_fit_matches_exact_loop(
+        self, support, length, bound, den, twice_weight, epsilon, seed
+    ):
+        # The float64 screen must give the exact loop's constant bit for
+        # bit, or its exception with the same n.
+        rng = random.Random(seed)
+        keep = {
+            "dense": lambda n: True,
+            "squares": lambda n: math.isqrt(n) ** 2 == n,
+            "last": lambda n: n >= length - 3,
+            "zero": lambda n: False,
+        }[support]
+        num = [0] + [
+            rng.randint(-bound, bound) if keep(n) else 0 for n in range(1, length)
+        ]
+        meta = FormMeta(twice_weight, 4, CharacterMod4.TRIVIAL)
+        series = _from_ints(num, den, meta)
+        exponent = growth_exponent(series) + epsilon
+
+        def outcome(fit):
+            try:
+                return fit()
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc), str(exc)
+
+        expected = outcome(
+            lambda: tail_constant_oracle(series.num, series.den, exponent)
+        )
+        assert outcome(lambda: fit_tail_profile(series, epsilon).constant) == expected
 
     def test_growth_exponents(self):
         assert growth_exponent(catalog_get("delta", 12)) == pytest.approx(
@@ -402,6 +446,16 @@ class TestAdjointCoefficients:
         g = QSeries([1] + [0] * 20, FormMeta(400, 1, CharacterMod4.TRIVIAL))
         rows = adjoint_coefficients(f, g, 0, 3, 10)
         assert rows == [(1, math.inf, 0.0), (2, -math.inf, 0.0), (3, 0.0, 0.0)]
+
+    def test_tail_bound_beyond_float_range_is_infinite(self):
+        # nu = 150: the bracket coefficients' absolute sum is beyond float
+        # range, so the bound is inf, also for a zero f, whose profile
+        # constant 0 times that inf would be nan.
+        e4 = catalog_get("E4", 42)
+        p = adjoint_case(632, e4.meta.twice_weight, 150)
+        for head in ([0, 1], [0, 0]):
+            f = QSeries(head + [0] * 40, FormMeta(632, 1, CharacterMod4.TRIVIAL))
+            assert _tail_bound(f, e4, p, 20, 0.1) == math.inf
 
     def test_csv_format(self):
         text = rows_to_csv([(1, 0.5, 1e-9)])

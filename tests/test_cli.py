@@ -452,6 +452,25 @@ def test_infinite_error_budget_fails_the_ratio(tmp_path, capsys):
     assert verdict["spread"] > 1
 
 
+def test_tail_bound_beyond_float_range_is_infinite(tmp_path, monkeypatch, capsys):
+    # Weight 316 against E4 at nu = 150: the bracket coefficients' absolute
+    # sum in the tail bound is beyond float range.  The bound is inf, the
+    # row prints it, and the ratio fails on that infinite budget.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps({
+        "twice_weight": 632, "level": 1, "character": "trivial",
+        "coeffs": ["0/1", "1/1"] + ["0/1"] * 40,
+    }))
+    common = ["--f", "q.json", "--g", "E4", "--nu", "150", "--n-max", "1",
+              "--terms", "20"]
+    assert run(["adjoint", *common]) == 0
+    assert capsys.readouterr() == ("n,c_n,err_bound\n1,inf,inf\n", "")
+    assert run(["verify", "ratio", *common, "--basis", "delta"]) == 1
+    verdict = _strict_json(capsys.readouterr().out)
+    assert verdict["pass"] is False
+    assert verdict["error_budget"] is None
+
+
 def test_debug_route_log_leaves_output_unchanged(capsys, caplog):
     argv = ["bracket", "--f", "E4", "--g", "E6", "--nu", "1", "--precision", "100"]
     assert run(argv) == 0

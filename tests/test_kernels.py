@@ -46,6 +46,12 @@ def test_zero_factor():
     assert kernels.convolve_exact([0, 0], [1, 2], 2) == [0, 0]
 
 
+def _signed_rows(vals, width):
+    """vals as rows of width little-endian two's-complement bytes."""
+    raw = b"".join(v.to_bytes(width, "little", signed=True) for v in vals)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(vals), width)
+
+
 def test_byte_row_codec_round_trips():
     # The one int <-> byte-row conversion of both dense routes, at every
     # width from one byte to 40, on the extreme values of each width.
@@ -54,9 +60,7 @@ def test_byte_row_codec_round_trips():
         top = 1 << (8 * width - 1)
         signed = [0, 1, -1, top - 1, -(top - 1), -top]
         signed += [rng.randrange(-top, top) for _ in range(4)]
-        raw = b"".join(v.to_bytes(width, "little", signed=True) for v in signed)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(signed), width)
-        assert kernels._ints_from_rows(rows) == signed
+        assert kernels._ints_from_rows(_signed_rows(signed, width)) == signed
         vals = signed + [2 * top - 1, -(2 * top - 1)]
         mags, neg = kernels._byte_rows(vals, width)
         assert mags.dtype == np.uint8 and mags.shape == (len(vals), width)
@@ -64,12 +68,22 @@ def test_byte_row_codec_round_trips():
             abs(v) for v in vals
         ]
         assert neg.tolist() == [v < 0 for v in vals]
+        # Rows that all fit in one 64-bit word but one, which needs a
+        # second: the fit check must look at every row, not the first.
+        for wide in (1 << 63, -(1 << 63) - 1) if width > 8 else ():
+            batch = [rng.randrange(-(1 << 63), 1 << 63) for _ in range(9)]
+            batch[5] = wide
+            assert kernels._ints_from_rows(_signed_rows(batch, width)) == batch
 
 
-# Magnitudes on both sides of the 8-bit limb boundary and of a 64-bit word
-# (2**63 - 1 fits in a signed one, 2**63 does not), and one of 125 limbs
-# (10**300).
-_BOUNDS = [1, 255, 256, 1000, 2**30, 2**40, 2**63 - 1, 2**63, 10**30, 10**300]
+# Magnitudes on both sides of the 8-bit limb boundary, of the 7-byte rows
+# written as int64 (2**56 - 1 takes 7 limbs, 2**56 takes 8), of a 64-bit
+# word (2**63 - 1 fits in a signed one, 2**63 does not), and one of 125
+# limbs (10**300).
+_BOUNDS = [
+    1, 255, 256, 1000, 2**30, 2**40, 2**56 - 1, 2**56, 2**63 - 1, 2**63,
+    10**30, 10**300,
+]
 
 
 @settings(max_examples=150, deadline=None)

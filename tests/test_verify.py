@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients
@@ -60,6 +62,14 @@ class TestRatioTest:
         report = ratio_test([(n, 0.0, 0.0) for n in range(1, 5)], basis, 1e-3)
         assert (report.lam, report.spread) == (0.0, 0.0)
         assert report.error_budget == float("inf")
+        assert not report.passed
+
+    def test_infinite_error_is_an_infinite_budget(self):
+        # c(n) and err(n) both beyond float range: inf / inf must not
+        # become a nan that max() drops.
+        basis = QSeries([0, 1, 2])
+        report = ratio_test([(1, math.inf, math.inf), (2, 2.0, 0.0)], basis, 1e-3)
+        assert report.error_budget == math.inf
         assert not report.passed
 
 
