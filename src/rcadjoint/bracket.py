@@ -12,15 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qseries import (
-    CharacterMod4,
-    FormMeta,
-    QSeries,
-    apply_D,
-    series_add,
-    series_mul,
-    zero_series,
-)
+from .kernels import convolve_sum
+from .qseries import CharacterMod4, FormMeta, QSeries, _from_ints
 
 
 @dataclass(frozen=True, order=True)
@@ -62,6 +55,17 @@ def _twice_rising(w2: int, hi: int, lo: int) -> int:
     return out
 
 
+def _rc_numerator(p: BracketParams, r: int) -> int:
+    """2^nu rc_coefficient(p, r), an integer."""
+    sign = -1 if (p.nu - r) % 2 else 1
+    return (
+        sign
+        * math.comb(p.nu, r)
+        * _twice_rising(p.k.w2, p.nu, r)
+        * _twice_rising(p.l.w2, p.nu, p.nu - r)
+    )
+
+
 def rc_coefficient(p: BracketParams, r: int) -> Fraction:
     """The scalar weighting D^r f D^(nu-r) g inside the bracket.
 
@@ -70,14 +74,7 @@ def rc_coefficient(p: BracketParams, r: int) -> Fraction:
     """
     if not 0 <= r <= p.nu:
         raise ValueError("need 0 <= r <= nu")
-    sign = -1 if (p.nu - r) % 2 else 1
-    top = (
-        sign
-        * math.comb(p.nu, r)
-        * _twice_rising(p.k.w2, p.nu, r)
-        * _twice_rising(p.l.w2, p.nu, p.nu - r)
-    )
-    return Fraction(top, 1 << p.nu)
+    return Fraction(_rc_numerator(p, r), 1 << p.nu)
 
 
 def cohen_character(k2: int, l2: int) -> CharacterMod4:
@@ -104,6 +101,11 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
 
     Output weight is k + l + 2*nu; for nu > 0 the result is a cusp form,
     for nu = 0 it is the plain product.
+
+    The bracket is one exact sum of nu + 1 integer convolutions, of
+    w_r n^r f_n with n^(nu-r) g_n for w_r = 2^nu rc_coefficient(p, r),
+    over the one denominator 2^nu f.den g.den.  The pairs are built one
+    at a time, as convolve_sum reads them.
     """
     if f.meta is not None and f.meta.twice_weight != p.k.w2:
         raise ValueError(
@@ -114,10 +116,18 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
             f"g has twice-weight {g.meta.twice_weight}, bracket expects {p.l.w2}"
         )
     prec = min(f.precision, g.precision)
-    acc = zero_series(prec)
-    for r in range(p.nu + 1):
-        term = series_mul(apply_D(f, r), apply_D(g, p.nu - r))
-        acc = series_add(acc, term, 1, rc_coefficient(p, r))
+    f_num, g_num = f.num[:prec], g.num[:prec]
+
+    def pairs():
+        for r in range(p.nu + 1):
+            w = _rc_numerator(p, r)
+            s = p.nu - r
+            yield (
+                [w * n**r * v if v else 0 for n, v in enumerate(f_num)],
+                [n**s * v if v else 0 for n, v in enumerate(g_num)],
+            )
+
+    num = convolve_sum(pairs(), prec)
     meta = None
     if f.meta is not None and g.meta is not None:
         meta = FormMeta(
@@ -127,4 +137,4 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
             * g.meta.character
             * cohen_character(p.k.w2, p.l.w2),
         )
-    return acc.with_meta(meta)
+    return _from_ints(num, (f.den * g.den) << p.nu, meta)

@@ -1,16 +1,21 @@
 """Exact integer convolution behind truncated series multiplication.
 
-``convolve_exact`` is the one entry point; it picks one of three routes
-from its inputs:
+``convolve_sum(pairs, prec)`` is the one entry point: it returns the sum
+of the truncated convolutions a*b over integer pairs (a, b), all routes
+adding the products before anything is rounded or decoded.
+``convolve_exact(a, b, prec)`` is its one-pair case.  The route is picked
+from the inputs:
 
 * a loop over nonzero pairs, when the inputs are sparse enough that
   there are few of them,
-* ``convolve_fft``, a limb-split floating-point FFT convolution, for
-  dense inputs whose a-priori rounding bound (Percival 2003, Thm 5.1,
-  applied to numpy's pocketfft under the assumption stated in
+* ``convolve_fft``, a limb-split floating-point FFT convolution that adds
+  every pair's limb products in the frequency domain, for dense inputs
+  whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
+  to numpy's pocketfft under the assumption stated in
   ``fft_error_bound``) and run-time residual check both hold,
-* Kronecker substitution on Python big integers (``convolve_bigint``,
-  one signed product), only when that bound or that check fails.
+* Kronecker substitution on Python big integers (the pairs' signed
+  products added into one integer), only when that bound or that check
+  fails.
 
 Both dense routes share one byte-row format: ``_byte_rows`` turns ints into
 rows of little-endian magnitude bytes and a negative mask, and
@@ -18,6 +23,9 @@ rows of little-endian magnitude bytes and a negative mask, and
 codec picks how from its input: rows of at most 7 bytes are written, and
 rows whose values all fit in an int64 are read, as one int64 array; wider
 rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
+Once a sum is known to be dense, each pair is turned into byte rows as it
+arrives, so the int lists of a generator's pairs are never all alive at
+once.
 
 Every route is exact and returns exactly ``prec`` Python ints.
 """
@@ -27,8 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from collections import deque
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 # Loading numpy starts OpenBLAS's thread pool, one thread per core, though
 # nothing here calls BLAS (the FFT route is pocketfft); on two cores that
@@ -108,51 +115,67 @@ def _ints_from_rows(rows) -> List[int]:
     ]
 
 
-def _kronecker_eval(vals, width) -> int:
-    """sum_i vals[i] * 2^(8 width i) for signed ints vals: positive part
-    minus negative part."""
-    mags, neg = _byte_rows(vals, width)
+class _Rows(NamedTuple):
+    """One operand in byte rows: ``mags`` (length, limbs) uint8 holds the
+    8-bit limbs of each magnitude, ``neg`` marks the negative values, and
+    ``peak`` is the largest magnitude."""
+
+    mags: np.ndarray
+    neg: np.ndarray
+    peak: int
+
+
+def _rows(vals) -> _Rows:
+    peak = max(map(abs, vals), default=0)
+    limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
+    return _Rows(*_byte_rows(vals, limbs), peak)
+
+
+def _kronecker_eval(op: _Rows, width: int) -> int:
+    """sum_i v_i 2^(8 width i) over the operand's values v_i, for width at
+    least its limb count: positive part minus negative part."""
+    mags = np.zeros((len(op.mags), width), dtype=np.uint8)
+    mags[:, : op.mags.shape[1]] = op.mags
     pos, negs = (
         int.from_bytes((mags * keep[:, None]).tobytes(), "little")
-        for keep in (~neg, neg)
+        for keep in (~op.neg, op.neg)
     )
     return pos - negs
 
 
-def convolve_bigint(a, b, prec):
-    """Exact truncated convolution via Kronecker substitution.
+def _convolve_kronecker(terms, prec):
+    """Exact truncated sum of convolutions via Kronecker substitution.
 
-    a and b are evaluated at X = 2^(8 width), with every product
-    coefficient c_i below X/2 in magnitude, and multiplied once as signed
-    big integers.  Adding X/2 to every slot makes slot i hold
-    c_i + X/2 in [0, X), with no borrow between slots; flipping each
-    slot's top bit then leaves c_i in two's complement.
+    Every operand is evaluated at X = 2^(8 width), with every coefficient
+    c_i of the sum below X/2 in magnitude, and the pairs' signed
+    big-integer products are added.  Adding X/2 to every slot makes slot
+    i hold c_i + X/2 in [0, X), with no borrow between slots; flipping
+    each slot's top bit then leaves c_i in two's complement.
     """
-    a, b = a[:prec], b[:prec]
-    max_a = max((abs(v) for v in a), default=0)
-    max_b = max((abs(v) for v in b), default=0)
-    if max_a == 0 or max_b == 0:
+    bound = sum(a.peak * b.peak * min(len(a.mags), len(b.mags)) for a, b in terms)
+    if not bound:
         return [0] * prec
-    bound = max_a * max_b * min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8 + 1  # bytes per slot, with headroom
-    slots = len(a) + len(b) - 1
+    slots = max(len(a.mags) + len(b.mags) for a, b in terms) - 1
     n_out = min(prec, slots)
-    half = _kronecker_eval([1 << (8 * width - 1)] * slots, width)  # X/2 per slot
-    product = _kronecker_eval(a, width) * _kronecker_eval(b, width) + half
-    data = product.to_bytes(width * slots, "little")
+    total = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # X/2 each
+    for a, b in terms:
+        total += _kronecker_eval(a, width) * _kronecker_eval(b, width)
+    data = total.to_bytes(width * slots, "little")
     rows = np.frombuffer(data, np.uint8, width * n_out).reshape(n_out, width).copy()
     rows[:, -1] ^= 0x80
     return _ints_from_rows(rows) + [0] * (prec - n_out)
 
 
+def convolve_bigint(a, b, prec):
+    """Exact truncated convolution of two int lists by Kronecker
+    substitution: the Kronecker route on one pair."""
+    return _convolve_kronecker([(_rows(a[:prec]), _rows(b[:prec]))], prec)
+
+
 def _head(vals, prec):
     """The first prec entries of vals, copied only when it is longer."""
     return vals if len(vals) <= prec else vals[:prec]
-
-
-def _limb_count(vals) -> int:
-    bits = max(map(abs, vals), default=0).bit_length()
-    return (bits + _LIMB_BITS - 1) // _LIMB_BITS
 
 
 def _fft_length(n: int) -> int:
@@ -171,19 +194,22 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def fft_error_bound(limbs_a: int, limbs_b: int, len_a: int, len_b: int) -> float:
+def fft_error_bound(shapes) -> float:
     """A-priori bound on the rounding error of each limb-shift sum of convolve_fft.
 
-    C. Percival, "Rapid multiplication modulo the sum and difference of
-    highly composite numbers", Math. Comp. 72 (2003), Thm 5.1: a
-    floating-point FFT convolution of x and y, of length 2^k, is off by
-    less than ||x|| ||y|| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1) in
-    every coordinate, with e the unit roundoff and b the error of the
-    precomputed twiddle factors.  Here e = b = 2^-53, k = ceil(log2 N),
-    ||x|| <= 255 sqrt(len_a) for one 8-bit limb row, and the bound is
-    summed over all limbs_a * limbs_b limb pairs, which overcounts the at
-    most min(limbs_a, limbs_b) pairs that meet in one shift and leaves
-    room for adding them in the frequency domain.
+    shapes holds, per pair, the (length, limbs) of its two operands; all
+    pairs are transformed at the one length N = _fft_length of the longest
+    product.  C. Percival, "Rapid multiplication modulo the sum and
+    difference of highly composite numbers", Math. Comp. 72 (2003),
+    Thm 5.1: a floating-point FFT convolution of x and y, of length 2^k, is
+    off by less than ||x|| ||y|| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
+    in every coordinate, with e the unit roundoff and b the error of the
+    precomputed twiddle factors.  Here e = b = 2^-53, k = ceil(log2 N), and
+    ||x|| <= 255 sqrt(len) for one 8-bit limb row.  The bound is summed
+    over every pair and, within a pair, over all limbs_a * limbs_b limb
+    pairs, which overcounts the at most min(limbs_a, limbs_b) pairs that
+    meet in one shift; the sum covers adding all those products in the
+    frequency domain before one inverse transform per shift.
 
     The theorem is stated for radix-2 transforms; it is applied to
     numpy's pocketfft, which runs mixed radix on the 5-smooth N used
@@ -191,134 +217,184 @@ def fft_error_bound(limbs_a: int, limbs_b: int, len_a: int, len_b: int) -> float
     model.  convolve_fft therefore also checks every computed value's
     distance to the nearest integer at run time.
     """
-    k = (_fft_length(len_a + len_b - 1) - 1).bit_length()
+    shapes = list(shapes)
+    if not shapes:
+        return 0.0
+    size = _fft_length(max(len_a + len_b for (len_a, _), (len_b, _) in shapes) - 1)
+    k = (size - 1).bit_length()
     growth = math.expm1(
         6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
     )
-    return limbs_a * limbs_b * _LIMB_MAX**2 * math.sqrt(len_a * len_b) * growth
+    norms = sum(
+        limbs_a * limbs_b * math.sqrt(len_a * len_b)
+        for (len_a, limbs_a), (len_b, limbs_b) in shapes
+    )
+    return norms * _LIMB_MAX**2 * growth
 
 
-def fft_certificate(a, b):
-    """(limbs_a, limbs_b, bound): the 8-bit limb counts of a and b and
-    fft_error_bound for their product by convolve_fft."""
-    limbs_a, limbs_b = _limb_count(a), _limb_count(b)
-    return limbs_a, limbs_b, fft_error_bound(limbs_a, limbs_b, len(a), len(b))
+def convolve_fft(terms, prec) -> Optional[List[int]]:
+    """Exact truncated sum of convolutions by a limb-split floating-point FFT.
 
-
-def convolve_fft(a, b, prec, certificate=None) -> Optional[List[int]]:
-    """Exact truncated convolution by a limb-split floating-point FFT.
-
+    terms holds the pairs as byte rows (_Rows), every operand nonzero.
     Each coefficient's magnitude is split into 8-bit limbs carrying its
     sign; the limb rows are transformed with real FFTs of a 5-smooth
-    length N >= len(a) + len(b) - 1, the products of limb rows i and j
-    are summed in the frequency domain per shift s = i + j, and one
-    inverse FFT per shift gives integers after rint.  The shifts are
-    carry-normalised in base 2^8 into one row of digits per coefficient;
-    the row's final int64 carry is appended as 8 more bytes, so that the
-    row read as a signed int is the coefficient.  Only the spectra of the
-    operand with fewer limbs, and one accumulator per open shift, are
-    kept alive.
+    length N >= the longest len(a) + len(b) - 1, and the products of limb
+    rows i and j of every pair are summed in the frequency domain per
+    shift s = i + j.  One inverse FFT per shift then gives integers after
+    rint.  The shifts are carry-normalised in base 2^8 into one row of
+    digits per coefficient; the row's final int64 carry is appended as 8
+    more bytes, so that the row read as a signed int is the coefficient.
+
+    Per pair, only the spectra of the operand with fewer limbs are kept.
+    A shift's sum is allocated when a product first reaches it and
+    finished as soon as no product is left for it: in the last pair,
+    after its row s of the other operand.  One pair thus keeps as many
+    sums as its smaller limb count, and several pairs at most one per
+    shift.
 
     Returns None, and computes nothing, when fft_error_bound (Percival
     2003, Thm 5.1, applied to numpy's pocketfft under the assumption
     stated there) does not certify rounding, i.e. the bound is >= 1/4;
     returns None when some computed value lies farther than 1/8 from an
     integer.  Otherwise returns exactly ``prec`` Python ints.
-
-    ``certificate``, if given, is fft_certificate of the first ``prec``
-    coefficients of a and b, so that a caller who has it need not
-    compute it again.
     """
-    a, b = _head(a, prec), _head(b, prec)
-    limbs_a, limbs_b, bound = certificate or fft_certificate(a, b)
-    if not limbs_a or not limbs_b:
+    if not terms:
         return [0] * prec
-    if bound >= _CERT_LIMIT:
+    if fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms) >= _CERT_LIMIT:
         return None
-    if limbs_b > limbs_a:
-        a, b, limbs_a, limbs_b = b, a, limbs_b, limbs_a
-    n_out = min(prec, len(a) + len(b) - 1)
-    size = _fft_length(len(a) + len(b) - 1)
-    mags_a, neg_a = _byte_rows(a, limbs_a)
-    mags_b, neg_b = _byte_rows(b, limbs_b)
-    signs_a, signs_b = np.where(neg_a, -1.0, 1.0), np.where(neg_b, -1.0, 1.0)
+    longest = max(len(a.mags) + len(b.mags) for a, b in terms) - 1
+    n_out = min(prec, longest)
+    size = _fft_length(longest)
+    shifts = max(a.mags.shape[1] + b.mags.shape[1] for a, b in terms) - 1
     # Fixed buffers, reused for every limb row and shift: `row` holds a
-    # signed limb row, then the rounded values of a shift; the inverse
-    # transform of a shift is written over `prod`, free until the next row.
-    row = np.empty(max(len(a), len(b), n_out))
+    # signed limb row, then the rounded values of a shift; `prod` holds
+    # one limb product, then the inverse transform of a shift.
+    row = np.empty(max(n_out, *(max(len(a.mags), len(b.mags)) for a, b in terms)))
     spec = np.empty(size // 2 + 1, dtype=np.complex128)
     prod = np.empty_like(spec)
     x = prod.view(np.float64)[:size]
-    spectra_b = [
-        np.fft.rfft(np.multiply(mags_b[:, j], signs_b, out=row[: len(b)]), size)
-        for j in range(limbs_b)
-    ]
-    shifts = limbs_a + limbs_b - 1
+    sums = [None] * shifts  # the frequency-domain sum of each open shift
+    spare = []  # zeroed sums of finished shifts, for reuse
     # Row i: the base-2^8 digits of coefficient i, then its final carry.
     digits = np.empty((n_out, shifts + 8), dtype=np.uint8)
     carry = np.zeros(n_out, dtype="<i8")
-    # open_shifts[j] accumulates shift s + j while limb row s of a is added.
-    open_shifts = deque(np.zeros_like(spec) for _ in range(limbs_b))
-    for s in range(shifts):
-        if s < limbs_a:
-            np.multiply(mags_a[:, s], signs_a, out=row[: len(a)])
-            np.fft.rfft(row[: len(a)], size, out=spec)
-            for acc, spec_b in zip(open_shifts, spectra_b):
-                acc += np.multiply(spec, spec_b, out=prod)
-        # No later row of a reaches shift s: it is complete.
-        acc = open_shifts.popleft()
-        np.fft.irfft(acc, size, out=x)
-        if s + limbs_b < shifts:
-            acc[:] = 0
-            open_shifts.append(acc)
-        value = x[:n_out]
-        rounded = np.rint(value, out=row[:n_out])
-        if np.max(np.abs(np.subtract(value, rounded, out=value), out=value)) > (
-            _RESIDUAL_LIMIT
-        ):
-            return None
-        np.add(carry, rounded, out=carry, casting="unsafe")
-        np.bitwise_and(carry, _LIMB_MAX, out=digits[:, s], casting="unsafe")
-        carry >>= _LIMB_BITS
+    finished = 0
+
+    def finish(end):
+        """Round shifts finished..end-1 and carry them into the digits;
+        False when a value lies farther than _RESIDUAL_LIMIT from an integer."""
+        nonlocal finished
+        for s in range(finished, end):
+            np.fft.irfft(sums[s], size, out=x)
+            sums[s].fill(0)
+            spare.append(sums[s])
+            sums[s] = None
+            value = x[:n_out]
+            rounded = np.rint(value, out=row[:n_out])
+            residual = np.abs(np.subtract(value, rounded, out=value), out=value)
+            if np.max(residual) > _RESIDUAL_LIMIT:
+                return False
+            np.add(carry, rounded, out=carry, casting="unsafe")
+            np.bitwise_and(carry, _LIMB_MAX, out=digits[:, s], casting="unsafe")
+            np.right_shift(carry, _LIMB_BITS, out=carry)
+        finished = end
+        return True
+
+    last = len(terms) - 1
+    for t, (a, b) in enumerate(terms):
+        if b.mags.shape[1] > a.mags.shape[1]:
+            a, b = b, a
+        signs_a, signs_b = np.where(a.neg, -1.0, 1.0), np.where(b.neg, -1.0, 1.0)
+        spectra_b = [
+            np.fft.rfft(np.multiply(limb, signs_b, out=row[: len(b.mags)]), size)
+            for limb in b.mags.T
+        ]
+        for i, limb in enumerate(a.mags.T):
+            np.multiply(limb, signs_a, out=row[: len(a.mags)])
+            np.fft.rfft(row[: len(a.mags)], size, out=spec)
+            for j, spec_b in enumerate(spectra_b):
+                if sums[i + j] is None:
+                    sums[i + j] = spare.pop() if spare else np.zeros_like(spec)
+                sums[i + j] += np.multiply(spec, spec_b, out=prod)
+            if t == last and not finish(i + 1):
+                return None
+        del spectra_b
+    if not finish(shifts):
+        return None
     digits[:, shifts:] = carry.view(np.uint8).reshape(n_out, 8)
     return _ints_from_rows(digits) + [0] * (prec - n_out)
 
 
-def _convolve_sparse(nza, nzb, prec):
-    # nza, nzb: (index, value) pairs of the nonzero coefficients, by index.
-    if len(nza) > len(nzb):
-        nza, nzb = nzb, nza
+def _convolve_sparse(pairs, prec):
+    """The sum of the pairs' products by a loop over nonzero coefficients."""
     out = [0] * prec
-    for i, ci in nza:
-        for j, cj in nzb:
-            if i + j >= prec:
-                break
-            out[i + j] += ci * cj
+    for a, b in pairs:
+        nza = [(i, v) for i, v in enumerate(a) if v]
+        nzb = [(j, v) for j, v in enumerate(b) if v]
+        if len(nza) > len(nzb):
+            nza, nzb = nzb, nza
+        for i, ci in nza:
+            for j, cj in nzb:
+                if i + j >= prec:
+                    break
+                out[i + j] += ci * cj
+    return out
+
+
+def _read_pairs(pairs, prec):
+    """(dense, held): the pairs cut to prec, kept as int lists while their
+    nonzero products could still fit the sparse route, and as byte rows
+    (_Rows) from the pair that rules it out on."""
+    held, cost, dense = [], 0, False
+    for a, b in pairs:
+        a, b = _head(a, prec), _head(b, prec)
+        cost += (len(a) - a.count(0)) * (len(b) - b.count(0))
+        if not dense and cost > _SPARSE_COST_FACTOR * prec:
+            dense = True
+            held = [(_rows(x), _rows(y)) for x, y in held]
+        held.append((_rows(a), _rows(b)) if dense else (a, b))
+    return dense, held
+
+
+def _shape(op):
+    """(length, limbs) of a held operand; limbs is None for an int list."""
+    return op.mags.shape if isinstance(op, _Rows) else (len(op), None)
+
+
+def convolve_sum(pairs, prec):
+    """Exact sum of the truncated convolutions a*b over the (a, b) in
+    pairs, lists of Python ints; pairs may be any iterable, read once.
+
+    Returns exactly ``prec`` Python ints, whichever route runs.  One
+    DEBUG line per call names the route, the number of pairs and the
+    summed FFT bound against its limit, and for one pair the operands'
+    lengths and limb counts.
+    """
+    dense, held = _read_pairs(pairs, prec)
+    terms = [(a, b) for a, b in held if a.peak and b.peak] if dense else []
+    if not dense:
+        route, out = "sparse", _convolve_sparse(held, prec)
+    else:
+        route, out = "fft", convolve_fft(terms, prec)
+        if out is None:
+            route, out = "kronecker", _convolve_kronecker(terms, prec)
+    if _log.isEnabledFor(logging.DEBUG):
+        shapes = [(_shape(a), _shape(b)) for a, b in held]
+        detail = ""
+        if len(shapes) == 1:
+            ((len_a, limbs_a), (len_b, limbs_b)), = shapes
+            detail = f" len={len_a},{len_b} limbs={limbs_a},{limbs_b}"
+        bound = None
+        if dense:
+            bound = fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms)
+        _log.debug(
+            "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s",
+            route, len(held), prec, detail, bound, _CERT_LIMIT,
+        )
     return out
 
 
 def convolve_exact(a, b, prec):
-    """Exact truncated convolution of two lists of Python ints.
-
-    Returns exactly ``prec`` Python ints, whichever route runs.
-    """
-    a, b = _head(a, prec), _head(b, prec)
-    pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-    certificate = (None, None, None)
-    if pairs <= _SPARSE_COST_FACTOR * prec:
-        route = "sparse"
-        out = _convolve_sparse(
-            [(i, v) for i, v in enumerate(a) if v],
-            [(j, v) for j, v in enumerate(b) if v],
-            prec,
-        )
-    else:
-        certificate = fft_certificate(a, b)
-        route, out = "fft", convolve_fft(a, b, prec, certificate)
-        if out is None:
-            route, out = "kronecker", convolve_bigint(a, b, prec)
-    _log.debug(
-        "convolve_exact route=%s len=%d,%d prec=%d limbs=%s,%s bound=%s limit=%s",
-        route, len(a), len(b), prec, *certificate, _CERT_LIMIT,
-    )
-    return out
+    """Exact truncated convolution of two lists of Python ints: the
+    one-pair case of convolve_sum."""
+    return convolve_sum([(a, b)], prec)

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .kernels import convolve_exact
+from .kernels import convolve_exact, np
 
 
 class CharacterMod4(Enum):
@@ -448,6 +448,33 @@ def bernoulli_number(n: int) -> Fraction:
     return b[n]
 
 
+def _divisor_power_sums(e: int, size: int) -> list:
+    """sigma_e(n) = sum_{d | n} d^e for 0 <= n < size, with sigma_e(0) = 0,
+    as exact Python ints.
+
+    Multiplicative, from a smallest-prime-factor sieve: for n = p m with p
+    the least prime factor of n, sigma(n) = (1 + p^e) sigma(m) when p does
+    not divide m, and (1 + p^e) sigma(m) - p^e sigma(m / p) when it does.
+    """
+    spf = np.zeros(size, dtype=np.int64)
+    for p in range(2, math.isqrt(max(size - 1, 0)) + 1):
+        if not spf[p]:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    primes = spf == 0
+    spf[primes] = np.flatnonzero(primes)
+    sigma = [0] * size
+    if size > 1:
+        sigma[1] = 1
+    for n, p in enumerate(spf[2:size].tolist(), 2):
+        m = n // p
+        pe = p**e
+        sigma[n] = (1 + pe) * sigma[m]
+        if m % p == 0:
+            sigma[n] -= pe * sigma[m // p]
+    return sigma
+
+
 def make_eisenstein(weight_k: int, precision: int) -> QSeries:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if weight_k % 2 != 0 or weight_k < 4:
@@ -455,11 +482,7 @@ def make_eisenstein(weight_k: int, precision: int) -> QSeries:
     if precision < 1:
         raise ValueError("precision must be >= 1")
     factor = Fraction(-2 * weight_k) / bernoulli_number(weight_k)
-    sigma = [0] * precision
-    for d in range(1, precision):
-        dk = d ** (weight_k - 1)
-        for mult in range(d, precision, d):
-            sigma[mult] += dk
+    sigma = _divisor_power_sums(weight_k - 1, precision)
     # 1 + (p/q) sum sigma(n) q^n, over the denominator q of the factor.
     p, q = factor.numerator, factor.denominator
     num = [q] + [p * sigma[n] for n in range(1, precision)]

@@ -76,6 +76,29 @@ class TestBracket:
         assert data["coeffs"][:6] == ["1/1", "4/1", "4/1", "0/1", "4/1", "8/1"]
         assert data["twice_weight"] == 2
 
+    @pytest.mark.parametrize(
+        "f, g, nu, precision, digest",
+        [
+            ("E4", "E6", "3", "8000",
+             "4110167a88e4749892c9d858469a169fe301dc70f41c024768edbd6830b38403"),
+            ("delta", "E4", "2", "2511",
+             "f44a2a50c4aca5ab59faa57956735459248618540954cb249a411f8fedef27ed"),
+            ("theta", "delta_4_6", "2", "4000",
+             "07ba07a4f299d097de17422929ad84ff3190299915a4a1dcf2691bff36238be1"),
+            # Sparse route: every product of theta with itself.
+            ("theta", "theta", "3", "4000",
+             "d47d8969d445da02cc13c976623c711c180e531691a267254be8cfd8d3f51596"),
+        ],
+    )
+    def test_brackets_byte_identical(self, f, g, nu, precision, digest, capsys):
+        # Digests of the brackets summed term by term, each product its own
+        # convolution and series_add over Fractions: summing the nu + 1
+        # products in one convolve_sum call changes no byte.
+        argv = ["bracket", "--f", f, "--g", g, "--nu", nu, "--precision", precision]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_negative_nu_is_usage_error(self):
         assert run(
             ["bracket", "--f", "theta", "--g", "theta", "--nu", "-1",
@@ -479,6 +502,8 @@ def test_debug_route_log_leaves_output_unchanged(capsys, caplog):
         assert run(argv) == 0
     assert capsys.readouterr() == quiet
     assert any("route=fft" in r.getMessage() for r in caplog.records)
+    # The nu = 1 bracket is one sum of its two products.
+    assert any("pairs=2" in r.getMessage() for r in caplog.records)
 
 
 _SEC5_ADJOINT = ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",

@@ -15,15 +15,33 @@ def rand_ints(rng, n, lo, hi):
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
+def _terms(pairs, prec):
+    """The pairs cut to prec, in the byte rows the dense routes read."""
+    return [
+        (kernels._rows(a[:prec]), kernels._rows(b[:prec])) for a, b in pairs
+    ]
+
+
+def fft(a, b, prec):
+    """convolve_fft on the one pair (a, b)."""
+    return kernels.convolve_fft(_terms([(a, b)], prec), prec)
+
+
+def fft_bound(a, b):
+    """fft_error_bound of the one pair (a, b)."""
+    ((rows_a, rows_b),) = _terms([(a, b)], max(len(a), len(b)))
+    return kernels.fft_error_bound([(rows_a.mags.shape, rows_b.mags.shape)])
+
+
 def test_dense_routes_agree_with_naive():
     rng = random.Random(7)
     a = rand_ints(rng, 60, -1000, 1000)
     b = rand_ints(rng, 60, -1000, 1000)
     expected = [int(x) for x in naive_mul(a, b, 60)]
-    assert kernels.convolve_fft(a, b, 60) == expected
+    assert fft(a, b, 60) == expected
     assert kernels.convolve_bigint(a, b, 60) == expected
     assert kernels.convolve_exact(a, b, 60) == expected
-    assert kernels.convolve_fft([3, -1, 4], [2, 7, 0], 3) == [6, 19, 1]
+    assert fft([3, -1, 4], [2, 7, 0], 3) == [6, 19, 1]
 
 
 def test_bigint_route_on_huge_coefficients():
@@ -31,7 +49,7 @@ def test_bigint_route_on_huge_coefficients():
     a = rand_ints(rng, 40, -(10**30), 10**30)
     b = rand_ints(rng, 40, -(10**30), 10**30)
     expected = [int(x) for x in naive_mul(a, b, 40)]
-    assert kernels.convolve_fft(a, b, 40) == expected
+    assert fft(a, b, 40) == expected
     assert kernels.convolve_bigint(a, b, 40) == expected
     assert kernels.convolve_exact(a, b, 40) == expected
 
@@ -114,19 +132,19 @@ def test_every_route_returns_prec_coefficients(
     assert kernels.convolve_bigint(a, b, prec) == expected
     # At these sizes the rounding bound is far below the limit, so the FFT
     # route must certify and answer; a None here would hide a limb bug.
-    assert kernels.fft_certificate(a[:prec], b[:prec])[2] < kernels._CERT_LIMIT
-    assert kernels.convolve_fft(a, b, prec) == expected
+    assert fft_bound(a[:prec], b[:prec]) < kernels._CERT_LIMIT
+    assert fft(a, b, prec) == expected
 
 
 _ROUTES = {
     "sparse": "_convolve_sparse",
     "fft": "convolve_fft",
-    "kronecker": "convolve_bigint",
+    "kronecker": "_convolve_kronecker",
 }
 
 
 def _spy_routes(monkeypatch):
-    """Record, in order, which route functions convolve_exact calls."""
+    """Record, in order, which route functions convolve_sum calls."""
     calls = []
     for route, name in _ROUTES.items():
         real = getattr(kernels, name)
@@ -168,7 +186,7 @@ def test_kronecker_past_the_product_length():
     a, b = _dense(10**27000, n=6, seed=5)
     a[-1], b[-1] = -(10**27000), 10**27000
     prec = len(a) + len(b) + 7
-    assert kernels.fft_certificate(a, b)[2] >= kernels._CERT_LIMIT
+    assert fft_bound(a, b) >= kernels._CERT_LIMIT
     expected = [int(x) for x in naive_mul(a, b, prec)]
     assert expected[len(a) + len(b) - 2] < 0
     assert kernels.convolve_bigint(a, b, prec) == expected
@@ -179,7 +197,7 @@ def test_failed_fft_check_falls_back_to_kronecker(monkeypatch, limit):
     a, b = _dense(10**6)
     expected = kernels.convolve_exact(a, b, 200)
     monkeypatch.setattr(kernels, limit, -1.0)
-    assert kernels.convolve_fft(a, b, 200) is None
+    assert fft(a, b, 200) is None
     calls = _spy_routes(monkeypatch)
     assert kernels.convolve_exact(a, b, 200) == expected
     assert calls == ["fft", "kronecker"]
@@ -197,3 +215,108 @@ def test_route_is_logged_at_debug_only(caplog, capsys):
     assert "limbs=2,2" in message
     assert "bound=" in message
     assert capsys.readouterr().out == ""
+
+
+def _operand(rng, length, bound, kind):
+    """length ints up to bound in magnitude: every one ("dense"), every
+    ninth ("sparse") or none ("zero") nonzero; the first is bound."""
+    if kind == "zero":
+        return [0] * length
+    every = 9 if kind == "sparse" else 1
+    vals = [rng.randint(-bound, bound) if i % every == 0 else 0 for i in range(length)]
+    vals[0] = bound
+    return vals
+
+
+_OPERAND = st.tuples(
+    st.integers(1, 120),
+    st.sampled_from(_BOUNDS),
+    st.sampled_from(["dense", "dense", "sparse", "zero"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(_OPERAND, _OPERAND), min_size=1, max_size=4),
+    prec=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_convolve_sum_is_the_sum_of_naive_products(shapes, prec, seed):
+    # 1-4 pairs of sparse, dense and all-zero operands, mixed freely; prec
+    # runs both below and above the longest product (up to 239 terms).
+    rng = random.Random(seed)
+    pairs = [(_operand(rng, *x), _operand(rng, *y)) for x, y in shapes]
+    expected = [
+        int(sum(column))
+        for column in zip(*(naive_mul(a, b, prec) for a, b in pairs))
+    ]
+    out = kernels.convolve_sum(pairs, prec)
+    assert out == expected
+    assert all(type(v) is int for v in out)
+    assert kernels.convolve_sum(iter(pairs), prec) == expected
+    if len(pairs) == 1:
+        assert kernels.convolve_exact(*pairs[0], prec) == expected
+    # At these sizes the summed rounding bound is far below the limit, so
+    # the fused FFT route must certify and answer, whichever route the
+    # density picks.
+    terms = [(a, b) for a, b in _terms(pairs, prec) if a.peak and b.peak]
+    assert kernels.convolve_fft(terms, prec) == expected
+    # With the FFT route refused up front or after its residual check,
+    # the Kronecker sum answers with the same list.
+    for limit in ("_CERT_LIMIT", "_RESIDUAL_LIMIT"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, limit, -1.0)
+            assert kernels.convolve_sum(pairs, prec) == expected
+
+
+@pytest.mark.parametrize("limit", [None, "_CERT_LIMIT", "_RESIDUAL_LIMIT"])
+def test_dense_sum_takes_one_route(monkeypatch, limit):
+    # Three dense pairs of different lengths and limb counts, one of them
+    # with an all-zero operand, are summed by one FFT route call (or one
+    # Kronecker call after it refuses), not pair by pair.
+    rng = random.Random(9)
+    pairs = [
+        (rand_ints(rng, 150, -(10**6), 10**6), rand_ints(rng, 90, -(10**20), 10**20)),
+        (rand_ints(rng, 60, -1000, 1000), rand_ints(rng, 200, -(2**63), 2**63)),
+        ([0] * 200, rand_ints(rng, 200, -5, 5)),
+    ]
+    expected = [
+        int(sum(column)) for column in zip(*(naive_mul(a, b, 230) for a, b in pairs))
+    ]
+    if limit is not None:
+        monkeypatch.setattr(kernels, limit, -1.0)
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_sum(pairs, 230) == expected
+    assert calls == (["fft"] if limit is None else ["fft", "kronecker"])
+
+
+def test_sum_route_is_logged_once_with_its_pair_count(caplog):
+    a, b = _dense(1000)
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        kernels.convolve_sum([(a, b), (b, a)], 200)
+    (record,) = [r for r in caplog.records if r.name == kernels.__name__]
+    message = record.getMessage()
+    assert "route=fft" in message
+    assert "pairs=2" in message
+    assert "len=" not in message
+    assert "bound=" in message and "limit=" in message
+
+
+def test_summed_bound_uses_the_shared_transform_length():
+    # Both pairs are transformed at the long pair's length, so the short
+    # pair's norms count at that length's growth factor too.
+    short, long = ((10, 3), (10, 2)), ((5000, 1), (5000, 1))
+    both = kernels.fft_error_bound([short, long])
+    alone = kernels.fft_error_bound([long])
+    assert both == pytest.approx(alone * (3 * 2 * 10 + 5000) / 5000, rel=1e-12)
+    assert both > kernels.fft_error_bound([short]) + alone
+
+
+def test_kronecker_slots_hold_the_whole_sum():
+    # 1000 products of 2^23 - 1 with itself: each fits a 7-byte slot, their
+    # sum (about 2^56) does not; the slot width comes from the whole sum.
+    m = (1 << 23) - 1
+    pairs = [([m, -m], [m, m])] * 1000
+    expected = [1000 * m * m, 0]
+    assert kernels._convolve_kronecker(_terms(pairs, 2), 2) == expected
+    assert kernels.convolve_sum(pairs, 2) == expected

@@ -10,6 +10,7 @@ from rcadjoint.qseries import (
     CharacterMod4,
     FormMeta,
     QSeries,
+    _divisor_power_sums,
     _euler_factor,
     _from_ints,
     _miller_power,
@@ -247,6 +248,26 @@ class TestEisenstein:
         assert e12.den == 691
         assert e12.coeffs == (1, Fraction(65520, 691), Fraction(65520 * 2049, 691),
                               Fraction(65520 * 177148, 691))
+
+    @pytest.mark.parametrize("e", [3, 5, 11])
+    def test_divisor_power_sums_against_divisors(self, e):
+        # Every n below 700, which includes prime powers up to 3^5, 5^4 and
+        # 2^9 and products of three primes; sigma_11 leaves int64 at n = 53.
+        size = 700
+        expected = [0] + [
+            sum(d**e for d in range(1, n + 1) if n % d == 0) for n in range(1, size)
+        ]
+        assert _divisor_power_sums(e, size) == expected
+        assert all(type(v) is int for v in _divisor_power_sums(e, size))
+        for small in (1, 2, 3, 4, 5):
+            assert _divisor_power_sums(e, small) == expected[:small]
+
+    def test_e6_past_int64(self):
+        # sigma_5(n) passes 2^63 near n = 6000; the coefficients stay exact.
+        n = 6720  # 2^6 * 3 * 5 * 7
+        sigma = sum(d**5 for d in range(1, n + 1) if n % d == 0)
+        assert sigma > 2**63
+        assert make_eisenstein(6, n + 1).coeff(n) == -504 * sigma
 
     def test_weight_two_rejected(self):
         with pytest.raises(ValueError):
