@@ -14,7 +14,6 @@ from .qseries import (
 )
 from .bracket import (
     BracketParams,
-    TwiceWeight,
     rc_bracket,
     rc_coefficient,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "QSeries",
     "RatioReport",
     "TailProfile",
-    "TwiceWeight",
     "adjoint_case",
     "adjoint_coefficients",
     "apply_D",

@@ -18,10 +18,11 @@ and carries a bound on its truncation error from empirical
 coefficient-growth profiles.
 
 The series arithmetic upstream is exact.  Each L-sum is an integer sum
-within 2^-168 times its terms' absolute sum (``_l_series_sums``), and beta
-is a rational times integer powers of sqrt(n) and pi, taken to BETA_BITS
-bits (``beta_value``).  Each printed number is one Fraction, rounded to a
-float once.
+of the stored numerators, weighted by the bracket's own integers w_r, within
+2^-168 times its terms' absolute sum (``_l_series_sums``), and beta is a
+rational times integer powers of sqrt(n) and pi, taken to BETA_BITS bits
+(``beta_value``).  Each printed number is one Fraction, rounded to a float
+once.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .bracket import BracketParams, TwiceWeight, _twice_rising, rc_coefficient
+from .bracket import BracketParams, _rc_numerator, _twice_rising
 from .kernels import np
-from .qseries import QSeries, _lowest_terms
+from .qseries import QSeries
 
 GUARD_BITS = 168
 BETA_BITS = 320
@@ -66,10 +67,10 @@ def adjoint_case(f_w2: int, g_w2: int, nu: int) -> BracketParams:
     is f_w2 - g_w2 - 4 nu; ValueError if nu < 0 or that weight is <= 1,
     since beta needs Gamma(k-1) at a positive argument.
     """
-    p = BracketParams(TwiceWeight(f_w2 - g_w2 - 4 * nu), TwiceWeight(g_w2), nu)
-    if p.k.w2 < 3:
+    p = BracketParams(f_w2 - g_w2 - 4 * nu, g_w2, nu)
+    if p.k2 < 3:
         raise ValueError(
-            f"target weight {p.k.weight} must exceed 1: "
+            f"target weight {Fraction(p.k2, 2)} must exceed 1: "
             "beta needs Gamma(k-1) at a positive argument"
         )
     return p
@@ -77,14 +78,14 @@ def adjoint_case(f_w2: int, g_w2: int, nu: int) -> BracketParams:
 
 def case_id(p: BracketParams) -> CaseId:
     """The weight configuration, read off the parities of k and l."""
-    if p.k.is_integral:
-        return CaseId.INTEGRAL if p.l.is_integral else CaseId.INT_FROM_HALF_G
-    return CaseId.HALF_FROM_INT_G if p.l.is_integral else CaseId.HALF_HALF
+    if p.k2 % 2 == 0:
+        return CaseId.INTEGRAL if p.l2 % 2 == 0 else CaseId.INT_FROM_HALF_G
+    return CaseId.HALF_FROM_INT_G if p.l2 % 2 == 0 else CaseId.HALF_HALF
 
 
 def gamma_s(p: BracketParams) -> Fraction:
     """The point gamma = k + l + 2 nu - 1 at which the series is taken."""
-    return p.k.weight + p.l.weight + 2 * p.nu - 1
+    return Fraction(p.k2 + p.l2, 2) + 2 * p.nu - 1
 
 
 def _twice_weights(f: QSeries, g: QSeries) -> Tuple[int, int]:
@@ -99,7 +100,7 @@ def validate_hypotheses(p: BracketParams, g_is_cusp: bool) -> Optional[str]:
     These hypotheses are all that differ between the four cases; a
     failure is a warning and never blocks computation.
     """
-    k, l, case = p.k.w2 // 2, p.l.w2 // 2, case_id(p)
+    k, l, case = p.k2 // 2, p.l2 // 2, case_id(p)
     if case is CaseId.INTEGRAL:
         if k < 6:
             return f"integral case needs k >= 6 (k={k})"
@@ -223,7 +224,9 @@ def _tail_bound(
     """
     pf = fit_tail_profile(f, epsilon)
     pg = fit_tail_profile(g, epsilon)
-    alpha_weight = _rounded(sum(abs(rc_coefficient(p, r)) for r in range(p.nu + 1)))
+    alpha_weight = _rounded(
+        Fraction(sum(abs(_rc_numerator(p, r)) for r in range(p.nu + 1)), 1 << p.nu)
+    )
     t = pf.exponent + p.nu + pg.exponent - float(gamma_s(p))
     if t < -1.0:
         bound = pf.constant * pg.constant * alpha_weight * M ** (t + 1) / (-(t + 1))
@@ -253,9 +256,10 @@ def _l_series_sums(
     m = 0 term b(0) a(n) c_nu n^nu n^-s is the one the unfolding picks up
     when g is not a cusp form.  gamma is ``gamma_s(p)``.
 
-    Denominators are cleared once, so each term is an exact integer
-    B_m * alpha(n,m) times a shared integer weight w_j = A_j floor(2^P
-    j^-gamma), j = n+m, computed the first time a nonzero b(m) reaches j.
+    Each term is the exact integer g.num[m] * sum_r w_r n^r m^(nu-r), with
+    w_r = 2^nu c_r the weights rc_bracket convolves with, times a shared
+    integer f.num[j] floor(2^P j^-gamma), j = n+m, computed the first time
+    a nonzero b(m) reaches j, all over 2^(nu+P) f.den g.den.
     P = GUARD_BITS + ceil(gamma * bit_length(max(ns) + M)) keeps every
     floor above 2^GUARD_BITS, so each returned Fraction is within 2^-168
     times the sum of the terms' absolute values of the exact partial sum.
@@ -276,20 +280,17 @@ def _l_series_sums(
         raise ValueError(
             f"g needs at least {M + 1} coefficients, has {g.precision}"
         )
-    c = [rc_coefficient(p, r) for r in range(p.nu + 1)]
-    # alpha(n,m) = sum_r c_r n^r m^(nu-r) = (1/D) sum_r C_r n^r m^(nu-r).
-    D = math.lcm(*(c_r.denominator for c_r in c))
-    C = [c_r.numerator * (D // c_r.denominator) for c_r in c]
-    A, da = _lowest_terms(f.num[: top + 1], f.den)
-    Bm, db = _lowest_terms(g.num[: M + 1], g.den)
-    B = [(m, b) for m, b in enumerate(Bm) if b]
+    W = [_rc_numerator(p, r) for r in range(p.nu + 1)]
+    A = f.num
+    B = [(m, b) for m, b in enumerate(g.num[: M + 1]) if b]
+    den = (f.den * g.den) << p.nu
     two_gamma = int(2 * gamma)
     P = GUARD_BITS + math.ceil(gamma * top.bit_length())
     w = [None] * (top + 1)
     sums = []
     for n in ns:
-        # Horner in m, from m^nu (coefficient C_0) down to m^0 (C_nu n^nu).
-        horner = [C_r * n**r for r, C_r in enumerate(C)]
+        # Horner in m, from m^nu (coefficient w_0) down to m^0 (w_nu n^nu).
+        horner = [w_r * n**r for r, w_r in enumerate(W)]
         total = 0
         for m, b in B:
             j = n + m
@@ -304,7 +305,7 @@ def _l_series_sums(
             for h in horner:
                 alpha = alpha * m + h
             total += wj * (b * alpha)
-        sums.append(Fraction(total, D * da * db << P))
+        sums.append(Fraction(total, den << P))
     return sums
 
 
@@ -354,14 +355,14 @@ def beta_value(p: BracketParams, n: int) -> Fraction:
     gamma = gamma_s(p)
     if gamma <= 0:
         raise ValueError(f"gamma = {gamma} must be positive: beta needs Gamma(gamma)")
-    k2, twice_exponent = p.k.w2, p.l.w2 + 4 * p.nu  # (4 pi)^(l+2 nu)
+    k2, twice_exponent = p.k2, p.l2 + 4 * p.nu  # (4 pi)^(l+2 nu)
     half_k = k2 % 2
     # pi^(twice_exponent/2) times the sqrt(pi) of Gamma(k-1), over that of
     # Gamma(gamma): an integer power of pi.
     j = (twice_exponent + half_k - (gamma.denominator == 2)) // 2
     value = (
         _gamma_rational(gamma)
-        / _gamma_rational(p.k.weight - 1)
+        / _gamma_rational(Fraction(k2 - 2, 2))
         * Fraction(2) ** -twice_exponent
         * n ** ((k2 - 2) // 2)
         * Fraction(_PI, 1 << BETA_BITS) ** -j
@@ -405,9 +406,9 @@ def adjoint_coefficients(
     p = adjoint_case(*_twice_weights(f, g), nu)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if f.coeff(0) != 0:
+    if f.num[0] != 0:
         raise ValueError("f must be a cusp form at infinity (a(0) = 0)")
-    message = validate_hypotheses(p, g_is_cusp=g.coeff(0) == 0)
+    message = validate_hypotheses(p, g_is_cusp=g.num[0] == 0)
     if message is not None:
         warnings.warn(message, HypothesisWarning, stacklevel=2)
     if n_max == 0:

@@ -16,30 +16,17 @@ from .kernels import convolve_sum
 from .qseries import CharacterMod4, FormMeta, QSeries, _from_ints
 
 
-@dataclass(frozen=True, order=True)
-class TwiceWeight:
-    """A weight in (1/2)Z, stored exactly as twice its value."""
-
-    w2: int
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(self.w2, 2)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.w2 % 2 == 0
-
-    def __repr__(self):
-        return f"TwiceWeight({self.w2})"
-
-
 @dataclass(frozen=True)
 class BracketParams:
-    """The (k, l, nu) triple of a Rankin-Cohen bracket."""
+    """The (k, l, nu) triple of a Rankin-Cohen bracket.
 
-    k: TwiceWeight
-    l: TwiceWeight
+    The weights are stored as twice their values, k2 = 2k and l2 = 2l, the
+    integers ``FormMeta.twice_weight`` holds, so half-integral weights are
+    exact.
+    """
+
+    k2: int
+    l2: int
     nu: int
 
     def __post_init__(self):
@@ -61,8 +48,8 @@ def _rc_numerator(p: BracketParams, r: int) -> int:
     return (
         sign
         * math.comb(p.nu, r)
-        * _twice_rising(p.k.w2, p.nu, r)
-        * _twice_rising(p.l.w2, p.nu, p.nu - r)
+        * _twice_rising(p.k2, p.nu, r)
+        * _twice_rising(p.l2, p.nu, p.nu - r)
     )
 
 
@@ -107,13 +94,13 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
     over the one denominator 2^nu f.den g.den.  The pairs are built one
     at a time, as convolve_sum reads them.
     """
-    if f.meta is not None and f.meta.twice_weight != p.k.w2:
+    if f.meta is not None and f.meta.twice_weight != p.k2:
         raise ValueError(
-            f"f has twice-weight {f.meta.twice_weight}, bracket expects {p.k.w2}"
+            f"f has twice-weight {f.meta.twice_weight}, bracket expects {p.k2}"
         )
-    if g.meta is not None and g.meta.twice_weight != p.l.w2:
+    if g.meta is not None and g.meta.twice_weight != p.l2:
         raise ValueError(
-            f"g has twice-weight {g.meta.twice_weight}, bracket expects {p.l.w2}"
+            f"g has twice-weight {g.meta.twice_weight}, bracket expects {p.l2}"
         )
     prec = min(f.precision, g.precision)
     f_num, g_num = f.num[:prec], g.num[:prec]
@@ -131,10 +118,10 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
     meta = None
     if f.meta is not None and g.meta is not None:
         meta = FormMeta(
-            twice_weight=p.k.w2 + p.l.w2 + 4 * p.nu,
+            twice_weight=p.k2 + p.l2 + 4 * p.nu,
             level=math.lcm(f.meta.level, g.meta.level),
             character=f.meta.character
             * g.meta.character
-            * cohen_character(p.k.w2, p.l.w2),
+            * cohen_character(p.k2, p.l2),
         )
     return _from_ints(num, (f.den * g.den) << p.nu, meta)

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import warnings
+from fractions import Fraction
 from typing import List, Optional
 
 from .adjoint import (
@@ -28,7 +29,7 @@ from .adjoint import (
     rows_to_csv,
     rows_to_json,
 )
-from .bracket import BracketParams, TwiceWeight, rc_bracket
+from .bracket import BracketParams, rc_bracket
 from .forms import catalog_get, catalog_names
 from .qseries import QSeries, series_mul
 from .verify import first_index, lambda_test, ratio_test
@@ -137,7 +138,7 @@ def _make_case(args, command: str, f_w2, g_w2) -> BracketParams:
     if args.case is not None and CaseId(args.case) is not case_id(p):
         raise UsageError(
             f"--case {args.case} does not match the weights: target weight "
-            f"{p.k.weight} and g weight {p.l.weight} give case "
+            f"{Fraction(p.k2, 2)} and g weight {Fraction(p.l2, 2)} give case "
             f"{case_id(p).value}"
         )
     return p
@@ -181,9 +182,7 @@ def _cmd_bracket(args) -> int:
     g = _resolve_form(args.g, args.precision)
     if f.meta is None or g.meta is None:
         raise UsageError("bracket needs weight metadata on both forms")
-    p = BracketParams(
-        TwiceWeight(f.meta.twice_weight), TwiceWeight(g.meta.twice_weight), args.nu
-    )
+    p = BracketParams(f.meta.twice_weight, g.meta.twice_weight, args.nu)
     result = rc_bracket(f, g, p)
     _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args.output)
     return 0

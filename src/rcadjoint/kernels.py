@@ -167,12 +167,6 @@ def _convolve_kronecker(terms, prec):
     return _ints_from_rows(rows) + [0] * (prec - n_out)
 
 
-def convolve_bigint(a, b, prec):
-    """Exact truncated convolution of two int lists by Kronecker
-    substitution: the Kronecker route on one pair."""
-    return _convolve_kronecker([(_rows(a[:prec]), _rows(b[:prec]))], prec)
-
-
 def _head(vals, prec):
     """The first prec entries of vals, copied only when it is longer."""
     return vals if len(vals) <= prec else vals[:prec]

@@ -5,10 +5,11 @@ common positive denominator, in lowest terms, so every operation runs on
 integers: products are integer convolutions over the product of the
 denominators, derivatives scale numerators, and sums put both sides over
 one least common denominator.  ``Fraction`` appears only at the edges
-(the public constructor, ``coeff``/``coeffs`` and JSON input); floating
-point never enters this module.  A series knows exactly ``precision``
-coefficients (of q^0 .. q^(precision-1)) and arithmetic never reports
-coefficients beyond the minimum precision of its inputs.
+(the public constructor and ``coeff``/``coeffs``); JSON input is read as
+integers p and q, and floating point never enters this module.  A series
+knows exactly ``precision`` coefficients (of q^0 .. q^(precision-1)) and
+arithmetic never reports coefficients beyond the minimum precision of its
+inputs.
 
 Form metadata (``FormMeta``) holds weight, level and character only;
 whether a series is a cusp form at infinity is read off its constant
@@ -61,10 +62,6 @@ class FormMeta:
         if self.twice_weight % 2 != 0 and self.level % 4 != 0:
             raise ValueError("half-integral weight requires 4 | level")
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(self.twice_weight, 2)
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -76,25 +73,17 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _lowest_terms(num: Sequence[int], den: int) -> tuple:
-    """(num', den') with num'[i]/den' == num[i]/den and gcd(den', *num') == 1.
-
-    den > 0.  For reduced fractions p_i/q_i, den' is lcm(q_i).
-    """
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            return tuple(v // g for v in num), den // g
-    return num, den
-
-
 def _store(series: "QSeries", num, den: int, meta: Optional[FormMeta]) -> None:
     """Set num/den/meta on a new series, in canonical form.
 
     num[i]/den is the coefficient of q^i; den > 0 on entry.  Canonical
     means gcd(den, *num) == 1, so equal series have equal (num, den).
     """
-    num, den = _lowest_terms(tuple(num), den)
+    num = tuple(num)
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple(v // g for v in num), den // g
     if not num:
         raise ValueError("a series must know at least one coefficient")
     object.__setattr__(series, "num", num)
@@ -109,8 +98,9 @@ def _from_ints(num, den: int, meta: Optional[FormMeta] = None) -> "QSeries":
     return series
 
 
-# A coefficient string as to_json_dict writes it, sign and "/q" optional.
-_COEFF_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# A coefficient string as to_json_dict writes it, sign and "/q" optional;
+# the groups are p and q.
+_COEFF_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class QSeries:
@@ -155,9 +145,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def with_meta(self, meta: Optional[FormMeta]) -> "QSeries":
         return _from_ints(self.num, self.den, meta)
 
@@ -189,34 +176,38 @@ class QSeries:
             "coeffs": coeffs,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QSeries":
+    @staticmethod
+    def from_json_dict(d: dict) -> "QSeries":
         """Inverse of ``to_json_dict``; malformed input raises ValueError.
 
         Each coefficient must be a JSON integer or a string in the form
         ``to_json_dict`` writes, an optional sign and digits with an
-        optional "/digits" ("-3/4", "5"); ``twice_weight`` and ``level``
-        must be JSON integers.  Floats, booleans, null and strings such
-        as "1e5" or "1.5" are rejected rather than read inexactly.
+        optional "/digits" ("-3/4", "5"), with a nonzero denominator;
+        ``twice_weight`` and ``level`` must be JSON integers.  Floats,
+        booleans, null and strings such as "1e5" or "1.5" are rejected
+        rather than read inexactly.  Each p/q is read as the integers p
+        and q and put over the one denominator lcm(q).
         """
         if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
             raise ValueError("a series must be a JSON object with a 'coeffs' list")
         if not d["coeffs"]:
             raise ValueError("a series must know at least one coefficient")
+        nums, dens = [], []
         for s in d["coeffs"]:
-            if isinstance(s, str):
-                ok = _COEFF_STRING.fullmatch(s) is not None
+            match = _COEFF_STRING.fullmatch(s) if isinstance(s, str) else None
+            if match is not None:
+                p, q = int(match[1]), int(match[2] or 1)
+            elif isinstance(s, int) and not isinstance(s, bool):
+                p, q = s, 1
             else:
-                ok = isinstance(s, int) and not isinstance(s, bool)
-            if not ok:
                 raise ValueError(
                     f"bad coefficient {s!r}: expected a string 'p/q' or an integer"
                 )
-        try:
-            coeffs = [Fraction(s) for s in d["coeffs"]]
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad coefficient: {exc}") from None
-        if d.get("precision") not in (None, len(coeffs)):
+            if q == 0:
+                raise ValueError(f"bad coefficient {s!r}: zero denominator")
+            nums.append(p)
+            dens.append(q)
+        if d.get("precision") not in (None, len(nums)):
             raise ValueError("precision field disagrees with coefficient count")
         meta = None
         if d.get("twice_weight") is not None:
@@ -234,11 +225,8 @@ class QSeries:
                 )
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad form metadata: {exc!r}") from None
-        return cls(coeffs, meta)
-
-
-def zero_series(precision: int) -> QSeries:
-    return _from_ints((0,) * precision, 1)
+        den = math.lcm(*dens)
+        return _from_ints([p * (den // q) for p, q in zip(nums, dens)], den, meta)
 
 
 def series_add(a: QSeries, b: QSeries, ca=1, cb=1) -> QSeries:

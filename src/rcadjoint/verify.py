@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .adjoint import DEFAULT_EPSILON, _twice_weights, adjoint_coefficients
-from .bracket import BracketParams, TwiceWeight, rc_bracket
+from .bracket import BracketParams, rc_bracket
 from .qseries import QSeries
 
 
@@ -36,11 +35,12 @@ class RatioReport:
     passed: bool
 
 
-def _coefficient_float(a: Fraction, name: str) -> float:
-    """A nonzero coefficient as a nonzero finite float, or a ValueError
-    naming it when a float overflows or rounds it to zero."""
+def _coefficient_float(num: int, den: int, name: str) -> float:
+    """A nonzero coefficient num/den as a nonzero finite float (int / int
+    rounds correctly, as float(Fraction) does), or a ValueError naming it
+    when a float overflows or rounds it to zero."""
     try:
-        value = float(a)
+        value = num / den
     except OverflowError:
         value = math.inf
     if value == 0 or math.isinf(value):
@@ -64,11 +64,12 @@ def ratio_test(
     zero_rows = []
     budget = 0.0
     for n, c_n, err in c_list:
-        a = basis_form.coeff(n)
+        a = basis_form.num[n]
         if a == 0:
             zero_rows.append((n, c_n, err))
             continue
-        ratios.append((n, c_n / _coefficient_float(a, f"basis coefficient {n}")))
+        a_float = _coefficient_float(a, basis_form.den, f"basis coefficient {n}")
+        ratios.append((n, c_n / a_float))
         # An infinite err is an infinite budget: inf / inf is a nan max() drops.
         finite = c_n != 0 and math.isfinite(err)
         budget = max(budget, abs(err) / abs(c_n) if finite else math.inf)
@@ -121,9 +122,9 @@ def lambda_test(
     m0 = first_index(f)
     # Fail fast: ratio_test would reject an a(m0) that a float cannot
     # hold only after the bracket and the whole sum.
-    _coefficient_float(f.coeff(m0), f"f coefficient {m0}")
+    _coefficient_float(f.num[m0], f.den, f"f coefficient {m0}")
     k2, l2 = _twice_weights(f, g)
-    h = rc_bracket(f, g, BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu))
+    h = rc_bracket(f, g, BracketParams(k2, l2, nu))
     rows = adjoint_coefficients(h, g, nu, n_max=m0, M=M, epsilon=epsilon)
     report = ratio_test(rows, f, 0.0)
     return replace(

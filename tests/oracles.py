@@ -111,7 +111,7 @@ def to_mpf(x):
 
 def beta_oracle(p, n):
     """beta(n) = Gamma(gamma)/Gamma(k-1) n^(k-1) / (4 pi)^(l+2 nu) in mpmath."""
-    k, l = to_mpf(p.k.weight), to_mpf(p.l.weight)
+    k, l = to_mpf(Fraction(p.k2, 2)), to_mpf(Fraction(p.l2, 2))
     return (
         mpmath.gamma(k + l + 2 * p.nu - 1)
         / mpmath.gamma(k - 1)

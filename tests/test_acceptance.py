@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients, beta_value
-from rcadjoint.bracket import BracketParams, TwiceWeight, rc_bracket
+from rcadjoint.bracket import BracketParams, rc_bracket
 from rcadjoint.forms import catalog_get, check_hecke_multiplicativity
 from rcadjoint.qseries import (
     QSeries,
@@ -20,7 +20,6 @@ from rcadjoint.qseries import (
     make_theta,
     series_add,
     series_mul,
-    zero_series,
 )
 from rcadjoint.verify import ratio_test
 
@@ -55,7 +54,7 @@ def random_series(rng, max_len=10):
     )
 
 
-SEC5_PARAMS = BracketParams(TwiceWeight(12), TwiceWeight(1), 0)
+SEC5_PARAMS = BracketParams(12, 1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +83,8 @@ def test_criterion_1_alpha_bracket_oracle():
                 ]
                 for k2 in range(1, 14):
                     for l2 in range(1, 14):
-                        p = BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu)
-                        acc = zero_series(prec)
+                        p = BracketParams(k2, l2, nu)
+                        acc = QSeries([0] * prec)
                         for r, prod in enumerate(products):
                             from rcadjoint.bracket import rc_coefficient
 
@@ -104,8 +103,7 @@ def test_criterion_2_nu_zero_reduction():
     for _ in range(100):
         f = random_series(rng)
         g = random_series(rng)
-        p = BracketParams(TwiceWeight(rng.randint(1, 13)),
-                          TwiceWeight(rng.randint(1, 13)), 0)
+        p = BracketParams(rng.randint(1, 13), rng.randint(1, 13), 0)
         assert rc_bracket(f, g, p).coeffs == series_mul(f, g).coeffs
     report(2, "nu=0 reduction on 100 random pairs")
 
@@ -189,9 +187,7 @@ def test_criterion_7_series_engine_oracles():
         c = random_series(rng)
         ca = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         cb = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        p = BracketParams(TwiceWeight(rng.randint(1, 13)),
-                          TwiceWeight(rng.randint(1, 13)),
-                          rng.randint(0, 3))
+        p = BracketParams(rng.randint(1, 13), rng.randint(1, 13), rng.randint(0, 3))
         left = rc_bracket(series_add(a, c, ca, cb), b, p)
         right = series_add(rc_bracket(a, b, p), rc_bracket(c, b, p), ca, cb)
         assert left.coeffs == right.coeffs

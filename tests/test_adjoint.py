@@ -28,7 +28,7 @@ from rcadjoint.adjoint import (
     _pi_fixed,
     _tail_bound,
 )
-from rcadjoint.bracket import BracketParams, TwiceWeight, rc_bracket, rc_coefficient
+from rcadjoint.bracket import BracketParams, rc_bracket, rc_coefficient
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import (
     CharacterMod4,
@@ -38,7 +38,6 @@ from rcadjoint.qseries import (
     make_theta,
     series_add,
     series_mul,
-    zero_series,
 )
 
 from oracles import alpha_coeff, beta_oracle, tail_constant_oracle, to_mpf
@@ -47,7 +46,7 @@ HALF = Fraction(1, 2)
 
 
 def params(k2, l2, nu):
-    return BracketParams(TwiceWeight(k2), TwiceWeight(l2), nu)
+    return BracketParams(k2, l2, nu)
 
 
 # (k, l) twice-weights with the parities of each case.
@@ -182,7 +181,7 @@ class TestTailProfile:
         assert 0 < profile.constant < math.inf
 
     def test_zero_series(self):
-        zero = zero_series(20).with_meta(catalog_get("E4", 1).meta)
+        zero = QSeries([0] * 20).with_meta(catalog_get("E4", 1).meta)
         assert fit_tail_profile(zero).constant == 0.0
 
     def test_needs_ten_coefficients(self):
@@ -481,14 +480,14 @@ def _random_pair(rng, p, n_max, M, sparse_g, f_from):
         rational() if (m in squares or not sparse_g) else Fraction(0)
         for m in range(1, M + 1)
     ]
-    w_f = p.k.w2 + p.l.w2 + 4 * p.nu
+    w_f = p.k2 + p.l2 + 4 * p.nu
     f = QSeries(f_coeffs, FormMeta(w_f, 4, CharacterMod4.TRIVIAL))
-    return f, QSeries(g_coeffs, FormMeta(p.l.w2, 4, CharacterMod4.TRIVIAL))
+    return f, QSeries(g_coeffs, FormMeta(p.l2, 4, CharacterMod4.TRIVIAL))
 
 
 def _brute_l_sum(f, g, p, n, M):
     total = mpmath.mpf(0)
-    s = to_mpf(Fraction(p.k.w2 + p.l.w2, 2) + 2 * p.nu - 1)
+    s = to_mpf(Fraction(p.k2 + p.l2, 2) + 2 * p.nu - 1)
     for m in range(M + 1):
         term = f.coeff(n + m) * g.coeff(m) * alpha_coeff(p, n, m)
         if term:

@@ -408,6 +408,15 @@ def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_zero_denominator_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"coeffs": ["0/1", "1/0", "3"]}))
+    assert run(["expand", "--form", str(path), "--precision", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad coefficient '1/0': zero denominator\n"
+
+
 @pytest.mark.parametrize("text", ["1" + "0" * 400, "1/1" + "0" * 400])
 def test_f_coefficient_out_of_float_range_stops_before_the_bracket(
     text, tmp_path, monkeypatch, capsys

@@ -27,6 +27,11 @@ def fft(a, b, prec):
     return kernels.convolve_fft(_terms([(a, b)], prec), prec)
 
 
+def kronecker(a, b, prec):
+    """The Kronecker route on the one pair (a, b)."""
+    return kernels._convolve_kronecker(_terms([(a, b)], prec), prec)
+
+
 def fft_bound(a, b):
     """fft_error_bound of the one pair (a, b)."""
     ((rows_a, rows_b),) = _terms([(a, b)], max(len(a), len(b)))
@@ -39,7 +44,7 @@ def test_dense_routes_agree_with_naive():
     b = rand_ints(rng, 60, -1000, 1000)
     expected = [int(x) for x in naive_mul(a, b, 60)]
     assert fft(a, b, 60) == expected
-    assert kernels.convolve_bigint(a, b, 60) == expected
+    assert kronecker(a, b, 60) == expected
     assert kernels.convolve_exact(a, b, 60) == expected
     assert fft([3, -1, 4], [2, 7, 0], 3) == [6, 19, 1]
 
@@ -50,7 +55,7 @@ def test_bigint_route_on_huge_coefficients():
     b = rand_ints(rng, 40, -(10**30), 10**30)
     expected = [int(x) for x in naive_mul(a, b, 40)]
     assert fft(a, b, 40) == expected
-    assert kernels.convolve_bigint(a, b, 40) == expected
+    assert kronecker(a, b, 40) == expected
     assert kernels.convolve_exact(a, b, 40) == expected
 
 
@@ -129,7 +134,7 @@ def test_every_route_returns_prec_coefficients(
     exact = kernels.convolve_exact(a, b, prec)
     assert exact == expected
     assert all(type(v) is int for v in exact)
-    assert kernels.convolve_bigint(a, b, prec) == expected
+    assert kronecker(a, b, prec) == expected
     # At these sizes the rounding bound is far below the limit, so the FFT
     # route must certify and answer; a None here would hide a limb bug.
     assert fft_bound(a[:prec], b[:prec]) < kernels._CERT_LIMIT
@@ -189,7 +194,7 @@ def test_kronecker_past_the_product_length():
     assert fft_bound(a, b) >= kernels._CERT_LIMIT
     expected = [int(x) for x in naive_mul(a, b, prec)]
     assert expected[len(a) + len(b) - 2] < 0
-    assert kernels.convolve_bigint(a, b, prec) == expected
+    assert kronecker(a, b, prec) == expected
 
 
 @pytest.mark.parametrize("limit", ["_CERT_LIMIT", "_RESIDUAL_LIMIT"])

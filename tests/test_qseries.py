@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcadjoint.qseries import (
@@ -21,7 +21,6 @@ from rcadjoint.qseries import (
     make_theta,
     series_add,
     series_mul,
-    zero_series,
 )
 
 from oracles import (
@@ -50,8 +49,8 @@ class TestSeriesAdd:
 
     def test_add_zero(self):
         a = QSeries([1, 2, 3])
-        assert series_add(a, zero_series(3), 0, 1).is_zero()
-        assert series_add(a, zero_series(3), 1, 1).coeffs == a.coeffs
+        assert series_add(a, QSeries([0] * 3), 0, 1).is_zero()
+        assert series_add(a, QSeries([0] * 3), 1, 1).coeffs == a.coeffs
 
     def test_theta_doubling(self):
         theta = make_theta(6)
@@ -284,6 +283,24 @@ class TestEisenstein:
         assert bernoulli_number(6) == Fraction(1, 42)
 
 
+# One JSON coefficient: a bare integer, or a string "p" or "p/q" with an
+# optional sign, unreduced, with mixed denominators and up to 400 digits.
+json_coeffs = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(
+        lambda sign, p, q: sign + str(p) + ("" if q is None else f"/{q}"),
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.integers(0, 10**6), st.integers(10**399, 10**400 - 1)),
+        st.one_of(st.none(), st.integers(1, 60)),
+    ),
+)
+json_metas = st.sampled_from([
+    None,
+    FormMeta(24, 1, CharacterMod4.TRIVIAL),
+    FormMeta(3, 4, CharacterMod4.CHI_MINUS4),
+])
+
+
 class TestJsonFormat:
     def test_round_trip(self):
         t = make_theta(7)
@@ -307,6 +324,19 @@ class TestJsonFormat:
             QSeries.from_json_dict({"coeffs": ["1e3000000"]})
         read = QSeries.from_json_dict({"coeffs": ["-3/4", "+5", "0/1", 7]})
         assert read.coeffs == (Fraction(-3, 4), 5, 0, 7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(json_coeffs, min_size=1, max_size=30), json_metas)
+    @example(["6/4", "-0/7", "+5", 7, "-3/12", "1" + "0" * 399 + "/9"], None)
+    def test_reader_matches_fraction_oracle(self, coeffs, meta):
+        d = {"coeffs": coeffs}
+        if meta is not None:
+            d.update(twice_weight=meta.twice_weight, level=meta.level,
+                     character=meta.character.value)
+        read = QSeries.from_json_dict(d)
+        assert read == QSeries([Fraction(s) for s in coeffs], meta)
+        again = QSeries.from_json_dict(json.loads(json.dumps(read.to_json_dict())))
+        assert again == read
 
 
 # Series of 1..40 coefficients: fractional, negative, and all-zero.
