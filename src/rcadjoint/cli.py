@@ -188,10 +188,18 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
-def _adjoint_rows(args):
+def _adjoint_rows(args, basis=None):
+    """(rows, p) of the adjoint.  basis, verify ratio's (name, twice
+    weight), is refused when its known weight is not the target's, from
+    the weights alone, before either form is expanded."""
     f_w2, build_f = _open_f(args, args.n_max + args.terms + 1)
     g_w2, build_g = _open_form(args.g, args.terms + 1)
     p = _make_case(args, "adjoint", f_w2, g_w2)
+    if basis is not None and basis[1] not in (None, p.k2):
+        raise UsageError(
+            f"basis {basis[0]} has weight {Fraction(basis[1], 2)}, but the "
+            f"target weight is {Fraction(p.k2, 2)}"
+        )
     f, g = build_f(), build_g()
     with _hypothesis_warnings():
         rows = adjoint_coefficients(
@@ -222,14 +230,15 @@ def _verdict(args, config: str, extra: dict, passed: bool) -> int:
 
 
 def _cmd_verify_ratio(args) -> int:
-    rows, p = _adjoint_rows(args)
     basis_name = args.basis
     if basis_name is None:
         if getattr(args, "f_product", None):
             basis_name = args.f_product[1]
         else:
             raise UsageError("verify ratio needs --basis (or --f-product)")
-    basis = _resolve_form(basis_name, args.n_max + 1)
+    basis_w2, build_basis = _open_form(basis_name, args.n_max + 1)
+    rows, p = _adjoint_rows(args, (basis_name, basis_w2))
+    basis = build_basis()
     report = ratio_test(rows, basis, args.tolerance)
     config = f"case {case_id(p).value}, nu={args.nu}, basis {basis_name}"
     return _verdict(
@@ -346,7 +355,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

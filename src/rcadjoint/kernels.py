@@ -8,6 +8,13 @@ from the inputs:
 
 * a loop over nonzero pairs, when the inputs are sparse enough that
   there are few of them,
+* slice-adds on one int64 accumulator, for a sparse side times a dense
+  one (theta times a form): each nonzero a_i of a pair's sparser side
+  adds a_i * b[:prec - i] into out[i:], when the nonzero count times the
+  other side's length is within a constant times the FFT's
+  prec * log2(prec), and only under the exact certificate
+  sum_pairs sum_i |a_i| * max|b| < 2^63, which bounds every int64 product
+  and partial sum (a sum that fails it takes the dense routes),
 * ``convolve_fft``, a limb-split floating-point FFT convolution that adds
   every pair's limb products in the frequency domain, for dense inputs
   whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
@@ -23,9 +30,9 @@ rows of little-endian magnitude bytes and a negative mask, and
 codec picks how from its input: rows of at most 7 bytes are written, and
 rows whose values all fit in an int64 are read, as one int64 array; wider
 rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
-Once a sum is known to be dense, each pair is turned into byte rows as it
-arrives, so the int lists of a generator's pairs are never all alive at
-once.
+Once neither sparse route can be picked, each pair is turned into byte
+rows as it arrives, so the int lists of a generator's pairs are never all
+alive at once.
 
 Every route is exact and returns exactly ``prec`` Python ints.
 """
@@ -35,6 +42,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from itertools import compress
 from typing import List, NamedTuple, Optional
 
 # Loading numpy starts OpenBLAS's thread pool, one thread per core, though
@@ -55,6 +63,18 @@ _log = logging.getLogger(__name__)
 # Below this many nonzero coefficient pairs per output coefficient, the
 # sparse loop beats the dense routes.
 _SPARSE_COST_FACTOR = 16
+
+# The slice-add route is taken when the sum over pairs of the sparser
+# side's nonzero count times (the other side's length + _SLICE_OVERHEAD)
+# is at most _SLICE_COST_FACTOR * prec * log2(prec), the FFT's cost.  One
+# slice-add costs about as much as _SLICE_OVERHEAD more coefficients of
+# a slice, so short dense pairs stay on the FFT.
+_SLICE_COST_FACTOR = 32
+_SLICE_OVERHEAD = 1024
+
+# The slice-add route's certificate must stay below this: every int64
+# product and partial sum is then exact.
+_SLICE_LIMIT = 1 << 63
 
 # Bits per limb of the FFT route: the limbs are the bytes of each
 # magnitude.  With 16-bit limbs the rounding bound of the bracket products
@@ -335,19 +355,75 @@ def _convolve_sparse(pairs, prec):
     return out
 
 
+def _slice_terms(pairs):
+    """(terms, bound): per pair with a nonzero sparser side a, the tuple
+    (indices of a's nonzeros, their values, the other side b as an int64
+    array), and the certificate bound = sum over pairs of
+    sum_i |a_i| * max|b|; (None, bound) as soon as the bound summed so far
+    reaches _SLICE_LIMIT.
+
+    A pair whose sparser side is all zero is skipped before its other side
+    is read: that side may hold values an int64 cannot.
+    """
+    terms, bound = [], 0
+    for a, b in pairs:
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        index = list(compress(range(len(a)), a))
+        if not index:
+            continue
+        values = [a[i] for i in index]
+        try:
+            array = np.array(b, dtype=np.int64)
+            peak = max(int(array.max()), -int(array.min()))
+        except OverflowError:
+            # Some |b_j| >= 2^63, so the bound reaches the limit below.
+            peak = max(map(abs, b))
+        bound += sum(map(abs, values)) * peak
+        if bound >= _SLICE_LIMIT:
+            return None, bound
+        terms.append((index, values, array))
+    return terms, bound
+
+
+def _convolve_slices(terms, prec):
+    """The sum of the pairs' products on one int64 accumulator.
+
+    For each nonzero a_i of a pair's sparser side, adds a_i * b[:prec - i]
+    into out[i:].  terms comes from _slice_terms, whose bound, below
+    2^63, is at least every |a_i * b_j| and every partial sum's magnitude,
+    so no int64 step overflows.
+    """
+    out = np.zeros(prec, dtype=np.int64)
+    scratch = np.empty(prec, dtype=np.int64)
+    for index, values, array in terms:
+        for i, v in zip(index, values):
+            n = min(len(array), prec - i)
+            out[i : i + n] += np.multiply(array[:n], v, out=scratch[:n])
+    return out.tolist()
+
+
 def _read_pairs(pairs, prec):
-    """(dense, held): the pairs cut to prec, kept as int lists while their
-    nonzero products could still fit the sparse route, and as byte rows
-    (_Rows) from the pair that rules it out on."""
-    held, cost, dense = [], 0, False
+    """(route, held): the route the pairs' nonzero counts, lengths and prec
+    pick ("sparse", "slices" or "dense"), and the pairs cut to prec, kept
+    as int lists while a sparse route could still be picked, and as byte
+    rows (_Rows) from the pair that rules both out on."""
+    held, cost, slice_cost, dense = [], 0, 0, False
+    sparse_limit = _SPARSE_COST_FACTOR * prec
+    slice_limit = _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1))
     for a, b in pairs:
         a, b = _head(a, prec), _head(b, prec)
-        cost += (len(a) - a.count(0)) * (len(b) - b.count(0))
-        if not dense and cost > _SPARSE_COST_FACTOR * prec:
+        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+        cost += nnz_a * nnz_b
+        other = b if nnz_a <= nnz_b else a
+        slice_cost += min(nnz_a, nnz_b) * (len(other) + _SLICE_OVERHEAD)
+        if not dense and cost > sparse_limit and slice_cost > slice_limit:
             dense = True
             held = [(_rows(x), _rows(y)) for x, y in held]
         held.append((_rows(a), _rows(b)) if dense else (a, b))
-    return dense, held
+    if dense:
+        return "dense", held
+    return ("sparse" if cost <= sparse_limit else "slices"), held
 
 
 def _shape(op):
@@ -361,14 +437,23 @@ def convolve_sum(pairs, prec):
 
     Returns exactly ``prec`` Python ints, whichever route runs.  One
     DEBUG line per call names the route, the number of pairs and the
-    summed FFT bound against its limit, and for one pair the operands'
-    lengths and limb counts.
+    route's certificate against its limit: for slice-adds the sparser
+    sides' nonzero count and the int64 bound, for the dense routes the
+    summed FFT bound (after ``slice_bound=`` when the int64 bound refused
+    slice-adds), and for one pair the operands' lengths and limb counts.
     """
-    dense, held = _read_pairs(pairs, prec)
-    terms = [(a, b) for a, b in held if a.peak and b.peak] if dense else []
-    if not dense:
-        route, out = "sparse", _convolve_sparse(held, prec)
-    else:
+    route, held = _read_pairs(pairs, prec)
+    out = slice_bound = None
+    if route == "sparse":
+        out = _convolve_sparse(held, prec)
+    elif route == "slices":
+        slice_terms, slice_bound = _slice_terms(held)
+        if slice_terms is None:
+            held = [(_rows(a), _rows(b)) for a, b in held]
+        else:
+            out = _convolve_slices(slice_terms, prec)
+    if out is None:
+        terms = [(a, b) for a, b in held if a.peak and b.peak]
         route, out = "fft", convolve_fft(terms, prec)
         if out is None:
             route, out = "kronecker", _convolve_kronecker(terms, prec)
@@ -378,12 +463,17 @@ def convolve_sum(pairs, prec):
         if len(shapes) == 1:
             ((len_a, limbs_a), (len_b, limbs_b)), = shapes
             detail = f" len={len_a},{len_b} limbs={limbs_a},{limbs_b}"
-        bound = None
-        if dense:
+        bound, limit = None, _CERT_LIMIT
+        if route == "slices":
+            detail += f" nnz={sum(len(index) for index, _, _ in slice_terms)}"
+            bound, limit = slice_bound, "2^63"
+        elif route != "sparse":
+            if slice_bound is not None:  # slice-adds refused by their bound
+                detail += f" slice_bound={slice_bound}"
             bound = fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms)
         _log.debug(
             "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s",
-            route, len(held), prec, detail, bound, _CERT_LIMIT,
+            route, len(held), prec, detail, bound, limit,
         )
     return out
 

@@ -174,15 +174,35 @@ class TestVerify:
         assert out["pass"] is True
         assert out["lambda"] > 0
 
-    def test_ratio_failure_exit_code(self, capsys):
-        # wrong basis: theta's coefficients are not proportional to c(n)
+    def test_ratio_failure_exit_code(self, tmp_path, capsys):
+        # A wrong basis of the right weight 12: c(n) is proportional to
+        # Delta's coefficients, not to E4^3's.
+        e8, e12 = str(tmp_path / "e8.json"), str(tmp_path / "e12.json")
+        for argv in (
+            ["bracket", "--f", "E4", "--g", "E4", "--nu", "0", "--output", e8],
+            ["bracket", "--f", e8, "--g", "E4", "--nu", "0", "--output", e12],
+        ):
+            assert run(argv + ["--precision", "7"]) == 0
         code = run(
             ["verify", "ratio", "--case", "integral", "--f-product", "E4",
              "delta", "--g", "E4", "--nu", "0", "--n-max", "6",
-             "--terms", "500", "--basis", "E4", "--tolerance", "1e-6"]
+             "--terms", "500", "--basis", e12, "--tolerance", "1e-6"]
         )
         assert code == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_ratio_basis_of_the_wrong_weight_is_usage_error(
+        self, monkeypatch, capsys
+    ):
+        # Delta against E4 has target weight 8; E4 has weight 4.  Refused
+        # from the weights alone, before any form is expanded.
+        forbid_expansion(monkeypatch)
+        code = run(["verify", "ratio", "--f", "delta", "--g", "E4", "--nu", "0",
+                    "--basis", "E4", "--terms", "50"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: basis E4 has weight 4, but the target weight is 8\n"
+        )
 
     def test_lambda_subcommand(self, capsys):
         code = run(
@@ -313,7 +333,7 @@ def _basis_coefficient(text):
     def make_argv(tmp_path):
         path = tmp_path / "basis.json"
         coeffs = ["0/1", text, "0/1", "0/1"]
-        path.write_text(json.dumps({"twice_weight": 24, "level": 4,
+        path.write_text(json.dumps({"twice_weight": 12, "level": 4,
                                     "character": "trivial", "coeffs": coeffs}))
         return ["verify", "ratio", "--f-product", "theta", "delta_4_6",
                 "--g", "theta", "--basis", str(path), "--n-max", "3",
@@ -405,6 +425,23 @@ def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
     assert out == ""
     # Our own errors start the line; argparse prefixes the program name.
     assert re.search(r"^(rcadjoint[\w ]*: )?error: ", err, re.M)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--form", "theta", "--precision", "99999999999999999999"],
+        ["verify", "ratio", "--f-product", "theta", "delta_4_6", "--g", "theta",
+         "--terms", "99999999999999999999"],
+    ],
+    ids=["precision", "terms"],
+)
+def test_size_beyond_an_index_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
     assert "Traceback" not in err
 
 

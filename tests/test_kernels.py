@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import numpy as np
@@ -30,6 +31,19 @@ def fft(a, b, prec):
 def kronecker(a, b, prec):
     """The Kronecker route on the one pair (a, b)."""
     return kernels._convolve_kronecker(_terms([(a, b)], prec), prec)
+
+
+def slices(pairs, prec):
+    """The slice-add route on the pairs, or None when its certificate fails."""
+    terms, _ = kernels._slice_terms([(a[:prec], b[:prec]) for a, b in pairs])
+    return None if terms is None else kernels._convolve_slices(terms, prec)
+
+
+def _slice_certificate(a, b):
+    """sum |x_i| * max|y| for x the side of (a, b) with fewer nonzeros."""
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a
+    return sum(map(abs, a)) * max(map(abs, b), default=0)
 
 
 def fft_bound(a, b):
@@ -139,10 +153,16 @@ def test_every_route_returns_prec_coefficients(
     # route must certify and answer; a None here would hide a limb bug.
     assert fft_bound(a[:prec], b[:prec]) < kernels._CERT_LIMIT
     assert fft(a, b, prec) == expected
+    # Slice-adds answer exactly when sum |x_i| * max|y| < 2^63, x the
+    # side with fewer nonzeros, and refuse otherwise.
+    assert slices([(a, b)], prec) == (
+        expected if _slice_certificate(a[:prec], b[:prec]) < 2**63 else None
+    )
 
 
 _ROUTES = {
     "sparse": "_convolve_sparse",
+    "slices": "_convolve_slices",
     "fft": "convolve_fft",
     "kronecker": "_convolve_kronecker",
 }
@@ -167,21 +187,67 @@ def _dense(bound, n=200, seed=3):
     return rand_ints(rng, n, -bound, bound), rand_ints(rng, n, -bound, bound)
 
 
+def _theta(n):
+    """The theta series to n coefficients: 1, and 2 at every square."""
+    return [1 if i == 0 else 2 if math.isqrt(i) ** 2 == i else 0 for i in range(n)]
+
+
 @pytest.mark.parametrize(
     "a, b, routes",
     [
         ([1] + [0] * 199 + [2], [3] * 201, ["sparse"]),
+        # 20 nonzeros against 400 dense: too many pairs for the sparse loop.
+        (_theta(400), _dense(1000, n=400)[0], ["slices"]),
         (*_dense(1000), ["fft"]),
         # 5814 limbs at length 20: the rounding bound is ~0.38.
         (*_dense(10**14000, n=20), ["fft", "kronecker"]),
     ],
-    ids=["sparse", "fft", "kronecker"],
+    ids=["sparse", "slices", "fft", "kronecker"],
 )
 def test_convolve_exact_routes(monkeypatch, a, b, routes):
     expected = [int(x) for x in naive_mul(a, b, len(a))]
     calls = _spy_routes(monkeypatch)
     assert kernels.convolve_exact(a, b, len(a)) == expected
     assert calls == routes
+
+
+@pytest.mark.parametrize(
+    "total, peak, routes",
+    [
+        # 2^63 - 1 = 73 * 126347562148695559: the certificate holds with
+        # nothing to spare, and the top coefficients reach it exactly.
+        (73, (2**63 - 1) // 73, ["slices"]),
+        # 64 * 2^57 = 2^63: refused, and the dense routes are exact.
+        (64, 2**57, ["fft"]),
+    ],
+    ids=["2^63-1", "2^63"],
+)
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_slice_certificate_boundary(monkeypatch, total, peak, routes, sign):
+    # 20 positive nonzeros summing to total, against 400 copies of
+    # sign * peak: the certificate counts max|b| whatever its sign.
+    a = [0] * 400
+    for i in range(0, 380, 20):
+        a[i] = 1
+    a[380] = total - 19
+    b = [sign * peak] * 400
+    assert _slice_certificate(a, b) == total * peak in (2**63 - 1, 2**63)
+    expected = [int(x) for x in naive_mul(a, b, 400)]
+    assert expected[-1] == sign * total * peak
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_exact(a, b, 400) == expected
+    assert calls == routes
+
+
+def test_all_zero_sparse_side_is_skipped_before_its_dense_side():
+    # The second pair's sparser side is all zero and its other side is
+    # beyond int64: it adds nothing to the certificate, and converting
+    # that side would overflow.
+    a, b = _theta(400), _dense(1000, n=400)[0]
+    pairs = [(a, b), ([0] * 400, [2**64] * 400), ([-(2**70)] * 400, [0] * 400)]
+    expected = [int(x) for x in naive_mul(a, b, 400)]
+    assert slices(pairs, 400) == expected
+    assert kernels.convolve_sum(pairs, 400) == expected
 
 
 def test_kronecker_past_the_product_length():
@@ -219,6 +285,27 @@ def test_route_is_logged_at_debug_only(caplog, capsys):
     assert "len=200,200" in message
     assert "limbs=2,2" in message
     assert "bound=" in message
+    assert capsys.readouterr().out == ""
+    # Slice-adds name the sparser side's nonzero count and the int64
+    # certificate, 39 * max|b|, against 2^63.
+    a, b = _theta(400), _dense(1000, n=400)[0]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        kernels.convolve_exact(a, b, 400)
+    (record,) = [r for r in caplog.records if r.name == kernels.__name__]
+    message = record.getMessage()
+    assert "route=slices" in message
+    assert "nnz=20" in message
+    assert f"bound={39 * max(map(abs, b))} limit=2^63" in message
+    # Refused by that certificate (39 * 2^63 >= 2^63), the dense line
+    # gives it before the FFT bound.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        kernels.convolve_exact(a, [2**63] * 400, 400)
+    (record,) = [r for r in caplog.records if r.name == kernels.__name__]
+    message = record.getMessage()
+    assert "route=fft" in message
+    assert f"slice_bound={39 * 2**63} bound=" in message
     assert capsys.readouterr().out == ""
 
 
@@ -266,6 +353,9 @@ def test_convolve_sum_is_the_sum_of_naive_products(shapes, prec, seed):
     # density picks.
     terms = [(a, b) for a, b in _terms(pairs, prec) if a.peak and b.peak]
     assert kernels.convolve_fft(terms, prec) == expected
+    # Slice-adds answer exactly whenever the summed certificate holds.
+    cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in pairs)
+    assert slices(pairs, prec) == (expected if cert < 2**63 else None)
     # With the FFT route refused up front or after its residual check,
     # the Kronecker sum answers with the same list.
     for limit in ("_CERT_LIMIT", "_RESIDUAL_LIMIT"):
