@@ -242,6 +242,14 @@ def _tail_bound(
     return math.inf
 
 
+def _floor_weight(P: int, j: int, two_gamma: int) -> int:
+    """floor(2^P j^-gamma), exactly, for gamma = two_gamma / 2 >= 0."""
+    if two_gamma % 2:
+        # floor(sqrt(floor(x))) = floor(sqrt(x)) for x = 2^2P j^-2gamma.
+        return math.isqrt((1 << 2 * P) // j**two_gamma)
+    return (1 << P) // j ** (two_gamma // 2)
+
+
 def _l_series_sums(
     f: QSeries,
     g: QSeries,
@@ -297,8 +305,7 @@ def _l_series_sums(
             wj = w[j]
             if wj is None:
                 a = A[j]
-                # floor(2^P j^-gamma) = isqrt(floor(2^2P j^-2gamma)), exactly.
-                wj = w[j] = a * math.isqrt((1 << 2 * P) // j**two_gamma) if a else 0
+                wj = w[j] = a * _floor_weight(P, j, two_gamma) if a else 0
             if not wj:
                 continue
             alpha = 0

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernels import convolve_sum
+from .kernels import Scaled, convolve_sum
 from .qseries import CharacterMod4, FormMeta, QSeries, _from_ints
 
 
@@ -91,8 +91,9 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
 
     The bracket is one exact sum of nu + 1 integer convolutions, of
     w_r n^r f_n with n^(nu-r) g_n for w_r = 2^nu rc_coefficient(p, r),
-    over the one denominator 2^nu f.den g.den.  The pairs are built one
-    at a time, as convolve_sum reads them.
+    over the one denominator 2^nu f.den g.den.  Each operand is passed as
+    ``Scaled(values, w, r)``, so the dense routes build its byte rows from
+    those of f or g without forming its ints.
     """
     if f.meta is not None and f.meta.twice_weight != p.k2:
         raise ValueError(
@@ -104,17 +105,11 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
         )
     prec = min(f.precision, g.precision)
     f_num, g_num = f.num[:prec], g.num[:prec]
-
-    def pairs():
-        for r in range(p.nu + 1):
-            w = _rc_numerator(p, r)
-            s = p.nu - r
-            yield (
-                [w * n**r * v if v else 0 for n, v in enumerate(f_num)],
-                [n**s * v if v else 0 for n, v in enumerate(g_num)],
-            )
-
-    num = convolve_sum(pairs(), prec)
+    pairs = [
+        (Scaled(f_num, _rc_numerator(p, r), r), Scaled(g_num, 1, p.nu - r))
+        for r in range(p.nu + 1)
+    ]
+    num = convolve_sum(pairs, prec)
     meta = None
     if f.meta is not None and g.meta is not None:
         meta = FormMeta(

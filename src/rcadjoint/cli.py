@@ -39,15 +39,23 @@ class UsageError(Exception):
     pass
 
 
-def _nonneg_int(text: str) -> int:
+def _index_int(text: str) -> int:
+    """text as an int no larger than an index can hold (sys.maxsize)."""
     value = int(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}")
+    return value
+
+
+def _nonneg_int(text: str) -> int:
+    value = _index_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _index_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return value

@@ -30,9 +30,15 @@ rows of little-endian magnitude bytes and a negative mask, and
 codec picks how from its input: rows of at most 7 bytes are written, and
 rows whose values all fit in an int64 are read, as one int64 array; wider
 rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
-Once neither sparse route can be picked, each pair is turned into byte
-rows as it arrives, so the int lists of a generator's pairs are never all
-alive at once.
+An operand may also be given as ``Scaled(values, w, r)``, the list
+w * n^r * values[n] (the bracket's operands).  The sparse routes read it
+as that int list.  The dense routes never form its ints: each distinct
+values list becomes byte rows once per call, the rows of n^r values come
+from those of n^(r-1) values by one vectorized uint64 multiply-and-carry
+pass over the limbs (``_times``; every step is exact while the factor
+stays below 2^55), and w is applied in one more such pass, by its 32-bit
+digits.  The rows equal those of the int list in limb count, magnitudes
+and signs, so the route, the bounds and the output are the same.
 
 Every route is exact and returns exactly ``prec`` Python ints.
 """
@@ -138,7 +144,8 @@ def _ints_from_rows(rows) -> List[int]:
 class _Rows(NamedTuple):
     """One operand in byte rows: ``mags`` (length, limbs) uint8 holds the
     8-bit limbs of each magnitude, ``neg`` marks the negative values, and
-    ``peak`` is the largest magnitude."""
+    ``peak`` bounds the largest magnitude from above and is zero only when
+    every value is."""
 
     mags: np.ndarray
     neg: np.ndarray
@@ -149,6 +156,105 @@ def _rows(vals) -> _Rows:
     peak = max(map(abs, vals), default=0)
     limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
     return _Rows(*_byte_rows(vals, limbs), peak)
+
+
+class Scaled(NamedTuple):
+    """The operand w * n^r * values[n], n = 0, 1, ..., kept as its parts.
+
+    The sparse routes read it as that int list; the dense routes build its
+    byte rows from those of ``values`` (``_dense_rows``)."""
+
+    values: list
+    w: int
+    r: int
+
+
+def _ints(op):
+    """op as an int list: a Scaled operand's values scaled, a list as it is."""
+    if not isinstance(op, Scaled):
+        return op
+    w, r = op.w, op.r
+    return [w * n**r * v if v else 0 for n, v in enumerate(op.values)]
+
+
+def _times(mags, digits, step):
+    """mags times sum_k digits[k] 2^(8 step k), with all-zero top limbs dropped.
+
+    mags is (limbs, count) uint8, the limbs of one magnitude per column;
+    each digit is a uint64 scalar or a (count,) uint64 array of one factor
+    per column.  One pass over the output limbs adds each limb's products
+    into a uint64 carry, keeps its low byte and carries the rest on.  With
+    K digits below c, the carry stays at most K c and each step's sum below
+    256 K c, so every step is exact while K c < 2^56.
+    """
+    limbs, count = mags.shape
+    if not limbs:
+        return mags
+    top = max(int(np.max(d)) for d in digits)
+    size = limbs + step * (len(digits) - 1) + (top.bit_length() + 7) // 8
+    out = np.empty((size, count), dtype=np.uint8)
+    carry = np.zeros(count, dtype=np.uint64)
+    term = np.empty(count, dtype=np.uint64)
+    for j in range(size):
+        for k, d in enumerate(digits):
+            if 0 <= j - step * k < limbs:
+                carry += np.multiply(mags[j - step * k], d, out=term)
+        np.bitwise_and(carry, _LIMB_MAX, out=out[j], casting="unsafe")
+        carry >>= _LIMB_BITS
+    while size and not out[size - 1].any():
+        size -= 1
+    return out if size == len(out) else out[:size].copy()
+
+
+def _dense_rows(held):
+    """held with every operand in byte rows (_Rows): an int list by _rows,
+    and a Scaled operand equal to _rows of its int list in limb count,
+    magnitudes and signs, without forming that list.
+
+    Each distinct values list becomes byte rows once.  The rows of
+    n^r values come from those of n^(r-1) values by one _times pass with
+    the factors n (below 2^55 for any list that fits in memory), walking
+    r upwards and keeping only the current power; |w| then multiplies by
+    its 32-bit digits in one more pass.  The peak is bounded from the top
+    limb.
+    """
+    wanted = {
+        (id(op.values), op.r, op.w): op.values
+        for pair in held
+        for op in pair
+        if isinstance(op, Scaled)
+    }
+    built, base = {}, None
+    for key in sorted(wanted):
+        ident, r, w = key
+        if base != ident:
+            base, power = ident, 0
+            values = wanted[key]
+            rows = _rows(values)
+            mags, neg = rows.mags.T, rows.neg
+            factors = [np.arange(len(values), dtype=np.uint64)]
+        while power < r:
+            mags = _times(mags, factors, 0)
+            power += 1
+        if abs(w) == 1:
+            scaled = mags
+        elif w:
+            digits = [
+                np.uint64((abs(w) >> s) & 0xFFFFFFFF)
+                for s in range(0, w.bit_length(), 32)
+            ]
+            scaled = _times(mags, digits, 4)
+        else:
+            scaled = mags[:0]
+        peak = 0
+        if len(scaled):
+            peak = ((int(scaled[-1].max()) + 1) << (_LIMB_BITS * (len(scaled) - 1))) - 1
+        built[key] = _Rows(scaled.T, (neg != (w < 0)) & scaled.any(axis=0), peak)
+
+    def rows_of(op):
+        return built[id(op.values), op.r, op.w] if isinstance(op, Scaled) else _rows(op)
+
+    return [(rows_of(a), rows_of(b)) for a, b in held]
 
 
 def _kronecker_eval(op: _Rows, width: int) -> int:
@@ -403,27 +509,37 @@ def _convolve_slices(terms, prec):
     return out.tolist()
 
 
+def _cut(op, prec):
+    """(op cut to prec, its length, its nonzero count)."""
+    if not isinstance(op, Scaled):
+        op = _head(op, prec)
+        return op, len(op), len(op) - op.count(0)
+    values = _head(op.values, prec)
+    nnz = 0
+    if op.w:  # n^r vanishes at n = 0 when r > 0
+        nnz = len(values) - values.count(0) - bool(op.r and values and values[0])
+    return op._replace(values=values), len(values), nnz
+
+
 def _read_pairs(pairs, prec):
     """(route, held): the route the pairs' nonzero counts, lengths and prec
-    pick ("sparse", "slices" or "dense"), and the pairs cut to prec, kept
-    as int lists while a sparse route could still be picked, and as byte
-    rows (_Rows) from the pair that rules both out on."""
-    held, cost, slice_cost, dense = [], 0, 0, False
-    sparse_limit = _SPARSE_COST_FACTOR * prec
-    slice_limit = _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1))
+    pick ("sparse", "slices" or "dense"), and the pairs cut to prec, as int
+    lists for the sparse routes (Scaled operands materialized) and as byte
+    rows (_Rows) for the dense routes."""
+    held, cost, slice_cost = [], 0, 0
     for a, b in pairs:
-        a, b = _head(a, prec), _head(b, prec)
-        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+        (a, len_a, nnz_a), (b, len_b, nnz_b) = _cut(a, prec), _cut(b, prec)
         cost += nnz_a * nnz_b
-        other = b if nnz_a <= nnz_b else a
-        slice_cost += min(nnz_a, nnz_b) * (len(other) + _SLICE_OVERHEAD)
-        if not dense and cost > sparse_limit and slice_cost > slice_limit:
-            dense = True
-            held = [(_rows(x), _rows(y)) for x, y in held]
-        held.append((_rows(a), _rows(b)) if dense else (a, b))
-    if dense:
-        return "dense", held
-    return ("sparse" if cost <= sparse_limit else "slices"), held
+        other = len_b if nnz_a <= nnz_b else len_a
+        slice_cost += min(nnz_a, nnz_b) * (other + _SLICE_OVERHEAD)
+        held.append((a, b))
+    if cost <= _SPARSE_COST_FACTOR * prec:
+        route = "sparse"
+    elif slice_cost <= _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)):
+        route = "slices"
+    else:
+        return "dense", _dense_rows(held)
+    return route, [(_ints(a), _ints(b)) for a, b in held]
 
 
 def _shape(op):
@@ -433,7 +549,10 @@ def _shape(op):
 
 def convolve_sum(pairs, prec):
     """Exact sum of the truncated convolutions a*b over the (a, b) in
-    pairs, lists of Python ints; pairs may be any iterable, read once.
+    pairs; pairs may be any iterable, read once.  Each operand is a list
+    of Python ints or a ``Scaled(values, w, r)``, the list
+    w * n^r * values[n], whose byte rows the dense routes build from those
+    of values without forming its ints.
 
     Returns exactly ``prec`` Python ints, whichever route runs.  One
     DEBUG line per call names the route, the number of pairs and the
@@ -449,7 +568,7 @@ def convolve_sum(pairs, prec):
     elif route == "slices":
         slice_terms, slice_bound = _slice_terms(held)
         if slice_terms is None:
-            held = [(_rows(a), _rows(b)) for a, b in held]
+            held = _dense_rows(held)
         else:
             out = _convolve_slices(slice_terms, prec)
     if out is None:

@@ -508,6 +508,13 @@ ORACLE_CASES = [
 ] + [pytest.param(24, 8, 2, True, 2500, 2000, id="INTEGRAL-2-sparse-g-top-2504")]
 
 
+def test_oracle_cases_cover_integral_and_half_integral_gamma():
+    # The weights floor(2^P j^-gamma) take a floor division for integral
+    # gamma and an isqrt for half-integral gamma: the oracle checks both.
+    gammas = {gamma_s(params(*case.values[:3])) for case in ORACLE_CASES}
+    assert {g.denominator for g in gammas} == {1, 2}
+
+
 @pytest.mark.filterwarnings("ignore::rcadjoint.adjoint.HypothesisWarning")
 @pytest.mark.parametrize("k2, l2, nu, sparse_g, M, f_from", ORACLE_CASES)
 def test_one_pass_sums_match_per_term_oracle(k2, l2, nu, sparse_g, M, f_from):
@@ -560,22 +567,18 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
     f = series_mul(catalog_get("delta", 221), catalog_get("delta", 221))
     g = catalog_get("E4", 221)
     n_max, M = 10, 200
-    roots = []
+    weights = []
+    real_weight = adjoint_module._floor_weight
 
-    class CountingMath:
-        """math, with each isqrt argument recorded: one per integer weight."""
-
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        def isqrt(self, x):
-            roots.append(x)
-            return math.isqrt(x)
+    def counting_weight(P, j, two_gamma):
+        """_floor_weight, with each call recorded: one per integer weight."""
+        weights.append((P, j, two_gamma))
+        return real_weight(P, j, two_gamma)
 
     # alpha_coeff is a test oracle only; the library sums exact integer alpha.
     assert not hasattr(bracket_module, "alpha_coeff")
     assert not hasattr(adjoint_module, "alpha_coeff")
-    monkeypatch.setattr(adjoint_module, "math", CountingMath())
+    monkeypatch.setattr(adjoint_module, "_floor_weight", counting_weight)
     adjoint_coefficients(f, g, 0, n_max, M)
     reachable = {
         n + m
@@ -584,6 +587,17 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
         if g.coeff(m) != 0 and f.coeff(n + m) != 0
     }
     # Weight 24 against E4 at nu = 0: gamma = 23 and top = 210, 8 bits, so
-    # P = 168 + 23 * 8 and the weight of j is isqrt(2^2P // j^46).
+    # P = 168 + 23 * 8 and the weight of j is 2^P // j^23.
     P = GUARD_BITS + 23 * 8
-    assert sorted(roots) == sorted((1 << 2 * P) // j**46 for j in reachable)
+    assert sorted(weights) == sorted((P, j, 46) for j in reachable)
+    assert all(real_weight(P, j, 46) == (1 << P) // j**23 for j in reachable)
+
+
+@pytest.mark.parametrize("two_gamma", [0, 1, 19, 38, 45, 46])
+def test_floor_weight_is_the_floor_of_2_to_the_P_over_j_to_the_gamma(two_gamma):
+    # floor(2^P j^-gamma) is the largest w with w^2 j^(2 gamma) <= 2^2P.
+    rng = random.Random(two_gamma)
+    for _ in range(200):
+        P, j = rng.randint(0, 400), rng.randint(1, 10**6)
+        w = adjoint_module._floor_weight(P, j, two_gamma)
+        assert w**2 * j**two_gamma <= 1 << 2 * P < (w + 1) ** 2 * j**two_gamma

@@ -11,7 +11,7 @@ import pytest
 import rcadjoint
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.forms as forms_module
-from rcadjoint.cli import main
+from rcadjoint.cli import _positive_int, main
 
 
 def run(args):
@@ -88,6 +88,9 @@ class TestBracket:
             # Sparse route: every product of theta with itself.
             ("theta", "theta", "3", "4000",
              "d47d8969d445da02cc13c976623c711c180e531691a267254be8cfd8d3f51596"),
+            # 13 pairs on the FFT route, the largest |w_r| of 75 bits.
+            ("delta", "delta", "12", "1500",
+             "806643d540dfc6cea9c8d15390b66289a47841bc19509cacc6f1a0f00670f7b5"),
         ],
     )
     def test_brackets_byte_identical(self, f, g, nu, precision, digest, capsys):
@@ -429,20 +432,26 @@ def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["expand", "--form", "theta", "--precision", "99999999999999999999"],
-        ["verify", "ratio", "--f-product", "theta", "delta_4_6", "--g", "theta",
-         "--terms", "99999999999999999999"],
+        (["expand", "--form", "theta", "--precision", "99999999999999999999"],
+         "--precision"),
+        (["verify", "ratio", "--f-product", "theta", "delta_4_6", "--g", "theta",
+          "--terms", "99999999999999999999"], "--terms"),
+        (["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",
+          "--n-max", str(sys.maxsize + 1)], "--n-max"),
     ],
-    ids=["precision", "terms"],
+    ids=["precision", "terms", "n-max"],
 )
-def test_size_beyond_an_index_is_usage_error(argv, capsys):
+def test_size_beyond_an_index_is_usage_error(argv, flag, capsys):
+    # argparse refuses the value and names the flag and the limit.
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ")
+    assert f"error: argument {flag}: must be at most {sys.maxsize}\n" in err
     assert "Traceback" not in err
+    # sys.maxsize itself is accepted by the flag's parser.
+    assert _positive_int(str(sys.maxsize)) == sys.maxsize
 
 
 def test_zero_denominator_is_named(tmp_path, capsys):

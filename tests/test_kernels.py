@@ -415,3 +415,165 @@ def test_kronecker_slots_hold_the_whole_sum():
     expected = [1000 * m * m, 0]
     assert kernels._convolve_kronecker(_terms(pairs, 2), 2) == expected
     assert kernels.convolve_sum(pairs, 2) == expected
+
+
+def _naive_sum(pairs, prec):
+    """The sum over pairs of their schoolbook truncated products, in ints."""
+    out = [0] * prec
+    for a, b in pairs:
+        for i, x in enumerate(a[:prec]):
+            if x:
+                for j, y in enumerate(b[: prec - i]):
+                    out[i + j] += x * y
+    return out
+
+
+_SCALED_OPERAND = st.tuples(
+    st.integers(1, 300),  # length
+    # Bits of the base values; None aims the scaled values at 2^55-2^64,
+    # around the 7/8-byte boundary of the codec.
+    st.sampled_from([0, 1, 8, 55, 56, 63, 64, 100, 200, None, None]),
+    st.integers(0, 8),  # r
+    st.sampled_from([0, 1, 2, 31, 32, 33, 55, 56, 75, 200]),  # bits of |w|
+    st.sampled_from([1, -1]),  # sign of w
+    st.sampled_from(["dense", "dense", "sparse", "list"]),
+)
+
+
+def _scaled_operand(rng, length, bits, r, w_bits, w_sign, kind):
+    """A Scaled operand (or, for kind "list", its int list) with mixed
+    signs and zeros; every ninth base value may be nonzero if sparse."""
+    w = w_sign * (rng.randint(1 << (w_bits - 1), (1 << w_bits) - 1) if w_bits else 0)
+    if bits is None:
+        scale = max(abs(w) * (length - 1) ** r, 1)
+        bound = max((1 << rng.randint(55, 64)) // scale, 1)
+    else:
+        bound = (1 << bits) - 1 if bits else 0
+    every = 9 if kind == "sparse" else 1
+    values = [
+        rng.choice((0, rng.randint(-bound, bound), bound, -bound))
+        if i % every == 0 else 0
+        for i in range(length)
+    ]
+    op = kernels.Scaled(values, w, r)
+    return kernels._ints(op) if kind == "list" else op
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=_SCALED_OPERAND,
+    scales=st.lists(st.tuples(st.integers(0, 8), st.integers(-(2**200), 2**200)),
+                    min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_scaled_rows_are_the_rows_of_the_scaled_ints(base, scales, seed):
+    # Several scales of one base list in one call share its rows and its
+    # powers; each must equal the byte rows of its own int list.
+    rng = random.Random(seed)
+    values = _scaled_operand(rng, *base[:-1], "dense").values
+    ops = [kernels.Scaled(values, w, r) for r, w in scales]
+    held = kernels._dense_rows([(op, [1]) for op in ops])
+    for op, (rows, _) in zip(ops, held):
+        ints = kernels._ints(op)
+        assert ints == [op.w * n**op.r * v for n, v in enumerate(values)]
+        want = kernels._rows(ints)
+        assert rows.mags.dtype == np.uint8
+        assert rows.mags.shape == want.mags.shape
+        assert rows.mags.tobytes() == want.mags.tobytes()
+        assert rows.neg.tolist() == want.neg.tolist()
+        # The peak bounds the largest magnitude and is zero only with it.
+        assert rows.peak >= want.peak
+        assert bool(rows.peak) == bool(want.peak)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(_SCALED_OPERAND, _SCALED_OPERAND), min_size=1, max_size=4
+    ),
+    shared=st.booleans(),
+    prec=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, seed):
+    # Scaled operands mixed with int lists, and (shared) every pair's
+    # first operand a different scale of one base list.
+    rng = random.Random(seed)
+    pairs = [
+        (_scaled_operand(rng, *x), _scaled_operand(rng, *y)) for x, y in shapes
+    ]
+    scaled = [i for i, (a, _) in enumerate(pairs) if isinstance(a, kernels.Scaled)]
+    if shared and scaled:
+        values = pairs[scaled[0]][0].values
+        for i in scaled:
+            pairs[i] = (pairs[i][0]._replace(values=values), pairs[i][1])
+    ints = [(kernels._ints(a), kernels._ints(b)) for a, b in pairs]
+    expected = _naive_sum(ints, prec)
+    out = kernels.convolve_sum(pairs, prec)
+    assert out == expected
+    assert all(type(v) is int for v in out)
+    assert kernels.convolve_sum(iter(pairs), prec) == expected
+    # The route and every held operand's shape are those of the int
+    # lists, so the FFT bound and the DEBUG line are too.
+    route, held = kernels._read_pairs(pairs, prec)
+    int_route, int_held = kernels._read_pairs(ints, prec)
+    assert route == int_route
+    assert [(kernels._shape(a), kernels._shape(b)) for a, b in held] == [
+        (kernels._shape(a), kernels._shape(b)) for a, b in int_held
+    ]
+    # Every route on these operands: both dense routes on the scaled
+    # rows, slice-adds on the ints wherever their certificate holds, and
+    # the Kronecker route through convolve_sum with the FFT refused.
+    cut = [[kernels._cut(x, prec)[0] for x in pair] for pair in pairs]
+    terms = [(a, b) for a, b in kernels._dense_rows(cut) if a.peak and b.peak]
+    assert kernels.convolve_fft(terms, prec) == expected
+    assert kernels._convolve_kronecker(terms, prec) == expected
+    cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in ints)
+    assert slices(ints, prec) == (expected if cert < 2**63 else None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_CERT_LIMIT", -1.0)
+        assert kernels.convolve_sum(pairs, prec) == expected
+
+
+def test_scaled_operands_take_every_route(monkeypatch):
+    # [theta, theta]-like sparse pairs, a sparse base against a dense one,
+    # and dense bases, all given as Scaled: each takes the route its int
+    # lists take, and the FFT refused sends the dense sum to Kronecker.
+    rng = random.Random(4)
+    dense = rand_ints(rng, 400, -1000, 1000)
+    cases = [
+        (_theta(400), _theta(400), "sparse"),
+        (_theta(400), dense, "slices"),
+        (dense, rand_ints(rng, 400, -(2**60), 2**60), "fft"),
+    ]
+    for f, g, route in cases:
+        pairs = [(kernels.Scaled(f, 5 - 2 * r, r), kernels.Scaled(g, 1, 2 - r))
+                 for r in range(3)]
+        ints = [(kernels._ints(a), kernels._ints(b)) for a, b in pairs]
+        expected = _naive_sum(ints, 400)
+        calls = _spy_routes(monkeypatch)
+        assert kernels.convolve_sum(pairs, 400) == expected
+        assert calls == [route]
+        if route == "fft":
+            monkeypatch.setattr(kernels, "_CERT_LIMIT", -1.0)
+            calls = _spy_routes(monkeypatch)
+            assert kernels.convolve_sum(pairs, 400) == expected
+            assert calls == ["fft", "kronecker"]
+
+
+def test_scaled_nonzero_count_at_the_sparse_limit():
+    # n^r vanishes at n = 0 for r > 0: a base with 41 nonzeros, one at
+    # n = 0, scales to 40, and 40 * 40 = 16 * 100 is just within the
+    # sparse loop's limit; 41 * 40 would send the pair to the FFT.
+    values = [3] + [0] * 99
+    for i in range(1, 81, 2):
+        values[i] = -7
+    b = [0] * 100
+    for i in range(0, 80, 2):
+        b[i] = 5
+    for r, route in ((1, "sparse"), (0, "dense")):
+        pair = [(kernels.Scaled(values, 2, r), b)]
+        ints = [(kernels._ints(pair[0][0]), b)]
+        assert kernels._read_pairs(pair, 100)[0] == route
+        assert kernels._read_pairs(ints, 100)[0] == route
+        assert kernels.convolve_sum(pair, 100) == _naive_sum(ints, 100)
