@@ -190,7 +190,8 @@ def fit_tail_profile(series: QSeries, epsilon: float = DEFAULT_EPSILON) -> TailP
     The exponent is ``growth_exponent(series)`` plus epsilon.  The constant
     is the largest |a(n)|/den/n^exponent, evaluated exactly at the n that
     ``_tail_candidates`` screens in, or at every n when it cannot screen.
-    ValueError names a coefficient whose quotient is out of float range.
+    ValueError names a coefficient whose quotient is out of float range,
+    or the exponent and the n at which n^exponent is.
     """
     if series.precision < 10:
         raise ValueError("need at least 10 coefficients to fit a tail profile")
@@ -206,11 +207,19 @@ def fit_tail_profile(series: QSeries, epsilon: float = DEFAULT_EPSILON) -> TailP
         if v:
             try:
                 # int / int rounds correctly, exactly as float(Fraction) does.
-                constant = max(constant, abs(v) / den / n**exponent)
+                quotient = abs(v) / den
             except OverflowError:
                 raise ValueError(
                     f"coefficient {n} is out of float range for the tail profile"
                 ) from None
+            try:
+                power = n**exponent
+            except OverflowError:
+                raise ValueError(
+                    f"n^{exponent} is out of float range at n = {n} for the "
+                    "tail profile"
+                ) from None
+            constant = max(constant, quotient / power)
     return TailProfile(exponent, constant)
 
 

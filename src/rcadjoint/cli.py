@@ -123,13 +123,11 @@ def _resolve_form(source: str, precision: int) -> QSeries:
 
 def _open_f(args, precision: int):
     """_open_form for f: --f, or the product of the two --f-product forms."""
-    if getattr(args, "f_product", None):
+    if args.f_product:
         w_a, build_a = _open_form(args.f_product[0], precision)
         w_b, build_b = _open_form(args.f_product[1], precision)
         twice_weight = None if w_a is None or w_b is None else w_a + w_b
         return twice_weight, lambda: series_mul(build_a(), build_b())
-    if args.f is None:
-        raise UsageError("provide --f or --f-product")
     return _open_form(args.f, precision)
 
 
@@ -240,7 +238,7 @@ def _verdict(args, config: str, extra: dict, passed: bool) -> int:
 def _cmd_verify_ratio(args) -> int:
     basis_name = args.basis
     if basis_name is None:
-        if getattr(args, "f_product", None):
+        if args.f_product:
             basis_name = args.f_product[1]
         else:
             raise UsageError("verify ratio needs --basis (or --f-product)")
@@ -290,8 +288,9 @@ def _cmd_verify_lambda(args) -> int:
 
 def _add_adjoint_flags(p, with_f=True):
     if with_f:
-        p.add_argument("--f", help="cusp form: catalog name or series file")
-        p.add_argument(
+        f = p.add_mutually_exclusive_group(required=True)
+        f.add_argument("--f", help="cusp form: catalog name or series file")
+        f.add_argument(
             "--f-product",
             nargs=2,
             metavar=("A", "B"),

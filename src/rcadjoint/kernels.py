@@ -6,15 +6,14 @@ adding the products before anything is rounded or decoded.
 ``convolve_exact(a, b, prec)`` is its one-pair case.  The route is picked
 from the inputs:
 
-* a loop over nonzero pairs, when the inputs are sparse enough that
-  there are few of them,
-* slice-adds on one int64 accumulator, for a sparse side times a dense
-  one (theta times a form): each nonzero a_i of a pair's sparser side
-  adds a_i * b[:prec - i] into out[i:], when the nonzero count times the
-  other side's length is within a constant times the FFT's
-  prec * log2(prec), and only under the exact certificate
-  sum_pairs sum_i |a_i| * max|b| < 2^63, which bounds every int64 product
-  and partial sum (a sum that fails it takes the dense routes),
+* slice-adds on one int64 accumulator, for a sparse side times any other
+  (theta times a form, or Jacobi's sparse series times itself): each
+  nonzero a_i of a pair's sparser side adds a_i * b[:prec - i] into
+  out[i:], when the nonzero count times the other side's length is within
+  a constant times the FFT's prec * log2(prec), and only under the exact
+  certificate sum_pairs sum_i |a_i| * max|b| < 2^63, which bounds every
+  int64 product and partial sum (a sum that fails it takes the dense
+  routes),
 * ``convolve_fft``, a limb-split floating-point FFT convolution that adds
   every pair's limb products in the frequency domain, for dense inputs
   whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
@@ -31,8 +30,8 @@ codec picks how from its input: rows of at most 7 bytes are written, and
 rows whose values all fit in an int64 are read, as one int64 array; wider
 rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
 An operand may also be given as ``Scaled(values, w, r)``, the list
-w * n^r * values[n] (the bracket's operands).  The sparse routes read it
-as that int list.  The dense routes never form its ints: each distinct
+w * n^r * values[n] (the bracket's operands).  Slice-adds read it as that
+int list.  The dense routes never form its ints: each distinct
 values list becomes byte rows once per call, the rows of n^r values come
 from those of n^(r-1) values by one vectorized uint64 multiply-and-carry
 pass over the limbs (``_times``; every step is exact while the factor
@@ -65,10 +64,6 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 _log = logging.getLogger(__name__)
-
-# Below this many nonzero coefficient pairs per output coefficient, the
-# sparse loop beats the dense routes.
-_SPARSE_COST_FACTOR = 16
 
 # The slice-add route is taken when the sum over pairs of the sparser
 # side's nonzero count times (the other side's length + _SLICE_OVERHEAD)
@@ -161,8 +156,8 @@ def _rows(vals) -> _Rows:
 class Scaled(NamedTuple):
     """The operand w * n^r * values[n], n = 0, 1, ..., kept as its parts.
 
-    The sparse routes read it as that int list; the dense routes build its
-    byte rows from those of ``values`` (``_dense_rows``)."""
+    Slice-adds read it as that int list; the dense routes build its byte
+    rows from those of ``values`` (``_dense_rows``)."""
 
     values: list
     w: int
@@ -445,39 +440,26 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     return _ints_from_rows(digits) + [0] * (prec - n_out)
 
 
-def _convolve_sparse(pairs, prec):
-    """The sum of the pairs' products by a loop over nonzero coefficients."""
-    out = [0] * prec
-    for a, b in pairs:
-        nza = [(i, v) for i, v in enumerate(a) if v]
-        nzb = [(j, v) for j, v in enumerate(b) if v]
-        if len(nza) > len(nzb):
-            nza, nzb = nzb, nza
-        for i, ci in nza:
-            for j, cj in nzb:
-                if i + j >= prec:
-                    break
-                out[i + j] += ci * cj
-    return out
-
-
-def _slice_terms(pairs):
+def _slice_terms(held, nonzeros):
     """(terms, bound): per pair with a nonzero sparser side a, the tuple
     (indices of a's nonzeros, their values, the other side b as an int64
     array), and the certificate bound = sum over pairs of
     sum_i |a_i| * max|b|; (None, bound) as soon as the bound summed so far
     reaches _SLICE_LIMIT.
 
-    A pair whose sparser side is all zero is skipped before its other side
+    held and nonzeros are _read_pairs' pairs and nonzero counts; the
+    sparser side is the one with fewer nonzeros, the first on a tie.  A
+    pair whose sparser side is all zero is skipped before its other side
     is read: that side may hold values an int64 cannot.
     """
     terms, bound = [], 0
-    for a, b in pairs:
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a
-        index = list(compress(range(len(a)), a))
-        if not index:
+    for (a, b), (nnz_a, nnz_b) in zip(held, nonzeros):
+        if not min(nnz_a, nnz_b):
             continue
+        if nnz_a > nnz_b:
+            a, b = b, a
+        a, b = _ints(a), _ints(b)
+        index = list(compress(range(len(a)), a))
         values = [a[i] for i in index]
         try:
             array = np.array(b, dtype=np.int64)
@@ -522,29 +504,25 @@ def _cut(op, prec):
 
 
 def _read_pairs(pairs, prec):
-    """(route, held): the route the pairs' nonzero counts, lengths and prec
-    pick ("sparse", "slices" or "dense"), and the pairs cut to prec, as int
-    lists for the sparse routes (Scaled operands materialized) and as byte
-    rows (_Rows) for the dense routes."""
-    held, cost, slice_cost = [], 0, 0
+    """(held, nonzeros, cost): the pairs cut to prec, in order, each
+    operand an int list or a Scaled; each pair's two nonzero counts; and
+    the slice-add cost, the sum over pairs of the sparser side's nonzero
+    count times (the other side's length + _SLICE_OVERHEAD)."""
+    held, nonzeros, cost = [], [], 0
     for a, b in pairs:
         (a, len_a, nnz_a), (b, len_b, nnz_b) = _cut(a, prec), _cut(b, prec)
-        cost += nnz_a * nnz_b
         other = len_b if nnz_a <= nnz_b else len_a
-        slice_cost += min(nnz_a, nnz_b) * (other + _SLICE_OVERHEAD)
+        cost += min(nnz_a, nnz_b) * (other + _SLICE_OVERHEAD)
         held.append((a, b))
-    if cost <= _SPARSE_COST_FACTOR * prec:
-        route = "sparse"
-    elif slice_cost <= _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)):
-        route = "slices"
-    else:
-        return "dense", _dense_rows(held)
-    return route, [(_ints(a), _ints(b)) for a, b in held]
+        nonzeros.append((nnz_a, nnz_b))
+    return held, nonzeros, cost
 
 
 def _shape(op):
-    """(length, limbs) of a held operand; limbs is None for an int list."""
-    return op.mags.shape if isinstance(op, _Rows) else (len(op), None)
+    """(length, limbs) of a held operand; limbs is None before byte rows."""
+    if isinstance(op, _Rows):
+        return op.mags.shape
+    return len(op.values if isinstance(op, Scaled) else op), None
 
 
 def convolve_sum(pairs, prec):
@@ -554,24 +532,24 @@ def convolve_sum(pairs, prec):
     w * n^r * values[n], whose byte rows the dense routes build from those
     of values without forming its ints.
 
-    Returns exactly ``prec`` Python ints, whichever route runs.  One
-    DEBUG line per call names the route, the number of pairs and the
+    Slice-adds run when the pairs' slice-add cost is at most
+    _SLICE_COST_FACTOR * prec * log2(prec) and their int64 certificate
+    holds; otherwise the FFT route, and the Kronecker route when the FFT
+    refuses.  Returns exactly ``prec`` Python ints, whichever route runs.
+    One DEBUG line per call names the route, the number of pairs and the
     route's certificate against its limit: for slice-adds the sparser
     sides' nonzero count and the int64 bound, for the dense routes the
     summed FFT bound (after ``slice_bound=`` when the int64 bound refused
     slice-adds), and for one pair the operands' lengths and limb counts.
     """
-    route, held = _read_pairs(pairs, prec)
-    out = slice_bound = None
-    if route == "sparse":
-        out = _convolve_sparse(held, prec)
-    elif route == "slices":
-        slice_terms, slice_bound = _slice_terms(held)
-        if slice_terms is None:
-            held = _dense_rows(held)
-        else:
-            out = _convolve_slices(slice_terms, prec)
-    if out is None:
+    held, nonzeros, cost = _read_pairs(pairs, prec)
+    slice_terms = slice_bound = None
+    if cost <= _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)):
+        slice_terms, slice_bound = _slice_terms(held, nonzeros)
+    if slice_terms is not None:
+        route, out = "slices", _convolve_slices(slice_terms, prec)
+    else:
+        held = _dense_rows(held)
         terms = [(a, b) for a, b in held if a.peak and b.peak]
         route, out = "fft", convolve_fft(terms, prec)
         if out is None:
@@ -582,14 +560,14 @@ def convolve_sum(pairs, prec):
         if len(shapes) == 1:
             ((len_a, limbs_a), (len_b, limbs_b)), = shapes
             detail = f" len={len_a},{len_b} limbs={limbs_a},{limbs_b}"
-        bound, limit = None, _CERT_LIMIT
         if route == "slices":
-            detail += f" nnz={sum(len(index) for index, _, _ in slice_terms)}"
+            detail += f" nnz={sum(map(min, nonzeros))}"
             bound, limit = slice_bound, "2^63"
-        elif route != "sparse":
+        else:
             if slice_bound is not None:  # slice-adds refused by their bound
                 detail += f" slice_bound={slice_bound}"
             bound = fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms)
+            limit = _CERT_LIMIT
         _log.debug(
             "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s",
             route, len(held), prec, detail, bound, limit,

@@ -301,8 +301,9 @@ def _power_product(powers, size: int) -> list:
     """prod base^n over the (base, n) pairs, to size coefficients.
 
     Each power is built by square-and-multiply and every product goes
-    through convolve_exact; the first factor is taken as it is, so only
-    an empty product (every n zero) is the series 1.
+    through convolve_exact, which picks slice-adds while a factor is
+    sparse and the FFT once both are dense; the first factor is taken as
+    it is, so only an empty product (every n zero) is the series 1.
     """
     result = None
     for base, n in powers:
@@ -367,9 +368,10 @@ def _euler_factor(step: int, exponent: int, prec: int) -> list:
 
     In x = q^step this is B^e for the pentagonal series B = prod (1 - x^n).
     For e >= 0 it is J^(e // 3) * B^(e % 3), with J = B^3 the sparse
-    series of Jacobi's identity: a few products by square-and-multiply,
-    all through convolve_exact, where the sparse first ones take the
-    sparse route and the dense later ones the certified FFT route.
+    series of Jacobi's identity: a few products by square-and-multiply
+    (``_power_product``), all through convolve_exact, where J * J, a
+    sparse series times itself, takes the int64 slice-add route and the
+    dense later ones the certified FFT route.
     For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
     first need a dense series inverse, while Miller's recurrence gives
     B^e directly, so negative exponents keep it.
@@ -400,7 +402,8 @@ def make_eta_product(
     prod (1 - x^n)^3 = sum_k (-1)^k (2k+1) x^(k(k+1)/2) and the pentagonal
     series B; for a negative one, Miller's recurrence, since powers of J
     and B reach it only through a series inverse.  The factors are
-    multiplied with convolve_exact, starting from the first one.
+    multiplied with convolve_exact, starting from the first one: for
+    eta(2z)^12, J * J by slice-adds, then J^2 * J^2 by the FFT.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")

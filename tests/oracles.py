@@ -124,15 +124,23 @@ def tail_constant_oracle(num, den, exponent):
     """max |a(n)|/den/n^exponent over the nonzero a(n) = num[n]/den, n >= 1.
 
     The exact expression at every n, in order, as a loop; ValueError names
-    the first n whose quotient is out of float range.
+    the first n whose |a(n)|/den, or whose n^exponent, is out of float range.
     """
     constant = 0.0
     for n, v in enumerate(num[1:], start=1):
         if v:
             try:
-                constant = max(constant, abs(v) / den / n**exponent)
+                quotient = abs(v) / den
             except OverflowError:
                 raise ValueError(
                     f"coefficient {n} is out of float range for the tail profile"
                 ) from None
+            try:
+                power = n**exponent
+            except OverflowError:
+                raise ValueError(
+                    f"n^{exponent} is out of float range at n = {n} for the "
+                    "tail profile"
+                ) from None
+            constant = max(constant, quotient / power)
     return constant

@@ -85,7 +85,7 @@ class TestBracket:
              "f44a2a50c4aca5ab59faa57956735459248618540954cb249a411f8fedef27ed"),
             ("theta", "delta_4_6", "2", "4000",
              "07ba07a4f299d097de17422929ad84ff3190299915a4a1dcf2691bff36238be1"),
-            # Sparse route: every product of theta with itself.
+            # Slice-adds: the four products of theta with itself, in one call.
             ("theta", "theta", "3", "4000",
              "d47d8969d445da02cc13c976623c711c180e531691a267254be8cfd8d3f51596"),
             # 13 pairs on the FFT route, the largest |w_r| of 75 bits.
@@ -475,6 +475,45 @@ def test_f_coefficient_out_of_float_range_stops_before_the_bracket(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: f coefficient 1 is out of float range\n"
+
+
+@pytest.mark.parametrize("command", [["adjoint"], ["verify", "ratio"]])
+@pytest.mark.parametrize(
+    "f_flags, message",
+    [
+        (["--f", "delta", "--f-product", "theta", "delta_4_6"],
+         "argument --f-product: not allowed with argument --f"),
+        ([], "one of the arguments --f --f-product is required"),
+    ],
+    ids=["both", "neither"],
+)
+def test_f_and_f_product_are_one_required_choice(command, f_flags, message, capsys):
+    # Given both, --f used to be dropped for the product's numbers.
+    basis = ["--basis", "delta_4_6"] if command[0] == "verify" else []
+    argv = [*command, *f_flags, "--g", "theta", *basis, "--n-max", "3",
+            "--terms", "400"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}\n" in err
+
+
+@pytest.mark.parametrize(
+    "epsilon, exponent, n", [("1e300", "1e+300", 2), ("700", "705.75", 3)]
+)
+def test_tail_power_out_of_float_range_names_the_exponent(
+    epsilon, exponent, n, capsys
+):
+    # Delta's exponent is 11/2 + 1/4 + epsilon, and n^exponent overflows
+    # while every coefficient is small: the message names both.
+    assert run(["adjoint", "--f", "delta", "--g", "E4", "--epsilon", epsilon,
+                "--n-max", "3", "--terms", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: n^{exponent} is out of float range at n = {n} for the tail "
+        "profile\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcadjoint import kernels
+from rcadjoint.forms import catalog_get
+from rcadjoint.qseries import make_eta_product
 
 from oracles import naive_mul
 
@@ -35,7 +37,8 @@ def kronecker(a, b, prec):
 
 def slices(pairs, prec):
     """The slice-add route on the pairs, or None when its certificate fails."""
-    terms, _ = kernels._slice_terms([(a[:prec], b[:prec]) for a, b in pairs])
+    held, nonzeros, _ = kernels._read_pairs(pairs, prec)
+    terms, _ = kernels._slice_terms(held, nonzeros)
     return None if terms is None else kernels._convolve_slices(terms, prec)
 
 
@@ -136,7 +139,7 @@ def test_every_route_returns_prec_coefficients(
     len_a, len_b, bound, every, prec, seed
 ):
     # Keeping every `every`-th coefficient of a makes the inputs sparse
-    # enough for the sparse route; long dense inputs take the FFT or the
+    # enough for slice-adds; long dense inputs take the FFT or the
     # Kronecker route.  prec runs both below and above len_a + len_b - 1.
     # The first coefficients are -bound and bound, so the magnitude sits
     # exactly on the boundary under test.
@@ -161,7 +164,6 @@ def test_every_route_returns_prec_coefficients(
 
 
 _ROUTES = {
-    "sparse": "_convolve_sparse",
     "slices": "_convolve_slices",
     "fft": "convolve_fft",
     "kronecker": "_convolve_kronecker",
@@ -195,8 +197,8 @@ def _theta(n):
 @pytest.mark.parametrize(
     "a, b, routes",
     [
-        ([1] + [0] * 199 + [2], [3] * 201, ["sparse"]),
-        # 20 nonzeros against 400 dense: too many pairs for the sparse loop.
+        # 2 nonzeros against 201 dense, and 20 against 400.
+        ([1] + [0] * 199 + [2], [3] * 201, ["slices"]),
         (_theta(400), _dense(1000, n=400)[0], ["slices"]),
         (*_dense(1000), ["fft"]),
         # 5814 limbs at length 20: the rounding bound is ~0.38.
@@ -250,6 +252,22 @@ def test_all_zero_sparse_side_is_skipped_before_its_dense_side():
     assert kernels.convolve_sum(pairs, 400) == expected
 
 
+@pytest.mark.parametrize(
+    "build, routes",
+    [
+        # The flagship's eta(2z)^12 = J(q^2)^4: J * J, then J^2 * J^2.
+        (lambda: make_eta_product([(2, 12)], 20011), ["slices", "fft"]),
+        # dense_nu2's Delta = q eta(z)^24 = q J^8.
+        (lambda: catalog_get("delta", 2511), ["slices", "fft", "fft"]),
+    ],
+    ids=["eta2-12", "delta"],
+)
+def test_workload_forms_construction_routes(monkeypatch, build, routes):
+    calls = _spy_routes(monkeypatch)
+    build()
+    assert calls == routes
+
+
 def test_kronecker_past_the_product_length():
     # Mixed signs at magnitudes the FFT certificate refuses, and prec
     # beyond len(a) + len(b): a negative top coefficient leaves
@@ -297,6 +315,13 @@ def test_route_is_logged_at_debug_only(caplog, capsys):
     assert "route=slices" in message
     assert "nnz=20" in message
     assert f"bound={39 * max(map(abs, b))} limit=2^63" in message
+    # A Scaled operand logs the line its int list logs.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        kernels.convolve_exact(kernels.Scaled(a, 1, 0), b, 400)
+    assert [r.getMessage() for r in caplog.records if r.name == kernels.__name__] == [
+        message
+    ]
     # Refused by that certificate (39 * 2^63 >= 2^63), the dense line
     # gives it before the FFT bound.
     caplog.clear()
@@ -513,23 +538,24 @@ def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, 
     assert out == expected
     assert all(type(v) is int for v in out)
     assert kernels.convolve_sum(iter(pairs), prec) == expected
-    # The route and every held operand's shape are those of the int
-    # lists, so the FFT bound and the DEBUG line are too.
-    route, held = kernels._read_pairs(pairs, prec)
-    int_route, int_held = kernels._read_pairs(ints, prec)
-    assert route == int_route
-    assert [(kernels._shape(a), kernels._shape(b)) for a, b in held] == [
-        (kernels._shape(a), kernels._shape(b)) for a, b in int_held
+    # The nonzero counts, the slice-add cost and every operand's byte-row
+    # shape are those of the int lists, so the route, the FFT bound and
+    # the DEBUG line are too.
+    held, nonzeros, cost = kernels._read_pairs(pairs, prec)
+    int_held, int_nonzeros, int_cost = kernels._read_pairs(ints, prec)
+    assert (nonzeros, cost) == (int_nonzeros, int_cost)
+    rows, int_rows = kernels._dense_rows(held), kernels._dense_rows(int_held)
+    assert [(a.mags.shape, b.mags.shape) for a, b in rows] == [
+        (a.mags.shape, b.mags.shape) for a, b in int_rows
     ]
     # Every route on these operands: both dense routes on the scaled
-    # rows, slice-adds on the ints wherever their certificate holds, and
-    # the Kronecker route through convolve_sum with the FFT refused.
-    cut = [[kernels._cut(x, prec)[0] for x in pair] for pair in pairs]
-    terms = [(a, b) for a, b in kernels._dense_rows(cut) if a.peak and b.peak]
+    # rows, slice-adds wherever their certificate holds, and the
+    # Kronecker route through convolve_sum with the FFT refused.
+    terms = [(a, b) for a, b in rows if a.peak and b.peak]
     assert kernels.convolve_fft(terms, prec) == expected
     assert kernels._convolve_kronecker(terms, prec) == expected
     cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in ints)
-    assert slices(ints, prec) == (expected if cert < 2**63 else None)
+    assert slices(pairs, prec) == (expected if cert < 2**63 else None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_CERT_LIMIT", -1.0)
         assert kernels.convolve_sum(pairs, prec) == expected
@@ -542,7 +568,7 @@ def test_scaled_operands_take_every_route(monkeypatch):
     rng = random.Random(4)
     dense = rand_ints(rng, 400, -1000, 1000)
     cases = [
-        (_theta(400), _theta(400), "sparse"),
+        (_theta(400), _theta(400), "slices"),
         (_theta(400), dense, "slices"),
         (dense, rand_ints(rng, 400, -(2**60), 2**60), "fft"),
     ]
@@ -561,19 +587,22 @@ def test_scaled_operands_take_every_route(monkeypatch):
             assert calls == ["fft", "kronecker"]
 
 
-def test_scaled_nonzero_count_at_the_sparse_limit():
-    # n^r vanishes at n = 0 for r > 0: a base with 41 nonzeros, one at
-    # n = 0, scales to 40, and 40 * 40 = 16 * 100 is just within the
-    # sparse loop's limit; 41 * 40 would send the pair to the FFT.
-    values = [3] + [0] * 99
-    for i in range(1, 81, 2):
+def test_scaled_nonzero_count_at_the_slice_limit(monkeypatch):
+    # n^r vanishes at n = 0 for r > 0: a base of length 512 with 129
+    # nonzeros, one at n = 0, scales to 128 against 128 nonzero b values.
+    # The sides tie, so the first is the sparser, and the cost
+    # 128 * (128 + 1024) is exactly slice-adds' limit 32 * 512 * log2(512).
+    # With r = 0, b is the sparser and 128 * (512 + 1024) is over it.
+    values = [3] + [0] * 511
+    for i in range(1, 512, 4):
         values[i] = -7
-    b = [0] * 100
-    for i in range(0, 80, 2):
-        b[i] = 5
-    for r, route in ((1, "sparse"), (0, "dense")):
+    b = list(range(1, 129))
+    assert 128 * (128 + 1024) == 32 * 512 * math.log2(512)
+    for r, cost, route in ((1, 128 * 1152, "slices"), (0, 128 * 1536, "fft")):
         pair = [(kernels.Scaled(values, 2, r), b)]
         ints = [(kernels._ints(pair[0][0]), b)]
-        assert kernels._read_pairs(pair, 100)[0] == route
-        assert kernels._read_pairs(ints, 100)[0] == route
-        assert kernels.convolve_sum(pair, 100) == _naive_sum(ints, 100)
+        for pairs in (pair, ints):
+            assert kernels._read_pairs(pairs, 512)[2] == cost
+            calls = _spy_routes(monkeypatch)
+            assert kernels.convolve_sum(pairs, 512) == _naive_sum(ints, 512)
+            assert calls == [route]
