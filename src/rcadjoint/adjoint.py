@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, _rc_numerator, _twice_rising
@@ -299,7 +300,7 @@ def _l_series_sums(
         )
     W = [_rc_numerator(p, r) for r in range(p.nu + 1)]
     A = f.num
-    B = [(m, b) for m, b in enumerate(g.num[: M + 1]) if b]
+    B = [(m, g.num[m]) for m in compress(range(M + 1), g.num)]
     den = (f.den * g.den) << p.nu
     two_gamma = int(2 * gamma)
     P = GUARD_BITS + math.ceil(gamma * top.bit_length())

@@ -360,11 +360,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Series files may hold coefficients beyond CPython's default limit of
+    # 4300 digits for int <-> str (3.10.7 on); lift it for this call only.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if set_digits is not None:
+            set_digits(digits)
 
 
 if __name__ == "__main__":

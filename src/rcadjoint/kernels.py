@@ -7,13 +7,14 @@ adding the products before anything is rounded or decoded.
 from the inputs:
 
 * slice-adds on one int64 accumulator, for a sparse side times any other
-  (theta times a form, or Jacobi's sparse series times itself): each
-  nonzero a_i of a pair's sparser side adds a_i * b[:prec - i] into
-  out[i:], when the nonzero count times the other side's length is within
-  a constant times the FFT's prec * log2(prec), and only under the exact
-  certificate sum_pairs sum_i |a_i| * max|b| < 2^63, which bounds every
-  int64 product and partial sum (a sum that fails it takes the dense
-  routes),
+  (theta times a form, Jacobi's sparse series times its powers) and for
+  short products: each nonzero a_i of a pair's sparser side adds
+  a_i * b[:prec - i] into out[i:], the slices of a repeated value summed
+  first and multiplied once, when the nonzero count times the other
+  side's length is within a constant times the FFT's prec * log2(prec)
+  plus its fixed cost, and only under the exact certificate
+  sum_pairs sum_i |a_i| * max|b| < 2^63, which bounds every int64
+  product and partial sum (a sum that fails it takes the dense routes),
 * ``convolve_fft``, a limb-split floating-point FFT convolution that adds
   every pair's limb products in the frequency domain, for dense inputs
   whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
@@ -67,11 +68,15 @@ _log = logging.getLogger(__name__)
 
 # The slice-add route is taken when the sum over pairs of the sparser
 # side's nonzero count times (the other side's length + _SLICE_OVERHEAD)
-# is at most _SLICE_COST_FACTOR * prec * log2(prec), the FFT's cost.  One
-# slice-add costs about as much as _SLICE_OVERHEAD more coefficients of
-# a slice, so short dense pairs stay on the FFT.
+# is at most _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD, the
+# FFT's cost.  One slice-add costs about as much as _SLICE_OVERHEAD more
+# coefficients of a slice, so long dense pairs stay on the FFT;
+# _FFT_OVERHEAD is the FFT route's fixed cost (loading numpy.fft, planning
+# and the Python around its transforms), measured as the crossover of
+# dense pairs near prec 75, so that tiny products keep to slice-adds.
 _SLICE_COST_FACTOR = 32
 _SLICE_OVERHEAD = 1024
+_FFT_OVERHEAD = 1 << 16
 
 # The slice-add route's certificate must stay below this: every int64
 # product and partial sum is then exact.
@@ -477,17 +482,33 @@ def _slice_terms(held, nonzeros):
 def _convolve_slices(terms, prec):
     """The sum of the pairs' products on one int64 accumulator.
 
-    For each nonzero a_i of a pair's sparser side, adds a_i * b[:prec - i]
-    into out[i:].  terms comes from _slice_terms, whose bound, below
-    2^63, is at least every |a_i * b_j| and every partial sum's magnitude,
-    so no int64 step overflows.
+    For each nonzero a_i of a pair's sparser side, b[:prec - i] goes into
+    out[i:] times a_i.  The slices of a value that occurs more than once
+    are added into one scratch accumulator, which is multiplied by that
+    value once (theta's 2s); a value that occurs once is multiplied and
+    added on its own.  terms comes from _slice_terms, whose bound, below
+    2^63, is at least every |a_i * b_j|, every scratch sum times its value
+    and every partial sum's magnitude, so no int64 step overflows.
     """
     out = np.zeros(prec, dtype=np.int64)
     scratch = np.empty(prec, dtype=np.int64)
     for index, values, array in terms:
+        starts = {}
         for i, v in zip(index, values):
-            n = min(len(array), prec - i)
-            out[i : i + n] += np.multiply(array[:n], v, out=scratch[:n])
+            starts.setdefault(v, []).append(i)
+        for v, group in starts.items():
+            if len(group) == 1:
+                (i,) = group
+                n = min(len(array), prec - i)
+                out[i : i + n] += np.multiply(array[:n], v, out=scratch[:n])
+                continue
+            low = group[0]  # index is increasing
+            acc = scratch[low:]
+            acc.fill(0)
+            for i in group:
+                n = min(len(array), prec - i)
+                acc[i - low : i - low + n] += array[:n]
+            out[low:] += np.multiply(acc, v, out=acc)
     return out.tolist()
 
 
@@ -533,9 +554,9 @@ def convolve_sum(pairs, prec):
     of values without forming its ints.
 
     Slice-adds run when the pairs' slice-add cost is at most
-    _SLICE_COST_FACTOR * prec * log2(prec) and their int64 certificate
-    holds; otherwise the FFT route, and the Kronecker route when the FFT
-    refuses.  Returns exactly ``prec`` Python ints, whichever route runs.
+    _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD and their int64
+    certificate holds; otherwise the FFT route, and the Kronecker route
+    when the FFT refuses.  Returns exactly ``prec`` Python ints, whichever route runs.
     One DEBUG line per call names the route, the number of pairs and the
     route's certificate against its limit: for slice-adds the sparser
     sides' nonzero count and the int64 bound, for the dense routes the
@@ -544,7 +565,8 @@ def convolve_sum(pairs, prec):
     """
     held, nonzeros, cost = _read_pairs(pairs, prec)
     slice_terms = slice_bound = None
-    if cost <= _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)):
+    fft_cost = _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)) + _FFT_OVERHEAD
+    if cost <= fft_cost:
         slice_terms, slice_bound = _slice_terms(held, nonzeros)
     if slice_terms is not None:
         route, out = "slices", _convolve_slices(slice_terms, prec)

@@ -183,7 +183,8 @@ class QSeries:
         Each coefficient must be a JSON integer or a string in the form
         ``to_json_dict`` writes, an optional sign and digits with an
         optional "/digits" ("-3/4", "5"), with a nonzero denominator;
-        ``twice_weight`` and ``level`` must be JSON integers.  Floats,
+        ``twice_weight`` and ``level`` must be JSON integers, and so must
+        ``precision`` when given, equal to the coefficient count.  Floats,
         booleans, null and strings such as "1e5" or "1.5" are rejected
         rather than read inexactly.  Each p/q is read as the integers p
         and q and put over the one denominator lcm(q).
@@ -207,8 +208,14 @@ class QSeries:
                 raise ValueError(f"bad coefficient {s!r}: zero denominator")
             nums.append(p)
             dens.append(q)
-        if d.get("precision") not in (None, len(nums)):
-            raise ValueError("precision field disagrees with coefficient count")
+        precision = d.get("precision")
+        if precision is not None:
+            if isinstance(precision, bool) or not isinstance(precision, int):
+                raise ValueError(
+                    f"bad precision: must be an integer, got {precision!r}"
+                )
+            if precision != len(nums):
+                raise ValueError("precision field disagrees with coefficient count")
         meta = None
         if d.get("twice_weight") is not None:
             for key in ("twice_weight", "level"):
@@ -300,16 +307,27 @@ def make_theta(precision: int) -> QSeries:
 def _power_product(powers, size: int) -> list:
     """prod base^n over the (base, n) pairs, to size coefficients.
 
-    Each power is built by square-and-multiply and every product goes
-    through convolve_exact, which picks slice-adds while a factor is
-    sparse and the FFT once both are dense; the first factor is taken as
+    A power with (sum |base_i|)^n < 2^63 is built one factor at a time:
+    every coefficient of base^k is at most (sum |base_i|)^k, so each
+    product base^k * base then passes slice-adds' int64 certificate (for
+    Jacobi's J, a sparse side against a dense one).  Any other power is
+    built by square-and-multiply.  Every product goes through
+    convolve_exact, which picks its route; the first factor is taken as
     it is, so only an empty product (every n zero) is the series 1.
     """
     result = None
+
+    def times(base):
+        return base if result is None else convolve_exact(result, base, size)
+
     for base, n in powers:
+        if n > 1 and sum(map(abs, base)) ** n < 1 << 63:
+            for _ in range(n):
+                result = times(base)
+            continue
         while n:
             if n & 1:
-                result = base if result is None else convolve_exact(result, base, size)
+                result = times(base)
             n >>= 1
             if n:
                 base = convolve_exact(base, base, size)
@@ -368,10 +386,11 @@ def _euler_factor(step: int, exponent: int, prec: int) -> list:
 
     In x = q^step this is B^e for the pentagonal series B = prod (1 - x^n).
     For e >= 0 it is J^(e // 3) * B^(e % 3), with J = B^3 the sparse
-    series of Jacobi's identity: a few products by square-and-multiply
-    (``_power_product``), all through convolve_exact, where J * J, a
-    sparse series times itself, takes the int64 slice-add route and the
-    dense later ones the certified FFT route.
+    series of Jacobi's identity: a few products (``_power_product``), all
+    through convolve_exact.  A power J^q with (sum |J_i|)^q < 2^63
+    multiplies J in one factor at a time, each product by int64
+    slice-adds; a larger one is built by square-and-multiply, J * J by
+    slice-adds and the dense later products by the certified FFT route.
     For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
     first need a dense series inverse, while Miller's recurrence gives
     B^e directly, so negative exponents keep it.
@@ -403,7 +422,8 @@ def make_eta_product(
     series B; for a negative one, Miller's recurrence, since powers of J
     and B reach it only through a series inverse.  The factors are
     multiplied with convolve_exact, starting from the first one: for
-    eta(2z)^12, J * J by slice-adds, then J^2 * J^2 by the FFT.
+    eta(2z)^12 at the flagship's sizes, J * J, J^2 * J and J^3 * J, all
+    by slice-adds.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")

@@ -454,6 +454,50 @@ def test_size_beyond_an_index_is_usage_error(argv, flag, capsys):
     assert _positive_int(str(sys.maxsize)) == sys.maxsize
 
 
+@pytest.mark.parametrize("precision", ["true", "2.0"])
+def test_precision_must_be_an_integer(precision, tmp_path, capsys):
+    # true == 1 and 2.0 == 2 would match the coefficient counts.
+    coeffs = '["1/1"]' if precision == "true" else '["1/1", "2/1"]'
+    path = tmp_path / "series.json"
+    path.write_text(f'{{"precision": {precision}, "coeffs": {coeffs}}}')
+    assert run(["expand", "--form", str(path), "--precision", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    shown = "True" if precision == "true" else "2.0"
+    assert err == f"error: bad precision: must be an integer, got {shown}\n"
+
+
+def test_coefficients_past_the_int_string_limit(tmp_path, capsys):
+    # 4001-digit coefficients multiply to 8001 digits, past CPython's
+    # default int <-> str limit of 4300 digits; the limit is lifted for
+    # the call and restored after it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = 10**4000 + 7
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"twice_weight": 12, "level": 4,
+                                "character": "trivial",
+                                "coeffs": ["0/1", f"{big}/1", "-3/1"]}))
+    out = tmp_path / "product.json"
+    assert run(["bracket", "--f", str(path), "--g", str(path), "--nu", "0",
+                "--precision", "3", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # Read back through the CLI: expand prints the product's coefficients.
+    assert run(["expand", "--form", str(out), "--precision", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["coeffs"][:2] == ["0/1", "0/1"]
+    top = data["coeffs"][2]
+    assert len(top) == len("/1") + 8001
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        set_digits(0)
+    try:
+        assert top == f"{big * big}/1"
+    finally:
+        if set_digits is not None:
+            set_digits(limit)
+
+
 def test_zero_denominator_is_named(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"coeffs": ["0/1", "1/0", "3"]}))

@@ -200,11 +200,15 @@ def _theta(n):
         # 2 nonzeros against 201 dense, and 20 against 400.
         ([1] + [0] * 199 + [2], [3] * 201, ["slices"]),
         (_theta(400), _dense(1000, n=400)[0], ["slices"]),
+        # The FFT route's fixed cost keeps dense products up to prec 50 on
+        # slice-adds; the 200 x 200 dense pair is past it.
+        *[(*_dense(1000, n=n, seed=n), ["slices"]) for n in (5, 10, 20, 50)],
         (*_dense(1000), ["fft"]),
         # 5814 limbs at length 20: the rounding bound is ~0.38.
         (*_dense(10**14000, n=20), ["fft", "kronecker"]),
     ],
-    ids=["sparse", "slices", "fft", "kronecker"],
+    ids=["sparse", "slices", "dense-5", "dense-10", "dense-20", "dense-50", "fft",
+         "kronecker"],
 )
 def test_convolve_exact_routes(monkeypatch, a, b, routes):
     expected = [int(x) for x in naive_mul(a, b, len(a))]
@@ -255,9 +259,11 @@ def test_all_zero_sparse_side_is_skipped_before_its_dense_side():
 @pytest.mark.parametrize(
     "build, routes",
     [
-        # The flagship's eta(2z)^12 = J(q^2)^4: J * J, then J^2 * J^2.
-        (lambda: make_eta_product([(2, 12)], 20011), ["slices", "fft"]),
-        # dense_nu2's Delta = q eta(z)^24 = q J^8.
+        # The flagship's eta(2z)^12 = J(q^2)^4: J * J, J^2 * J and J^3 * J,
+        # since sum |J_i|^4 < 2^63 at this size.
+        (lambda: make_eta_product([(2, 12)], 20011), ["slices"] * 3),
+        # dense_nu2's Delta = q eta(z)^24 = q J^8, by squaring: sum |J_i|^8
+        # is past 2^63.
         (lambda: catalog_get("delta", 2511), ["slices", "fft", "fft"]),
     ],
     ids=["eta2-12", "delta"],
@@ -588,21 +594,74 @@ def test_scaled_operands_take_every_route(monkeypatch):
 
 
 def test_scaled_nonzero_count_at_the_slice_limit(monkeypatch):
-    # n^r vanishes at n = 0 for r > 0: a base of length 512 with 129
-    # nonzeros, one at n = 0, scales to 128 against 128 nonzero b values.
-    # The sides tie, so the first is the sparser, and the cost
-    # 128 * (128 + 1024) is exactly slice-adds' limit 32 * 512 * log2(512).
-    # With r = 0, b is the sparser and 128 * (512 + 1024) is over it.
-    values = [3] + [0] * 511
-    for i in range(1, 512, 4):
+    # n^r vanishes at n = 0 for r > 0: a base of length 1024 with 257
+    # nonzeros, one at n = 0, scales to 256 against the 256 nonzeros of a
+    # 512-long b.  The sides tie, so the first is the sparser, and the
+    # cost 256 * (512 + 1024) is exactly slice-adds' limit
+    # 32 * 1024 * log2(1024) + 2^16.  With r = 0, b is the sparser and
+    # 256 * (1024 + 1024) is over it.
+    values = [3] + [0] * 1023
+    for i in range(1, 1024, 4):
         values[i] = -7
-    b = list(range(1, 129))
-    assert 128 * (128 + 1024) == 32 * 512 * math.log2(512)
-    for r, cost, route in ((1, 128 * 1152, "slices"), (0, 128 * 1536, "fft")):
+    b = list(range(1, 257)) + [0] * 256
+    assert kernels._FFT_OVERHEAD == 2**16
+    assert 256 * (512 + 1024) == 32 * 1024 * math.log2(1024) + 2**16
+    for r, cost, route in ((1, 256 * 1536, "slices"), (0, 256 * 2048, "fft")):
         pair = [(kernels.Scaled(values, 2, r), b)]
         ints = [(kernels._ints(pair[0][0]), b)]
         for pairs in (pair, ints):
-            assert kernels._read_pairs(pairs, 512)[2] == cost
+            assert kernels._read_pairs(pairs, 1024)[2] == cost
             calls = _spy_routes(monkeypatch)
-            assert kernels.convolve_sum(pairs, 512) == _naive_sum(ints, 512)
+            assert kernels.convolve_sum(pairs, 1024) == _naive_sum(ints, 1024)
             assert calls == [route]
+
+
+def _grouped_operand(rng, length, pool):
+    """length ints, about a third of them nonzero, drawn from pool."""
+    return [rng.choice(pool) if rng.random() < 0.35 else 0 for _ in range(length)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(1, 150),
+    prec=st.integers(1, 200),
+    big=st.sampled_from([3, 2**20, 2**40]),
+    seed=st.integers(0, 2**32),
+)
+def test_grouped_slice_adds_are_the_naive_sum(length, prec, big, seed):
+    # Repeated values of +-1, 2 and a large value on the sparser side:
+    # each repeated value's slices are summed before one multiply.
+    rng = random.Random(seed)
+    pool = [1, -1, 2, 2, -2, big, -big]
+    pairs = [
+        (_grouped_operand(rng, length, pool), rand_ints(rng, length, -big, big)),
+        (_theta(length), rand_ints(rng, length, -1000, 1000)),
+    ]
+    expected = _naive_sum(pairs, prec)
+    cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in pairs)
+    assert slices(pairs, prec) == (expected if cert < 2**63 else None)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_grouped_slice_adds_at_the_certificate_boundary(monkeypatch, sign):
+    # 73 copies of sign * 7 against 400 copies of peak, with
+    # 7 * 73 * peak = 2^63 - 1: the group's scratch sum reaches 73 * peak
+    # and its one multiply gives the top coefficient 2^63 - 1 exactly.
+    peak = (2**63 - 1) // (7 * 73)
+    assert 7 * 73 * peak == 2**63 - 1
+    a = [0] * 400
+    for i in range(0, 365, 5):
+        a[i] = sign * 7
+    b = [peak] * 400
+    assert _slice_certificate(a, b) == 2**63 - 1
+    expected = [int(x) for x in naive_mul(a, b, 400)]
+    assert expected[-1] == sign * (2**63 - 1)
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_exact(a, b, 400) == expected
+    assert calls == ["slices"]
+    # One more copy is refused, and the dense routes are exact.
+    a[365] = sign * 7
+    expected = [int(x) for x in naive_mul(a, b, 400)]
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_exact(a, b, 400) == expected
+    assert calls == ["fft"]

@@ -1,11 +1,13 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rcadjoint import qseries as qseries_module
 from rcadjoint.qseries import (
     CharacterMod4,
     FormMeta,
@@ -14,6 +16,7 @@ from rcadjoint.qseries import (
     _euler_factor,
     _from_ints,
     _miller_power,
+    _power_product,
     apply_D,
     bernoulli_number,
     make_eisenstein,
@@ -231,6 +234,47 @@ class TestEtaProduct:
                 assert got[::step] == oracle
             else:
                 assert naive_mul(got[::step], oracle, size) == [1] + [0] * (size - 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        size=st.integers(1, 40),
+        n=st.integers(0, 6),
+        magnitude=st.sampled_from([1, 7, 2**12, 2**40]),
+        lead=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    # Below and above the bound sum |base_i|^n < 2^63.
+    @example(size=30, n=4, magnitude=7, lead=True, seed=1)
+    @example(size=30, n=4, magnitude=2**40, lead=True, seed=1)
+    def test_power_product_is_repeated_products(self, size, n, magnitude, lead, seed):
+        rng = random.Random(seed)
+        base = [
+            rng.randint(-magnitude, magnitude) if rng.random() < 0.5 else 0
+            for _ in range(size)
+        ]
+        powers = [([rng.randint(-5, 5) for _ in range(size)], 1)] if lead else []
+        powers.append((base, n))
+        expected = [1] + [0] * (size - 1)
+        for factor, count in powers:
+            for _ in range(count):
+                expected = [int(x) for x in naive_mul(expected, factor, size)]
+        # Whether each product's second operand is base itself.
+        calls = []
+        real = qseries_module.convolve_exact
+
+        def spy(a, b, prec):
+            calls.append(b is base)
+            return real(a, b, prec)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qseries_module, "convolve_exact", spy)
+            assert _power_product(powers, size) == expected
+        if n > 1 and sum(map(abs, base)) ** n < 2**63:
+            # One factor at a time: base goes in n times.
+            assert calls == [True] * (n - (not lead))
+        elif n > 2 or (lead and n == 2):
+            # Square-and-multiply: some product takes a square of base.
+            assert not all(calls)
 
 
 class TestEisenstein:
