@@ -5,11 +5,9 @@ from .qseries import (
     CharacterMod4,
     FormMeta,
     QSeries,
-    apply_D,
     make_eisenstein,
     make_eta_product,
     make_theta,
-    series_add,
     series_mul,
 )
 from .bracket import (
@@ -17,7 +15,7 @@ from .bracket import (
     rc_bracket,
     rc_coefficient,
 )
-from .forms import catalog_get, check_hecke_multiplicativity
+from .forms import catalog_get
 from .adjoint import (
     CaseId,
     TailProfile,
@@ -43,11 +41,9 @@ __all__ = [
     "TailProfile",
     "adjoint_case",
     "adjoint_coefficients",
-    "apply_D",
     "beta_value",
     "case_id",
     "catalog_get",
-    "check_hecke_multiplicativity",
     "fit_tail_profile",
     "gamma_s",
     "lambda_test",
@@ -57,7 +53,6 @@ __all__ = [
     "ratio_test",
     "rc_bracket",
     "rc_coefficient",
-    "series_add",
     "series_mul",
     "validate_hypotheses",
 ]

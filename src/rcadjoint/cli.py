@@ -5,7 +5,7 @@ c(n) proportional to a basis form | lambda: the sign check, lambda >= 0
 for the bracket of the basis form itself).  Data goes to stdout or
 --output; diagnostics (hypothesis warnings, tail-bound notes) go to
 stderr.  Exit codes: 0 success/pass, 1 verification failure, 2 usage
-error.
+error, including a size flag too large for memory.
 """
 
 from __future__ import annotations
@@ -370,6 +370,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Every command allocates in proportion to its largest size flag.
+        size, name = max(
+            (getattr(args, name), name)
+            for name in ("precision", "n_max", "terms")
+            if hasattr(args, name)
+        )
+        flag = "--" + name.replace("_", "-")
+        print(f"error: {flag} {size} is too large: out of memory", file=sys.stderr)
         return 2
     finally:
         if set_digits is not None:

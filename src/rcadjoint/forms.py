@@ -1,14 +1,12 @@
 """Catalog of the named forms the computations consume.
 
 Every entry resolves to a QSeries with fully populated metadata.  The
-weight-6 level-4 newform is realized as eta(2z)^12; its Hecke
-multiplicativity is a library-level sanity check, not a proof.
+weight-6 level-4 newform is realized as eta(2z)^12.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List
 
 from .qseries import (
     CharacterMod4,
@@ -53,20 +51,3 @@ def catalog_get(name: str, precision: int) -> QSeries:
         ) from None
     return builder(precision)
 
-
-def check_hecke_multiplicativity(
-    f: QSeries, pairs: Sequence[Tuple[int, int]]
-) -> List[bool]:
-    """For each coprime (m, n), does a(m) a(n) = a(mn) exactly?
-
-    Requires a(1) = 1 (normalized eigenform candidate) and all tested
-    indices within the known precision.
-    """
-    if f.coeff(1) != 1:
-        raise ValueError("not normalized: a(1) != 1")
-    results = []
-    for m, n in pairs:
-        if math.gcd(m, n) != 1:
-            raise ValueError(f"pair ({m},{n}) is not coprime")
-        results.append(f.coeff(m) * f.coeff(n) == f.coeff(m * n))
-    return results

@@ -30,8 +30,9 @@ rows of little-endian magnitude bytes and a negative mask, and
 codec picks how from its input: rows of at most 7 bytes are written, and
 rows whose values all fit in an int64 are read, as one int64 array; wider
 rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
-An operand may also be given as ``Scaled(values, w, r)``, the list
-w * n^r * values[n] (the bracket's operands).  Slice-adds read it as that
+Every operand is held as a ``Scaled(values, w, r)``, the list
+w * n^r * values[n]: an int list as ``Scaled(list)``, with w = 1 and r = 0,
+the bracket's operands with their own w and r.  Slice-adds read it as that
 int list.  The dense routes never form its ints: each distinct
 values list becomes byte rows once per call, the rows of n^r values come
 from those of n^(r-1) values by one vectorized uint64 multiply-and-carry
@@ -45,9 +46,9 @@ Every route is exact and returns exactly ``prec`` Python ints.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
+import sys
 from itertools import compress
 from typing import List, NamedTuple, Optional
 
@@ -63,8 +64,6 @@ else:
         import numpy as np
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
-
-_log = logging.getLogger(__name__)
 
 # The slice-add route is taken when the sum over pairs of the sparser
 # side's nonzero count times (the other side's length + _SLICE_OVERHEAD)
@@ -143,19 +142,11 @@ def _ints_from_rows(rows) -> List[int]:
 
 class _Rows(NamedTuple):
     """One operand in byte rows: ``mags`` (length, limbs) uint8 holds the
-    8-bit limbs of each magnitude, ``neg`` marks the negative values, and
-    ``peak`` bounds the largest magnitude from above and is zero only when
-    every value is."""
+    8-bit limbs of each magnitude, with no all-zero top limb, so it has no
+    limbs only when every value is zero; ``neg`` marks the negative values."""
 
     mags: np.ndarray
     neg: np.ndarray
-    peak: int
-
-
-def _rows(vals) -> _Rows:
-    peak = max(map(abs, vals), default=0)
-    limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
-    return _Rows(*_byte_rows(vals, limbs), peak)
 
 
 class Scaled(NamedTuple):
@@ -165,15 +156,15 @@ class Scaled(NamedTuple):
     rows from those of ``values`` (``_dense_rows``)."""
 
     values: list
-    w: int
-    r: int
+    w: int = 1
+    r: int = 0
 
 
 def _ints(op):
-    """op as an int list: a Scaled operand's values scaled, a list as it is."""
-    if not isinstance(op, Scaled):
-        return op
+    """The int list w * n^r * values[n] of a Scaled operand."""
     w, r = op.w, op.r
+    if w == 1 and not r:
+        return op.values
     return [w * n**r * v if v else 0 for n, v in enumerate(op.values)]
 
 
@@ -207,31 +198,28 @@ def _times(mags, digits, step):
 
 
 def _dense_rows(held):
-    """held with every operand in byte rows (_Rows): an int list by _rows,
-    and a Scaled operand equal to _rows of its int list in limb count,
-    magnitudes and signs, without forming that list.
+    """held with every Scaled operand in byte rows (_Rows), equal to the
+    byte rows of its int list in limb count, magnitudes and signs, without
+    forming that list.
 
-    Each distinct values list becomes byte rows once.  The rows of
-    n^r values come from those of n^(r-1) values by one _times pass with
-    the factors n (below 2^55 for any list that fits in memory), walking
-    r upwards and keeping only the current power; |w| then multiplies by
-    its 32-bit digits in one more pass.  The peak is bounded from the top
-    limb.
+    Each distinct values list becomes byte rows once, with as many limbs
+    as its largest magnitude needs.  The rows of n^r values come from
+    those of n^(r-1) values by one _times pass with the factors n (below
+    2^55 for any list that fits in memory), walking r upwards and keeping
+    only the current power; |w| then multiplies by its 32-bit digits in
+    one more pass.
     """
-    wanted = {
-        (id(op.values), op.r, op.w): op.values
-        for pair in held
-        for op in pair
-        if isinstance(op, Scaled)
-    }
+    wanted = {(id(op.values), op.r, op.w): op.values for pair in held for op in pair}
     built, base = {}, None
     for key in sorted(wanted):
         ident, r, w = key
         if base != ident:
             base, power = ident, 0
             values = wanted[key]
-            rows = _rows(values)
-            mags, neg = rows.mags.T, rows.neg
+            peak = max(map(abs, values), default=0)
+            limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
+            mags, neg = _byte_rows(values, limbs)
+            mags = mags.T
             factors = [np.arange(len(values), dtype=np.uint64)]
         while power < r:
             mags = _times(mags, factors, 0)
@@ -246,15 +234,11 @@ def _dense_rows(held):
             scaled = _times(mags, digits, 4)
         else:
             scaled = mags[:0]
-        peak = 0
-        if len(scaled):
-            peak = ((int(scaled[-1].max()) + 1) << (_LIMB_BITS * (len(scaled) - 1))) - 1
-        built[key] = _Rows(scaled.T, (neg != (w < 0)) & scaled.any(axis=0), peak)
-
-    def rows_of(op):
-        return built[id(op.values), op.r, op.w] if isinstance(op, Scaled) else _rows(op)
-
-    return [(rows_of(a), rows_of(b)) for a, b in held]
+        built[key] = _Rows(scaled.T, (neg != (w < 0)) & scaled.any(axis=0))
+    return [
+        (built[id(a.values), a.r, a.w], built[id(b.values), b.r, b.w])
+        for a, b in held
+    ]
 
 
 def _kronecker_eval(op: _Rows, width: int) -> int:
@@ -278,9 +262,13 @@ def _convolve_kronecker(terms, prec):
     i hold c_i + X/2 in [0, X), with no borrow between slots; flipping
     each slot's top bit then leaves c_i in two's complement.
     """
-    bound = sum(a.peak * b.peak * min(len(a.mags), len(b.mags)) for a, b in terms)
-    if not bound:
+    if not terms:
         return [0] * prec
+    # An operand of L limbs has magnitudes below 2^(8 L).
+    bound = sum(
+        min(len(a.mags), len(b.mags)) << _LIMB_BITS * (a.mags.shape[1] + b.mags.shape[1])
+        for a, b in terms
+    )
     width = (bound.bit_length() + 8) // 8 + 1  # bytes per slot, with headroom
     slots = max(len(a.mags) + len(b.mags) for a, b in terms) - 1
     n_out = min(prec, slots)
@@ -291,11 +279,6 @@ def _convolve_kronecker(terms, prec):
     rows = np.frombuffer(data, np.uint8, width * n_out).reshape(n_out, width).copy()
     rows[:, -1] ^= 0x80
     return _ints_from_rows(rows) + [0] * (prec - n_out)
-
-
-def _head(vals, prec):
-    """The first prec entries of vals, copied only when it is longer."""
-    return vals if len(vals) <= prec else vals[:prec]
 
 
 def _fft_length(n: int) -> int:
@@ -513,11 +496,10 @@ def _convolve_slices(terms, prec):
 
 
 def _cut(op, prec):
-    """(op cut to prec, its length, its nonzero count)."""
-    if not isinstance(op, Scaled):
-        op = _head(op, prec)
-        return op, len(op), len(op) - op.count(0)
-    values = _head(op.values, prec)
+    """(op as a Scaled cut to prec, copied only when longer, its length, its
+    nonzero count); an int list is taken as Scaled(list)."""
+    op = op if isinstance(op, Scaled) else Scaled(op)
+    values = op.values if len(op.values) <= prec else op.values[:prec]
     nnz = 0
     if op.w:  # n^r vanishes at n = 0 when r > 0
         nnz = len(values) - values.count(0) - bool(op.r and values and values[0])
@@ -526,7 +508,7 @@ def _cut(op, prec):
 
 def _read_pairs(pairs, prec):
     """(held, nonzeros, cost): the pairs cut to prec, in order, each
-    operand an int list or a Scaled; each pair's two nonzero counts; and
+    operand a Scaled; each pair's two nonzero counts; and
     the slice-add cost, the sum over pairs of the sparser side's nonzero
     count times (the other side's length + _SLICE_OVERHEAD)."""
     held, nonzeros, cost = [], [], 0
@@ -541,9 +523,9 @@ def _read_pairs(pairs, prec):
 
 def _shape(op):
     """(length, limbs) of a held operand; limbs is None before byte rows."""
-    if isinstance(op, _Rows):
-        return op.mags.shape
-    return len(op.values if isinstance(op, Scaled) else op), None
+    if isinstance(op, Scaled):
+        return len(op.values), None
+    return op.mags.shape
 
 
 def convolve_sum(pairs, prec):
@@ -560,8 +542,9 @@ def convolve_sum(pairs, prec):
     One DEBUG line per call names the route, the number of pairs and the
     route's certificate against its limit: for slice-adds the sparser
     sides' nonzero count and the int64 bound, for the dense routes the
-    summed FFT bound (after ``slice_bound=`` when the int64 bound refused
-    slice-adds), and for one pair the operands' lengths and limb counts.
+    summed FFT bound (after ``slice_bound_bits=``, the int64 bound's bit
+    length, when that bound refused slice-adds), and for one pair the
+    operands' lengths and limb counts.  ``logging`` is not imported here.
     """
     held, nonzeros, cost = _read_pairs(pairs, prec)
     slice_terms = slice_bound = None
@@ -572,11 +555,12 @@ def convolve_sum(pairs, prec):
         route, out = "slices", _convolve_slices(slice_terms, prec)
     else:
         held = _dense_rows(held)
-        terms = [(a, b) for a, b in held if a.peak and b.peak]
+        terms = [(a, b) for a, b in held if a.mags.shape[1] and b.mags.shape[1]]
         route, out = "fft", convolve_fft(terms, prec)
         if out is None:
             route, out = "kronecker", _convolve_kronecker(terms, prec)
-    if _log.isEnabledFor(logging.DEBUG):
+    logging = sys.modules.get("logging")  # never imported: DEBUG is off
+    if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
         shapes = [(_shape(a), _shape(b)) for a, b in held]
         detail = ""
         if len(shapes) == 1:
@@ -587,10 +571,10 @@ def convolve_sum(pairs, prec):
             bound, limit = slice_bound, "2^63"
         else:
             if slice_bound is not None:  # slice-adds refused by their bound
-                detail += f" slice_bound={slice_bound}"
+                detail += f" slice_bound_bits={slice_bound.bit_length()}"
             bound = fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms)
             limit = _CERT_LIMIT
-        _log.debug(
+        logging.getLogger(__name__).debug(
             "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s",
             route, len(held), prec, detail, bound, limit,
         )

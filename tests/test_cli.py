@@ -454,6 +454,32 @@ def test_size_beyond_an_index_is_usage_error(argv, flag, capsys):
     assert _positive_int(str(sys.maxsize)) == sys.maxsize
 
 
+_HUGE = str(10**15)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["expand", "--form", "theta", "--precision", _HUGE], "--precision"),
+        (["bracket", "--f", "E4", "--g", "E6", "--nu", "1", "--precision", _HUGE],
+         "--precision"),
+        (["verify", "lambda", "--basis", "delta", "--g", "E4", "--terms", _HUGE],
+         "--terms"),
+        (["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",
+          "--n-max", _HUGE, "--terms", "20"], "--n-max"),
+    ],
+    ids=["expand", "bracket", "verify-lambda", "adjoint"],
+)
+def test_size_beyond_memory_is_usage_error(argv, flag, capsys):
+    # 10^15 coefficients ask for petabytes (numpy's refusal included),
+    # more than a 64-bit address space holds, so the allocation is refused
+    # before any memory is used; the message names the flag.
+    assert run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} {_HUGE} is too large: out of memory\n"
+    )
+
+
 @pytest.mark.parametrize("precision", ["true", "2.0"])
 def test_precision_must_be_an_integer(precision, tmp_path, capsys):
     # true == 1 and 2.0 == 2 would match the coefficient counts.
@@ -736,6 +762,23 @@ def _fresh_interpreter(code, env_updates):
 
 
 class TestStartup:
+    def test_logging_is_imported_on_demand(self, tmp_path):
+        # Importing the CLI leaves logging as it found it; DEBUG turned on
+        # after that import still logs the bracket's route line.
+        done = _fresh_interpreter(
+            "import sys\n"
+            "before = 'logging' in sys.modules\n"
+            "from rcadjoint.cli import main\n"
+            "assert ('logging' in sys.modules) == before\n"
+            "import logging\n"
+            "logging.basicConfig(level=logging.DEBUG)\n"
+            "sys.exit(main(['bracket', '--f', 'E4', '--g', 'E6', '--nu', '1',"
+            f" '--precision', '100', '--output', {str(tmp_path / 'b.json')!r}]))\n",
+            {},
+        )
+        assert (done.returncode, done.stdout) == (0, "")
+        assert done.stderr.count("convolve_sum route=fft pairs=2 prec=100 ") == 1
+
     def test_flagship_runs_without_mpmath(self):
         done = _fresh_interpreter(
             "import sys\n"

@@ -20,9 +20,14 @@ def rand_ints(rng, n, lo, hi):
 
 def _terms(pairs, prec):
     """The pairs cut to prec, in the byte rows the dense routes read."""
-    return [
-        (kernels._rows(a[:prec]), kernels._rows(b[:prec])) for a, b in pairs
-    ]
+    return kernels._dense_rows(
+        [(kernels.Scaled(a[:prec]), kernels.Scaled(b[:prec])) for a, b in pairs]
+    )
+
+
+def _nonzero(terms):
+    """The pairs of terms whose operands both have a nonzero value."""
+    return [(a, b) for a, b in terms if a.mags.shape[1] and b.mags.shape[1]]
 
 
 def fft(a, b, prec):
@@ -298,6 +303,32 @@ def test_failed_fft_check_falls_back_to_kronecker(monkeypatch, limit):
     assert calls == ["fft", "kronecker"]
 
 
+def test_residual_failure_after_the_last_pair_falls_back_to_kronecker(
+    monkeypatch, caplog
+):
+    # Two 2-limb operands have limb shifts 0, 1 and 2.  The pair's loop
+    # finishes shifts 0 and 1; shift 2, the last inverse transform, is
+    # finished after it.  Half a unit of error there must refuse the FFT.
+    a, b = _dense(1000)
+    expected = [int(x) for x in naive_mul(a, b, 200)]
+    irfft, calls = np.fft.irfft, []
+
+    def perturbed(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:  # shift 2
+            out += 0.5
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        assert kernels.convolve_exact(a, b, 200) == expected
+    assert len(calls) == 3
+    (record,) = [r for r in caplog.records if r.name == kernels.__name__]
+    assert "route=kronecker" in record.getMessage()
+    assert "limbs=2,2" in record.getMessage()
+
+
 def test_route_is_logged_at_debug_only(caplog, capsys):
     a, b = _dense(1000)
     with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
@@ -329,14 +360,14 @@ def test_route_is_logged_at_debug_only(caplog, capsys):
         message
     ]
     # Refused by that certificate (39 * 2^63 >= 2^63), the dense line
-    # gives it before the FFT bound.
+    # gives its bit length before the FFT bound: 2^68 < 39 * 2^63 < 2^69.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
         kernels.convolve_exact(a, [2**63] * 400, 400)
     (record,) = [r for r in caplog.records if r.name == kernels.__name__]
     message = record.getMessage()
     assert "route=fft" in message
-    assert f"slice_bound={39 * 2**63} bound=" in message
+    assert "slice_bound_bits=69 bound=" in message
     assert capsys.readouterr().out == ""
 
 
@@ -382,8 +413,7 @@ def test_convolve_sum_is_the_sum_of_naive_products(shapes, prec, seed):
     # At these sizes the summed rounding bound is far below the limit, so
     # the fused FFT route must certify and answer, whichever route the
     # density picks.
-    terms = [(a, b) for a, b in _terms(pairs, prec) if a.peak and b.peak]
-    assert kernels.convolve_fft(terms, prec) == expected
+    assert kernels.convolve_fft(_nonzero(_terms(pairs, prec)), prec) == expected
     # Slice-adds answer exactly whenever the summed certificate holds.
     cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in pairs)
     assert slices(pairs, prec) == (expected if cert < 2**63 else None)
@@ -490,6 +520,11 @@ def _scaled_operand(rng, length, bits, r, w_bits, w_sign, kind):
     return kernels._ints(op) if kind == "list" else op
 
 
+def _as_ints(op):
+    """An operand as its int list."""
+    return kernels._ints(op) if isinstance(op, kernels.Scaled) else op
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     base=_SCALED_OPERAND,
@@ -503,18 +538,17 @@ def test_scaled_rows_are_the_rows_of_the_scaled_ints(base, scales, seed):
     rng = random.Random(seed)
     values = _scaled_operand(rng, *base[:-1], "dense").values
     ops = [kernels.Scaled(values, w, r) for r, w in scales]
-    held = kernels._dense_rows([(op, [1]) for op in ops])
+    held = kernels._dense_rows([(op, kernels.Scaled([1])) for op in ops])
     for op, (rows, _) in zip(ops, held):
         ints = kernels._ints(op)
         assert ints == [op.w * n**op.r * v for n, v in enumerate(values)]
-        want = kernels._rows(ints)
+        # As many limbs as the largest magnitude needs: none when all are 0.
+        limbs = (max(map(abs, ints)).bit_length() + 7) // 8
+        mags, neg = kernels._byte_rows(ints, limbs)
         assert rows.mags.dtype == np.uint8
-        assert rows.mags.shape == want.mags.shape
-        assert rows.mags.tobytes() == want.mags.tobytes()
-        assert rows.neg.tolist() == want.neg.tolist()
-        # The peak bounds the largest magnitude and is zero only with it.
-        assert rows.peak >= want.peak
-        assert bool(rows.peak) == bool(want.peak)
+        assert rows.mags.shape == mags.shape
+        assert rows.mags.tobytes() == mags.tobytes()
+        assert rows.neg.tolist() == neg.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -538,7 +572,7 @@ def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, 
         values = pairs[scaled[0]][0].values
         for i in scaled:
             pairs[i] = (pairs[i][0]._replace(values=values), pairs[i][1])
-    ints = [(kernels._ints(a), kernels._ints(b)) for a, b in pairs]
+    ints = [(_as_ints(a), _as_ints(b)) for a, b in pairs]
     expected = _naive_sum(ints, prec)
     out = kernels.convolve_sum(pairs, prec)
     assert out == expected
@@ -557,7 +591,7 @@ def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, 
     # Every route on these operands: both dense routes on the scaled
     # rows, slice-adds wherever their certificate holds, and the
     # Kronecker route through convolve_sum with the FFT refused.
-    terms = [(a, b) for a, b in rows if a.peak and b.peak]
+    terms = _nonzero(rows)
     assert kernels.convolve_fft(terms, prec) == expected
     assert kernels._convolve_kronecker(terms, prec) == expected
     cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in ints)
