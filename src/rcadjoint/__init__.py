@@ -8,12 +8,12 @@ from .qseries import (
     make_eisenstein,
     make_eta_product,
     make_theta,
-    series_mul,
 )
 from .bracket import (
     BracketParams,
     rc_bracket,
     rc_coefficient,
+    series_mul,
 )
 from .forms import catalog_get
 from .adjoint import (

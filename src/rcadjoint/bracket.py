@@ -87,7 +87,7 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
     """The nu-th Rankin-Cohen bracket of two truncated expansions.
 
     Output weight is k + l + 2*nu; for nu > 0 the result is a cusp form,
-    for nu = 0 it is the plain product.
+    for nu = 0 it is the plain product (``series_mul``).
 
     The bracket is one exact sum of nu + 1 integer convolutions, of
     w_r n^r f_n with n^(nu-r) g_n for w_r = 2^nu rc_coefficient(p, r),
@@ -120,3 +120,14 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
             * cohen_character(p.k2, p.l2),
         )
     return _from_ints(num, (f.den * g.den) << p.nu, meta)
+
+
+def series_mul(a: QSeries, b: QSeries) -> QSeries:
+    """The product a*b, truncated to the minimum precision of the inputs.
+
+    It is the nu = 0 bracket, so it carries the bracket's weight, level
+    and character when both series carry metadata.  A series without
+    metadata is given weight 0, which nothing at nu = 0 reads.
+    """
+    k2, l2 = (s.meta.twice_weight if s.meta else 0 for s in (a, b))
+    return rc_bracket(a, b, BracketParams(k2, l2, 0))

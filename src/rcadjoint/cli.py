@@ -29,9 +29,9 @@ from .adjoint import (
     rows_to_csv,
     rows_to_json,
 )
-from .bracket import BracketParams, rc_bracket
+from .bracket import BracketParams, rc_bracket, series_mul
 from .forms import catalog_get, catalog_names
-from .qseries import QSeries, series_mul
+from .qseries import QSeries
 from .verify import first_index, lambda_test, ratio_test
 
 

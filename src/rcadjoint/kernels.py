@@ -349,11 +349,11 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     more bytes, so that the row read as a signed int is the coefficient.
 
     Per pair, only the spectra of the operand with fewer limbs are kept.
-    A shift's sum is allocated when a product first reaches it and
-    finished as soon as no product is left for it: in the last pair,
-    after its row s of the other operand.  One pair thus keeps as many
-    sums as its smaller limb count, and several pairs at most one per
-    shift.
+    A shift's sum is allocated when a product first reaches it, and
+    finished and released as soon as no product is left for it: in the
+    last pair, after its row s of the other operand.  One pair thus keeps
+    as many sums as its smaller limb count, and several pairs at most one
+    per shift.
 
     Returns None, and computes nothing, when fft_error_bound (Percival
     2003, Thm 5.1, applied to numpy's pocketfft under the assumption
@@ -377,7 +377,6 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     prod = np.empty_like(spec)
     x = prod.view(np.float64)[:size]
     sums = [None] * shifts  # the frequency-domain sum of each open shift
-    spare = []  # zeroed sums of finished shifts, for reuse
     # Row i: the base-2^8 digits of coefficient i, then its final carry.
     digits = np.empty((n_out, shifts + 8), dtype=np.uint8)
     carry = np.zeros(n_out, dtype="<i8")
@@ -389,8 +388,6 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
         nonlocal finished
         for s in range(finished, end):
             np.fft.irfft(sums[s], size, out=x)
-            sums[s].fill(0)
-            spare.append(sums[s])
             sums[s] = None
             value = x[:n_out]
             rounded = np.rint(value, out=row[:n_out])
@@ -417,7 +414,7 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
             np.fft.rfft(row[: len(a.mags)], size, out=spec)
             for j, spec_b in enumerate(spectra_b):
                 if sums[i + j] is None:
-                    sums[i + j] = spare.pop() if spare else np.zeros_like(spec)
+                    sums[i + j] = np.zeros_like(spec)
                 sums[i + j] += np.multiply(spec, spec_b, out=prod)
             if t == last and not finish(i + 1):
                 return None

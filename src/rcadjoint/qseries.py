@@ -2,13 +2,13 @@
 
 A series stores its coefficients as Python-int numerators over one
 common positive denominator, in lowest terms, so every operation runs on
-integers: products are integer convolutions over the product of the
-denominators.  ``Fraction`` appears only at the edges
-(the public constructor and ``coeff``/``coeffs``); JSON input is read as
-integers p and q, and floating point never enters this module.  A series
-knows exactly ``precision`` coefficients (of q^0 .. q^(precision-1)) and
-arithmetic never reports coefficients beyond the minimum precision of its
-inputs.
+integers: products (``bracket.series_mul``) are integer convolutions
+over the product of the denominators.  ``Fraction`` appears only at the
+edges (the public constructor and ``coeff``/``coeffs``); JSON input is
+read as integers p and q, and floating point never enters this module.
+A series knows exactly ``precision`` coefficients (of q^0 ..
+q^(precision-1)) and arithmetic never reports coefficients beyond the
+minimum precision of its inputs.
 
 Form metadata (``FormMeta``) holds weight, level and character only;
 whether a series is a cusp form at infinity is read off its constant
@@ -233,23 +233,6 @@ class QSeries:
                 raise ValueError(f"bad form metadata: {exc!r}") from None
         den = math.lcm(*dens)
         return _from_ints([p * (den // q) for p, q in zip(nums, dens)], den, meta)
-
-
-def _mul_meta(a: QSeries, b: QSeries) -> Optional[FormMeta]:
-    if a.meta is None or b.meta is None:
-        return None
-    return FormMeta(
-        twice_weight=a.meta.twice_weight + b.meta.twice_weight,
-        level=math.lcm(a.meta.level, b.meta.level),
-        character=a.meta.character * b.meta.character,
-    )
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated to the minimum precision of the inputs."""
-    prec = min(a.precision, b.precision)
-    num = convolve_exact(a.num, b.num, prec)
-    return _from_ints(num, a.den * b.den, _mul_meta(a, b))
 
 
 def make_theta(precision: int) -> QSeries:

@@ -11,9 +11,9 @@ import mpmath
 import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients, beta_value
-from rcadjoint.bracket import BracketParams, rc_bracket
+from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
 from rcadjoint.forms import catalog_get
-from rcadjoint.qseries import QSeries, make_eta_product, make_theta, series_mul
+from rcadjoint.qseries import QSeries, make_eta_product, make_theta
 from rcadjoint.verify import ratio_test
 
 from oracles import (

@@ -28,7 +28,7 @@ from rcadjoint.adjoint import (
     _pi_fixed,
     _tail_bound,
 )
-from rcadjoint.bracket import BracketParams, rc_bracket, rc_coefficient
+from rcadjoint.bracket import BracketParams, rc_bracket, rc_coefficient, series_mul
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import (
     CharacterMod4,
@@ -36,7 +36,6 @@ from rcadjoint.qseries import (
     QSeries,
     _from_ints,
     make_theta,
-    series_mul,
 )
 
 from oracles import (
@@ -159,6 +158,13 @@ class TestCaseParams:
 class TestHypotheses:
     def test_case2_theta_ok(self):
         assert validate_hypotheses(params(12, 1, 0), g_is_cusp=False) is None
+
+    def test_case1_non_cusp_boundary(self):
+        # l < k - 3/2 on the integer parts: k = 6 (13/2) passes with
+        # l = 4 (9/2) and fails with l = 5 (11/2).
+        assert validate_hypotheses(params(13, 9, 0), g_is_cusp=False) is None
+        message = validate_hypotheses(params(13, 11, 0), g_is_cusp=False)
+        assert message == "non-cusp g needs l < k - 3/2 (l=5, k=6)"
 
     def test_case1_small_k_warns(self):
         message = validate_hypotheses(params(5, 5, 0), g_is_cusp=True)

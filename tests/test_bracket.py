@@ -10,13 +10,13 @@ from rcadjoint.bracket import (
     cohen_character,
     rc_bracket,
     rc_coefficient,
+    series_mul,
 )
 from rcadjoint.qseries import (
     CharacterMod4,
     QSeries,
     make_eisenstein,
     make_theta,
-    series_mul,
 )
 
 from oracles import alpha_coeff, series_add
@@ -146,9 +146,11 @@ class TestRcBracket:
 
     def test_weight_mismatch_rejected(self):
         theta = make_theta(6)
-        p = BracketParams(2, 1, 0)
-        with pytest.raises(ValueError, match="twice-weight"):
-            rc_bracket(theta, QSeries([1] * 6), p)
+        expects_2 = "has twice-weight 1, bracket expects 2"
+        with pytest.raises(ValueError, match="^f " + expects_2):
+            rc_bracket(theta, QSeries([1] * 6), BracketParams(2, 1, 0))
+        with pytest.raises(ValueError, match="^g " + expects_2):
+            rc_bracket(QSeries([1] * 6), theta, BracketParams(1, 2, 0))
 
     def test_meta_bookkeeping(self):
         theta = make_theta(12)

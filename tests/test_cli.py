@@ -372,62 +372,116 @@ def _tolerance(value):
     ]
 
 
+def _bare_file(tmp_path):
+    # A series file with coefficients and no metadata.
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"coeffs": ["0/1", "1/1"] + ["0/1"] * 60}))
+    return str(path)
+
+
+_BAD_COEFF = "expected a string 'p/q' or an integer"
+_EPSILON = "argument --epsilon: must be positive and finite"
+_TOLERANCE = "argument --tolerance: must be nonnegative and finite"
+
+
 @pytest.mark.parametrize(
-    "make_argv",
+    "make_argv, message",
     [
-        _series_file("[1, 2, 3]"),
-        _series_file('{"precision": 3}'),
-        _series_file('{"coeffs": ["1/0", "0/1", "0/1"]}'),
-        _series_file('{"twice_weight": 1, "coeffs": ["1/1", "2/1", "0/1"]}'),
-        _series_file('{"twice_weight": 1, "level": 4, "character": "trivial", '
-                     '"coeffs": []}'),
+        (_series_file("[1, 2, 3]"),
+         "a series must be a JSON object with a 'coeffs' list"),
+        (_series_file('{"precision": 3}'),
+         "a series must be a JSON object with a 'coeffs' list"),
+        (_series_file('{"coeffs": ["1/0", "0/1", "0/1"]}'),
+         "bad coefficient '1/0': zero denominator"),
+        (_series_file('{"twice_weight": 1, "coeffs": ["1/1", "2/1", "0/1"]}'),
+         "bad form metadata: level must be an integer, got None"),
+        (_series_file('{"twice_weight": 1, "level": 4, "character": "trivial", '
+                      '"coeffs": []}'),
+         "a series must know at least one coefficient"),
         # With valid metadata, so only the coefficient type is wrong.
-        _series_file(_THETA_META + '"coeffs": [Infinity, "0/1", "0/1"]}'),
-        _series_file(_THETA_META + '"coeffs": [true, false, "0/1"]}'),
-        _series_file(_THETA_META + '"coeffs": [0.1, "0/1", "0/1"]}'),
+        (_series_file(_THETA_META + '"coeffs": [Infinity, "0/1", "0/1"]}'),
+         "bad coefficient inf: " + _BAD_COEFF),
+        (_series_file(_THETA_META + '"coeffs": [true, false, "0/1"]}'),
+         "bad coefficient True: " + _BAD_COEFF),
+        (_series_file(_THETA_META + '"coeffs": [0.1, "0/1", "0/1"]}'),
+         "bad coefficient 0.1: " + _BAD_COEFF),
         # Strings that Fraction() reads but to_json_dict never writes.
-        _series_file(_THETA_META + '"coeffs": ["1e5", "0/1", "0/1"]}'),
-        _series_file(_THETA_META + '"coeffs": ["1.5", "0/1", "0/1"]}'),
+        (_series_file(_THETA_META + '"coeffs": ["1e5", "0/1", "0/1"]}'),
+         "bad coefficient '1e5': " + _BAD_COEFF),
+        (_series_file(_THETA_META + '"coeffs": ["1.5", "0/1", "0/1"]}'),
+         "bad coefficient '1.5': " + _BAD_COEFF),
         # Metadata that int() would have read as weight 12 and level 1.
-        _series_file('{"twice_weight": 24.9, "level": 1, "character": "trivial", '
-                     '"coeffs": ["0/1", "1/1", "0/1"]}'),
-        _series_file('{"twice_weight": 24, "level": true, "character": "trivial", '
-                     '"coeffs": ["0/1", "1/1", "0/1"]}'),
+        (_series_file('{"twice_weight": 24.9, "level": 1, "character": "trivial", '
+                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
+         "bad form metadata: twice_weight must be an integer, got 24.9"),
+        (_series_file('{"twice_weight": 24, "level": true, "character": "trivial", '
+                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
+         "bad form metadata: level must be an integer, got True"),
+        (_series_file(_THETA_META + '"precision": 4, "coeffs": ["1/1", "0/1", "0/1"]}'),
+         "precision field disagrees with coefficient count"),
+        (_series_file('{"twice_weight": 12, "level": 0, "character": "trivial", '
+                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
+         "level must be positive"),
+        (_series_file('{"twice_weight": 12, "level": 4, '
+                      '"coeffs": ["0/1", "1/1", "0/1"]}'),
+         "bad form metadata: KeyError('character')"),
         # Deeper than any interpreter's recursion limit for the JSON decoder.
-        _series_file("[" * 200000 + "]" * 200000),
-        lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
-                          "--nu", "0", "--precision", "3"],
-        lambda tmp_path: ["expand", "--form", "theta", "--precision", "3",
-                          "--output", str(tmp_path / "missing" / "t.json")],
-        _epsilon("nan"),
-        _epsilon("inf"),
-        _epsilon("0"),
-        _epsilon("-0.1"),
-        _tolerance("nan"),
-        _tolerance("inf"),
-        _tolerance("-1"),
-        _big_coefficient,
-        _basis_coefficient("1" + "0" * 400),
-        _basis_coefficient("1/1" + "0" * 400),
-        _f_coefficient("1" + "0" * 400),
-        _f_coefficient("1/1" + "0" * 400),
+        (_series_file("[" * 200000 + "]" * 200000), "is nested too deeply"),
+        (lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
+                           "--nu", "0", "--precision", "3"],
+         "cannot read series file"),
+        (lambda tmp_path: ["expand", "--form", "theta", "--precision", "3",
+                           "--output", str(tmp_path / "missing" / "t.json")],
+         "cannot write"),
+        (lambda tmp_path: ["bracket", "--f", _bare_file(tmp_path), "--g", "theta",
+                           "--nu", "0", "--precision", "3"],
+         "bracket needs weight metadata on both forms"),
+        (lambda tmp_path: ["adjoint", "--f", _bare_file(tmp_path), "--g", "theta",
+                           "--n-max", "2", "--terms", "50"],
+         "adjoint needs weight metadata on both forms"),
+        (lambda tmp_path: ["verify", "ratio", "--f", _bare_file(tmp_path),
+                           "--g", "theta", "--n-max", "2", "--terms", "50"],
+         "verify ratio needs --basis (or --f-product)"),
+        (lambda tmp_path: ["verify", "lambda", "--g", "E4", "--terms", "5"],
+         "verify lambda needs --basis"),
+        (lambda tmp_path: ["adjoint", "--f-product", "theta", "delta_4_6",
+                           "--g", "theta", "--n-max", "0"],
+         "argument --n-max: must be positive"),
+        (_epsilon("nan"), _EPSILON),
+        (_epsilon("inf"), _EPSILON),
+        (_epsilon("0"), _EPSILON),
+        (_epsilon("-0.1"), _EPSILON),
+        (_tolerance("nan"), _TOLERANCE),
+        (_tolerance("inf"), _TOLERANCE),
+        (_tolerance("-1"), _TOLERANCE),
+        (_big_coefficient,
+         "coefficient 1 is out of float range for the tail profile"),
+        (_basis_coefficient("1" + "0" * 400),
+         "basis coefficient 1 is out of float range"),
+        (_basis_coefficient("1/1" + "0" * 400),
+         "basis coefficient 1 is out of float range"),
+        (_f_coefficient("1" + "0" * 400), "f coefficient 1 is out of float range"),
+        (_f_coefficient("1/1" + "0" * 400), "f coefficient 1 is out of float range"),
     ],
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
          "infinity", "booleans", "float", "exponent-string", "decimal-string",
-         "twice-weight-float", "level-bool",
-         "deeply-nested", "directory", "output-dir-missing", "epsilon-nan",
+         "twice-weight-float", "level-bool", "precision-mismatch", "level-zero",
+         "no-character", "deeply-nested", "directory", "output-dir-missing",
+         "bracket-no-metadata", "adjoint-no-metadata", "ratio-no-basis",
+         "lambda-no-basis", "n-max-zero", "epsilon-nan",
          "epsilon-inf", "epsilon-zero", "epsilon-negative", "tolerance-nan",
          "tolerance-inf", "tolerance-negative", "coefficient-out-of-float-range",
          "basis-coefficient-overflow", "basis-coefficient-underflow",
          "f-coefficient-overflow", "f-coefficient-underflow"],
 )
-def test_malformed_input_is_usage_error(make_argv, tmp_path, capsys):
+def test_malformed_input_is_usage_error(make_argv, message, tmp_path, capsys):
     code = run(make_argv(tmp_path))
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     # Our own errors start the line; argparse prefixes the program name.
     assert re.search(r"^(rcadjoint[\w ]*: )?error: ", err, re.M)
+    assert message in err
     assert "Traceback" not in err
 
 

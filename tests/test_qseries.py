@@ -21,9 +21,9 @@ from rcadjoint.qseries import (
     make_eisenstein,
     make_eta_product,
     make_theta,
-    series_mul,
 )
-from rcadjoint.bracket import BracketParams, rc_bracket
+from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
+from rcadjoint.forms import catalog_get
 
 from oracles import (
     apply_D,
@@ -40,6 +40,15 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 small_series = st.lists(rationals, min_size=1, max_size=12).map(QSeries)
+# Twice-weights odd and even; an odd one needs 4 | level.
+form_metas = st.builds(
+    lambda w2, level, character: FormMeta(
+        w2, 4 * level if w2 % 2 else level, character
+    ),
+    st.integers(0, 30),
+    st.integers(1, 12),
+    st.sampled_from(CharacterMod4),
+)
 
 
 def ints(series):
@@ -92,9 +101,33 @@ class TestSeriesMul:
         assert prod.meta.character is CharacterMod4.TRIVIAL
 
     def test_chi_minus4_squares_to_trivial(self):
-        meta = FormMeta(1, 4, CharacterMod4.CHI_MINUS4)
-        t = make_theta(5).with_meta(meta)
-        assert series_mul(t, t).meta.character is CharacterMod4.TRIVIAL
+        chi = CharacterMod4.CHI_MINUS4
+        assert chi * chi is CharacterMod4.TRIVIAL
+        # Two weight-1/2 factors: chi_-4 from each factor and once more from
+        # the half-integral weights (cohen_character(1, 1)).
+        t = make_theta(5).with_meta(FormMeta(1, 4, chi))
+        assert series_mul(t, t).meta.character is chi
+
+    def test_characters_of_theta_powers(self):
+        # Known spaces: theta^2 = sum r_2(n) q^n is in M_1(Gamma_0(4), chi_-4),
+        # theta^3 in M_3/2(Gamma_0(4)), theta^4 = sum r_4(n) q^n in
+        # M_2(Gamma_0(4)), and theta * Delta_{4,6} in S_13/2(Gamma_0(4)).
+        theta = make_theta(12)
+        theta2 = series_mul(theta, theta)
+        assert theta2.meta == FormMeta(2, 4, CharacterMod4.CHI_MINUS4)
+        assert series_mul(theta2, theta).meta == FormMeta(3, 4, CharacterMod4.TRIVIAL)
+        assert series_mul(theta2, theta2).meta == FormMeta(4, 4, CharacterMod4.TRIVIAL)
+        f = series_mul(theta, catalog_get("delta_4_6", 12))
+        assert f.meta == FormMeta(13, 4, CharacterMod4.TRIVIAL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(form_metas, min_size=3, max_size=3))
+    def test_meta_commutative_and_associative(self, metas):
+        a, b, c = (QSeries([1, 2]).with_meta(m) for m in metas)
+        assert series_mul(a, b).meta == series_mul(b, a).meta
+        left = series_mul(series_mul(a, b), c).meta
+        assert left == series_mul(a, series_mul(b, c)).meta
+        assert left.twice_weight == sum(m.twice_weight for m in metas)
 
     def test_dense_matches_naive_oracle(self):
         # force the dense integer route: no zero coefficients at all

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients
+from rcadjoint.bracket import series_mul
 from rcadjoint.forms import catalog_get
-from rcadjoint.qseries import QSeries, series_mul
+from rcadjoint.qseries import QSeries
 from rcadjoint.verify import lambda_test, ratio_test
 
 
