@@ -37,7 +37,7 @@ from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, _rc_numerator, _twice_rising
-from .kernels import np
+from .kernels import int64_array, np
 from .qseries import QSeries
 
 GUARD_BITS = 168
@@ -160,9 +160,18 @@ def _tail_candidates(coeffs, den: int, exponent: float) -> Optional[List[int]]:
     nonzero a(n) is not a normal float below 2^1023, |a(n)|/den is
     subnormal, or the largest value is not finite or is near the subnormals
     (the zero series included).
+
+    The a(n) are read as int64 and then cast to float64 when they all fit,
+    and as floats directly otherwise: both round each int correctly to
+    nearest, so the floats are the same.  The magnitudes are taken after
+    the cast, where -2^63 has one.
     """
     try:
-        mags = np.abs(np.array(coeffs, dtype=np.float64))
+        try:
+            floats = int64_array(coeffs).astype(np.float64)
+        except OverflowError:
+            floats = np.array(coeffs, dtype=np.float64)
+        mags = np.abs(floats, out=floats)
         scale = float(den)
     except OverflowError:
         return None

@@ -3,8 +3,9 @@
 ``convolve_sum(pairs, prec)`` is the one entry point: it returns the sum
 of the truncated convolutions a*b over integer pairs (a, b), all routes
 adding the products before anything is rounded or decoded.
-``convolve_exact(a, b, prec)`` is its one-pair case.  The route is picked
-from the inputs:
+``convolve_exact(a, b, prec)`` is its one-pair case, and
+``convolve_power(acc, base, n, prec)`` a chain of n such pairs, acc
+times base one factor at a time.  The route is picked from the inputs:
 
 * slice-adds on one int64 accumulator, for a sparse side times any other
   (theta times a form, Jacobi's sparse series times its powers) and for
@@ -14,7 +15,9 @@ from the inputs:
   side's length is within a constant times the FFT's prec * log2(prec)
   plus its fixed cost, and only under the exact certificate
   sum_pairs sum_i |a_i| * max|b| < 2^63, which bounds every int64
-  product and partial sum (a sum that fails it takes the dense routes),
+  product and partial sum (a sum that fails it takes the dense routes);
+  in a chain, the running product stays that int64 array from one
+  product to the next,
 * ``convolve_fft``, a limb-split floating-point FFT convolution that adds
   every pair's limb products in the frequency domain, for dense inputs
   whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
@@ -24,22 +27,27 @@ from the inputs:
   products added into one integer), only when that bound or that check
   fails.
 
-Both dense routes share one byte-row format: ``_byte_rows`` turns ints into
-rows of little-endian magnitude bytes and a negative mask, and
-``_ints_from_rows`` reads rows back as signed two's-complement ints.  The
-codec picks how from its input: rows of at most 7 bytes are written, and
-rows whose values all fit in an int64 are read, as one int64 array; wider
-rows go through ``int.to_bytes`` and ``int.from_bytes`` one int at a time.
+Python ints enter numpy through one reader, ``int64_array``, wherever
+they may fit an int64: slice-adds' dense side, narrow byte rows and, in
+``adjoint``, the tail fit's float screen; each caller keeps its own path
+for values beyond int64.  Both dense routes share one byte-row format:
+``_byte_rows`` turns ints into rows of little-endian magnitude bytes and
+a negative mask, and ``_ints_from_rows`` reads rows back as signed
+two's-complement ints.  The codec picks how from its input: rows of at
+most 7 bytes are written, and rows whose values all fit in an int64 are
+read, as one int64 array; wider rows go through ``int.to_bytes`` and
+``int.from_bytes`` one int at a time.
 Every operand is held as a ``Scaled(values, w, r)``, the list
-w * n^r * values[n]: an int list as ``Scaled(list)``, with w = 1 and r = 0,
-the bracket's operands with their own w and r.  Slice-adds read it as that
-int list.  The dense routes never form its ints: each distinct
-values list becomes byte rows once per call, the rows of n^r values come
-from those of n^(r-1) values by one vectorized uint64 multiply-and-carry
-pass over the limbs (``_times``; every step is exact while the factor
-stays below 2^55), and w is applied in one more such pass, by its 32-bit
-digits.  The rows equal those of the int list in limb count, magnitudes
-and signs, so the route, the bounds and the output are the same.
+w * n^r * values[n]: an int list (or a chain's int64 array) as
+``Scaled(list)``, with w = 1 and r = 0, the bracket's operands with their
+own w and r.  Slice-adds read it as that int list.  The dense routes
+never form its ints: each distinct values list becomes byte rows once
+per call, the rows of n^r values come from those of n^(r-1) values by
+one vectorized uint64 multiply-and-carry pass over the limbs
+(``_times``; every step is exact while the factor stays below 2^55),
+and w is applied in one more such pass, by its 32-bit digits.  The rows
+equal those of the int list in limb count, magnitudes and signs, so the
+route, the bounds and the output are the same.
 
 Every route is exact and returns exactly ``prec`` Python ints.
 """
@@ -101,15 +109,25 @@ _EPS = 2.0**-53
 _WORD_BYTES = 8
 
 
+def int64_array(values):
+    """The Python ints values as one new little-endian int64 array.
+
+    OverflowError when some value is beyond int64; each caller keeps its
+    own path for that case.  np.fromiter, told the dtype and the length,
+    reads ints faster than np.array, which first inspects every value.
+    """
+    return np.fromiter(values, "<i8", len(values))
+
+
 def _byte_rows(vals, width):
     """(len(vals), width) uint8 little-endian magnitudes of vals, and vals < 0.
 
     Every |v| must be below 2^(8 width).  Rows of at most 7 bytes hold
-    magnitudes below 2^56, which numpy reads as one int64 array; wider rows
+    magnitudes below 2^56, which are read as one int64 array; wider rows
     are written one int at a time.
     """
     if width < _WORD_BYTES:
-        words = np.array(vals, dtype="<i8")
+        words = int64_array(vals)
         neg = (words >> 63).astype(bool)  # the shift leaves -1 in negatives
         mags = np.abs(words, out=words).view(np.uint8)
         return mags.reshape(len(vals), _WORD_BYTES)[:, :width], neg
@@ -203,11 +221,12 @@ def _dense_rows(held):
     forming that list.
 
     Each distinct values list becomes byte rows once, with as many limbs
-    as its largest magnitude needs.  The rows of n^r values come from
-    those of n^(r-1) values by one _times pass with the factors n (below
-    2^55 for any list that fits in memory), walking r upwards and keeping
-    only the current power; |w| then multiplies by its 32-bit digits in
-    one more pass.
+    as its largest magnitude needs (an int64 array, convolve_power's
+    running product, as its list of ints).  The rows of n^r values come
+    from those of n^(r-1) values by one _times pass with the factors n
+    (below 2^55 for any list that fits in memory), walking r upwards and
+    keeping only the current power; |w| then multiplies by its 32-bit
+    digits in one more pass.
     """
     wanted = {(id(op.values), op.r, op.w): op.values for pair in held for op in pair}
     built, base = {}, None
@@ -216,6 +235,8 @@ def _dense_rows(held):
         if base != ident:
             base, power = ident, 0
             values = wanted[key]
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
             peak = max(map(abs, values), default=0)
             limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
             mags, neg = _byte_rows(values, limbs)
@@ -427,15 +448,17 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
 
 def _slice_terms(held, nonzeros):
     """(terms, bound): per pair with a nonzero sparser side a, the tuple
-    (indices of a's nonzeros, their values, the other side b as an int64
-    array), and the certificate bound = sum over pairs of
+    (indices of a's nonzeros, their values as Python ints, the other side
+    b as an int64 array), and the certificate bound = sum over pairs of
     sum_i |a_i| * max|b|; (None, bound) as soon as the bound summed so far
     reaches _SLICE_LIMIT.
 
     held and nonzeros are _read_pairs' pairs and nonzero counts; the
     sparser side is the one with fewer nonzeros, the first on a tie.  A
-    pair whose sparser side is all zero is skipped before its other side
-    is read: that side may hold values an int64 cannot.
+    side that is an int64 array (convolve_power's running product) is
+    read as it is, and an int list through int64_array.  A pair whose
+    sparser side is all zero is skipped before its other side is read:
+    that side may hold values an int64 cannot.
     """
     terms, bound = [], 0
     for (a, b), (nnz_a, nnz_b) in zip(held, nonzeros):
@@ -444,10 +467,14 @@ def _slice_terms(held, nonzeros):
         if nnz_a > nnz_b:
             a, b = b, a
         a, b = _ints(a), _ints(b)
-        index = list(compress(range(len(a)), a))
-        values = [a[i] for i in index]
+        if isinstance(a, np.ndarray):
+            nonzero = np.flatnonzero(a)
+            index, values = nonzero.tolist(), a[nonzero].tolist()
+        else:
+            index = list(compress(range(len(a)), a))
+            values = [a[i] for i in index]
         try:
-            array = np.array(b, dtype=np.int64)
+            array = b if isinstance(b, np.ndarray) else int64_array(b)
             peak = max(int(array.max()), -int(array.min()))
         except OverflowError:
             # Some |b_j| >= 2^63, so the bound reaches the limit below.
@@ -460,7 +487,7 @@ def _slice_terms(held, nonzeros):
 
 
 def _convolve_slices(terms, prec):
-    """The sum of the pairs' products on one int64 accumulator.
+    """The sum of the pairs' products, as the int64 array it is made on.
 
     For each nonzero a_i of a pair's sparser side, b[:prec - i] goes into
     out[i:] times a_i.  The slices of a value that occurs more than once
@@ -489,16 +516,18 @@ def _convolve_slices(terms, prec):
                 n = min(len(array), prec - i)
                 acc[i - low : i - low + n] += array[:n]
             out[low:] += np.multiply(acc, v, out=acc)
-    return out.tolist()
+    return out
 
 
 def _cut(op, prec):
     """(op as a Scaled cut to prec, copied only when longer, its length, its
-    nonzero count); an int list is taken as Scaled(list)."""
+    nonzero count); an int list or int64 array is taken as Scaled(op)."""
     op = op if isinstance(op, Scaled) else Scaled(op)
     values = op.values if len(op.values) <= prec else op.values[:prec]
     nnz = 0
-    if op.w:  # n^r vanishes at n = 0 when r > 0
+    if isinstance(values, np.ndarray):
+        nnz = np.count_nonzero(values)
+    elif op.w:  # n^r vanishes at n = 0 when r > 0
         nnz = len(values) - values.count(0) - bool(op.r and values and values[0])
     return op._replace(values=values), len(values), nnz
 
@@ -525,24 +554,9 @@ def _shape(op):
     return op.mags.shape
 
 
-def convolve_sum(pairs, prec):
-    """Exact sum of the truncated convolutions a*b over the (a, b) in
-    pairs; pairs may be any iterable, read once.  Each operand is a list
-    of Python ints or a ``Scaled(values, w, r)``, the list
-    w * n^r * values[n], whose byte rows the dense routes build from those
-    of values without forming its ints.
-
-    Slice-adds run when the pairs' slice-add cost is at most
-    _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD and their int64
-    certificate holds; otherwise the FFT route, and the Kronecker route
-    when the FFT refuses.  Returns exactly ``prec`` Python ints, whichever route runs.
-    One DEBUG line per call names the route, the number of pairs and the
-    route's certificate against its limit: for slice-adds the sparser
-    sides' nonzero count and the int64 bound, for the dense routes the
-    summed FFT bound (after ``slice_bound_bits=``, the int64 bound's bit
-    length, when that bound refused slice-adds), and for one pair the
-    operands' lengths and limb counts.  ``logging`` is not imported here.
-    """
+def _convolve(pairs, prec):
+    """convolve_sum's sum, after its DEBUG line: the int64 array that
+    slice-adds make it on, or the dense routes' list of Python ints."""
     held, nonzeros, cost = _read_pairs(pairs, prec)
     slice_terms = slice_bound = None
     fft_cost = _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)) + _FFT_OVERHEAD
@@ -578,7 +592,45 @@ def convolve_sum(pairs, prec):
     return out
 
 
+def convolve_sum(pairs, prec):
+    """Exact sum of the truncated convolutions a*b over the (a, b) in
+    pairs; pairs may be any iterable, read once.  Each operand is a list
+    of Python ints, an int64 array or a ``Scaled(values, w, r)``, the list
+    w * n^r * values[n], whose byte rows the dense routes build from those
+    of values without forming its ints.
+
+    Slice-adds run when the pairs' slice-add cost is at most
+    _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD and their int64
+    certificate holds; otherwise the FFT route, and the Kronecker route
+    when the FFT refuses.  Returns exactly ``prec`` Python ints, whichever route runs.
+    One DEBUG line per call names the route, the number of pairs and the
+    route's certificate against its limit: for slice-adds the sparser
+    sides' nonzero count and the int64 bound, for the dense routes the
+    summed FFT bound (after ``slice_bound_bits=``, the int64 bound's bit
+    length, when that bound refused slice-adds), and for one pair the
+    operands' lengths and limb counts.  ``logging`` is not imported here.
+    """
+    out = _convolve(pairs, prec)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
 def convolve_exact(a, b, prec):
     """Exact truncated convolution of two lists of Python ints: the
     one-pair case of convolve_sum."""
     return convolve_sum([(a, b)], prec)
+
+
+def convolve_power(acc, base, n, prec):
+    """acc * base^n truncated to prec, base multiplied in one factor at a
+    time (n >= 1), as exactly ``prec`` Python ints.
+
+    Each product is the one pair (running product, base) of convolve_sum,
+    with its route rule, certificate and DEBUG line.  While slice-adds
+    make the products, the running product stays the int64 array they
+    make it on, and is converted to Python ints once, at the end; a
+    product that the cost rule or the certificate refuses takes the dense
+    routes, from Python ints, exactly as convolve_exact would.
+    """
+    for _ in range(n):
+        acc = _convolve([(acc, base)], prec)
+    return acc.tolist() if isinstance(acc, np.ndarray) else acc

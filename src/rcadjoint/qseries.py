@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .kernels import convolve_exact, np
+from .kernels import convolve_exact, convolve_power, np
 
 
 class CharacterMod4(Enum):
@@ -255,13 +255,16 @@ def make_theta(precision: int) -> QSeries:
 def _power_product(powers, size: int) -> list:
     """prod base^n over the (base, n) pairs, to size coefficients.
 
-    A power with (sum |base_i|)^n < 2^63 is built one factor at a time:
-    every coefficient of base^k is at most (sum |base_i|)^k, so each
-    product base^k * base then passes slice-adds' int64 certificate (for
-    Jacobi's J, a sparse side against a dense one).  Any other power is
-    built by square-and-multiply.  Every product goes through
-    convolve_exact, which picks its route; the first factor is taken as
-    it is, so only an empty product (every n zero) is the series 1.
+    A power with (sum |base_i|)^n < 2^63 is built one factor at a time by
+    convolve_power: every coefficient of base^k is at most
+    (sum |base_i|)^k, so each product base^k * base passes slice-adds'
+    int64 certificate (for Jacobi's J, a sparse side against a dense one),
+    and the running power stays one int64 array from the first product to
+    the last.  A product with an earlier factor in front may still fail
+    that certificate; it then takes the dense routes.  Any other power is
+    built by square-and-multiply, each product through convolve_exact.
+    The first factor is taken as it is, so only an empty product (every n
+    zero) is the series 1.
     """
     result = None
 
@@ -270,8 +273,9 @@ def _power_product(powers, size: int) -> list:
 
     for base, n in powers:
         if n > 1 and sum(map(abs, base)) ** n < 1 << 63:
-            for _ in range(n):
-                result = times(base)
+            if result is None:
+                result, n = base, n - 1
+            result = convolve_power(result, base, n, size)
             continue
         while n:
             if n & 1:
@@ -334,10 +338,11 @@ def _euler_factor(step: int, exponent: int, prec: int) -> list:
 
     In x = q^step this is B^e for the pentagonal series B = prod (1 - x^n).
     For e >= 0 it is J^(e // 3) * B^(e % 3), with J = B^3 the sparse
-    series of Jacobi's identity: a few products (``_power_product``), all
-    through convolve_exact.  A power J^q with (sum |J_i|)^q < 2^63
-    multiplies J in one factor at a time, each product by int64
-    slice-adds; a larger one is built by square-and-multiply, J * J by
+    series of Jacobi's identity: a few products (``_power_product``).  A
+    power J^q with (sum |J_i|)^q < 2^63 multiplies J in one factor at a
+    time (``convolve_power``), each product by int64 slice-adds on one
+    int64 array that is read back into Python ints once; a larger one is
+    built by square-and-multiply through convolve_exact, J * J by
     slice-adds and the dense later products by the certified FFT route.
     For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
     first need a dense series inverse, while Miller's recurrence gives
@@ -369,9 +374,9 @@ def make_eta_product(
     prod (1 - x^n)^3 = sum_k (-1)^k (2k+1) x^(k(k+1)/2) and the pentagonal
     series B; for a negative one, Miller's recurrence, since powers of J
     and B reach it only through a series inverse.  The factors are
-    multiplied with convolve_exact, starting from the first one: for
-    eta(2z)^12 at the flagship's sizes, J * J, J^2 * J and J^3 * J, all
-    by slice-adds.
+    multiplied with convolve_exact, starting from the first one.  For
+    eta(2z)^12 at the flagship's sizes, the one factor is J^4, built as
+    J * J, J^2 * J and J^3 * J by slice-adds on one int64 array.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")

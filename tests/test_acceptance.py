@@ -21,6 +21,7 @@ from oracles import (
     apply_D,
     delta_4_6_oracle,
     delta_oracle,
+    naive_mul,
     series_add,
     to_mpf,
     two_squares_count,
@@ -93,13 +94,18 @@ def test_criterion_1_alpha_bracket_oracle():
 
 
 def test_criterion_2_nu_zero_reduction():
-    """rc_bracket with nu = 0 is exactly series_mul, 100 random pairs."""
+    """rc_bracket with nu = 0 is exactly the product, 100 random pairs:
+    series_mul, and the schoolbook product of the Fraction coefficients
+    (series_mul is itself the nu = 0 bracket)."""
     rng = random.Random(20260826)
     for _ in range(100):
         f = random_series(rng)
         g = random_series(rng)
         p = BracketParams(rng.randint(1, 13), rng.randint(1, 13), 0)
-        assert rc_bracket(f, g, p).coeffs == series_mul(f, g).coeffs
+        got = rc_bracket(f, g, p).coeffs
+        assert got == series_mul(f, g).coeffs
+        prec = min(f.precision, g.precision)
+        assert list(got) == naive_mul(f.coeffs, g.coeffs, prec)
     report(2, "nu=0 reduction on 100 random pairs")
 
 

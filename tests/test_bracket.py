@@ -19,7 +19,7 @@ from rcadjoint.qseries import (
     make_theta,
 )
 
-from oracles import alpha_coeff, series_add
+from oracles import alpha_coeff, naive_mul, series_add
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 small_series = st.lists(rationals, min_size=2, max_size=10).map(QSeries)
@@ -106,17 +106,24 @@ class TestAlphaCoeff:
 
 
 class TestRcBracket:
+    # series_mul is itself the nu = 0 bracket, so each of these also
+    # checks the schoolbook product.
     def test_nu_zero_is_product(self):
         f = QSeries([0, 1, 5, Fraction(2, 3)])
         g = QSeries([1, -2, 0, 4])
         p = BracketParams(12, 8, 0)
-        assert rc_bracket(f, g, p).coeffs == series_mul(f, g).coeffs
+        got = rc_bracket(f, g, p).coeffs
+        assert got == series_mul(f, g).coeffs
+        assert list(got) == naive_mul(f.coeffs, g.coeffs, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(small_series, small_series)
     def test_nu_zero_reduction_random(self, f, g):
         p = BracketParams(6, 5, 0)
-        assert rc_bracket(f, g, p).coeffs == series_mul(f, g).coeffs
+        got = rc_bracket(f, g, p).coeffs
+        assert got == series_mul(f, g).coeffs
+        prec = min(f.precision, g.precision)
+        assert list(got) == naive_mul(f.coeffs, g.coeffs, prec)
 
     def test_self_bracket_equal_weights_vanishes(self):
         e4 = make_eisenstein(4, 12)

@@ -845,6 +845,36 @@ class TestStartup:
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout)["pass"] is True
 
+    def test_flagship_routes(self):
+        # The same route pin as CI's: every product of the flagship at
+        # --terms 2000 takes slice-adds, three at prec 1005 (J * J, J^2 * J
+        # and J^3 * J) and one at 2011 (theta * Delta_{4,6}), none takes a
+        # dense route, every route line names its route, and numpy.fft is
+        # never loaded.
+        done = _fresh_interpreter(
+            "import logging, sys\n"
+            "logging.basicConfig()\n"
+            "logging.getLogger('rcadjoint.kernels').setLevel(logging.DEBUG)\n"
+            "from rcadjoint.cli import main\n"
+            "code = main(['verify', 'ratio', '--f-product', 'theta', 'delta_4_6',"
+            " '--g', 'theta', '--n-max', '10', '--terms', '2000'])\n"
+            "assert 'numpy.fft' not in sys.modules\n"
+            "sys.exit(code)\n",
+            {},
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+
+        def count(pattern):
+            return sum(bool(re.search(pattern, line)) for line in lines)
+
+        assert count("route=slices pairs=1 prec=1005 ") == 3
+        assert count("route=slices pairs=1 prec=2011 ") == 1
+        assert count("route=(fft|kronecker)") == 0
+        assert count("convolve_sum ") == count(
+            "convolve_sum route=(slices|fft|kronecker) "
+        )
+
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
     def test_import_leaves_the_environment_as_it_was(self, threads):
         env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}

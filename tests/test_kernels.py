@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcadjoint import kernels
+from rcadjoint import kernels, qseries
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import make_eta_product
 
@@ -44,7 +44,7 @@ def slices(pairs, prec):
     """The slice-add route on the pairs, or None when its certificate fails."""
     held, nonzeros, _ = kernels._read_pairs(pairs, prec)
     terms, _ = kernels._slice_terms(held, nonzeros)
-    return None if terms is None else kernels._convolve_slices(terms, prec)
+    return None if terms is None else kernels._convolve_slices(terms, prec).tolist()
 
 
 def _slice_certificate(a, b):
@@ -277,6 +277,106 @@ def test_workload_forms_construction_routes(monkeypatch, build, routes):
     calls = _spy_routes(monkeypatch)
     build()
     assert calls == routes
+
+
+def _power_operands(size, lead, magnitude, every, seed):
+    """A dense lead of values up to lead, and a base whose every every-th
+    value is up to magnitude and the others 0."""
+    rng = random.Random(seed)
+    acc = rand_ints(rng, size, -lead, lead)
+    base = [
+        rng.randint(-magnitude, magnitude) if i % every == 0 else 0
+        for i in range(size)
+    ]
+    return acc, base
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(1, 40),
+    n=st.integers(1, 5),
+    lead=st.sampled_from([1, 2**12, 2**40, 2**56]),
+    magnitude=st.sampled_from([1, 7, 2**12]),
+    every=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+# The third of four products fails the int64 certificate: slice-adds,
+# slice-adds, then the dense routes from Python ints.
+@example(size=30, n=4, lead=2**52, magnitude=7, every=3, seed=0)
+def test_power_product_with_a_lead_is_repeated_products(
+    size, n, lead, magnitude, every, seed
+):
+    acc, base = _power_operands(size, lead, magnitude, every, seed)
+    expected, routes = acc, []
+    for _ in range(n):
+        routes.append("slices" if _slice_certificate(expected, base) < 2**63 else "fft")
+        expected = [int(x) for x in naive_mul(expected, base, size)]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_routes(patch)
+        out = qseries._power_product([(acc, 1), (base, n)], size)
+    assert out == expected
+    assert all(type(v) is int for v in out)
+    if n == 1 or sum(map(abs, base)) ** n < 2**63:
+        # One factor at a time, whatever the lead (n = 1 is one product
+        # either way).  At these sizes the slice-add cost is below the
+        # FFT's fixed cost, so a product takes slice-adds exactly when its
+        # certificate holds.
+        assert [route for route in calls if route != "kronecker"] == routes
+
+
+@pytest.mark.parametrize(
+    "acc, base, n, prec, routes",
+    [
+        # The flagship's J^4 at 20011: J * J, J^2 * J, J^3 * J.
+        (qseries._jacobi(10006), qseries._jacobi(10006), 3, 10006, ["slices"] * 3),
+        (*_power_operands(30, 2**52, 7, 3, 0), 4, 30,
+         ["slices", "slices", "fft", "fft"]),
+    ],
+    ids=["jacobi", "fallback"],
+)
+def test_convolve_power_logs_the_lines_of_its_products(
+    monkeypatch, caplog, acc, base, n, prec, routes
+):
+    # Each product logs the line convolve_exact logs for it, len= and
+    # limbs= included, and the routes are those of the products.
+    def run(power):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+            out = power()
+        lines = [r.getMessage() for r in caplog.records if r.name == kernels.__name__]
+        return out, lines
+
+    def chain():
+        out = acc
+        for _ in range(n):
+            out = kernels.convolve_exact(out, base, prec)
+        return out
+
+    expected = run(chain)
+    calls = _spy_routes(monkeypatch)
+    got = run(lambda: kernels.convolve_power(acc, base, n, prec))
+    assert got == expected
+    assert calls == routes
+    assert all(f" len={prec},{prec} limbs=" in line for line in got[1])
+
+
+def test_int64_array_reads_ints_exactly():
+    # Both ends of int64, and values halfway between two floats, which
+    # the float64 cast must round to even as a direct float read does.
+    values = [0, 1, -1, 2**53 + 1, 2**53 + 3, -(2**62 + 2**9), 2**62 + 3 * 2**9,
+              2**63 - 1, -(2**63)]
+    words = kernels.int64_array(values)
+    assert words.tolist() == values
+    assert words.astype(np.float64).tolist() == np.array(values, np.float64).tolist()
+    rng = random.Random(7)
+    wide = [rng.randint(-(2**63), 2**63 - 1) >> rng.randint(0, 62) for _ in range(2000)]
+    assert (
+        kernels.int64_array(wide).astype(np.float64).tolist()
+        == np.array(wide, np.float64).tolist()
+    )
+    for beyond in (2**63, -(2**63) - 1):
+        with pytest.raises(OverflowError):
+            kernels.int64_array([1, beyond])
 
 
 def test_kronecker_past_the_product_length():

@@ -279,16 +279,23 @@ class TestEtaProduct:
         for factor, count in powers:
             for _ in range(count):
                 expected = [int(x) for x in naive_mul(expected, factor, size)]
-        # Whether each product's second operand is base itself.
+        # Whether each product's second operand is base itself: one entry
+        # per convolve_exact call, and one per factor of a convolve_power.
         calls = []
-        real = qseries_module.convolve_exact
+        real_exact = qseries_module.convolve_exact
+        real_power = qseries_module.convolve_power
 
-        def spy(a, b, prec):
+        def spy_exact(a, b, prec):
             calls.append(b is base)
-            return real(a, b, prec)
+            return real_exact(a, b, prec)
+
+        def spy_power(acc, b, count, prec):
+            calls.extend([b is base] * count)
+            return real_power(acc, b, count, prec)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qseries_module, "convolve_exact", spy)
+            patch.setattr(qseries_module, "convolve_exact", spy_exact)
+            patch.setattr(qseries_module, "convolve_power", spy_power)
             assert _power_product(powers, size) == expected
         if n > 1 and sum(map(abs, base)) ** n < 2**63:
             # One factor at a time: base goes in n times.
