@@ -17,12 +17,13 @@ hypotheses differ between them.  The Dirichlet series runs over m >= 0
 and carries a bound on its truncation error from empirical
 coefficient-growth profiles.
 
-The series arithmetic upstream is exact.  Each L-sum is an integer sum
-of the stored numerators, weighted by the bracket's own integers w_r, within
-2^-168 times its terms' absolute sum (``_l_series_sums``), and beta is a
-rational times integer powers of sqrt(n) and pi, taken to BETA_BITS bits
-(``beta_value``).  Each printed number is one Fraction, rounded to a float
-once.
+The series arithmetic upstream is exact.  Each L-sum row is an integer
+sum of the stored numerators with the bracket's own integers w_r and
+g-side operands, all rows at once by one exact limb product
+(``kernels.correlate_sum``), within 2^-168 times its terms' absolute sum
+(``_l_series_sums``), and beta is a rational times integer powers of
+sqrt(n) and pi, taken to BETA_BITS bits (``beta_value``).  Each printed
+number is one Fraction, rounded to a float once.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, _rc_numerator, _twice_rising
-from .kernels import int64_array, np
+from .kernels import Scaled, correlate_sum, int64_array, np
 from .qseries import QSeries
 
 GUARD_BITS = 168
@@ -278,15 +278,19 @@ def _l_series_sums(
 ) -> List[Fraction]:
     """Partial sums of sum_m a(n+m) b(m) alpha(k,l,nu;n,m) (n+m)^-gamma.
 
-    Summed over m = 0..M for every n in ns, in one pass, in integers;
-    coefficients must be real, so the conjugate on b is the identity.  The
-    m = 0 term b(0) a(n) c_nu n^nu n^-s is the one the unfolding picks up
-    when g is not a cusp form.  gamma is ``gamma_s(p)``.
+    Summed over m = 0..M for every n in ns, in integers; coefficients must
+    be real, so the conjugate on b is the identity.  The m = 0 term
+    b(0) a(n) c_nu n^nu n^-s is the one the unfolding picks up when g is
+    not a cusp form.  gamma is ``gamma_s(p)``.
 
-    Each term is the exact integer g.num[m] * sum_r w_r n^r m^(nu-r), with
-    w_r = 2^nu c_r the weights rc_bracket convolves with, times a shared
-    integer f.num[j] floor(2^P j^-gamma), j = n+m, computed the first time
-    a nonzero b(m) reaches j, all over 2^(nu+P) f.den g.den.
+    With A[j] = f.num[j] floor(2^P j^-gamma), computed once for each j = n+m
+    that a nonzero b(m) reaches, row n is
+    sum_r w_r n^r sum_m A[n+m] m^(nu-r) g.num[m], all over
+    2^(nu+P) f.den g.den: w_r = 2^nu c_r are the weights rc_bracket
+    convolves with, and m^(nu-r) g.num[m] its g-side operands
+    ``Scaled(g.num, 1, nu - r)``.  The nu + 1 inner sums of every row come
+    from one limb product, ``kernels.correlate_sum``, whose float64 partial
+    sums are certified integers, so every row is exact in integers.
     P = GUARD_BITS + ceil(gamma * bit_length(max(ns) + M)) keeps every
     floor above 2^GUARD_BITS, so each returned Fraction is within 2^-168
     times the sum of the terms' absolute values of the exact partial sum.
@@ -307,32 +311,22 @@ def _l_series_sums(
         raise ValueError(
             f"g needs at least {M + 1} coefficients, has {g.precision}"
         )
-    W = [_rc_numerator(p, r) for r in range(p.nu + 1)]
-    A = f.num
-    B = [(m, g.num[m]) for m in compress(range(M + 1), g.num)]
-    den = (f.den * g.den) << p.nu
+    a = f.num
     two_gamma = int(2 * gamma)
     P = GUARD_BITS + math.ceil(gamma * top.bit_length())
-    w = [None] * (top + 1)
-    sums = []
-    for n in ns:
-        # Horner in m, from m^nu (coefficient w_0) down to m^0 (w_nu n^nu).
-        horner = [w_r * n**r for r, w_r in enumerate(W)]
-        total = 0
-        for m, b in B:
-            j = n + m
-            wj = w[j]
-            if wj is None:
-                a = A[j]
-                wj = w[j] = a * _floor_weight(P, j, two_gamma) if a else 0
-            if not wj:
-                continue
-            alpha = 0
-            for h in horner:
-                alpha = alpha * m + h
-            total += wj * (b * alpha)
-        sums.append(Fraction(total, den << P))
-    return sums
+
+    def weights(js):
+        return [a[j] * _floor_weight(P, j, two_gamma) if a[j] else 0 for j in js]
+
+    b = g.num[: M + 1]
+    W = [_rc_numerator(p, r) for r in range(p.nu + 1)]
+    g_side = [Scaled(b, 1, p.nu - r) for r in range(p.nu + 1)]
+    inner = correlate_sum(weights, ns, g_side)
+    den = (f.den * g.den) << (p.nu + P)
+    return [
+        Fraction(sum(w * n**r * s for r, (w, s) in enumerate(zip(W, row))), den)
+        for n, row in zip(ns, inner)
+    ]
 
 
 def _pi_fixed(bits: int) -> int:

@@ -50,6 +50,11 @@ equal those of the int list in limb count, magnitudes and signs, so the
 route, the bounds and the output are the same.
 
 Every route is exact and returns exactly ``prec`` Python ints.
+
+``correlate_sum(weights, ns, ops)``, the adjoint's L-sum, correlates
+integers A with Scaled operands for many n at once by one float64 limb
+product per row and column block, the package's one BLAS call, exact by
+its certificate: every partial sum is an integer below 2^53.
 """
 
 from __future__ import annotations
@@ -57,13 +62,16 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import compress
+from itertools import compress, islice
 from typing import List, NamedTuple, Optional
 
-# Loading numpy starts OpenBLAS's thread pool, one thread per core, though
-# nothing here calls BLAS (the FFT route is pocketfft); on two cores that
-# pool is about half of numpy's import time.  Load it with one thread
-# unless the user chose a count, and leave the environment as it was.
+# Loading numpy starts OpenBLAS's thread pool, one thread per core; on two
+# cores that pool is about half of numpy's import time.  Load it with one
+# thread unless the user chose a count, and leave the environment as it
+# was.  The one BLAS call here is correlate_sum's float64 matmul (the FFT
+# route is pocketfft), so it runs on the thread count set at import, and
+# it is exact for any OPENBLAS_NUM_THREADS: its partial sums are integers
+# below 2^53 in whatever order the threads add them.
 if "OPENBLAS_NUM_THREADS" in os.environ:
     import numpy as np
 else:
@@ -105,8 +113,15 @@ _RESIDUAL_LIMIT = 0.125
 
 _EPS = 2.0**-53
 
+# correlate_sum's column blocks of at most _BLOCK_TERMS terms, each a product
+# of signed 16-bit limbs, keep its float64 partial sums below 2^44 <= 2^53.
+_BLOCK_TERMS = 1 << 12
+_LIMB16_SQUARE = ((1 << 16) - 1) ** 2
+
 # Bytes of the int64 word that narrow byte rows are read and written as.
 _WORD_BYTES = 8
+# Wide byte rows are joined this many at a time (see _byte_rows).
+_JOIN_ROWS = 1 << 12
 
 
 def int64_array(values):
@@ -124,15 +139,19 @@ def _byte_rows(vals, width):
 
     Every |v| must be below 2^(8 width).  Rows of at most 7 bytes hold
     magnitudes below 2^56, which are read as one int64 array; wider rows
-    are written one int at a time.
+    are written one int at a time, and joined _JOIN_ROWS at a time, since
+    bytes.join holds an 80-byte buffer record per row it joins.
     """
     if width < _WORD_BYTES:
         words = int64_array(vals)
         neg = (words >> 63).astype(bool)  # the shift leaves -1 in negatives
         mags = np.abs(words, out=words).view(np.uint8)
         return mags.reshape(len(vals), _WORD_BYTES)[:, :width], neg
-    raw = b"".join([abs(v).to_bytes(width, "little") for v in vals])
-    mags = np.frombuffer(raw, dtype=np.uint8).reshape(len(vals), width)
+    mags = np.empty((len(vals), width), dtype=np.uint8)
+    for start in range(0, len(vals), _JOIN_ROWS):
+        part = vals[start : start + _JOIN_ROWS]
+        raw = b"".join([abs(v).to_bytes(width, "little") for v in part])
+        mags[start : start + len(part)] = np.frombuffer(raw, np.uint8).reshape(-1, width)
     return mags, np.fromiter((v < 0 for v in vals), bool, len(vals))
 
 
@@ -215,10 +234,11 @@ def _times(mags, digits, step):
     return out if size == len(out) else out[:size].copy()
 
 
-def _dense_rows(held):
-    """held with every Scaled operand in byte rows (_Rows), equal to the
-    byte rows of its int list in limb count, magnitudes and signs, without
-    forming that list.
+def _dense_rows(ops, at=None):
+    """Each Scaled operand in ops as byte rows (_Rows), in order, equal to
+    the byte rows of its int list in limb count, magnitudes and signs,
+    without forming that list; with at, a list of positions n, the rows at
+    those n only.
 
     Each distinct values list becomes byte rows once, with as many limbs
     as its largest magnitude needs (an int64 array, convolve_power's
@@ -228,7 +248,7 @@ def _dense_rows(held):
     keeping only the current power; |w| then multiplies by its 32-bit
     digits in one more pass.
     """
-    wanted = {(id(op.values), op.r, op.w): op.values for pair in held for op in pair}
+    wanted = {(id(op.values), op.r, op.w): op.values for op in ops}
     built, base = {}, None
     for key in sorted(wanted):
         ident, r, w = key
@@ -237,11 +257,15 @@ def _dense_rows(held):
             values = wanted[key]
             if isinstance(values, np.ndarray):
                 values = values.tolist()
+            if at is None:
+                factors = [np.arange(len(values), dtype=np.uint64)]
+            else:
+                values = [values[n] for n in at]
+                factors = [np.array(at, dtype=np.uint64)]
             peak = max(map(abs, values), default=0)
             limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
             mags, neg = _byte_rows(values, limbs)
             mags = mags.T
-            factors = [np.arange(len(values), dtype=np.uint64)]
         while power < r:
             mags = _times(mags, factors, 0)
             power += 1
@@ -256,10 +280,7 @@ def _dense_rows(held):
         else:
             scaled = mags[:0]
         built[key] = _Rows(scaled.T, (neg != (w < 0)) & scaled.any(axis=0))
-    return [
-        (built[id(a.values), a.r, a.w], built[id(b.values), b.r, b.w])
-        for a, b in held
-    ]
+    return [built[id(op.values), op.r, op.w] for op in ops]
 
 
 def _kronecker_eval(op: _Rows, width: int) -> int:
@@ -565,7 +586,8 @@ def _convolve(pairs, prec):
     if slice_terms is not None:
         route, out = "slices", _convolve_slices(slice_terms, prec)
     else:
-        held = _dense_rows(held)
+        rows = iter(_dense_rows([op for pair in held for op in pair]))
+        held = list(zip(rows, rows))
         terms = [(a, b) for a, b in held if a.mags.shape[1] and b.mags.shape[1]]
         route, out = "fft", convolve_fft(terms, prec)
         if out is None:
@@ -634,3 +656,103 @@ def convolve_power(acc, base, n, prec):
     for _ in range(n):
         acc = _convolve([(acc, base)], prec)
     return acc.tolist() if isinstance(acc, np.ndarray) else acc
+
+
+def _limbs16(mags, neg):
+    """(rows, ceil(limbs / 2)) float64: byte rows' magnitudes as 16-bit
+    limbs, each carrying its row's sign."""
+    rows, limbs = mags.shape
+    pairs = np.zeros((rows, limbs + limbs % 2), np.uint8)
+    pairs[:, :limbs] = mags
+    out = pairs.view("<u2").astype(np.float64)
+    out *= np.where(neg, -1.0, 1.0)[:, None]
+    return out
+
+
+def correlate_sum(weights, ns, ops):
+    """For every n in ns, [sum_m A[n+m] op[m] for op in ops] in Python ints.
+
+    ops are Scaled operands of one values list; its K nonzero entries are
+    the terms m.  weights(js) returns A[j] for an increasing list of j and
+    is asked once for each j = n + m that a term reaches.  A and the
+    operands are split into signed 16-bit limbs, through ``_byte_rows``
+    and ``_dense_rows``, and one float64 ``np.matmul`` per row and column
+    block of at most _BLOCK_TERMS terms multiplies a window (consecutive
+    j) or a gather of A's limbs with every operand's limbs.  Every partial
+    sum is an integer below 2^53, exact in any order of addition and with
+    any number of BLAS threads; the blocks add up in int64, exact while
+    K (2^16 - 1)^2 < 2^62, and a carry pass and shifts recombine the limbs.
+    One DEBUG line per call gives the rows, K, the limb counts of A (its
+    widest block) and of each operand, the blocks, and the bit length of
+    the float64 certificate against 53; ``logging`` is not imported here.
+    """
+    b = ops[0].values
+    if any(op.values is not b for op in ops):
+        raise ValueError("the operands must share one values list")
+    nonzero = list(compress(range(len(b)), b))
+    if len(nonzero) * _LIMB16_SQUARE >= 1 << 62:
+        raise ValueError(f"{len(nonzero)} terms overflow the int64 sum of the blocks")
+    g_rows = _dense_rows(ops, nonzero)
+    terms = np.array(nonzero, dtype=np.int64)
+    g_limbs = [(rows.mags.shape[1] + 1) // 2 for rows in g_rows]
+    rows = np.fromiter(ns, np.int64, len(ns))
+    low, high = int(rows.min()), int(rows.max())
+    reached = np.zeros(high + int(terms.max(initial=0)) + 1, bool)
+    for n in rows.tolist():
+        reached[terms + n] = True
+    acc = np.zeros((len(rows), sum(g_limbs), 0), np.int64)
+    held, done = [], -1  # A[j] at the last block's reached j, up to done
+    blocks = range(0, len(terms), _BLOCK_TERMS)
+    for start in blocks:
+        cut = slice(start, start + _BLOCK_TERMS)
+        offsets = terms[cut] - terms[start]
+        lo = low + int(terms[start])
+        # The table holds A[j] at every reached j of the window, index[j - lo]
+        # its row; A at the j up to the last block's end, done, are kept.
+        window = reached[lo : high + int(terms[cut][-1]) + 1]
+        index = np.cumsum(window) - 1
+        skip = max(done + 1 - lo, 0)
+        kept = int(index[skip - 1]) + 1 if skip else 0
+        fresh = (np.flatnonzero(window[skip:]) + (lo + skip)).tolist()
+        held = held[len(held) - kept :] + weights(fresh)
+        done = lo + len(window) - 1
+        width = (max(map(abs, held)).bit_length() + 15) // 16
+        table = _limbs16(*_byte_rows(held, 2 * width))
+        y = np.concatenate([_limbs16(r.mags[cut], r.neg[cut]) for r in g_rows], 1)
+        if width > acc.shape[2]:
+            grow = np.zeros(acc.shape[:2] + (width - acc.shape[2],), np.int64)
+            acc = np.concatenate([acc, grow], axis=2)
+        span = int(offsets[-1])
+        for out, t in zip(acc, (rows - low).tolist()):
+            first = int(index[t])
+            if index[t + span] - first == len(offsets) - 1:  # consecutive j
+                a = table[first : first + len(offsets)]
+            else:
+                a = table[index[offsets + t]]
+            out[:, :width] += np.matmul(y.T, a).astype(np.int64)
+    logging = sys.modules.get("logging")  # never imported: DEBUG is off
+    if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
+        logging.getLogger(__name__).debug(
+            "correlate_sum rows=%d terms=%d limbs=%d,%s blocks=%d bound_bits=%d "
+            "limit_bits=53", len(rows), len(terms), acc.shape[2],
+            "+".join(map(str, g_limbs)), len(blocks),
+            (min(len(terms), _BLOCK_TERMS) * _LIMB16_SQUARE).bit_length(),
+        )
+    # Per row and operand limb: the base-2^16 digits of sum_i acc[..., i]
+    # 2^(16 i), then the final int64 carry.
+    sums = acc.reshape(acc.shape[0] * acc.shape[1], acc.shape[2])
+    digits = np.empty(sums.shape, "<u2")
+    carry = np.zeros(len(sums), "<i8")
+    for i in range(sums.shape[1]):
+        carry += sums[:, i]
+        np.bitwise_and(carry, 0xFFFF, out=digits[:, i], casting="unsafe")
+        carry >>= 16
+    digit_rows = np.concatenate([digits.view(np.uint8), carry[:, None].view(np.uint8)], 1)
+    limb_sums = iter(_ints_from_rows(digit_rows))
+    return [
+        [
+            sum(map(int.__lshift__, islice(limb_sums, k), range(0, 16 * k, 16)))
+            for k in g_limbs
+        ]
+        for _ in ns
+    ]

@@ -7,11 +7,14 @@ that equalities between library output and oracle output are genuine
 cross-checks.
 """
 
+import math
 from fractions import Fraction
+from itertools import compress
 
 import mpmath
 
-from rcadjoint.bracket import rc_coefficient
+from rcadjoint.adjoint import GUARD_BITS, _floor_weight, gamma_s
+from rcadjoint.bracket import _rc_numerator, rc_coefficient
 
 
 def naive_mul(a, b, prec):
@@ -113,6 +116,45 @@ def alpha_coeff(p, n, m):
     return sum(
         rc_coefficient(p, r) * n**r * m ** (p.nu - r) for r in range(p.nu + 1)
     )
+
+
+def l_series_sums_loop(f, g, p, ns, M):
+    """The exact L-sum rows of ``adjoint._l_series_sums``, term by term.
+
+    For each n, sum over the nonzero b(m), m = 0..M, of
+    A[n+m] * b(m) * sum_r w_r n^r m^(nu-r) (Horner in m), with the same
+    integers w_r = 2^nu c_r and A[j] = a(j) floor(2^P j^-gamma) at the
+    same P, over 2^(nu+P) f.den g.den: so the rows must equal the
+    library's Fractions exactly.
+    """
+    gamma = gamma_s(p)
+    top = max(ns) + M
+    W = [_rc_numerator(p, r) for r in range(p.nu + 1)]
+    A = f.num
+    B = [(m, g.num[m]) for m in compress(range(M + 1), g.num)]
+    den = (f.den * g.den) << p.nu
+    two_gamma = int(2 * gamma)
+    P = GUARD_BITS + math.ceil(gamma * top.bit_length())
+    w = [None] * (top + 1)
+    sums = []
+    for n in ns:
+        # Horner in m, from m^nu (coefficient w_0) down to m^0 (w_nu n^nu).
+        horner = [w_r * n**r for r, w_r in enumerate(W)]
+        total = 0
+        for m, b in B:
+            j = n + m
+            wj = w[j]
+            if wj is None:
+                a = A[j]
+                wj = w[j] = a * _floor_weight(P, j, two_gamma) if a else 0
+            if not wj:
+                continue
+            alpha = 0
+            for h in horner:
+                alpha = alpha * m + h
+            total += wj * (b * alpha)
+        sums.append(Fraction(total, den << P))
+    return sums
 
 
 def to_mpf(x):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.bracket as bracket_module
+import rcadjoint.kernels as kernels_module
 from rcadjoint.adjoint import (
     BETA_BITS,
     GUARD_BITS,
@@ -41,6 +42,7 @@ from rcadjoint.qseries import (
 from oracles import (
     alpha_coeff,
     beta_oracle,
+    l_series_sums_loop,
     series_add,
     tail_constant_oracle,
     to_mpf,
@@ -552,6 +554,57 @@ def test_one_pass_sums_match_per_term_oracle(k2, l2, nu, sparse_g, M, f_from):
             beta = beta_oracle(p, n)
             expected.append((n, float(beta * to_mpf(total)), float(beta * tail)))
     assert rows == expected
+
+
+_COEFF = st.integers(-(2**70), 2**70).filter(bool)
+
+
+@pytest.mark.filterwarnings("ignore::rcadjoint.adjoint.HypothesisWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    cid=st.sampled_from(list(CaseId)),
+    nu=st.integers(0, 3),
+    ns=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    a=st.lists(_COEFF | st.just(0), min_size=1, max_size=50),
+    b=st.lists(_COEFF, min_size=2, max_size=40),
+    sparse=st.booleans(),
+    dens=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    block=st.none() | st.integers(1, 6),
+)
+# Twelve dense terms in blocks of two: six blocks, each reaching j that the
+# last one reached, with |a| and |b| past 2^64 of both signs.
+@example(
+    cid=CaseId.INTEGRAL, nu=2, ns=[1, 2, 3, 4, 5], a=[3, -(2**66) - 5, 7, 2**65],
+    b=[-(2**67) + 1, 5, 2**64 + 9, -3] * 3, sparse=False, dens=(7, 3), block=2,
+)
+# a(j) = 0 on a run of the reached j, against sparse g in blocks of three.
+@example(
+    cid=CaseId.INT_FROM_HALF_G, nu=1, ns=[2, 1, 4],
+    a=[0, 5] + [0] * 9 + [-(2**70), 11], b=[2, 1] * 13, sparse=True,
+    dens=(12, 1), block=3,
+)
+def test_l_series_sums_are_the_loops(cid, nu, ns, a, b, sparse, dens, block):
+    # The limb product's rows are the term-by-term loop's Fractions,
+    # bit for bit, for dense g and for sparse g with b(0) != 0, both
+    # parities of 2 gamma (the four cases), any f.den and g.den, rows in
+    # any order (repeats included) and any column block size.
+    p = params(*ORACLE_WEIGHTS[cid], nu)
+    M = len(b) - 1
+    if sparse:
+        squares = {i * i for i in range(M + 1)}
+        b = [v if m in squares else 0 for m, v in enumerate(b)]
+    top = max(ns) + M
+    w_f = p.k2 + p.l2 + 4 * p.nu
+    f = _from_ints(
+        [a[j % len(a)] for j in range(top + 1)], dens[0],
+        FormMeta(w_f, 4, CharacterMod4.TRIVIAL),
+    )
+    g = _from_ints(b, dens[1], FormMeta(p.l2, 4, CharacterMod4.TRIVIAL))
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(kernels_module, "_BLOCK_TERMS", block)
+        got = _l_series_sums(f, g, p, ns, M)
+    assert got == l_series_sums_loop(f, g, p, ns, M)
 
 
 def test_profiles_fitted_once_per_call(monkeypatch):

@@ -724,6 +724,29 @@ def test_debug_route_log_leaves_output_unchanged(capsys, caplog):
     assert any("pairs=2" in r.getMessage() for r in caplog.records)
 
 
+def test_l_sum_debug_line_at_the_dense_nu2_shape(tmp_path, monkeypatch, capsys, caplog):
+    # dense_nu2's verify call: one limb product of 10 rows against the
+    # 2501 dense terms of E4 and its three g-side operands m^2 b, m b and b,
+    # in one block whose float64 partial sums stay below 2^44.  DEBUG on
+    # leaves stdout as it was.
+    monkeypatch.chdir(tmp_path)
+    assert run(["bracket", "--f", "delta", "--g", "E4", "--nu", "2",
+                "--precision", "2511", "--output", "h.json"]) == 0
+    argv = ["verify", "ratio", "--f", "h.json", "--g", "E4", "--case", "integral",
+            "--nu", "2", "--basis", "delta", "--n-max", "10", "--terms", "2500"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    quiet = capsys.readouterr()
+    with caplog.at_level(logging.DEBUG, logger="rcadjoint.kernels"):
+        assert run(argv) == 0
+    assert capsys.readouterr() == quiet
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line for line in lines if line.startswith("correlate_sum ")] == [
+        "correlate_sum rows=10 terms=2501 limbs=26,5+4+3 blocks=1 "
+        "bound_bits=44 limit_bits=53"
+    ]
+
+
 _SEC5_ADJOINT = ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",
                  "--n-max", "2", "--terms", "50"]
 

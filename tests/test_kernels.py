@@ -18,9 +18,15 @@ def rand_ints(rng, n, lo, hi):
     return [rng.randint(lo, hi) for _ in range(n)]
 
 
+def _paired_rows(held):
+    """The byte rows of held's pairs of operands, pair by pair."""
+    rows = iter(kernels._dense_rows([op for pair in held for op in pair]))
+    return list(zip(rows, rows))
+
+
 def _terms(pairs, prec):
     """The pairs cut to prec, in the byte rows the dense routes read."""
-    return kernels._dense_rows(
+    return _paired_rows(
         [(kernels.Scaled(a[:prec]), kernels.Scaled(b[:prec])) for a, b in pairs]
     )
 
@@ -638,8 +644,7 @@ def test_scaled_rows_are_the_rows_of_the_scaled_ints(base, scales, seed):
     rng = random.Random(seed)
     values = _scaled_operand(rng, *base[:-1], "dense").values
     ops = [kernels.Scaled(values, w, r) for r, w in scales]
-    held = kernels._dense_rows([(op, kernels.Scaled([1])) for op in ops])
-    for op, (rows, _) in zip(ops, held):
+    for op, rows in zip(ops, kernels._dense_rows(ops)):
         ints = kernels._ints(op)
         assert ints == [op.w * n**op.r * v for n, v in enumerate(values)]
         # As many limbs as the largest magnitude needs: none when all are 0.
@@ -684,7 +689,7 @@ def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, 
     held, nonzeros, cost = kernels._read_pairs(pairs, prec)
     int_held, int_nonzeros, int_cost = kernels._read_pairs(ints, prec)
     assert (nonzeros, cost) == (int_nonzeros, int_cost)
-    rows, int_rows = kernels._dense_rows(held), kernels._dense_rows(int_held)
+    rows, int_rows = _paired_rows(held), _paired_rows(int_held)
     assert [(a.mags.shape, b.mags.shape) for a, b in rows] == [
         (a.mags.shape, b.mags.shape) for a, b in int_rows
     ]
