@@ -261,12 +261,14 @@ def _tail_bound(
     return math.inf
 
 
-def _floor_weight(P: int, j: int, two_gamma: int) -> int:
-    """floor(2^P j^-gamma), exactly, for gamma = two_gamma / 2 >= 0."""
+def _floor_weight(P: int, two_gamma: int):
+    """j -> floor(2^P j^-gamma), exactly, for gamma = two_gamma / 2 >= 0."""
     if two_gamma % 2:
         # floor(sqrt(floor(x))) = floor(sqrt(x)) for x = 2^2P j^-2gamma.
-        return math.isqrt((1 << 2 * P) // j**two_gamma)
-    return (1 << P) // j ** (two_gamma // 2)
+        top = 1 << 2 * P
+        return lambda j: math.isqrt(top // j**two_gamma)
+    top, half = 1 << P, two_gamma // 2
+    return lambda j: top // j**half
 
 
 def _l_series_sums(
@@ -314,9 +316,10 @@ def _l_series_sums(
     a = f.num
     two_gamma = int(2 * gamma)
     P = GUARD_BITS + math.ceil(gamma * top.bit_length())
+    floor_weight = _floor_weight(P, two_gamma)
 
     def weights(js):
-        return [a[j] * _floor_weight(P, j, two_gamma) if a[j] else 0 for j in js]
+        return [a[j] * floor_weight(j) if a[j] else 0 for j in js]
 
     b = g.num[: M + 1]
     W = [_rc_numerator(p, r) for r in range(p.nu + 1)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -177,9 +178,18 @@ def _hypothesis_warnings():
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _series_text(series: QSeries) -> str:
+    """The text ``json.dumps(series.to_json_dict(), indent=2) + "\\n"``,
+    joined in one pass (CPython's C encoder never runs with an indent)."""
+    d = series.to_json_dict()
+    coeffs = '",\n    "'.join(d.pop("coeffs"))
+    head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in d.items())
+    return f'{{\n{head}  "coeffs": [\n    "{coeffs}"\n  ]\n}}\n'
+
+
 def _cmd_expand(args) -> int:
     series = _resolve_form(args.form, args.precision)
-    _emit(json.dumps(series.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(_series_text(series), args.output)
     return 0
 
 
@@ -190,7 +200,7 @@ def _cmd_bracket(args) -> int:
         raise UsageError("bracket needs weight metadata on both forms")
     p = BracketParams(f.meta.twice_weight, g.meta.twice_weight, args.nu)
     result = rc_bracket(f, g, p)
-    _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args.output)
+    _emit(_series_text(result), args.output)
     return 0
 
 
@@ -354,10 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on its first call, not at import, then kept.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # Series files may hold coefficients beyond CPython's default limit of

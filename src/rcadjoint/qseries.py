@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .kernels import convolve_exact, convolve_power, np
@@ -98,8 +99,16 @@ def _from_ints(num, den: int, meta: Optional[FormMeta] = None) -> "QSeries":
 
 
 # A coefficient string as to_json_dict writes it, sign and "/q" optional;
-# the groups are p and q.
+# the groups are p and q.  _COEFF_READ: the same with q nonzero.
 _COEFF_STRING = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_COEFF_READ = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _coeff_strings(num, den: int) -> list:
+    """Each num[i]/den as the string "p/q" in lowest terms."""
+    if den == 1:
+        return [str(v) + "/1" for v in num]
+    return [f"{v // g}/{den // g}" for v in num for g in (math.gcd(v, den),)]
 
 
 class QSeries:
@@ -162,17 +171,12 @@ class QSeries:
 
     def to_json_dict(self) -> dict:
         m = self.meta
-        den = self.den
-        coeffs = []
-        for v in self.num:
-            g = math.gcd(v, den)
-            coeffs.append(f"{v // g}/{den // g}")
         return {
             "twice_weight": m.twice_weight if m else None,
             "level": m.level if m else None,
             "character": m.character.value if m else None,
             "precision": len(self.num),
-            "coeffs": coeffs,
+            "coeffs": _coeff_strings(self.num, self.den),
         }
 
     @staticmethod
@@ -184,36 +188,41 @@ class QSeries:
         optional "/digits" ("-3/4", "5"), with a nonzero denominator;
         ``twice_weight`` and ``level`` must be JSON integers, and so must
         ``precision`` when given, equal to the coefficient count.  Floats,
-        booleans, null and strings such as "1e5" or "1.5" are rejected
-        rather than read inexactly.  Each p/q is read as the integers p
-        and q and put over the one denominator lcm(q).
+        booleans, null and strings such as "1e5", "1.5" or " 5" are
+        rejected rather than read inexactly.  One pass matches every
+        coefficient (an int as its digits) and keeps only the distinct q;
+        a second reads each p/q as the integers p and q, put over the one
+        denominator lcm(q).  Only when a match fails are the coefficients
+        checked one by one, to name the first bad one.
         """
         if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
             raise ValueError("a series must be a JSON object with a 'coeffs' list")
-        if not d["coeffs"]:
+        coeffs = d["coeffs"]
+        if not coeffs:
             raise ValueError("a series must know at least one coefficient")
-        nums, dens = [], []
-        for s in d["coeffs"]:
-            match = _COEFF_STRING.fullmatch(s) if isinstance(s, str) else None
-            if match is not None:
-                p, q = int(match[1]), int(match[2] or 1)
-            elif isinstance(s, int) and not isinstance(s, bool):
-                p, q = s, 1
-            else:
-                raise ValueError(
-                    f"bad coefficient {s!r}: expected a string 'p/q' or an integer"
-                )
-            if q == 0:
-                raise ValueError(f"bad coefficient {s!r}: zero denominator")
-            nums.append(p)
-            dens.append(q)
+        texts = map(str, coeffs) if {*map(type, coeffs)} <= {str, int} else [""]
+        # str and int only, an int as its digits; None marks a failed match.
+        qs = {m[2] or "" if m else None for m in map(_COEFF_READ.fullmatch, texts)}
+        if None in qs:
+            for s in coeffs:
+                match = _COEFF_STRING.fullmatch(s) if type(s) is str else None
+                if match is None and type(s) is not int:
+                    raise ValueError(f"bad coefficient {s!r}: expected a string "
+                                     "'p/q' or an integer")
+                if match and int(match[2] or 1) == 0:
+                    raise ValueError(f"bad coefficient {s!r}: zero denominator")
+        dens = {q: int(q or 1) for q in qs}
+        den = math.lcm(*dens.values())
+        scale = {q: den // v for q, v in dens.items()}
+        parts = map(str.partition, map(str, coeffs), repeat("/"))
+        nums = [int(p) * scale[q] for p, _, q in parts]
         precision = d.get("precision")
         if precision is not None:
             if isinstance(precision, bool) or not isinstance(precision, int):
                 raise ValueError(
                     f"bad precision: must be an integer, got {precision!r}"
                 )
-            if precision != len(nums):
+            if precision != len(coeffs):
                 raise ValueError("precision field disagrees with coefficient count")
         meta = None
         if d.get("twice_weight") is not None:
@@ -231,8 +240,7 @@ class QSeries:
                 )
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad form metadata: {exc!r}") from None
-        den = math.lcm(*dens)
-        return _from_ints([p * (den // q) for p, q in zip(nums, dens)], den, meta)
+        return _from_ints(nums, den, meta)
 
 
 def make_theta(precision: int) -> QSeries:

@@ -2,12 +2,15 @@
 
 Everything here avoids the package's series engine on purpose: naive
 convolution, direct lattice-point counting, a separate Bernoulli
-recurrence, a term-by-term alpha and beta from mpmath's Gamma and pi, so
-that equalities between library output and oracle output are genuine
-cross-checks.
+recurrence, a term-by-term alpha and beta from mpmath's Gamma and pi, the
+series file as ``json.dumps`` writes it and read one coefficient at a
+time, so that equalities between library output and oracle output are
+genuine cross-checks.
 """
 
+import json
 import math
+import re
 from fractions import Fraction
 from itertools import compress
 
@@ -15,6 +18,7 @@ import mpmath
 
 from rcadjoint.adjoint import GUARD_BITS, _floor_weight, gamma_s
 from rcadjoint.bracket import _rc_numerator, rc_coefficient
+from rcadjoint.qseries import CharacterMod4, FormMeta, QSeries
 
 
 def naive_mul(a, b, prec):
@@ -135,6 +139,7 @@ def l_series_sums_loop(f, g, p, ns, M):
     den = (f.den * g.den) << p.nu
     two_gamma = int(2 * gamma)
     P = GUARD_BITS + math.ceil(gamma * top.bit_length())
+    floor_weight = _floor_weight(P, two_gamma)
     w = [None] * (top + 1)
     sums = []
     for n in ns:
@@ -146,7 +151,7 @@ def l_series_sums_loop(f, g, p, ns, M):
             wj = w[j]
             if wj is None:
                 a = A[j]
-                wj = w[j] = a * _floor_weight(P, j, two_gamma) if a else 0
+                wj = w[j] = a * floor_weight(j) if a else 0
             if not wj:
                 continue
             alpha = 0
@@ -198,3 +203,64 @@ def tail_constant_oracle(num, den, exponent):
                 ) from None
             constant = max(constant, quotient / power)
     return constant
+
+
+def series_file_dumps(series):
+    """A series file as ``json.dumps`` writes it, through the pure-Python
+    indent encoder: the text ``cli._series_text`` must equal."""
+    return json.dumps(series.to_json_dict(), indent=2) + "\n"
+
+
+_ONE_COEFF = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def series_from_json_loop(d):
+    """``QSeries.from_json_dict``, one coefficient at a time.
+
+    Each coefficient is matched on its own and read as the integers p and q,
+    the first bad one raising its ValueError; the series is then built from
+    Fractions by the public constructor.  Same checks, in the same order, as
+    the library's one-pass reader, so the two must agree on every input:
+    the same series, or the same message.
+    """
+    if not (isinstance(d, dict) and isinstance(d.get("coeffs"), list)):
+        raise ValueError("a series must be a JSON object with a 'coeffs' list")
+    if not d["coeffs"]:
+        raise ValueError("a series must know at least one coefficient")
+    coeffs = []
+    for s in d["coeffs"]:
+        match = _ONE_COEFF.fullmatch(s) if isinstance(s, str) else None
+        if match is not None:
+            p, q = int(match[1]), int(match[2] or 1)
+        elif isinstance(s, int) and not isinstance(s, bool):
+            p, q = s, 1
+        else:
+            raise ValueError(
+                f"bad coefficient {s!r}: expected a string 'p/q' or an integer"
+            )
+        if q == 0:
+            raise ValueError(f"bad coefficient {s!r}: zero denominator")
+        coeffs.append(Fraction(p, q))
+    precision = d.get("precision")
+    if precision is not None:
+        if isinstance(precision, bool) or not isinstance(precision, int):
+            raise ValueError(f"bad precision: must be an integer, got {precision!r}")
+        if precision != len(coeffs):
+            raise ValueError("precision field disagrees with coefficient count")
+    meta = None
+    if d.get("twice_weight") is not None:
+        for key in ("twice_weight", "level"):
+            value = d.get(key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"bad form metadata: {key} must be an integer, got {value!r}"
+                )
+        try:
+            meta = FormMeta(
+                twice_weight=d["twice_weight"],
+                level=d["level"],
+                character=CharacterMod4(d["character"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad form metadata: {exc!r}") from None
+    return QSeries(coeffs, meta)

@@ -634,10 +634,16 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
     weights = []
     real_weight = adjoint_module._floor_weight
 
-    def counting_weight(P, j, two_gamma):
-        """_floor_weight, with each call recorded: one per integer weight."""
-        weights.append((P, j, two_gamma))
-        return real_weight(P, j, two_gamma)
+    def counting_weight(P, two_gamma):
+        """_floor_weight, with each weight it computes recorded: one per
+        integer weight."""
+        weight = real_weight(P, two_gamma)
+
+        def counted(j):
+            weights.append((P, j, two_gamma))
+            return weight(j)
+
+        return counted
 
     # alpha_coeff is a test oracle only; the library sums exact integer alpha.
     assert not hasattr(bracket_module, "alpha_coeff")
@@ -654,7 +660,7 @@ def test_one_power_per_reachable_index_and_no_alpha_coeff(monkeypatch):
     # P = 168 + 23 * 8 and the weight of j is 2^P // j^23.
     P = GUARD_BITS + 23 * 8
     assert sorted(weights) == sorted((P, j, 46) for j in reachable)
-    assert all(real_weight(P, j, 46) == (1 << P) // j**23 for j in reachable)
+    assert all(real_weight(P, 46)(j) == (1 << P) // j**23 for j in reachable)
 
 
 @pytest.mark.parametrize("two_gamma", [0, 1, 19, 38, 45, 46])
@@ -663,5 +669,5 @@ def test_floor_weight_is_the_floor_of_2_to_the_P_over_j_to_the_gamma(two_gamma):
     rng = random.Random(two_gamma)
     for _ in range(200):
         P, j = rng.randint(0, 400), rng.randint(1, 10**6)
-        w = adjoint_module._floor_weight(P, j, two_gamma)
+        w = adjoint_module._floor_weight(P, two_gamma)(j)
         assert w**2 * j**two_gamma <= 1 << 2 * P < (w + 1) ** 2 * j**two_gamma

@@ -898,6 +898,44 @@ class TestStartup:
             "convolve_sum route=(slices|fft|kronecker) "
         )
 
+    def test_two_calls_in_one_process_match_separate_processes(self, tmp_path):
+        # dense_nu2's order: a bracket written to a file, then verify ratio
+        # on that file.  main builds its parser on the first call only, not
+        # at import, and build_parser() still returns a new parser.
+        def calls(path):
+            return [
+                ["bracket", "--f", "delta", "--g", "E4", "--nu", "2",
+                 "--precision", "311", "--output", path],
+                ["verify", "ratio", "--f", path, "--g", "E4", "--case",
+                 "integral", "--nu", "2", "--basis", "delta", "--n-max", "10",
+                 "--terms", "300"],
+            ]
+
+        one = str(tmp_path / "one.json")
+        together = _fresh_interpreter(
+            "import rcadjoint.cli as cli\n"
+            "assert cli._main_parser.cache_info().currsize == 0\n"
+            f"assert [cli.main(argv) for argv in {calls(one)!r}] == [0, 0]\n"
+            "assert cli._main_parser.cache_info().misses == 1\n"
+            "assert cli.build_parser() is not cli._main_parser()\n",
+            {},
+        )
+        assert (together.returncode, together.stderr) == (0, "")
+        apart = str(tmp_path / "apart.json")
+        stdout = ""
+        for argv in calls(apart):
+            done = _fresh_interpreter(
+                "import sys\nfrom rcadjoint.cli import main\n"
+                f"sys.exit(main({argv!r}))\n",
+                {},
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            stdout += done.stdout
+        assert together.stdout == stdout
+        assert json.loads(stdout)["pass"] is True
+        with open(one, "rb") as a, open(apart, "rb") as b:
+            assert a.read() == b.read()
+
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
     def test_import_leaves_the_environment_as_it_was(self, threads):
         env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}

@@ -23,6 +23,7 @@ from rcadjoint.qseries import (
     make_theta,
 )
 from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
+from rcadjoint.cli import _series_text
 from rcadjoint.forms import catalog_get
 
 from oracles import (
@@ -33,6 +34,8 @@ from oracles import (
     eta_power_oracle,
     naive_mul,
     series_add,
+    series_file_dumps,
+    series_from_json_loop,
     two_squares_count,
 )
 
@@ -366,6 +369,16 @@ json_coeffs = st.one_of(
         st.one_of(st.none(), st.integers(1, 60)),
     ),
 )
+# Strings int() or a newline- or comma-joined check would take, and the
+# other JSON values: booleans, floats, null.
+trap_strings = st.sampled_from([
+    " 5", "5 ", "\t7", "1_0", "\u0661", "\u0663/1", "5\n6", "5,6", "", "/",
+    "5/", "/5", "1/-2", "1/+2", "+-1", "1/0", "-0/00", "1/2/3", "1.5", "1e5",
+    "0x10",
+])
+any_json_coeff = st.one_of(
+    json_coeffs, trap_strings, st.one_of(st.booleans(), st.floats(), st.none())
+)
 json_metas = st.sampled_from([
     None,
     FormMeta(24, 1, CharacterMod4.TRIVIAL),
@@ -409,6 +422,56 @@ class TestJsonFormat:
         assert read == QSeries([Fraction(s) for s in coeffs], meta)
         again = QSeries.from_json_dict(json.loads(json.dumps(read.to_json_dict())))
         assert again == read
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.fractions(), min_size=1, max_size=30),
+            st.lists(st.integers(-(10**60), 10**60), min_size=1, max_size=30),
+        ),
+        st.one_of(st.none(), form_metas),
+    )
+    @example([Fraction(7)], None)
+    @example(
+        [Fraction(-1, 6), Fraction(5, 4), 0], FormMeta(3, 4, CharacterMod4.CHI_MINUS4)
+    )
+    def test_series_file_text_is_json_dumps(self, coeffs, meta):
+        # The CLI's writer; den > 1, negative values, no metadata and precision 1 included.
+        series = QSeries(coeffs, meta)
+        assert _series_text(series) == series_file_dumps(series)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(json_coeffs, min_size=1, max_size=12),
+            st.lists(any_json_coeff, max_size=12),
+        ),
+        json_metas,
+        st.sampled_from([None, 0, 1]),
+    )
+    @example(["5\n6"], None, None)
+    @example(["0/1", "5,6"], None, 0)
+    @example(["1/0", 0.5], None, 1)
+    @example([True], None, None)
+    @example([7, "1_0"], None, None)
+    @example([Fraction(1, 2)], None, None)  # not JSON, though str() reads "1/2"
+    def test_reader_matches_the_loop(self, coeffs, meta, excess):
+        # excess: the "precision" field minus the coefficient count, or None
+        # for no field.
+        d = {"coeffs": coeffs}
+        if meta is not None:
+            d.update(twice_weight=meta.twice_weight, level=meta.level,
+                     character=meta.character.value)
+        if excess is not None:
+            d["precision"] = len(coeffs) + excess
+        try:
+            expected = series_from_json_loop(d)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                QSeries.from_json_dict(d)
+            assert str(caught.value) == str(exc)
+        else:
+            assert QSeries.from_json_dict(d) == expected
 
 
 # Series of 1..40 coefficients: fractional, negative, and all-zero.

@@ -3,7 +3,8 @@
 The Python block is executed, and each ``rcadjoint ...`` line of the
 command-line block goes through ``cli.main`` in a fresh working directory
 (the bracket example writes ``h.json``), so the examples cannot drift
-from the API.  Every subcommand of the parser has such a line.
+from the API.  Every subcommand of the parser has such a line, and the
+series-file example is the output of the command it names.
 """
 
 import argparse
@@ -58,6 +59,11 @@ def test_python_example(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(_block("python", "## Library overview"), "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_series_file_example(capsys):
+    assert main(["expand", "--form", "delta", "--precision", "3"]) == 0
+    assert capsys.readouterr().out == _block("json", "### Series files")
 
 
 def test_command_block_is_nonempty():
