@@ -151,15 +151,16 @@ def _make_case(args, command: str, f_w2, g_w2) -> BracketParams:
     return p
 
 
-def _emit(text: str, path: Optional[str]):
+def _emit(path: Optional[str], *parts: str):
+    """Write the text parts in turn to path, or to stdout without one."""
     if path:
         try:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 @contextlib.contextmanager
@@ -178,18 +179,19 @@ def _hypothesis_warnings():
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _series_text(series: QSeries) -> str:
-    """The text ``json.dumps(series.to_json_dict(), indent=2) + "\\n"``,
-    joined in one pass (CPython's C encoder never runs with an indent)."""
+def _series_parts(series: QSeries):
+    """The text ``json.dumps(series.to_json_dict(), indent=2) + "\\n"`` as
+    its head, its coefficients joined in one pass, and its tail, to be
+    written in turn (CPython's C encoder never runs with an indent)."""
     d = series.to_json_dict()
     coeffs = '",\n    "'.join(d.pop("coeffs"))
     head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in d.items())
-    return f'{{\n{head}  "coeffs": [\n    "{coeffs}"\n  ]\n}}\n'
+    return f'{{\n{head}  "coeffs": [\n    "', coeffs, '"\n  ]\n}\n'
 
 
 def _cmd_expand(args) -> int:
     series = _resolve_form(args.form, args.precision)
-    _emit(_series_text(series), args.output)
+    _emit(args.output, *_series_parts(series))
     return 0
 
 
@@ -200,7 +202,7 @@ def _cmd_bracket(args) -> int:
         raise UsageError("bracket needs weight metadata on both forms")
     p = BracketParams(f.meta.twice_weight, g.meta.twice_weight, args.nu)
     result = rc_bracket(f, g, p)
-    _emit(_series_text(result), args.output)
+    _emit(args.output, *_series_parts(result))
     return 0
 
 
@@ -227,10 +229,10 @@ def _adjoint_rows(args, basis=None):
 def _cmd_adjoint(args) -> int:
     rows, p = _adjoint_rows(args)
     if args.format == "csv":
-        _emit(rows_to_csv(rows), args.output)
+        _emit(args.output, rows_to_csv(rows))
     else:
         payload = rows_to_json(rows, args.terms, p)
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(args.output, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -241,7 +243,7 @@ def _verdict(args, config: str, extra: dict, passed: bool) -> int:
         for k, v in extra.items()
     }
     payload = {"config": config, **extra, "pass": passed}
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
+    _emit(args.output, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0 if passed else 1
 
 

@@ -22,7 +22,9 @@ times base one factor at a time.  The route is picked from the inputs:
   every pair's limb products in the frequency domain, for dense inputs
   whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
   to numpy's pocketfft under the assumption stated in
-  ``fft_error_bound``) and run-time residual check both hold,
+  ``fft_error_bound``) for unsigned 8-bit limbs and run-time residual
+  check both hold; it then transforms balanced signed limbs of the widest
+  width in [8, 16] whose own bound also holds,
 * Kronecker substitution on Python big integers (the pairs' signed
   products added into one integer), only when that bound or that check
   fails.
@@ -33,7 +35,9 @@ they may fit an int64: slice-adds' dense side, narrow byte rows and, in
 for values beyond int64.  Both dense routes share one byte-row format:
 ``_byte_rows`` turns ints into rows of little-endian magnitude bytes and
 a negative mask, and ``_ints_from_rows`` reads rows back as signed
-two's-complement ints.  The codec picks how from its input: rows of at
+two's-complement ints.  The FFT route builds its wider limbs from the
+byte rows one limb row at a time, and packs its coefficients back into
+byte rows.  The codec picks how from its input: rows of at
 most 7 bytes are written, and rows whose values all fit in an int64 are
 read, as one int64 array; wider rows go through ``int.to_bytes`` and
 ``int.from_bytes`` one int at a time.
@@ -97,13 +101,18 @@ _FFT_OVERHEAD = 1 << 16
 # product and partial sum is then exact.
 _SLICE_LIMIT = 1 << 63
 
-# Bits per limb of the FFT route: the limbs are the bytes of each
-# magnitude.  With 16-bit limbs the rounding bound of the bracket products
-# (length ~8000, ~110-bit coefficients) exceeds 1; with bytes it is ~1e-3.
-# Fixed, not a setting: limbs are the byte rows of _byte_rows and the digit
+# Bits per limb of the byte rows that both dense routes share, and of the
+# unsigned limbs of the FFT route's certificate.  Fixed, not a setting: the
 # rows are uint8, so any other value gives wrong limbs.
 _LIMB_BITS = 8
 _LIMB_MAX = (1 << _LIMB_BITS) - 1
+
+# Widths of the FFT route's balanced limbs, widest first.  The widest whose
+# rounding bound holds is taken: for [E4, E6]_3 (length 8000, ~110-bit
+# coefficients) that is 12 bits, bound ~0.12, while 16-bit limbs give ~16;
+# the bound at 8 bits is below the unsigned bytes', so 8 always holds when
+# the certificate does.  16 at most keeps every limb step within int32.
+_FFT_LIMB_BITS = range(16, _LIMB_BITS - 1, -1)
 
 # The FFT route is taken when the a-priori rounding bound is below this
 # (rint is then exact with room to spare), and kept only when every
@@ -339,10 +348,10 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def fft_error_bound(shapes) -> float:
+def fft_error_bound(shapes, bits=None) -> float:
     """A-priori bound on the rounding error of each limb-shift sum of convolve_fft.
 
-    shapes holds, per pair, the (length, limbs) of its two operands; all
+    shapes holds, per pair, the (length, size) of its two operands; all
     pairs are transformed at the one length N = _fft_length of the longest
     product.  C. Percival, "Rapid multiplication modulo the sum and
     difference of highly composite numbers", Math. Comp. 72 (2003),
@@ -350,11 +359,20 @@ def fft_error_bound(shapes) -> float:
     off by less than ||x|| ||y|| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
     in every coordinate, with e the unit roundoff and b the error of the
     precomputed twiddle factors.  Here e = b = 2^-53, k = ceil(log2 N), and
-    ||x|| <= 255 sqrt(len) for one 8-bit limb row.  The bound is summed
-    over every pair and, within a pair, over all limbs_a * limbs_b limb
-    pairs, which overcounts the at most min(limbs_a, limbs_b) pairs that
-    meet in one shift; the sum covers adding all those products in the
-    frequency domain before one inverse transform per shift.
+    ||x|| <= m sqrt(len) for a limb row whose entries are at most m in
+    magnitude.  The bound is summed over every pair and, within a pair,
+    over all limb pairs, which overcounts the at most min(limbs_a, limbs_b)
+    pairs that meet in one shift; the sum covers adding all those products
+    in the frequency domain before one inverse transform per shift.
+
+    Without bits, size is the operand's number of unsigned 8-bit limbs,
+    each at most 255: the route's certificate.  With bits, size is the bit
+    length B of the operand's largest magnitude, split into balanced
+    bits-bit limbs (_limb_rows): B // bits limbs at most 2^(bits-1) in
+    magnitude, and a top limb at most min(2^(bits-1), 2^(B mod bits)).  Its
+    bound at bits = 8 is below the certificate's, since each operand's limb
+    maxima sum to at most 128 (B // 8) + 128 <= 255 ceil(B / 8), or to
+    128 (B / 8) + 1 when 8 divides B.
 
     The theorem is stated for radix-2 transforms; it is applied to
     numpy's pocketfft, which runs mixed radix on the 5-smooth N used
@@ -370,25 +388,103 @@ def fft_error_bound(shapes) -> float:
     growth = math.expm1(
         6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
     )
+    peak = _LIMB_MAX if bits is None else 1 << bits - 1
+
+    def weight(size):
+        """An operand's limb maxima, summed, in units of peak."""
+        if bits is None:
+            return size
+        return size // bits + min(peak, 1 << size % bits) / peak
+
     norms = sum(
-        limbs_a * limbs_b * math.sqrt(len_a * len_b)
-        for (len_a, limbs_a), (len_b, limbs_b) in shapes
+        weight(size_a) * weight(size_b) * math.sqrt(len_a * len_b)
+        for (len_a, size_a), (len_b, size_b) in shapes
     )
-    return norms * _LIMB_MAX**2 * growth
+    return norms * peak**2 * growth
+
+
+def _bit_shape(op: _Rows):
+    """(length, bit length of the largest magnitude) of a nonzero operand."""
+    length, limbs = op.mags.shape
+    return length, _LIMB_BITS * (limbs - 1) + int(op.mags[:, -1].max()).bit_length()
+
+
+def _limb_width(terms):
+    """(bits, bound): the widest width in _FFT_LIMB_BITS whose balanced
+    limbs' fft_error_bound is below _CERT_LIMIT, and that bound.  Width 8
+    is taken last unchecked: its bound is below the route's certificate."""
+    shapes = [(_bit_shape(a), _bit_shape(b)) for a, b in terms]
+    for bits in _FFT_LIMB_BITS:
+        bound = fft_error_bound(shapes, bits)
+        if bound < _CERT_LIMIT or bits == _LIMB_BITS:
+            return bits, bound
+
+
+def _limb_rows(op: _Rows, bits, out):
+    """Yield op's balanced bits-bit limb rows, lowest first, each written
+    into out (float64, one entry per value): the d_i with every value
+    v = sum_i d_i 2^(bits i), the digits of |v| in (-2^(bits-1), 2^(bits-1)]
+    times the sign of v.  There are B // bits + 1 of them, B as in
+    _bit_shape: the top one takes the balanced carry (2^16 - 1 has the
+    three 8-bit limbs -1, 0 and 1, and 2^63 - 1 the 16-bit limbs -1, 0, 0
+    and 2^15).
+
+    Each magnitude's bytes feed one int32 accumulator, per limb until it
+    holds bits bits or the bytes run out.  Its digit is d = ((acc + h - 1)
+    mod 2^bits) - (h - 1), h = 2^(bits-1), the residue of acc in (-h, h],
+    and acc keeps (acc - d) / 2^bits, the carry included; d then takes the
+    value's sign.  acc stays below 2^(bits+8) + h, within int32.
+    """
+    length, nbytes = op.mags.shape
+    half = 1 << bits - 1
+    signs = np.where(op.neg, -1.0, 1.0)
+    acc = np.zeros(length, np.int32)
+    digit = np.empty(length, np.int32)
+    held = byte = 0
+    for _ in range(_bit_shape(op)[1] // bits + 1):
+        while held < bits and byte < nbytes:
+            acc += np.left_shift(op.mags[:, byte], held, out=digit, dtype=np.int32)
+            held, byte = held + _LIMB_BITS, byte + 1
+        acc += half - 1
+        np.bitwise_and(acc, (1 << bits) - 1, out=digit)
+        acc >>= bits
+        held -= bits
+        np.subtract(digit, half - 1, out=out)
+        yield np.multiply(out, signs, out=out)
 
 
 def convolve_fft(terms, prec) -> Optional[List[int]]:
     """Exact truncated sum of convolutions by a limb-split floating-point FFT.
 
     terms holds the pairs as byte rows (_Rows), every operand nonzero.
-    Each coefficient's magnitude is split into 8-bit limbs carrying its
-    sign; the limb rows are transformed with real FFTs of a 5-smooth
-    length N >= the longest len(a) + len(b) - 1, and the products of limb
-    rows i and j of every pair are summed in the frequency domain per
-    shift s = i + j.  One inverse FFT per shift then gives integers after
-    rint.  The shifts are carry-normalised in base 2^8 into one row of
-    digits per coefficient; the row's final int64 carry is appended as 8
-    more bytes, so that the row read as a signed int is the coefficient.
+    Returns None, and computes nothing, when fft_error_bound of the
+    unsigned byte limbs (Percival 2003, Thm 5.1, applied to numpy's
+    pocketfft under the assumption stated there) does not certify
+    rounding, i.e. the bound is >= 1/4.  Otherwise the pairs are
+    transformed at the widest balanced limb width whose own bound is below
+    1/4 (_limb_width; 8 bits always qualifies), by _fft_sum, which returns
+    None when some computed value lies farther than 1/8 from an integer,
+    and exactly ``prec`` Python ints otherwise.
+    """
+    if fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms) >= _CERT_LIMIT:
+        return None
+    return _fft_sum(terms, prec, _limb_width(terms)[0])
+
+
+def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
+    """convolve_fft's sum on balanced bits-bit limbs, with no bound checked.
+
+    Each coefficient is split into limbs carrying its sign (_limb_rows);
+    the limb rows are transformed with real FFTs of a 5-smooth length
+    N >= the longest len(a) + len(b) - 1, and the products of limb rows i
+    and j of every pair are summed in the frequency domain per shift
+    s = i + j.  One inverse FFT per shift then gives integers after rint.
+    The shifts, of weight 2^(bits s), are carry-normalised into the bytes
+    of one row per coefficient: an int64 carry at the weight of the next
+    byte takes each shift and gives up every byte below bit bits (s + 1).
+    The final carry is appended as 8 more bytes, so that the row read as a
+    signed int is the coefficient.  None when a value lies farther than
+    _RESIDUAL_LIMIT from an integer.
 
     Per pair, only the spectra of the operand with fewer limbs are kept.
     A shift's sum is allocated when a product first reaches it, and
@@ -396,38 +492,39 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     last pair, after its row s of the other operand.  One pair thus keeps
     as many sums as its smaller limb count, and several pairs at most one
     per shift.
-
-    Returns None, and computes nothing, when fft_error_bound (Percival
-    2003, Thm 5.1, applied to numpy's pocketfft under the assumption
-    stated there) does not certify rounding, i.e. the bound is >= 1/4;
-    returns None when some computed value lies farther than 1/8 from an
-    integer.  Otherwise returns exactly ``prec`` Python ints.
     """
     if not terms:
         return [0] * prec
-    if fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms) >= _CERT_LIMIT:
-        return None
+    counts = [
+        tuple(_bit_shape(op)[1] // bits + 1 for op in pair) for pair in terms
+    ]
     longest = max(len(a.mags) + len(b.mags) for a, b in terms) - 1
     n_out = min(prec, longest)
     size = _fft_length(longest)
-    shifts = max(a.mags.shape[1] + b.mags.shape[1] for a, b in terms) - 1
+    shifts = max(map(sum, counts)) - 1
     # Fixed buffers, reused for every limb row and shift: `row` holds a
     # signed limb row, then the rounded values of a shift; `prod` holds
-    # one limb product, then the inverse transform of a shift.
+    # one limb product, then the inverse transform of a shift, then (as
+    # `whole`, once the residual is checked) that shift's int64 values
+    # scaled to the weight of the next byte.
     row = np.empty(max(n_out, *(max(len(a.mags), len(b.mags)) for a, b in terms)))
     spec = np.empty(size // 2 + 1, dtype=np.complex128)
     prod = np.empty_like(spec)
     x = prod.view(np.float64)[:size]
+    whole = prod.view(np.int64)[:n_out]
     sums = [None] * shifts  # the frequency-domain sum of each open shift
-    # Row i: the base-2^8 digits of coefficient i, then its final carry.
-    digits = np.empty((n_out, shifts + 8), dtype=np.uint8)
+    # Row i: the bytes of coefficient i below bit bits * shifts, then its
+    # final carry.  Every shift is below 2^49 in magnitude (the bound's
+    # norms are, for a bound below 1/4), so the carry stays below 2^57.
+    done = bits * shifts // _LIMB_BITS
+    digits = np.empty((n_out, done + 8), dtype=np.uint8)
     carry = np.zeros(n_out, dtype="<i8")
-    finished = 0
+    finished = written = 0
 
     def finish(end):
         """Round shifts finished..end-1 and carry them into the digits;
         False when a value lies farther than _RESIDUAL_LIMIT from an integer."""
-        nonlocal finished
+        nonlocal finished, written
         for s in range(finished, end):
             np.fft.irfft(sums[s], size, out=x)
             sums[s] = None
@@ -436,24 +533,26 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
             residual = np.abs(np.subtract(value, rounded, out=value), out=value)
             if np.max(residual) > _RESIDUAL_LIMIT:
                 return False
-            np.add(carry, rounded, out=carry, casting="unsafe")
-            np.bitwise_and(carry, _LIMB_MAX, out=digits[:, s], casting="unsafe")
-            np.right_shift(carry, _LIMB_BITS, out=carry)
+            # Bit bits * s lies 0-7 bits above the next byte, written.
+            scale = 1 << bits * s - _LIMB_BITS * written
+            np.add(carry, np.multiply(rounded, scale, out=whole, casting="unsafe"),
+                   out=carry)
+            while _LIMB_BITS * (written + 1) <= bits * (s + 1):
+                np.bitwise_and(carry, _LIMB_MAX, out=digits[:, written], casting="unsafe")
+                np.right_shift(carry, _LIMB_BITS, out=carry)
+                written += 1
         finished = end
         return True
 
     last = len(terms) - 1
-    for t, (a, b) in enumerate(terms):
-        if b.mags.shape[1] > a.mags.shape[1]:
+    for t, ((a, b), (count_a, count_b)) in enumerate(zip(terms, counts)):
+        if count_b > count_a:
             a, b = b, a
-        signs_a, signs_b = np.where(a.neg, -1.0, 1.0), np.where(b.neg, -1.0, 1.0)
         spectra_b = [
-            np.fft.rfft(np.multiply(limb, signs_b, out=row[: len(b.mags)]), size)
-            for limb in b.mags.T
+            np.fft.rfft(limb, size) for limb in _limb_rows(b, bits, row[: len(b.mags)])
         ]
-        for i, limb in enumerate(a.mags.T):
-            np.multiply(limb, signs_a, out=row[: len(a.mags)])
-            np.fft.rfft(row[: len(a.mags)], size, out=spec)
+        for i, limb in enumerate(_limb_rows(a, bits, row[: len(a.mags)])):
+            np.fft.rfft(limb, size, out=spec)
             for j, spec_b in enumerate(spectra_b):
                 if sums[i + j] is None:
                     sums[i + j] = np.zeros_like(spec)
@@ -463,7 +562,7 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
         del spectra_b
     if not finish(shifts):
         return None
-    digits[:, shifts:] = carry.view(np.uint8).reshape(n_out, 8)
+    digits[:, done:] = carry.view(np.uint8).reshape(n_out, 8)
     return _ints_from_rows(digits) + [0] * (prec - n_out)
 
 
@@ -595,7 +694,7 @@ def _convolve(pairs, prec):
     logging = sys.modules.get("logging")  # never imported: DEBUG is off
     if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
         shapes = [(_shape(a), _shape(b)) for a, b in held]
-        detail = ""
+        detail = width = ""
         if len(shapes) == 1:
             ((len_a, limbs_a), (len_b, limbs_b)), = shapes
             detail = f" len={len_a},{len_b} limbs={limbs_a},{limbs_b}"
@@ -607,9 +706,11 @@ def _convolve(pairs, prec):
                 detail += f" slice_bound_bits={slice_bound.bit_length()}"
             bound = fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms)
             limit = _CERT_LIMIT
+            if bound < limit:  # the FFT ran, at this width
+                width = " limb_bits=%d limb_bound=%s" % _limb_width(terms)
         logging.getLogger(__name__).debug(
-            "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s",
-            route, len(held), prec, detail, bound, limit,
+            "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s%s",
+            route, len(held), prec, detail, bound, limit, width,
         )
     return out
 
@@ -630,7 +731,9 @@ def convolve_sum(pairs, prec):
     sides' nonzero count and the int64 bound, for the dense routes the
     summed FFT bound (after ``slice_bound_bits=``, the int64 bound's bit
     length, when that bound refused slice-adds), and for one pair the
-    operands' lengths and limb counts.  ``logging`` is not imported here.
+    operands' lengths and limb counts; when that bound let the FFT run,
+    ``limb_bits=`` and ``limb_bound=`` give its limb width and that width's
+    bound.  ``logging`` is not imported here.
     """
     out = _convolve(pairs, prec)
     return out.tolist() if isinstance(out, np.ndarray) else out

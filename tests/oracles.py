@@ -207,7 +207,7 @@ def tail_constant_oracle(num, den, exponent):
 
 def series_file_dumps(series):
     """A series file as ``json.dumps`` writes it, through the pure-Python
-    indent encoder: the text ``cli._series_text`` must equal."""
+    indent encoder: the text that ``cli._series_parts`` must join to."""
     return json.dumps(series.to_json_dict(), indent=2) + "\n"
 
 

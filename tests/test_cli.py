@@ -747,6 +747,24 @@ def test_l_sum_debug_line_at_the_dense_nu2_shape(tmp_path, monkeypatch, capsys, 
     ]
 
 
+def test_fft_debug_line_at_the_bracket_nu3_shape(tmp_path, monkeypatch, capsys, caplog):
+    # bracket_nu3's one sum of four pairs: the route's certificate on
+    # unsigned bytes, 48 times below its limit, and the widest balanced
+    # limbs whose own bound stays below it, 12 bits.  DEBUG on leaves the
+    # output file as it was.
+    monkeypatch.chdir(tmp_path)
+    argv = ["bracket", "--f", "E4", "--g", "E6", "--nu", "3", "--precision", "8000"]
+    assert run([*argv, "--output", "quiet.json"]) == 0
+    with caplog.at_level(logging.DEBUG, logger="rcadjoint.kernels"):
+        assert run([*argv, "--output", "debug.json"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "debug.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
+    assert [r.getMessage() for r in caplog.records if r.name == "rcadjoint.kernels"] == [
+        "convolve_sum route=fft pairs=4 prec=8000 bound=0.005212604746830702 "
+        "limit=0.25 limb_bits=12 limb_bound=0.12310888706576302"
+    ]
+
+
 _SEC5_ADJOINT = ["adjoint", "--f-product", "theta", "delta_4_6", "--g", "theta",
                  "--n-max", "2", "--terms", "50"]
 

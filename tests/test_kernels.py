@@ -412,10 +412,13 @@ def test_failed_fft_check_falls_back_to_kronecker(monkeypatch, limit):
 def test_residual_failure_after_the_last_pair_falls_back_to_kronecker(
     monkeypatch, caplog
 ):
-    # Two 2-limb operands have limb shifts 0, 1 and 2.  The pair's loop
-    # finishes shifts 0 and 1; shift 2, the last inverse transform, is
-    # finished after it.  Half a unit of error there must refuse the FFT.
-    a, b = _dense(1000)
+    # Two operands of 2 byte limbs reaching 2^16 - 1 take 16-bit limbs,
+    # two each (the top one for the balanced carry), so limb shifts 0, 1
+    # and 2.  The pair's loop finishes shifts 0 and 1; shift 2, the last
+    # inverse transform, is finished after it.  Half a unit of error there
+    # must refuse the FFT.
+    a, b = _dense(2**16 - 1)
+    a[0] = b[0] = 2**16 - 1
     expected = [int(x) for x in naive_mul(a, b, 200)]
     irfft, calls = np.fft.irfft, []
 
@@ -433,6 +436,7 @@ def test_residual_failure_after_the_last_pair_falls_back_to_kronecker(
     (record,) = [r for r in caplog.records if r.name == kernels.__name__]
     assert "route=kronecker" in record.getMessage()
     assert "limbs=2,2" in record.getMessage()
+    assert " limb_bits=16 " in record.getMessage()
 
 
 def test_route_is_logged_at_debug_only(caplog, capsys):
@@ -572,6 +576,109 @@ def test_summed_bound_uses_the_shared_transform_length():
     alone = kernels.fft_error_bound([long])
     assert both == pytest.approx(alone * (3 * 2 * 10 + 5000) / 5000, rel=1e-12)
     assert both > kernels.fft_error_bound([short]) + alone
+
+
+def _boundary_ints(rng, length, bits):
+    """length ints whose largest magnitude has exactly bits bits: the first
+    is +-(2^bits - 1), the next +-2^(bits - 1), the rest of either sign."""
+    top = (1 << bits) - 1
+    vals = [rng.randint(-top, top) for _ in range(length)]
+    vals[:2] = [rng.choice((top, -top)), rng.choice((1, -1)) << bits - 1][:length]
+    return vals
+
+
+# A bit length a limb boundary of some width in 8-16 away: 8 q - 1, 8 q,
+# 8 q + 1 for 8-bit limbs, and so on.
+_BOUNDARY_BITS = st.builds(
+    lambda width, q, offset: max(width * q + offset, 1),
+    st.integers(8, 16), st.integers(0, 9), st.sampled_from([-1, 0, 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(8, 16),
+    magnitude=_BOUNDARY_BITS,
+    length=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+# 2^63 - 1 in 16-bit limbs: 63 // 16 + 1 = 4 limbs hold it only because the
+# top limb may reach +2^15, the balanced carry.
+@example(bits=16, magnitude=63, length=3, seed=0)
+def test_balanced_limbs_recombine_to_the_ints(bits, magnitude, length, seed):
+    # Each limb row of a balanced split is within the limb bound, the top
+    # one within the bound fft_error_bound gives it, and the limbs add up,
+    # at their weights, to the ints.
+    rng = random.Random(seed)
+    vals = _boundary_ints(rng, length, magnitude)
+    half = 1 << bits - 1
+    if length > 2:  # every limb below the top one at +-2^(bits-1)
+        vals[2] = rng.choice((1, -1)) * sum(
+            half << bits * i for i in range(magnitude // bits)
+        )
+    (rows,) = kernels._dense_rows([kernels.Scaled(vals)])
+    assert kernels._bit_shape(rows) == (length, magnitude)
+    limbs = [
+        [int(d) for d in row]
+        for row in kernels._limb_rows(rows, bits, np.empty(length))
+    ]
+    assert len(limbs) == magnitude // bits + 1
+    assert all(abs(d) <= half for row in limbs for d in row)
+    assert all(abs(d) <= min(half, 1 << magnitude % bits) for d in limbs[-1])
+    recombined = [
+        sum(d << bits * i for i, d in enumerate(column)) for column in zip(*limbs)
+    ]
+    assert recombined == vals
+    # fft_error_bound at bits, over its unsigned bound for one-byte limbs
+    # of the same lengths, is (S / 255)^2, S the sum of the limb maxima it
+    # assumes.  The limbs stay within S, and reach it once 2^B - 1 has a
+    # limb below its top one (its top limb is then 2^(B mod bits)).
+    assumed = 255 * math.sqrt(
+        kernels.fft_error_bound([((length, magnitude),) * 2], bits)
+        / kernels.fft_error_bound([((length, 1),) * 2])
+    )
+    reached = sum(max(map(abs, row)) for row in limbs)
+    assert reached <= assumed * (1 + 1e-12)
+    if magnitude >= bits and length > 2:
+        assert reached == pytest.approx(assumed, rel=1e-12)
+    # 8-bit balanced limbs are certified wherever the byte limbs are.
+    shape = rows.mags.shape
+    assert kernels.fft_error_bound([((length, magnitude),) * 2], 8) < (
+        kernels.fft_error_bound([(shape, shape)])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(*[st.tuples(st.integers(1, 50), _BOUNDARY_BITS)] * 2),
+        min_size=1, max_size=3,
+    ),
+    prec=st.integers(1, 120),
+    seed=st.integers(0, 2**32),
+)
+def test_every_limb_width_is_the_naive_sum(shapes, prec, seed):
+    # The FFT sum forced to each width in 8-16 whose bound holds is the
+    # naive sum.  convolve_fft picks the widest of them.
+    rng = random.Random(seed)
+    pairs = [
+        (_boundary_ints(rng, *x), _boundary_ints(rng, *y)) for x, y in shapes
+    ]
+    expected = _naive_sum(pairs, prec)
+    terms = _nonzero(_terms(pairs, prec))
+    bit_shapes = [(kernels._bit_shape(a), kernels._bit_shape(b)) for a, b in terms]
+    certified = [
+        bits for bits in range(8, 17)
+        if kernels.fft_error_bound(bit_shapes, bits) < kernels._CERT_LIMIT
+    ]
+    assert 8 in certified
+    for bits in certified:
+        assert kernels._fft_sum(terms, prec, bits) == expected
+    widest = max(certified)
+    assert kernels._limb_width(terms) == (
+        widest, kernels.fft_error_bound(bit_shapes, widest)
+    )
+    assert kernels.convolve_fft(terms, prec) == expected
 
 
 def test_kronecker_slots_hold_the_whole_sum():

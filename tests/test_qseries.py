@@ -23,7 +23,7 @@ from rcadjoint.qseries import (
     make_theta,
 )
 from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
-from rcadjoint.cli import _series_text
+from rcadjoint.cli import _series_parts
 from rcadjoint.forms import catalog_get
 
 from oracles import (
@@ -438,7 +438,7 @@ class TestJsonFormat:
     def test_series_file_text_is_json_dumps(self, coeffs, meta):
         # The CLI's writer; den > 1, negative values, no metadata and precision 1 included.
         series = QSeries(coeffs, meta)
-        assert _series_text(series) == series_file_dumps(series)
+        assert "".join(_series_parts(series)) == series_file_dumps(series)
 
     @settings(max_examples=400, deadline=None)
     @given(
