@@ -19,15 +19,15 @@ times base one factor at a time.  The route is picked from the inputs:
   in a chain, the running product stays that int64 array from one
   product to the next,
 * ``convolve_fft``, a limb-split floating-point FFT convolution that adds
-  every pair's limb products in the frequency domain, for dense inputs
-  whose summed a-priori rounding bound (Percival 2003, Thm 5.1, applied
-  to numpy's pocketfft under the assumption stated in
-  ``fft_error_bound``) for unsigned 8-bit limbs and run-time residual
-  check both hold; it then transforms balanced signed limbs of the widest
-  width in [8, 16] whose own bound also holds,
+  every pair's limb products in the frequency domain, for dense inputs,
+  on balanced signed limbs of the widest width in [8, 16] whose summed
+  a-priori rounding bound (Percival 2003, Thm 5.1, applied to numpy's
+  pocketfft under the assumption stated in ``fft_error_bound``), its one
+  certificate, holds; a run-time residual check must hold too,
 * Kronecker substitution on Python big integers (the pairs' signed
-  products added into one integer), only when that bound or that check
-  fails.
+  products added into one integer), when that bound or that check fails,
+  and at once when some operand has more 8-bit limbs than prec (the limb
+  rule: the FFT's limb products grow with the square of the limb count).
 
 Python ints enter numpy through one reader, ``int64_array``, wherever
 they may fit an int64: slice-adds' dense side, narrow byte rows and, in
@@ -101,21 +101,19 @@ _FFT_OVERHEAD = 1 << 16
 # product and partial sum is then exact.
 _SLICE_LIMIT = 1 << 63
 
-# Bits per limb of the byte rows that both dense routes share, and of the
-# unsigned limbs of the FFT route's certificate.  Fixed, not a setting: the
-# rows are uint8, so any other value gives wrong limbs.
+# Bits per limb of the byte rows that both dense routes share.  Fixed, not a
+# setting: the rows are uint8, so any other value gives wrong limbs.
 _LIMB_BITS = 8
 _LIMB_MAX = (1 << _LIMB_BITS) - 1
 
 # Widths of the FFT route's balanced limbs, widest first.  The widest whose
 # rounding bound holds is taken: for [E4, E6]_3 (length 8000, ~110-bit
-# coefficients) that is 12 bits, bound ~0.12, while 16-bit limbs give ~16;
-# the bound at 8 bits is below the unsigned bytes', so 8 always holds when
-# the certificate does.  16 at most keeps every limb step within int32.
+# coefficients) that is 12 bits, bound ~0.12, while 16-bit limbs give ~16.
+# 16 at most keeps every limb step within int32.
 _FFT_LIMB_BITS = range(16, _LIMB_BITS - 1, -1)
 
-# The FFT route is taken when the a-priori rounding bound is below this
-# (rint is then exact with room to spare), and kept only when every
+# The FFT route runs at a width whose a-priori rounding bound is below this
+# (rint is then exact with room to spare), and is kept only when every
 # computed value lies within _RESIDUAL_LIMIT of an integer.
 _CERT_LIMIT = 0.25
 _RESIDUAL_LIMIT = 0.125
@@ -348,13 +346,17 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def fft_error_bound(shapes, bits=None) -> float:
-    """A-priori bound on the rounding error of each limb-shift sum of convolve_fft.
+def fft_error_bound(shapes, bits) -> float:
+    """A-priori bound on the rounding error of each limb-shift sum of
+    convolve_fft on balanced bits-bit limbs.
 
-    shapes holds, per pair, the (length, size) of its two operands; all
-    pairs are transformed at the one length N = _fft_length of the longest
-    product.  C. Percival, "Rapid multiplication modulo the sum and
-    difference of highly composite numbers", Math. Comp. 72 (2003),
+    shapes holds, per pair, the (length, B) of its two operands, B the bit
+    length of the largest magnitude, which _limb_rows splits into B // bits
+    limbs at most 2^(bits-1) in magnitude and a top limb at most
+    min(2^(bits-1), 2^(B mod bits)).  All pairs are transformed at the one
+    length N = _fft_length of the longest product.  C. Percival, "Rapid
+    multiplication modulo the sum and difference of highly composite
+    numbers", Math. Comp. 72 (2003),
     Thm 5.1: a floating-point FFT convolution of x and y, of length 2^k, is
     off by less than ||x|| ||y|| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
     in every coordinate, with e the unit roundoff and b the error of the
@@ -364,15 +366,6 @@ def fft_error_bound(shapes, bits=None) -> float:
     over all limb pairs, which overcounts the at most min(limbs_a, limbs_b)
     pairs that meet in one shift; the sum covers adding all those products
     in the frequency domain before one inverse transform per shift.
-
-    Without bits, size is the operand's number of unsigned 8-bit limbs,
-    each at most 255: the route's certificate.  With bits, size is the bit
-    length B of the operand's largest magnitude, split into balanced
-    bits-bit limbs (_limb_rows): B // bits limbs at most 2^(bits-1) in
-    magnitude, and a top limb at most min(2^(bits-1), 2^(B mod bits)).  Its
-    bound at bits = 8 is below the certificate's, since each operand's limb
-    maxima sum to at most 128 (B // 8) + 128 <= 255 ceil(B / 8), or to
-    128 (B / 8) + 1 when 8 divides B.
 
     The theorem is stated for radix-2 transforms; it is applied to
     numpy's pocketfft, which runs mixed radix on the 5-smooth N used
@@ -388,12 +381,10 @@ def fft_error_bound(shapes, bits=None) -> float:
     growth = math.expm1(
         6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
     )
-    peak = _LIMB_MAX if bits is None else 1 << bits - 1
+    peak = 1 << bits - 1
 
     def weight(size):
         """An operand's limb maxima, summed, in units of peak."""
-        if bits is None:
-            return size
         return size // bits + min(peak, 1 << size % bits) / peak
 
     norms = sum(
@@ -411,13 +402,14 @@ def _bit_shape(op: _Rows):
 
 def _limb_width(terms):
     """(bits, bound): the widest width in _FFT_LIMB_BITS whose balanced
-    limbs' fft_error_bound is below _CERT_LIMIT, and that bound.  Width 8
-    is taken last unchecked: its bound is below the route's certificate."""
+    limbs' fft_error_bound is below _CERT_LIMIT, and that bound; (None,
+    the bound at the narrowest width) when no width certifies."""
     shapes = [(_bit_shape(a), _bit_shape(b)) for a, b in terms]
     for bits in _FFT_LIMB_BITS:
         bound = fft_error_bound(shapes, bits)
-        if bound < _CERT_LIMIT or bits == _LIMB_BITS:
+        if bound < _CERT_LIMIT:
             return bits, bound
+    return None, bound
 
 
 def _limb_rows(op: _Rows, bits, out):
@@ -457,18 +449,16 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     """Exact truncated sum of convolutions by a limb-split floating-point FFT.
 
     terms holds the pairs as byte rows (_Rows), every operand nonzero.
-    Returns None, and computes nothing, when fft_error_bound of the
-    unsigned byte limbs (Percival 2003, Thm 5.1, applied to numpy's
-    pocketfft under the assumption stated there) does not certify
-    rounding, i.e. the bound is >= 1/4.  Otherwise the pairs are
-    transformed at the widest balanced limb width whose own bound is below
-    1/4 (_limb_width; 8 bits always qualifies), by _fft_sum, which returns
-    None when some computed value lies farther than 1/8 from an integer,
-    and exactly ``prec`` Python ints otherwise.
+    The pairs are transformed, by _fft_sum, at the widest balanced limb
+    width in 16..8 whose fft_error_bound (Percival 2003, Thm 5.1, applied
+    to numpy's pocketfft under the assumption stated there) certifies
+    rounding, i.e. is below 1/4 (_limb_width).  Returns None, and computes
+    nothing, when no width certifies; None when some computed value lies
+    farther than 1/8 from an integer; and exactly ``prec`` Python ints
+    otherwise.
     """
-    if fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms) >= _CERT_LIMIT:
-        return None
-    return _fft_sum(terms, prec, _limb_width(terms)[0])
+    bits = _limb_width(terms)[0]
+    return None if bits is None else _fft_sum(terms, prec, bits)
 
 
 def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
@@ -667,13 +657,6 @@ def _read_pairs(pairs, prec):
     return held, nonzeros, cost
 
 
-def _shape(op):
-    """(length, limbs) of a held operand; limbs is None before byte rows."""
-    if isinstance(op, Scaled):
-        return len(op.values), None
-    return op.mags.shape
-
-
 def _convolve(pairs, prec):
     """convolve_sum's sum, after its DEBUG line: the int64 array that
     slice-adds make it on, or the dense routes' list of Python ints."""
@@ -688,29 +671,37 @@ def _convolve(pairs, prec):
         rows = iter(_dense_rows([op for pair in held for op in pair]))
         held = list(zip(rows, rows))
         terms = [(a, b) for a, b in held if a.mags.shape[1] and b.mags.shape[1]]
-        route, out = "fft", convolve_fft(terms, prec)
+        # The limb rule: an operand of more byte limbs than prec makes the
+        # FFT's limb products, quadratic in the limbs, cost more than
+        # Kronecker's one product, so the sum goes straight to Kronecker.
+        limbs = max((op.mags.shape[1] for pair in terms for op in pair), default=0)
+        out = None if limbs > prec else convolve_fft(terms, prec)
+        route = "fft" if out is not None else "kronecker"
         if out is None:
-            route, out = "kronecker", _convolve_kronecker(terms, prec)
+            out = _convolve_kronecker(terms, prec)
     logging = sys.modules.get("logging")  # never imported: DEBUG is off
     if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
-        shapes = [(_shape(a), _shape(b)) for a, b in held]
-        detail = width = ""
-        if len(shapes) == 1:
-            ((len_a, limbs_a), (len_b, limbs_b)), = shapes
-            detail = f" len={len_a},{len_b} limbs={limbs_a},{limbs_b}"
+        detail = ""
         if route == "slices":
-            detail += f" nnz={sum(map(min, nonzeros))}"
-            bound, limit = slice_bound, "2^63"
+            if len(held) == 1:
+                detail = " len=%d,%d" % tuple(len(op.values) for op in held[0])
+            detail += f" nnz={sum(map(min, nonzeros))} bound={slice_bound} limit=2^63"
         else:
+            if len(held) == 1:
+                (a, b), = held
+                detail = (f" len={len(a.mags)},{len(b.mags)}"
+                          f" limbs={a.mags.shape[1]},{b.mags.shape[1]}")
             if slice_bound is not None:  # slice-adds refused by their bound
                 detail += f" slice_bound_bits={slice_bound.bit_length()}"
-            bound = fft_error_bound((a.mags.shape, b.mags.shape) for a, b in terms)
-            limit = _CERT_LIMIT
-            if bound < limit:  # the FFT ran, at this width
-                width = " limb_bits=%d limb_bound=%s" % _limb_width(terms)
+            if limbs > prec:
+                detail += f" max_limbs={limbs} limit=prec"
+            else:
+                bits, bound = _limb_width(terms)
+                detail += f" bound={bound} limit={_CERT_LIMIT}"
+                if bits is not None:  # the FFT ran, at this width
+                    detail += f" limb_bits={bits}"
         logging.getLogger(__name__).debug(
-            "convolve_sum route=%s pairs=%d prec=%d%s bound=%s limit=%s%s",
-            route, len(held), prec, detail, bound, limit, width,
+            "convolve_sum route=%s pairs=%d prec=%d%s", route, len(held), prec, detail
         )
     return out
 
@@ -724,16 +715,19 @@ def convolve_sum(pairs, prec):
 
     Slice-adds run when the pairs' slice-add cost is at most
     _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD and their int64
-    certificate holds; otherwise the FFT route, and the Kronecker route
-    when the FFT refuses.  Returns exactly ``prec`` Python ints, whichever route runs.
-    One DEBUG line per call names the route, the number of pairs and the
-    route's certificate against its limit: for slice-adds the sparser
-    sides' nonzero count and the int64 bound, for the dense routes the
-    summed FFT bound (after ``slice_bound_bits=``, the int64 bound's bit
-    length, when that bound refused slice-adds), and for one pair the
-    operands' lengths and limb counts; when that bound let the FFT run,
-    ``limb_bits=`` and ``limb_bound=`` give its limb width and that width's
-    bound.  ``logging`` is not imported here.
+    certificate holds; otherwise the Kronecker route when some operand has
+    more byte limbs than prec (the limb rule), else the FFT route, and the
+    Kronecker route when the FFT refuses.  Returns exactly ``prec`` Python
+    ints, whichever route runs.  One DEBUG line per call names the route,
+    the number of pairs, and for one pair the operands' lengths (and, on
+    the dense routes, byte-limb counts), then the route's certificate
+    against its limit: for slice-adds the sparser sides' nonzero count and
+    the int64 bound; for the dense routes, after ``slice_bound_bits=`` when
+    the int64 bound refused slice-adds, the largest byte-limb count
+    ``max_limbs=`` against ``limit=prec`` when the limb rule chose
+    Kronecker, and otherwise the FFT bound at the widest certified width
+    (8 bits when none certifies) against 1/4, then ``limb_bits=``, that
+    width, when one certifies.  ``logging`` is not imported here.
     """
     out = _convolve(pairs, prec)
     return out.tolist() if isinstance(out, np.ndarray) else out

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from rcadjoint.adjoint import adjoint_coefficients, beta_value
-from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
+from rcadjoint.bracket import BracketParams, rc_bracket, rc_coefficient, series_mul
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import QSeries, make_eta_product, make_theta
 from rcadjoint.verify import ratio_test
@@ -69,25 +69,23 @@ def test_criterion_1_alpha_bracket_oracle():
         for n in range(1, 11):
             for m in range(1, 11):
                 prec = n + m + 1
-                # the (k,l)-independent series products, via the machinery
-                products = [
+                # the q^(n+m) coefficients of the (k,l)-independent series
+                # products, via the machinery; the bracket's q^(n+m)
+                # coefficient is their sum weighted by rc_coefficient
+                tops = [
                     series_mul(
                         QSeries(apply_D(monomial(n, prec).coeffs, r)),
                         QSeries(apply_D(monomial(m, prec).coeffs, nu - r)),
-                    ).coeffs
+                    ).coeffs[n + m]
                     for r in range(nu + 1)
                 ]
                 for k2 in range(1, 14):
                     for l2 in range(1, 14):
                         p = BracketParams(k2, l2, nu)
-                        acc = [Fraction(0)] * prec
-                        for r, prod in enumerate(products):
-                            from rcadjoint.bracket import rc_coefficient
-
-                            acc = series_add(
-                                acc, prod, Fraction(1), rc_coefficient(p, r)
-                            )
-                        assert acc[n + m] == alpha_coeff(p, n, m)
+                        top = sum(
+                            rc_coefficient(p, r) * x for r, x in enumerate(tops)
+                        )
+                        assert top == alpha_coeff(p, n, m)
                         checked += 1
     assert checked == 5 * 100 * 169
     report(1, f"alpha/bracket oracle, {checked} cases")

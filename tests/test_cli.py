@@ -312,7 +312,10 @@ class TestVerify:
 def _series_file(content):
     def make(tmp_path):
         path = tmp_path / "series.json"
-        path.write_text(content)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         return ["bracket", "--f", str(path), "--g", "theta", "--nu", "0",
                 "--precision", "3"]
     return make
@@ -427,6 +430,12 @@ _TOLERANCE = "argument --tolerance: must be nonnegative and finite"
          "bad form metadata: KeyError('character')"),
         # Deeper than any interpreter's recursion limit for the JSON decoder.
         (_series_file("[" * 200000 + "]" * 200000), "is nested too deeply"),
+        # Text that is not JSON, and bytes that are not UTF-8: the decoder's
+        # message, after the file's name.
+        (_series_file('{"coeffs": [1, '),
+         "series.json: Expecting value: line 1 column 16 (char 15)"),
+        (_series_file(b'{"coeffs": ["\xff"]}'),
+         "series.json: 'utf-8' codec can't decode byte 0xff in position 13"),
         (lambda tmp_path: ["bracket", "--f", str(tmp_path), "--g", "theta",
                            "--nu", "0", "--precision", "3"],
          "cannot read series file"),
@@ -466,7 +475,7 @@ _TOLERANCE = "argument --tolerance: must be nonnegative and finite"
     ids=["json-list", "no-coeffs", "zero-denominator", "no-level", "empty",
          "infinity", "booleans", "float", "exponent-string", "decimal-string",
          "twice-weight-float", "level-bool", "precision-mismatch", "level-zero",
-         "no-character", "deeply-nested", "directory", "output-dir-missing",
+         "no-character", "deeply-nested", "not-json", "not-utf8", "directory", "output-dir-missing",
          "bracket-no-metadata", "adjoint-no-metadata", "ratio-no-basis",
          "lambda-no-basis", "n-max-zero", "epsilon-nan",
          "epsilon-inf", "epsilon-zero", "epsilon-negative", "tolerance-nan",
@@ -748,10 +757,9 @@ def test_l_sum_debug_line_at_the_dense_nu2_shape(tmp_path, monkeypatch, capsys, 
 
 
 def test_fft_debug_line_at_the_bracket_nu3_shape(tmp_path, monkeypatch, capsys, caplog):
-    # bracket_nu3's one sum of four pairs: the route's certificate on
-    # unsigned bytes, 48 times below its limit, and the widest balanced
-    # limbs whose own bound stays below it, 12 bits.  DEBUG on leaves the
-    # output file as it was.
+    # bracket_nu3's one sum of four pairs: the FFT route's one certificate,
+    # the bound on the widest balanced limbs that stays below its limit,
+    # 12 bits.  DEBUG on leaves the output file as it was.
     monkeypatch.chdir(tmp_path)
     argv = ["bracket", "--f", "E4", "--g", "E6", "--nu", "3", "--precision", "8000"]
     assert run([*argv, "--output", "quiet.json"]) == 0
@@ -760,8 +768,8 @@ def test_fft_debug_line_at_the_bracket_nu3_shape(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr() == ("", "")
     assert (tmp_path / "debug.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
     assert [r.getMessage() for r in caplog.records if r.name == "rcadjoint.kernels"] == [
-        "convolve_sum route=fft pairs=4 prec=8000 bound=0.005212604746830702 "
-        "limit=0.25 limb_bits=12 limb_bound=0.12310888706576302"
+        "convolve_sum route=fft pairs=4 prec=8000 bound=0.12310888706576302 "
+        "limit=0.25 limb_bits=12"
     ]
 
 

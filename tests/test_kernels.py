@@ -61,9 +61,12 @@ def _slice_certificate(a, b):
 
 
 def fft_bound(a, b):
-    """fft_error_bound of the one pair (a, b)."""
+    """fft_error_bound of the one pair (a, b), both nonzero, on 8-bit
+    balanced limbs, the narrowest width: below the limit, some width
+    certifies."""
     ((rows_a, rows_b),) = _terms([(a, b)], max(len(a), len(b)))
-    return kernels.fft_error_bound([(rows_a.mags.shape, rows_b.mags.shape)])
+    shapes = [(kernels._bit_shape(rows_a), kernels._bit_shape(rows_b))]
+    return kernels.fft_error_bound(shapes, 8)
 
 
 def test_dense_routes_agree_with_naive():
@@ -195,6 +198,14 @@ def _spy_routes(monkeypatch):
     return calls
 
 
+def _debug_lines(caplog, run):
+    """The kernels' DEBUG lines that run() writes, and its result."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        out = run()
+    return out, [r.getMessage() for r in caplog.records if r.name == kernels.__name__]
+
+
 def _dense(bound, n=200, seed=3):
     rng = random.Random(seed)
     return rand_ints(rng, n, -bound, bound), rand_ints(rng, n, -bound, bound)
@@ -215,11 +226,15 @@ def _theta(n):
         # slice-adds; the 200 x 200 dense pair is past it.
         *[(*_dense(1000, n=n, seed=n), ["slices"]) for n in (5, 10, 20, 50)],
         (*_dense(1000), ["fft"]),
-        # 5814 limbs at length 20: the rounding bound is ~0.38.
-        (*_dense(10**14000, n=20), ["fft", "kronecker"]),
+        # 5814 byte limbs at length 20: more limbs than prec, so the limb
+        # rule sends the product to Kronecker without trying the FFT.
+        (*_dense(10**14000, n=20), ["kronecker"]),
+        # At prec 40, 40 byte limbs stay on the FFT, and 41 do not.
+        (*_dense(2**320 - 1, n=40), ["fft"]),
+        (*_dense(2**328 - 1, n=40), ["kronecker"]),
     ],
     ids=["sparse", "slices", "dense-5", "dense-10", "dense-20", "dense-50", "fft",
-         "kronecker"],
+         "kronecker", "limbs=prec", "limbs=prec+1"],
 )
 def test_convolve_exact_routes(monkeypatch, a, b, routes):
     expected = [int(x) for x in naive_mul(a, b, len(a))]
@@ -309,13 +324,20 @@ def _power_operands(size, lead, magnitude, every, seed):
 # The third of four products fails the int64 certificate: slice-adds,
 # slice-adds, then the dense routes from Python ints.
 @example(size=30, n=4, lead=2**52, magnitude=7, every=3, seed=0)
+# A lead of 8 byte limbs at size 4: its products take the limb rule's
+# Kronecker route.
+@example(size=4, n=2, lead=2**56, magnitude=2**12, every=1, seed=0)
 def test_power_product_with_a_lead_is_repeated_products(
     size, n, lead, magnitude, every, seed
 ):
     acc, base = _power_operands(size, lead, magnitude, every, seed)
     expected, routes = acc, []
     for _ in range(n):
-        routes.append("slices" if _slice_certificate(expected, base) < 2**63 else "fft")
+        limbs = max((abs(v).bit_length() + 7) // 8 for v in expected + base)
+        if _slice_certificate(expected, base) < 2**63:
+            routes.append("slices")
+        else:  # the dense routes, Kronecker at once under the limb rule
+            routes.append("kronecker" if limbs > size else "fft")
         expected = [int(x) for x in naive_mul(expected, base, size)]
     with pytest.MonkeyPatch.context() as patch:
         calls = _spy_routes(patch)
@@ -326,8 +348,8 @@ def test_power_product_with_a_lead_is_repeated_products(
         # One factor at a time, whatever the lead (n = 1 is one product
         # either way).  At these sizes the slice-add cost is below the
         # FFT's fixed cost, so a product takes slice-adds exactly when its
-        # certificate holds.
-        assert [route for route in calls if route != "kronecker"] == routes
+        # certificate holds, and a dense one is never refused by the FFT.
+        assert calls == routes
 
 
 @pytest.mark.parametrize(
@@ -343,27 +365,23 @@ def test_power_product_with_a_lead_is_repeated_products(
 def test_convolve_power_logs_the_lines_of_its_products(
     monkeypatch, caplog, acc, base, n, prec, routes
 ):
-    # Each product logs the line convolve_exact logs for it, len= and
-    # limbs= included, and the routes are those of the products.
-    def run(power):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
-            out = power()
-        lines = [r.getMessage() for r in caplog.records if r.name == kernels.__name__]
-        return out, lines
-
+    # Each product logs the line convolve_exact logs for it, len= included
+    # and limbs= on the dense routes' lines, and the routes are those of
+    # the products.
     def chain():
         out = acc
         for _ in range(n):
             out = kernels.convolve_exact(out, base, prec)
         return out
 
-    expected = run(chain)
+    expected = _debug_lines(caplog, chain)
     calls = _spy_routes(monkeypatch)
-    got = run(lambda: kernels.convolve_power(acc, base, n, prec))
+    got = _debug_lines(caplog, lambda: kernels.convolve_power(acc, base, n, prec))
     assert got == expected
     assert calls == routes
-    assert all(f" len={prec},{prec} limbs=" in line for line in got[1])
+    for line, route in zip(got[1], routes):
+        assert f" len={prec},{prec} " in line
+        assert (" limbs=" in line) == (route != "slices")
 
 
 def test_int64_array_reads_ints_exactly():
@@ -385,17 +403,61 @@ def test_int64_array_reads_ints_exactly():
             kernels.int64_array([1, beyond])
 
 
-def test_kronecker_past_the_product_length():
-    # Mixed signs at magnitudes the FFT certificate refuses, and prec
+def test_kronecker_past_the_product_length(monkeypatch):
+    # Mixed signs at magnitudes the limb rule sends to Kronecker, and prec
     # beyond len(a) + len(b): a negative top coefficient leaves
     # sign-extension bytes above the product, and those slots must read 0.
     a, b = _dense(10**27000, n=6, seed=5)
     a[-1], b[-1] = -(10**27000), 10**27000
     prec = len(a) + len(b) + 7
-    assert fft_bound(a, b) >= kernels._CERT_LIMIT
     expected = [int(x) for x in naive_mul(a, b, prec)]
     assert expected[len(a) + len(b) - 2] < 0
     assert kronecker(a, b, prec) == expected
+    calls = _spy_routes(monkeypatch)
+    assert kernels.convolve_exact(a, b, prec) == expected
+    assert calls == ["kronecker"]
+
+
+def test_limb_rule_sends_a_short_wide_sum_to_kronecker(monkeypatch, caplog):
+    # Two pairs at prec 3, one operand of 4001-digit coefficients (1661
+    # byte limbs): the limb rule sends the sum to Kronecker, and the FFT is
+    # never tried.  The line gives the largest byte-limb count against prec.
+    big = 10**4000 + 7
+    wide = [0, big, -3]
+    pairs = [(wide, wide), ([5, -1, 2], [1, 2, 3])]
+    limbs = (big.bit_length() + 7) // 8
+    assert limbs == 1661
+    calls = _spy_routes(monkeypatch)
+    out, lines = _debug_lines(caplog, lambda: kernels.convolve_sum(pairs, 3))
+    assert out == _naive_sum(pairs, 3)
+    assert calls == ["kronecker"]
+    (line,) = lines
+    assert line.startswith("convolve_sum route=kronecker pairs=2 prec=3 ")
+    assert line.endswith(f" max_limbs={limbs} limit=prec")
+    assert " bound=" not in line and " limb_bits=" not in line
+
+
+def test_fft_needs_only_its_balanced_limb_bound(monkeypatch, caplog):
+    # 300 coefficients of 1000 bits, 125 byte limbs, fewer than prec.  The
+    # limit is set between the bound on balanced 8-bit limbs (their maxima
+    # sum to 128 * 125 + 1) and the bound the same theorem gives unsigned
+    # byte limbs (255 each, so 255 * 125 in all), about 4 times higher: the
+    # product runs on the FFT, at 8 bits, the only width within the limit,
+    # and is exact.
+    top = (1 << 1000) - 1
+    a, b = _dense(top, n=300, seed=6)
+    a[0] = b[0] = top
+    bound = kernels.fft_error_bound([((300, 1000),) * 2], 8)
+    unsigned = bound * (255 * 125 / (128 * 125 + 1)) ** 2
+    limit = 2 * bound
+    assert kernels.fft_error_bound([((300, 1000),) * 2], 9) > limit
+    assert bound < limit < unsigned
+    monkeypatch.setattr(kernels, "_CERT_LIMIT", limit)
+    calls = _spy_routes(monkeypatch)
+    out, (line,) = _debug_lines(caplog, lambda: kernels.convolve_exact(a, b, 300))
+    assert out == _naive_sum([(a, b)], 300)
+    assert calls == ["fft"]
+    assert line.endswith(f" limbs=125,125 bound={bound} limit={limit} limb_bits=8")
 
 
 @pytest.mark.parametrize("limit", ["_CERT_LIMIT", "_RESIDUAL_LIMIT"])
@@ -436,7 +498,7 @@ def test_residual_failure_after_the_last_pair_falls_back_to_kronecker(
     (record,) = [r for r in caplog.records if r.name == kernels.__name__]
     assert "route=kronecker" in record.getMessage()
     assert "limbs=2,2" in record.getMessage()
-    assert " limb_bits=16 " in record.getMessage()
+    assert record.getMessage().endswith(" limit=0.25 limb_bits=16")
 
 
 def test_route_is_logged_at_debug_only(caplog, capsys):
@@ -570,12 +632,14 @@ def test_sum_route_is_logged_once_with_its_pair_count(caplog):
 
 def test_summed_bound_uses_the_shared_transform_length():
     # Both pairs are transformed at the long pair's length, so the short
-    # pair's norms count at that length's growth factor too.
-    short, long = ((10, 3), (10, 2)), ((5000, 1), (5000, 1))
-    both = kernels.fft_error_bound([short, long])
-    alone = kernels.fft_error_bound([long])
+    # pair's norms count at that length's growth factor too.  On 8-bit
+    # limbs, bit lengths 23, 15 and 7 have limb maxima summing to 3, 2 and
+    # 1 times 2^7.
+    short, long = ((10, 23), (10, 15)), ((5000, 7), (5000, 7))
+    both = kernels.fft_error_bound([short, long], 8)
+    alone = kernels.fft_error_bound([long], 8)
     assert both == pytest.approx(alone * (3 * 2 * 10 + 5000) / 5000, rel=1e-12)
-    assert both > kernels.fft_error_bound([short]) + alone
+    assert both > kernels.fft_error_bound([short], 8) + alone
 
 
 def _boundary_ints(rng, length, bits):
@@ -629,23 +693,19 @@ def test_balanced_limbs_recombine_to_the_ints(bits, magnitude, length, seed):
         sum(d << bits * i for i, d in enumerate(column)) for column in zip(*limbs)
     ]
     assert recombined == vals
-    # fft_error_bound at bits, over its unsigned bound for one-byte limbs
-    # of the same lengths, is (S / 255)^2, S the sum of the limb maxima it
-    # assumes.  The limbs stay within S, and reach it once 2^B - 1 has a
-    # limb below its top one (its top limb is then 2^(B mod bits)).
-    assumed = 255 * math.sqrt(
+    # fft_error_bound at bits, over its bound for one limb of at most
+    # 2^(bits-1) (bit length bits - 1) at the same lengths, is
+    # (S / 2^(bits-1))^2, S the sum of the limb maxima it assumes.  The
+    # limbs stay within S, and reach it once 2^B - 1 has a limb below its
+    # top one (its top limb is then 2^(B mod bits)).
+    assumed = half * math.sqrt(
         kernels.fft_error_bound([((length, magnitude),) * 2], bits)
-        / kernels.fft_error_bound([((length, 1),) * 2])
+        / kernels.fft_error_bound([((length, bits - 1),) * 2], bits)
     )
     reached = sum(max(map(abs, row)) for row in limbs)
     assert reached <= assumed * (1 + 1e-12)
     if magnitude >= bits and length > 2:
         assert reached == pytest.approx(assumed, rel=1e-12)
-    # 8-bit balanced limbs are certified wherever the byte limbs are.
-    shape = rows.mags.shape
-    assert kernels.fft_error_bound([((length, magnitude),) * 2], 8) < (
-        kernels.fft_error_bound([(shape, shape)])
-    )
 
 
 @settings(max_examples=100, deadline=None)
