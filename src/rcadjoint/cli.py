@@ -95,12 +95,9 @@ def _open_form(source: str, precision: int):
         try:
             with open(source, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise UsageError(
-                f"cannot read series file {source}: {exc.strerror}"
-            ) from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read series file {source}: {exc}") from None
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise UsageError(f"cannot read series file {source}: {reason}") from None
         except RecursionError:
             raise UsageError(f"series file {source} is nested too deeply") from None
         series = QSeries.from_json_dict(data)

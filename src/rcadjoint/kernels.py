@@ -26,8 +26,8 @@ times base one factor at a time.  The route is picked from the inputs:
   certificate, holds; a run-time residual check must hold too,
 * Kronecker substitution on Python big integers (the pairs' signed
   products added into one integer), when that bound or that check fails,
-  and at once when some operand has more 8-bit limbs than prec (the limb
-  rule: the FFT's limb products grow with the square of the limb count).
+  and at once when some operand has more than two byte limbs per
+  coefficient of prec (the limb rule, _KRONECKER_LIMB_RATIO).
 
 Python ints enter numpy through one reader, ``int64_array``, wherever
 they may fit an int64: slice-adds' dense side, narrow byte rows and, in
@@ -100,6 +100,13 @@ _FFT_OVERHEAD = 1 << 16
 # The slice-add route's certificate must stay below this: every int64
 # product and partial sum is then exact.
 _SLICE_LIMIT = 1 << 63
+
+# The limb rule: a dense sum with an operand of more than this many byte
+# limbs per coefficient of prec goes straight to Kronecker, whose one
+# product grows more slowly than the FFT's limb products, quadratic in the
+# limbs.  Placed from a sweep over prec 3 to 1000 (BENCH_27.json,
+# limb_rule_sweep), in which the two routes cross at 1.9 to 2.7.
+_KRONECKER_LIMB_RATIO = 2
 
 # Bits per limb of the byte rows that both dense routes share.  Fixed, not a
 # setting: the rows are uint8, so any other value gives wrong limbs.
@@ -671,11 +678,9 @@ def _convolve(pairs, prec):
         rows = iter(_dense_rows([op for pair in held for op in pair]))
         held = list(zip(rows, rows))
         terms = [(a, b) for a, b in held if a.mags.shape[1] and b.mags.shape[1]]
-        # The limb rule: an operand of more byte limbs than prec makes the
-        # FFT's limb products, quadratic in the limbs, cost more than
-        # Kronecker's one product, so the sum goes straight to Kronecker.
         limbs = max((op.mags.shape[1] for pair in terms for op in pair), default=0)
-        out = None if limbs > prec else convolve_fft(terms, prec)
+        wide = limbs > _KRONECKER_LIMB_RATIO * prec  # the limb rule
+        out = None if wide else convolve_fft(terms, prec)
         route = "fft" if out is not None else "kronecker"
         if out is None:
             out = _convolve_kronecker(terms, prec)
@@ -693,8 +698,8 @@ def _convolve(pairs, prec):
                           f" limbs={a.mags.shape[1]},{b.mags.shape[1]}")
             if slice_bound is not None:  # slice-adds refused by their bound
                 detail += f" slice_bound_bits={slice_bound.bit_length()}"
-            if limbs > prec:
-                detail += f" max_limbs={limbs} limit=prec"
+            if wide:
+                detail += f" max_limbs={limbs} limit={_KRONECKER_LIMB_RATIO * prec}"
             else:
                 bits, bound = _limb_width(terms)
                 detail += f" bound={bound} limit={_CERT_LIMIT}"
@@ -716,18 +721,19 @@ def convolve_sum(pairs, prec):
     Slice-adds run when the pairs' slice-add cost is at most
     _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD and their int64
     certificate holds; otherwise the Kronecker route when some operand has
-    more byte limbs than prec (the limb rule), else the FFT route, and the
-    Kronecker route when the FFT refuses.  Returns exactly ``prec`` Python
-    ints, whichever route runs.  One DEBUG line per call names the route,
-    the number of pairs, and for one pair the operands' lengths (and, on
-    the dense routes, byte-limb counts), then the route's certificate
-    against its limit: for slice-adds the sparser sides' nonzero count and
-    the int64 bound; for the dense routes, after ``slice_bound_bits=`` when
-    the int64 bound refused slice-adds, the largest byte-limb count
-    ``max_limbs=`` against ``limit=prec`` when the limb rule chose
-    Kronecker, and otherwise the FFT bound at the widest certified width
-    (8 bits when none certifies) against 1/4, then ``limb_bits=``, that
-    width, when one certifies.  ``logging`` is not imported here.
+    more than _KRONECKER_LIMB_RATIO * prec byte limbs (the limb rule), else
+    the FFT route, and the Kronecker route when the FFT refuses.  Returns
+    exactly ``prec`` Python ints, whichever route runs.  One DEBUG line per
+    call names the route, the number of pairs, and for one pair the
+    operands' lengths (and, on the dense routes, byte-limb counts), then
+    the route's certificate against its limit: for slice-adds the sparser
+    sides' nonzero count and the int64 bound; for the dense routes, after
+    ``slice_bound_bits=`` when the int64 bound refused slice-adds, the
+    largest byte-limb count ``max_limbs=`` against twice prec when the limb
+    rule chose Kronecker, and otherwise the FFT bound at the widest
+    certified width (8 bits when none certifies) against 1/4, then
+    ``limb_bits=``, that width, when one certifies.  ``logging`` is not
+    imported here.
     """
     out = _convolve(pairs, prec)
     return out.tolist() if isinstance(out, np.ndarray) else out

@@ -226,15 +226,16 @@ def _theta(n):
         # slice-adds; the 200 x 200 dense pair is past it.
         *[(*_dense(1000, n=n, seed=n), ["slices"]) for n in (5, 10, 20, 50)],
         (*_dense(1000), ["fft"]),
-        # 5814 byte limbs at length 20: more limbs than prec, so the limb
-        # rule sends the product to Kronecker without trying the FFT.
+        # 5814 byte limbs at length 20: more than two per coefficient of
+        # prec, so the limb rule sends the product to Kronecker without
+        # trying the FFT.
         (*_dense(10**14000, n=20), ["kronecker"]),
-        # At prec 40, 40 byte limbs stay on the FFT, and 41 do not.
-        (*_dense(2**320 - 1, n=40), ["fft"]),
-        (*_dense(2**328 - 1, n=40), ["kronecker"]),
+        # At prec 40, 80 byte limbs stay on the FFT, and 81 do not.
+        (*_dense(2**640 - 1, n=40), ["fft"]),
+        (*_dense(2**648 - 1, n=40), ["kronecker"]),
     ],
     ids=["sparse", "slices", "dense-5", "dense-10", "dense-20", "dense-50", "fft",
-         "kronecker", "limbs=prec", "limbs=prec+1"],
+         "kronecker", "limbs=2prec", "limbs=2prec+1"],
 )
 def test_convolve_exact_routes(monkeypatch, a, b, routes):
     expected = [int(x) for x in naive_mul(a, b, len(a))]
@@ -324,9 +325,9 @@ def _power_operands(size, lead, magnitude, every, seed):
 # The third of four products fails the int64 certificate: slice-adds,
 # slice-adds, then the dense routes from Python ints.
 @example(size=30, n=4, lead=2**52, magnitude=7, every=3, seed=0)
-# A lead of 8 byte limbs at size 4: its products take the limb rule's
-# Kronecker route.
-@example(size=4, n=2, lead=2**56, magnitude=2**12, every=1, seed=0)
+# A lead of 8 byte limbs at size 2, more than two per coefficient: its
+# products take the limb rule's Kronecker route.
+@example(size=2, n=2, lead=2**56, magnitude=2**12, every=1, seed=0)
 def test_power_product_with_a_lead_is_repeated_products(
     size, n, lead, magnitude, every, seed
 ):
@@ -337,7 +338,7 @@ def test_power_product_with_a_lead_is_repeated_products(
         if _slice_certificate(expected, base) < 2**63:
             routes.append("slices")
         else:  # the dense routes, Kronecker at once under the limb rule
-            routes.append("kronecker" if limbs > size else "fft")
+            routes.append("kronecker" if limbs > 2 * size else "fft")
         expected = [int(x) for x in naive_mul(expected, base, size)]
     with pytest.MonkeyPatch.context() as patch:
         calls = _spy_routes(patch)
@@ -421,7 +422,8 @@ def test_kronecker_past_the_product_length(monkeypatch):
 def test_limb_rule_sends_a_short_wide_sum_to_kronecker(monkeypatch, caplog):
     # Two pairs at prec 3, one operand of 4001-digit coefficients (1661
     # byte limbs): the limb rule sends the sum to Kronecker, and the FFT is
-    # never tried.  The line gives the largest byte-limb count against prec.
+    # never tried.  The line gives the largest byte-limb count against
+    # twice prec.
     big = 10**4000 + 7
     wide = [0, big, -3]
     pairs = [(wide, wide), ([5, -1, 2], [1, 2, 3])]
@@ -433,7 +435,7 @@ def test_limb_rule_sends_a_short_wide_sum_to_kronecker(monkeypatch, caplog):
     assert calls == ["kronecker"]
     (line,) = lines
     assert line.startswith("convolve_sum route=kronecker pairs=2 prec=3 ")
-    assert line.endswith(f" max_limbs={limbs} limit=prec")
+    assert line.endswith(f" max_limbs={limbs} limit=6")
     assert " bound=" not in line and " limb_bits=" not in line
 
 
