@@ -32,8 +32,12 @@ from .adjoint import (
 )
 from .bracket import BracketParams, rc_bracket, series_mul
 from .forms import catalog_get, catalog_names
-from .qseries import QSeries
+from .qseries import QSeries, _coeff_strings
 from .verify import first_index, lambda_test, ratio_test
+
+
+# A series file's coefficients are formatted and written this many at a time.
+_WRITE_COEFFS = 1 << 12
 
 
 class UsageError(Exception):
@@ -150,8 +154,9 @@ def _make_case(args, command: str, f_w2, g_w2) -> BracketParams:
     return p
 
 
-def _emit(path: Optional[str], *parts: str):
-    """Write the text parts in turn to path, or to stdout without one."""
+def _emit(path: Optional[str], parts):
+    """Write the text parts, an iterable read once, in turn to path, or to
+    stdout without one."""
     if path:
         try:
             with open(path, "w") as fh:
@@ -179,18 +184,23 @@ def _hypothesis_warnings():
 
 
 def _series_parts(series: QSeries):
-    """The text ``json.dumps(series.to_json_dict(), indent=2) + "\\n"`` as
-    its head, its coefficients joined in one pass, and its tail, to be
-    written in turn (CPython's C encoder never runs with an indent)."""
-    d = series.to_json_dict()
-    coeffs = '",\n    "'.join(d.pop("coeffs"))
-    head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in d.items())
-    return f'{{\n{head}  "coeffs": [\n    "', coeffs, '"\n  ]\n}\n'
+    """Yield the text ``json.dumps(series.to_json_dict(), indent=2) + "\\n"``
+    as its head, its coefficients formatted and joined _WRITE_COEFFS at a
+    time, and its tail, to be written in turn: only one block's strings are
+    held at once (CPython's C encoder never runs with an indent)."""
+    fields = series.json_fields().items()
+    head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in fields)
+    yield f'{{\n{head}  "coeffs": [\n    "'
+    num, den, sep = series.num, series.den, '",\n    "'
+    for start in range(0, len(num), _WRITE_COEFFS):
+        block = sep.join(_coeff_strings(num[start : start + _WRITE_COEFFS], den))
+        yield sep + block if start else block
+    yield '"\n  ]\n}\n'
 
 
 def _cmd_expand(args) -> int:
     series = _resolve_form(args.form, args.precision)
-    _emit(args.output, *_series_parts(series))
+    _emit(args.output, _series_parts(series))
     return 0
 
 
@@ -201,7 +211,7 @@ def _cmd_bracket(args) -> int:
         raise UsageError("bracket needs weight metadata on both forms")
     p = BracketParams(f.meta.twice_weight, g.meta.twice_weight, args.nu)
     result = rc_bracket(f, g, p)
-    _emit(args.output, *_series_parts(result))
+    _emit(args.output, _series_parts(result))
     return 0
 
 
@@ -228,10 +238,10 @@ def _adjoint_rows(args, basis=None):
 def _cmd_adjoint(args) -> int:
     rows, p = _adjoint_rows(args)
     if args.format == "csv":
-        _emit(args.output, rows_to_csv(rows))
+        _emit(args.output, [rows_to_csv(rows)])
     else:
         payload = rows_to_json(rows, args.terms, p)
-        _emit(args.output, json.dumps(payload, indent=2) + "\n")
+        _emit(args.output, [json.dumps(payload, indent=2) + "\n"])
     return 0
 
 
@@ -242,7 +252,7 @@ def _verdict(args, config: str, extra: dict, passed: bool) -> int:
         for k, v in extra.items()
     }
     payload = {"config": config, **extra, "pass": passed}
-    _emit(args.output, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _emit(args.output, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
     return 0 if passed else 1
 
 

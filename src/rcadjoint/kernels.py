@@ -20,8 +20,9 @@ times base one factor at a time.  The route is picked from the inputs:
   product to the next,
 * ``convolve_fft``, a limb-split floating-point FFT convolution that adds
   every pair's limb products in the frequency domain, for dense inputs,
-  on balanced signed limbs of the widest width in [8, 16] whose summed
-  a-priori rounding bound (Percival 2003, Thm 5.1, applied to numpy's
+  on balanced signed limbs of the widest width in [8, 16] whose a-priori
+  rounding bound per limb shift (Percival 2003, Thm 5.1, with a term for
+  adding a shift's products in the frequency domain, applied to numpy's
   pocketfft under the assumption stated in ``fft_error_bound``), its one
   certificate, holds; a run-time residual check must hold too,
 * Kronecker substitution on Python big integers (the pairs' signed
@@ -39,8 +40,9 @@ two's-complement ints.  The FFT route builds its wider limbs from the
 byte rows one limb row at a time, and packs its coefficients back into
 byte rows.  The codec picks how from its input: rows of at
 most 7 bytes are written, and rows whose values all fit in an int64 are
-read, as one int64 array; wider rows go through ``int.to_bytes`` and
-``int.from_bytes`` one int at a time.
+read, as one int64 array; wider rows are written one ``int.to_bytes``
+at a time, and read one ``int.from_bytes`` at a time from bytes objects
+made a block of rows at a time.
 Every operand is held as a ``Scaled(values, w, r)``, the list
 w * n^r * values[n]: an int list (or a chain's int64 array) as
 ``Scaled(list)``, with w = 1 and r = 0, the bracket's operands with their
@@ -115,7 +117,7 @@ _LIMB_MAX = (1 << _LIMB_BITS) - 1
 
 # Widths of the FFT route's balanced limbs, widest first.  The widest whose
 # rounding bound holds is taken: for [E4, E6]_3 (length 8000, ~110-bit
-# coefficients) that is 12 bits, bound ~0.12, while 16-bit limbs give ~16.
+# coefficients) that is 14 bits, bound ~0.24, while 16-bit limbs give ~3.
 # 16 at most keeps every limb step within int32.
 _FFT_LIMB_BITS = range(16, _LIMB_BITS - 1, -1)
 
@@ -134,7 +136,8 @@ _LIMB16_SQUARE = ((1 << 16) - 1) ** 2
 
 # Bytes of the int64 word that narrow byte rows are read and written as.
 _WORD_BYTES = 8
-# Wide byte rows are joined this many at a time (see _byte_rows).
+# Wide byte rows are joined, and read back, this many at a time (see
+# _byte_rows and _ints_from_rows).
 _JOIN_ROWS = 1 << 12
 
 
@@ -174,7 +177,8 @@ def _ints_from_rows(rows) -> List[int]:
 
     When rows have at least 8 bytes and every row's bytes past the 8th
     only sign-extend its first 8 (every value fits in an int64), the rows
-    are read as one int64 array; otherwise one int at a time.
+    are read as one int64 array; otherwise each block of _JOIN_ROWS rows is
+    read as bytes objects and each of those by one ``int.from_bytes``.
     """
     count, width = rows.shape
     if width >= _WORD_BYTES:
@@ -184,10 +188,13 @@ def _ints_from_rows(rows) -> List[int]:
         extension = (low >> 63).astype(np.uint8).repeat(width - _WORD_BYTES)
         if rows[:, _WORD_BYTES:].tobytes() == extension.tobytes():
             return low.tolist()
-    raw = rows.tobytes()
+    # Each block's rows become bytes objects in one C loop, the void view's
+    # tolist, which holds one block of them at a time.
+    voids = np.ascontiguousarray(rows).view(f"V{width}").reshape(count)
     return [
-        int.from_bytes(raw[off : off + width], "little", signed=True)
-        for off in range(0, len(raw), width)
+        int.from_bytes(row, "little", signed=True)
+        for start in range(0, count, _JOIN_ROWS)
+        for row in voids[start : start + _JOIN_ROWS].tolist()
     ]
 
 
@@ -353,26 +360,58 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _limb_maxima(size, bits):
+    """The largest magnitude each balanced bits-bit limb row (_limb_rows)
+    of an operand may hold, lowest limb first, as floats, when its largest
+    magnitude has bit length size: size // bits limbs of at most
+    2^(bits-1), then a top limb of at most 2^(size mod bits)."""
+    maxima = np.full(size // bits + 1, float(1 << bits - 1))
+    maxima[-1] = 1 << size % bits
+    return maxima
+
+
 def fft_error_bound(shapes, bits) -> float:
-    """A-priori bound on the rounding error of each limb-shift sum of
+    """A-priori bound on the rounding error of every limb-shift sum of
     convolve_fft on balanced bits-bit limbs.
 
     shapes holds, per pair, the (length, B) of its two operands, B the bit
-    length of the largest magnitude, which _limb_rows splits into B // bits
-    limbs at most 2^(bits-1) in magnitude and a top limb at most
-    min(2^(bits-1), 2^(B mod bits)).  All pairs are transformed at the one
-    length N = _fft_length of the longest product.  C. Percival, "Rapid
-    multiplication modulo the sum and difference of highly composite
-    numbers", Math. Comp. 72 (2003),
-    Thm 5.1: a floating-point FFT convolution of x and y, of length 2^k, is
-    off by less than ||x|| ||y|| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
-    in every coordinate, with e the unit roundoff and b the error of the
-    precomputed twiddle factors.  Here e = b = 2^-53, k = ceil(log2 N), and
-    ||x|| <= m sqrt(len) for a limb row whose entries are at most m in
-    magnitude.  The bound is summed over every pair and, within a pair,
-    over all limb pairs, which overcounts the at most min(limbs_a, limbs_b)
-    pairs that meet in one shift; the sum covers adding all those products
-    in the frequency domain before one inverse transform per shift.
+    length of the largest magnitude; each limb row x_i of such an operand
+    has entries at most m_i, its _limb_maxima, so ||x_i|| <= m_i sqrt(length).
+    All pairs are transformed at the one length N = _fft_length of the
+    longest product, and k = ceil(log2 N).
+
+    C. Percival, "Rapid multiplication modulo the sum and difference of
+    highly composite numbers", Math. Comp. 72 (2003), Thm 5.1: a
+    floating-point FFT convolution of x and y, of length 2^k, is off by
+    less than ||x|| ||y|| G in every coordinate, G = (1+e)^3k
+    (1+e sqrt5)^(3k+1) (1+b)^3k - 1, with e the unit roundoff and b the
+    error of the precomputed twiddle factors; here e = b = 2^-53.
+
+    _fft_sum gets shift s from one inverse transform of the sum, in the
+    frequency domain, of the products of the spectra of limb rows a_i and
+    b_j with i + j = s, over every pair: in any one shift at most M = the
+    sum over pairs of min(limbs_a, limbs_b) products.  The proof of Thm 5.1
+    bounds the error of the two spectra and of their pointwise product (its
+    factor 1 + e sqrt5) relative to ||x|| ||y||, and then the error of the
+    inverse transform by a norm of the spectrum it is given.  Adding m <= M
+    products one after another, the first onto zero, rounds each real and
+    imaginary part at most m - 1 times, so the computed sum is the exact
+    sum of the products, each changed componentwise by a relative error of
+    at most g = (M-1) e / (1 - (M-1) e) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.1 and sec. 4.2).  That is one
+    more relative rounding of every product, after its own; and a norm of
+    the sum is at most the sum of the products' norms.  So the computed
+    shift s is off by less than
+
+        E_s = ((1+G)(1+g) - 1) sum over pairs of sum_{i+j=s} ||a_i|| ||b_j||
+
+    in every coordinate, and the bound is max_s E_s, with the norms taken
+    as m_i sqrt(length): per pair one np.convolve of the two operands'
+    limb maxima, times sqrt(len_a len_b).  Below 1/4 it certifies that
+    rint gives every shift exactly.  By Cauchy-Schwarz each exact value of
+    shift s is at most that double sum of norms, which is then below
+    (1/4) / (e sqrt5) < 2^50 (G >= e sqrt5); _fft_sum's carry pass relies
+    on this.
 
     The theorem is stated for radix-2 transforms; it is applied to
     numpy's pocketfft, which runs mixed radix on the 5-smooth N used
@@ -385,20 +424,19 @@ def fft_error_bound(shapes, bits) -> float:
         return 0.0
     size = _fft_length(max(len_a + len_b for (len_a, _), (len_b, _) in shapes) - 1)
     k = (size - 1).bit_length()
+    norms = np.zeros(max(a // bits + b // bits + 1 for (_, a), (_, b) in shapes))
+    products = 0
+    for (len_a, size_a), (len_b, size_b) in shapes:
+        pair = np.convolve(_limb_maxima(size_a, bits), _limb_maxima(size_b, bits))
+        norms[: len(pair)] += pair * math.sqrt(len_a * len_b)
+        products += min(size_a, size_b) // bits + 1
+    summation = (products - 1) * _EPS / (1 - (products - 1) * _EPS)
     growth = math.expm1(
-        6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
+        6 * k * math.log1p(_EPS)
+        + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
+        + math.log1p(summation)
     )
-    peak = 1 << bits - 1
-
-    def weight(size):
-        """An operand's limb maxima, summed, in units of peak."""
-        return size // bits + min(peak, 1 << size % bits) / peak
-
-    norms = sum(
-        weight(size_a) * weight(size_b) * math.sqrt(len_a * len_b)
-        for (len_a, size_a), (len_b, size_b) in shapes
-    )
-    return norms * peak**2 * growth
+    return float(norms.max()) * growth
 
 
 def _bit_shape(op: _Rows):
@@ -457,12 +495,12 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
 
     terms holds the pairs as byte rows (_Rows), every operand nonzero.
     The pairs are transformed, by _fft_sum, at the widest balanced limb
-    width in 16..8 whose fft_error_bound (Percival 2003, Thm 5.1, applied
-    to numpy's pocketfft under the assumption stated there) certifies
-    rounding, i.e. is below 1/4 (_limb_width).  Returns None, and computes
-    nothing, when no width certifies; None when some computed value lies
-    farther than 1/8 from an integer; and exactly ``prec`` Python ints
-    otherwise.
+    width in 16..8 whose fft_error_bound, the largest rounding bound of a
+    limb shift (Percival 2003, Thm 5.1, applied to numpy's pocketfft under
+    the assumption stated there), certifies rounding, i.e. is below 1/4
+    (_limb_width).  Returns None, and computes nothing, when no width
+    certifies; None when some computed value lies farther than 1/8 from an
+    integer; and exactly ``prec`` Python ints otherwise.
     """
     bits = _limb_width(terms)[0]
     return None if bits is None else _fft_sum(terms, prec, bits)
@@ -511,8 +549,11 @@ def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
     whole = prod.view(np.int64)[:n_out]
     sums = [None] * shifts  # the frequency-domain sum of each open shift
     # Row i: the bytes of coefficient i below bit bits * shifts, then its
-    # final carry.  Every shift is below 2^49 in magnitude (the bound's
-    # norms are, for a bound below 1/4), so the carry stays below 2^57.
+    # final carry.  Every shift is below 2^50 in magnitude (fft_error_bound).
+    # After shift s the carry holds the shifts up to s, whose sum is below
+    # 2^(bits s + 50) 256/255, over the at least 2^(bits s + 1) of the bytes
+    # written, so it is below 2^50; the next shift lands at most 7 bits
+    # above the carry's weight, so the carry stays below 2^58.
     done = bits * shifts // _LIMB_BITS
     digits = np.empty((n_out, done + 8), dtype=np.uint8)
     carry = np.zeros(n_out, dtype="<i8")

@@ -169,15 +169,18 @@ class QSeries:
         tail = ", ..." if len(self.num) > 6 else ""
         return f"QSeries([{head}{tail}], precision={len(self.num)})"
 
-    def to_json_dict(self) -> dict:
+    def json_fields(self) -> dict:
+        """The fields of ``to_json_dict`` that come before "coeffs"."""
         m = self.meta
         return {
             "twice_weight": m.twice_weight if m else None,
             "level": m.level if m else None,
             "character": m.character.value if m else None,
             "precision": len(self.num),
-            "coeffs": _coeff_strings(self.num, self.den),
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.json_fields(), "coeffs": _coeff_strings(self.num, self.den)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "QSeries":

@@ -18,6 +18,7 @@ import mpmath
 
 from rcadjoint.adjoint import GUARD_BITS, _floor_weight, gamma_s
 from rcadjoint.bracket import _rc_numerator, rc_coefficient
+from rcadjoint.kernels import _fft_length
 from rcadjoint.qseries import CharacterMod4, FormMeta, QSeries
 
 
@@ -203,6 +204,44 @@ def tail_constant_oracle(num, den, exponent):
                 ) from None
             constant = max(constant, quotient / power)
     return constant
+
+
+def summed_fft_error_bound(shapes, bits):
+    """The FFT route's rounding bound with every limb pair of a pair counted
+    in every limb shift.
+
+    The sum over pairs of (sum of a's limb maxima) (sum of b's limb
+    maxima) sqrt(len_a len_b), at most 2^(bits-1) per limb and
+    min(2^(bits-1), 2^(B mod bits)) for the top one of B // bits + 1,
+    times ``kernels.fft_error_bound``'s rounding factor: Percival's Thm 5.1
+    at the one transform length of the longest product, and the term for
+    adding at most sum over pairs of min(limbs_a, limbs_b) products in the
+    frequency domain.  Every shift's norms are a part of this one sum.
+    """
+    shapes = list(shapes)
+    if not shapes:
+        return 0.0
+    eps = 2.0**-53
+    size = _fft_length(max(len_a + len_b for (len_a, _), (len_b, _) in shapes) - 1)
+    k = (size - 1).bit_length()
+    peak = 1 << bits - 1
+
+    def weight(size):
+        """An operand's limb maxima, summed, in units of peak."""
+        return size // bits + min(peak, 1 << size % bits) / peak
+
+    norms = sum(
+        weight(size_a) * weight(size_b) * math.sqrt(len_a * len_b)
+        for (len_a, size_a), (len_b, size_b) in shapes
+    )
+    products = sum(min(size_a, size_b) // bits + 1 for (_, size_a), (_, size_b) in shapes)
+    summation = (products - 1) * eps / (1 - (products - 1) * eps)
+    growth = math.expm1(
+        6 * k * math.log1p(eps)
+        + (3 * k + 1) * math.log1p(eps * math.sqrt(5))
+        + math.log1p(summation)
+    )
+    return norms * peak**2 * growth
 
 
 def series_file_dumps(series):

@@ -5,13 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import rcadjoint
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.forms as forms_module
-from rcadjoint.cli import _positive_int, main
+from rcadjoint.cli import _emit, _positive_int, _series_parts, main
+from rcadjoint.forms import catalog_get
+
+from oracles import series_file_dumps
 
 
 def run(args):
@@ -47,6 +51,22 @@ class TestExpand:
     def test_unknown_form(self, capsys):
         assert run(["expand", "--form", "nosuch", "--precision", "5"]) == 2
         assert "unknown form" in capsys.readouterr().err
+
+    def test_series_file_is_written_a_block_at_a_time(self, tmp_path):
+        # E4 to 100000 terms, a 2.66 MB file.  Its coefficients are formatted
+        # and written a block at a time, which peaked at 0.55 MB (10.2 MB
+        # with every coefficient string held at once); the text is
+        # json.dumps's across the blocks' seams.
+        series = catalog_get("E4", 100000)
+        path = tmp_path / "e4.json"
+        tracemalloc.start()
+        try:
+            _emit(str(path), _series_parts(series))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert path.read_text() == series_file_dumps(series)
 
     @pytest.mark.parametrize(
         "form, precision, digest",
@@ -758,8 +778,8 @@ def test_l_sum_debug_line_at_the_dense_nu2_shape(tmp_path, monkeypatch, capsys, 
 
 def test_fft_debug_line_at_the_bracket_nu3_shape(tmp_path, monkeypatch, capsys, caplog):
     # bracket_nu3's one sum of four pairs: the FFT route's one certificate,
-    # the bound on the widest balanced limbs that stays below its limit,
-    # 12 bits.  DEBUG on leaves the output file as it was.
+    # the largest per-shift bound on the widest balanced limbs that stays
+    # below its limit, 14 bits.  DEBUG on leaves the output file as it was.
     monkeypatch.chdir(tmp_path)
     argv = ["bracket", "--f", "E4", "--g", "E6", "--nu", "3", "--precision", "8000"]
     assert run([*argv, "--output", "quiet.json"]) == 0
@@ -768,8 +788,8 @@ def test_fft_debug_line_at_the_bracket_nu3_shape(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr() == ("", "")
     assert (tmp_path / "debug.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
     assert [r.getMessage() for r in caplog.records if r.name == "rcadjoint.kernels"] == [
-        "convolve_sum route=fft pairs=4 prec=8000 bound=0.12310888706576302 "
-        "limit=0.25 limb_bits=12"
+        "convolve_sum route=fft pairs=4 prec=8000 bound=0.24221320311802658 "
+        "limit=0.25 limb_bits=14"
     ]
 
 

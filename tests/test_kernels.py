@@ -11,7 +11,7 @@ from rcadjoint import kernels, qseries
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import make_eta_product
 
-from oracles import naive_mul
+from oracles import naive_mul, summed_fft_error_bound
 
 
 def rand_ints(rng, n, lo, hi):
@@ -128,6 +128,29 @@ def test_byte_row_codec_round_trips():
             batch = [rng.randrange(-(1 << 63), 1 << 63) for _ in range(9)]
             batch[5] = wide
             assert kernels._ints_from_rows(_signed_rows(batch, width)) == batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.one_of(st.integers(1, 40), st.sampled_from([7, 8, 9])),
+    narrow=st.booleans(),
+    block=st.sampled_from([None, 1, 2, 3]),
+    data=st.data(),
+)
+def test_rows_read_as_the_signed_ints_of_their_bytes(width, narrow, block, data):
+    # _ints_from_rows against one int.from_bytes per row, at widths 1-40:
+    # narrow rows hold int64 values (read as one int64 array from 8 bytes
+    # on), the others any value of their width; blocks of 1-3 rows put
+    # block boundaries among the rows.
+    bits = min(8 * width, 64 if narrow else 8 * width) - 1
+    vals = data.draw(st.lists(st.integers(-(1 << bits), (1 << bits) - 1), max_size=12))
+    rows = _signed_rows(vals, width)
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(kernels, "_JOIN_ROWS", block)
+        out = kernels._ints_from_rows(rows)
+    assert out == [int.from_bytes(bytes(row), "little", signed=True) for row in rows]
+    assert out == vals
 
 
 # Magnitudes on both sides of the 8-bit limb boundary, of the 7-byte rows
@@ -635,12 +658,17 @@ def test_sum_route_is_logged_once_with_its_pair_count(caplog):
 def test_summed_bound_uses_the_shared_transform_length():
     # Both pairs are transformed at the long pair's length, so the short
     # pair's norms count at that length's growth factor too.  On 8-bit
-    # limbs, bit lengths 23, 15 and 7 have limb maxima summing to 3, 2 and
-    # 1 times 2^7.
+    # limbs, bit lengths 23, 15 and 7 have 3, 2 and 1 limbs, each at most
+    # 2^7: the short pair's limb products meet 1, 2, 2 and 1 at a time in
+    # its four shifts, and the long pair's one product lies in shift 0,
+    # the largest, with one of the short pair's.  The summed bound counts
+    # all 3 * 2 of them there.
     short, long = ((10, 23), (10, 15)), ((5000, 7), (5000, 7))
     both = kernels.fft_error_bound([short, long], 8)
     alone = kernels.fft_error_bound([long], 8)
-    assert both == pytest.approx(alone * (3 * 2 * 10 + 5000) / 5000, rel=1e-12)
+    summed = summed_fft_error_bound([short, long], 8)
+    assert both == pytest.approx(summed * (10 + 5000) / (3 * 2 * 10 + 5000), rel=1e-12)
+    assert alone == pytest.approx(summed_fft_error_bound([long], 8), rel=1e-12)
     assert both > kernels.fft_error_bound([short], 8) + alone
 
 
@@ -695,19 +723,15 @@ def test_balanced_limbs_recombine_to_the_ints(bits, magnitude, length, seed):
         sum(d << bits * i for i, d in enumerate(column)) for column in zip(*limbs)
     ]
     assert recombined == vals
-    # fft_error_bound at bits, over its bound for one limb of at most
-    # 2^(bits-1) (bit length bits - 1) at the same lengths, is
-    # (S / 2^(bits-1))^2, S the sum of the limb maxima it assumes.  The
-    # limbs stay within S, and reach it once 2^B - 1 has a limb below its
-    # top one (its top limb is then 2^(B mod bits)).
-    assumed = half * math.sqrt(
-        kernels.fft_error_bound([((length, magnitude),) * 2], bits)
-        / kernels.fft_error_bound([((length, bits - 1),) * 2], bits)
-    )
-    reached = sum(max(map(abs, row)) for row in limbs)
-    assert reached <= assumed * (1 + 1e-12)
+    # Each limb row stays within the maximum fft_error_bound assumes for it
+    # (_limb_maxima), and reaches it once 2^B - 1 has a limb below its top
+    # one (its top limb is then 2^(B mod bits)).
+    assumed = kernels._limb_maxima(magnitude, bits).tolist()
+    reached = [max(map(abs, row)) for row in limbs]
+    assert len(assumed) == len(reached)
+    assert all(r <= m for r, m in zip(reached, assumed))
     if magnitude >= bits and length > 2:
-        assert reached == pytest.approx(assumed, rel=1e-12)
+        assert reached == assumed
 
 
 @settings(max_examples=100, deadline=None)
@@ -741,6 +765,57 @@ def test_every_limb_width_is_the_naive_sum(shapes, prec, seed):
         widest, kernels.fft_error_bound(bit_shapes, widest)
     )
     assert kernels.convolve_fft(terms, prec) == expected
+
+
+_SHAPE = st.tuples(st.integers(1, 5000), st.integers(1, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(_SHAPE, _SHAPE), min_size=1, max_size=4),
+    bits=st.integers(8, 16),
+)
+def test_shift_bound_is_within_the_summed_bound(shapes, bits):
+    # Each shift's limb products are some of the products that the summed
+    # bound counts in every shift, and the largest shift holds at least
+    # their average over the shifts; with one limb per operand every
+    # product lies in shift 0, and the two bounds are one.
+    bound = kernels.fft_error_bound(shapes, bits)
+    summed = summed_fft_error_bound(shapes, bits)
+    shifts = max(a // bits + b // bits + 1 for (_, a), (_, b) in shapes)
+    assert summed / shifts * (1 - 1e-12) <= bound <= summed * (1 + 1e-12)
+    one_limb = [
+        ((len_a, min(a, bits - 1)), (len_b, min(b, bits - 1)))
+        for (len_a, a), (len_b, b) in shapes
+    ]
+    assert kernels.fft_error_bound(one_limb, bits) == pytest.approx(
+        summed_fft_error_bound(one_limb, bits), rel=1e-12
+    )
+
+
+def test_worst_case_limbs_at_a_width_only_the_shift_bound_admits(monkeypatch, caplog):
+    # 500 coefficients whose 20 balanced 16-bit limbs are all 2^15, of one
+    # sign per operand, so that every limb product of a shift adds up: the
+    # per-shift bound admits 16-bit limbs, where the summed bound, which
+    # counts all 21 x 21 limb pairs in every shift, is over 1/4 (it admits
+    # 13 bits).  The sum runs on the FFT at 16 bits and is exact.
+    top = sum(1 << 15 + 16 * i for i in range(20))
+    a, b = [top] * 500, [-top] * 500
+    ((rows_a, rows_b),) = _terms([(a, b)], 500)
+    assert all(
+        np.abs(row).tolist() == [1 << 15] * 500
+        for rows in (rows_a, rows_b)
+        for row in kernels._limb_rows(rows, 16, np.empty(500))
+        if row.any()
+    )
+    shapes = [(kernels._bit_shape(rows_a), kernels._bit_shape(rows_b))]
+    bound = kernels.fft_error_bound(shapes, 16)
+    assert bound < kernels._CERT_LIMIT <= summed_fft_error_bound(shapes, 16)
+    calls = _spy_routes(monkeypatch)
+    out, (line,) = _debug_lines(caplog, lambda: kernels.convolve_exact(a, b, 500))
+    assert out == _naive_sum([(a, b)], 500)
+    assert calls == ["fft"]
+    assert line.endswith(f" limbs=40,40 bound={bound} limit=0.25 limb_bits=16")
 
 
 def test_kronecker_slots_hold_the_whole_sum():
