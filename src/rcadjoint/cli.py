@@ -37,7 +37,7 @@ from .verify import first_index, lambda_test, ratio_test
 
 
 # A series file's coefficients are formatted and written this many at a time.
-_WRITE_COEFFS = 1 << 12
+_WRITE_COEFFS = 1 << 10
 
 
 class UsageError(Exception):

@@ -138,7 +138,7 @@ _LIMB16_SQUARE = ((1 << 16) - 1) ** 2
 _WORD_BYTES = 8
 # Wide byte rows are joined, and read back, this many at a time (see
 # _byte_rows and _ints_from_rows).
-_JOIN_ROWS = 1 << 12
+_JOIN_ROWS = 1 << 10
 
 
 def int64_array(values):

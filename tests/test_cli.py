@@ -54,7 +54,7 @@ class TestExpand:
 
     def test_series_file_is_written_a_block_at_a_time(self, tmp_path):
         # E4 to 100000 terms, a 2.66 MB file.  Its coefficients are formatted
-        # and written a block at a time, which peaked at 0.55 MB (10.2 MB
+        # and written a block at a time, which peaked at 0.14 MB (10.2 MB
         # with every coefficient string held at once); the text is
         # json.dumps's across the blocks' seams.
         series = catalog_get("E4", 100000)
@@ -65,7 +65,7 @@ class TestExpand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000
+        assert peak < 500_000
         assert path.read_text() == series_file_dumps(series)
 
     @pytest.mark.parametrize(
