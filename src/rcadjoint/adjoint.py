@@ -31,10 +31,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, _rc_numerator, _twice_rising
 from .kernels import Scaled, correlate_sum, int64_array, np
@@ -122,8 +121,7 @@ def validate_hypotheses(p: BracketParams, g_is_cusp: bool) -> Optional[str]:
     return f"non-cusp g needs l < k - 2 (l={l}, k={k})"
 
 
-@dataclass(frozen=True)
-class TailProfile:
+class TailProfile(NamedTuple):
     """Empirical coefficient growth |a(n)| <= constant * n^exponent.
 
     The constant is empirical: the maximum of |a(n)|/n^exponent over the

@@ -9,29 +9,38 @@ appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kernels import Scaled, convolve_sum
 from .qseries import CharacterMod4, FormMeta, QSeries, _from_ints
 
 
-@dataclass(frozen=True)
-class BracketParams:
-    """The (k, l, nu) triple of a Rankin-Cohen bracket.
-
-    The weights are stored as twice their values, k2 = 2k and l2 = 2l, the
-    integers ``FormMeta.twice_weight`` holds, so half-integral weights are
-    exact.
-    """
-
+class _BracketFields(NamedTuple):
     k2: int
     l2: int
     nu: int
 
-    def __post_init__(self):
-        if self.nu < 0:
+
+class BracketParams(_BracketFields):
+    """The (k, l, nu) triple of a Rankin-Cohen bracket.
+
+    The weights are stored as twice their values, k2 = 2k and l2 = 2l, the
+    integers ``FormMeta.twice_weight`` holds, so half-integral weights are
+    exact.  ``nu`` is checked on every construction path, as
+    ``FormMeta``'s fields are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k2: int, l2: int, nu: int):
+        if nu < 0:
             raise ValueError("bracket order nu must be nonnegative")
+        return super().__new__(cls, k2, l2, nu)
+
+    @classmethod
+    def _make(cls, iterable) -> "BracketParams":
+        return cls(*iterable)
 
 
 def _twice_rising(w2: int, hi: int, lo: int) -> int:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .kernels import convolve_exact, convolve_power, np
 
@@ -42,25 +41,35 @@ class CharacterMod4(Enum):
         return self
 
 
-@dataclass(frozen=True)
-class FormMeta:
+class _FormMetaFields(NamedTuple):
+    twice_weight: int
+    level: int
+    character: CharacterMod4
+
+
+class FormMeta(_FormMetaFields):
     """Weight/level/character bookkeeping attached to a series.
 
     ``twice_weight`` stores 2k so half-integral weights are exact.
     Half-integral weight forces 4 | level (such forms live inside
     Gamma_0(4)).  Cusp-ness at infinity is not stored: it is the
-    vanishing of the series' constant term.
+    vanishing of the series' constant term.  The checks run on every
+    construction path: NamedTuple's own ``_make``, which ``_replace``
+    calls, would skip ``__new__``, so here it calls the constructor.
     """
 
-    twice_weight: int
-    level: int
-    character: CharacterMod4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level <= 0:
+    def __new__(cls, twice_weight: int, level: int, character: CharacterMod4):
+        if level <= 0:
             raise ValueError("level must be positive")
-        if self.twice_weight % 2 != 0 and self.level % 4 != 0:
+        if twice_weight % 2 != 0 and level % 4 != 0:
             raise ValueError("half-integral weight requires 4 | level")
+        return super().__new__(cls, twice_weight, level, character)
+
+    @classmethod
+    def _make(cls, iterable) -> "FormMeta":
+        return cls(*iterable)
 
 
 def _as_fraction(x) -> Fraction:

@@ -14,16 +14,14 @@ the forms' metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .adjoint import DEFAULT_EPSILON, _twice_weights, adjoint_coefficients
 from .bracket import BracketParams, rc_bracket
 from .qseries import QSeries
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Result of testing c(n) against a multiple of a basis form."""
 
     ratios: Tuple[Tuple[int, float], ...]
@@ -127,7 +125,6 @@ def lambda_test(
     h = rc_bracket(f, g, BracketParams(k2, l2, nu))
     rows = adjoint_coefficients(h, g, nu, n_max=m0, M=M, epsilon=epsilon)
     report = ratio_test(rows, f, 0.0)
-    return replace(
-        report,
+    return report._replace(
         passed=report.passed and report.lam >= -abs(report.lam) * report.error_budget,
     )

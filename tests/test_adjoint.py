@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -16,6 +17,7 @@ from rcadjoint.adjoint import (
     GUARD_BITS,
     CaseId,
     HypothesisWarning,
+    TailProfile,
     adjoint_case,
     adjoint_coefficients,
     beta_value,
@@ -196,6 +198,14 @@ class TestTailProfile:
     def test_zero_series(self):
         zero = QSeries([0] * 20).with_meta(catalog_get("E4", 1).meta)
         assert fit_tail_profile(zero).constant == 0.0
+
+    def test_a_frozen_record(self):
+        profile = fit_tail_profile(make_theta(60), 0.1)
+        with pytest.raises(AttributeError):
+            profile.constant = 0.0
+        assert profile == (profile.exponent, profile.constant)
+        restored = pickle.loads(pickle.dumps(profile))
+        assert (type(restored), restored) == (TailProfile, profile)
 
     def test_needs_ten_coefficients(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -169,8 +170,23 @@ class TestRcBracket:
         assert out.coeff(0) == 0  # nu > 0
 
     def test_negative_nu_rejected(self):
-        with pytest.raises(ValueError):
+        message = "bracket order nu must be nonnegative"
+        with pytest.raises(ValueError, match=message):
             BracketParams(2, 2, -1)
+        with pytest.raises(ValueError, match=message):
+            BracketParams(k2=2, l2=2, nu=-1)
+        with pytest.raises(ValueError, match=message):
+            BracketParams(2, 2, 1)._replace(nu=-1)
+        with pytest.raises(ValueError, match=message):
+            BracketParams._make((2, 2, -1))
+
+    def test_params_are_a_frozen_record(self):
+        p = BracketParams(9, 3, 2)
+        with pytest.raises(AttributeError):
+            p.nu = 3
+        assert p._replace(nu=0) == BracketParams(9, 3, 0) == (9, 3, 0)
+        restored = pickle.loads(pickle.dumps(p))
+        assert (type(restored), restored) == (BracketParams, p)
 
 
 class TestCohenCharacter:

@@ -902,6 +902,17 @@ class TestStartup:
         assert (done.returncode, done.stdout) == (0, "")
         assert done.stderr.count("convolve_sum route=fft pairs=2 prec=100 ") == 1
 
+    def test_records_generate_no_code(self):
+        # The four value records are NamedTuples: importing the CLI loads
+        # neither dataclasses nor the copy module it pulls in.
+        done = _fresh_interpreter(
+            "import sys\n"
+            "import rcadjoint.cli\n"
+            "print(sorted({'dataclasses', 'copy'} & set(sys.modules)))\n",
+            {},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
     def test_flagship_runs_without_mpmath(self):
         done = _fresh_interpreter(
             "import sys\n"

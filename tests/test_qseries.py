@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -546,6 +547,36 @@ class TestFormMeta:
     def test_half_integral_weight_needs_level_4(self):
         with pytest.raises(ValueError):
             FormMeta(1, 1, CharacterMod4.TRIVIAL)
+
+    @pytest.mark.parametrize(
+        "twice_weight, level, message",
+        [
+            (12, 0, "level must be positive"),
+            (12, -4, "level must be positive"),
+            (1, 2, "half-integral weight requires 4 [|] level"),
+        ],
+    )
+    def test_every_construction_path_checks(self, twice_weight, level, message):
+        good = FormMeta(3, 4, CharacterMod4.TRIVIAL)
+        with pytest.raises(ValueError, match=message):
+            FormMeta(twice_weight, level, CharacterMod4.TRIVIAL)
+        with pytest.raises(ValueError, match=message):
+            FormMeta(
+                twice_weight=twice_weight, level=level, character=CharacterMod4.TRIVIAL
+            )
+        with pytest.raises(ValueError, match=message):
+            good._replace(twice_weight=twice_weight, level=level)
+        with pytest.raises(ValueError, match=message):
+            FormMeta._make((twice_weight, level, CharacterMod4.TRIVIAL))
+
+    def test_a_frozen_record(self):
+        meta = FormMeta(3, 4, CharacterMod4.CHI_MINUS4)
+        with pytest.raises(AttributeError):
+            meta.level = 8
+        assert meta._replace(level=8) == FormMeta(3, 8, CharacterMod4.CHI_MINUS4)
+        assert meta == (3, 4, CharacterMod4.CHI_MINUS4)
+        restored = pickle.loads(pickle.dumps(meta))
+        assert (type(restored), restored) == (FormMeta, meta)
 
     def test_immutability(self):
         t = make_theta(3)

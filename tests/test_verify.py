@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -6,7 +7,7 @@ from rcadjoint.adjoint import adjoint_coefficients
 from rcadjoint.bracket import series_mul
 from rcadjoint.forms import catalog_get
 from rcadjoint.qseries import QSeries
-from rcadjoint.verify import lambda_test, ratio_test
+from rcadjoint.verify import RatioReport, lambda_test, ratio_test
 
 
 class TestRatioTest:
@@ -108,6 +109,26 @@ class TestLambdaEstimates:
         assert (n, report.lam) == (1, c_1)
         assert report.error_budget == abs(err) / abs(c_1)
         assert report.passed and 0 < report.error_budget < 1e-2
+
+    def test_lambda_report_is_the_ratio_report_of_its_row(self, sec5_rows):
+        # Every field but passed is ratio_test's at zero tolerance; passed
+        # adds the sign rule.
+        theta, d46, rows, M = sec5_rows
+        report = lambda_test(d46, theta, 0, M=M)
+        shape = ratio_test(rows[:1], d46, 0.0)
+        assert type(report) is RatioReport
+        assert report._replace(passed=None) == shape._replace(passed=None)
+        assert report.passed == (
+            shape.passed and shape.lam >= -abs(shape.lam) * shape.error_budget
+        )
+
+    def test_report_is_a_frozen_record(self, sec5_rows):
+        theta, d46, rows, M = sec5_rows
+        report = ratio_test(rows, d46, tolerance=1e-3)
+        with pytest.raises(AttributeError):
+            report.passed = False
+        restored = pickle.loads(pickle.dumps(report))
+        assert (type(restored), restored) == (RatioReport, report)
 
     def test_synthetic_rescaled_basis(self, sec5_rows):
         theta, d46, rows, M = sec5_rows
