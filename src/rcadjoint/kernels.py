@@ -24,11 +24,13 @@ times base one factor at a time.  The route is picked from the inputs:
   rounding bound per limb shift (Percival 2003, Thm 5.1, with a term for
   adding a shift's products in the frequency domain, applied to numpy's
   pocketfft under the assumption stated in ``fft_error_bound``), its one
-  certificate, holds; a run-time residual check must hold too,
+  certificate, holds; a run-time residual check must hold too.  It
+  releases each pair's byte rows once their limb rows are transformed,
 * Kronecker substitution on Python big integers (the pairs' signed
-  products added into one integer), when that bound or that check fails,
-  and at once when some operand has more than two byte limbs per
-  coefficient of prec (the limb rule, _KRONECKER_LIMB_RATIO).
+  products added into one integer), when that bound or that check fails
+  (after a failed check, on byte rows built again), and at once when
+  some operand has more than two byte limbs per coefficient of prec (the
+  limb rule, _KRONECKER_LIMB_RATIO).
 
 Python ints enter numpy through one reader, ``int64_array``, wherever
 they may fit an int64: slice-adds' dense side, narrow byte rows and, in
@@ -106,8 +108,12 @@ _SLICE_LIMIT = 1 << 63
 # The limb rule: a dense sum with an operand of more than this many byte
 # limbs per coefficient of prec goes straight to Kronecker, whose one
 # product grows more slowly than the FFT's limb products, quadratic in the
-# limbs.  Placed from a sweep over prec 3 to 1000 (BENCH_27.json,
-# limb_rule_sweep), in which the two routes cross at 1.9 to 2.7.
+# limbs.  Placed from a sweep under the summed certificate (BENCH_27.json,
+# limb_rule_sweep), in which the two routes crossed at 1.9 to 2.7; the
+# ratio predates the per-shift certificate.  Under it (BENCH_29.json,
+# limb_rule_sweep) there is no crossover at prec 100, where Kronecker wins
+# throughout, it lies at 3 to 4 at prec 150 and past 6 at prec 200-300,
+# so one ratio cannot follow it (ROADMAP item 9).
 _KRONECKER_LIMB_RATIO = 2
 
 # Bits per limb of the byte rows that both dense routes share.  Fixed, not a
@@ -501,6 +507,14 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     (_limb_width).  Returns None, and computes nothing, when no width
     certifies; None when some computed value lies farther than 1/8 from an
     integer; and exactly ``prec`` Python ints otherwise.
+
+    Once a width certifies, the list is the sum's: _fft_sum takes each
+    pair out of it (its entry becomes None) as it reads it, so the byte
+    rows are released pair by pair, each once its limb rows are
+    transformed, unless the caller holds them elsewhere (a caller that
+    reuses the rows passes a copy).  When no width certifies the list is
+    untouched, and convolve_sum hands the same rows to Kronecker; when the
+    residual check refuses, it builds them again for Kronecker.
     """
     bits = _limb_width(terms)[0]
     return None if bits is None else _fft_sum(terms, prec, bits)
@@ -521,12 +535,15 @@ def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
     signed int is the coefficient.  None when a value lies farther than
     _RESIDUAL_LIMIT from an integer.
 
-    Per pair, only the spectra of the operand with fewer limbs are kept.
-    A shift's sum is allocated when a product first reaches it, and
-    finished and released as soon as no product is left for it: in the
-    last pair, after its row s of the other operand.  One pair thus keeps
-    as many sums as its smaller limb count, and several pairs at most one
-    per shift.
+    The pairs are read in order, each taken out of terms (its entry set
+    to None) as it is read, so a pair's byte rows are released once its
+    limb rows are transformed and the next pair is read; by the last pair
+    only its own rows are alive.  Per pair, only the spectra of the
+    operand with fewer limbs are kept.  A shift's sum is allocated when a
+    product first reaches it, and finished and released as soon as no
+    product is left for it: in the last pair, after its row s of the other
+    operand.  One pair thus keeps as many sums as its smaller limb count,
+    and several pairs at most one per shift.
     """
     if not terms:
         return [0] * prec
@@ -583,7 +600,8 @@ def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
         return True
 
     last = len(terms) - 1
-    for t, ((a, b), (count_a, count_b)) in enumerate(zip(terms, counts)):
+    for t, (count_a, count_b) in enumerate(counts):
+        (a, b), terms[t] = terms[t], None
         if count_b > count_a:
             a, b = b, a
         spectra_b = [
@@ -705,47 +723,56 @@ def _read_pairs(pairs, prec):
     return held, nonzeros, cost
 
 
+def _dense_terms(held):
+    """(terms, limbs): the pairs of held as byte rows (_Rows), less those
+    with an all-zero operand, and the byte-limb count of every operand of
+    held, in order."""
+    rows = iter(_dense_rows([op for pair in held for op in pair]))
+    pairs = list(zip(rows, rows))
+    limbs = [op.mags.shape[1] for pair in pairs for op in pair]
+    return [(a, b) for a, b in pairs if a.mags.shape[1] and b.mags.shape[1]], limbs
+
+
 def _convolve(pairs, prec):
     """convolve_sum's sum, after its DEBUG line: the int64 array that
     slice-adds make it on, or the dense routes' list of Python ints."""
     held, nonzeros, cost = _read_pairs(pairs, prec)
+    logging = sys.modules.get("logging")  # never imported: DEBUG is off
+    debug = logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG)
+    detail = ""
+    if debug and len(held) == 1:
+        detail = " len=%d,%d" % tuple(len(op.values) for op in held[0])
     slice_terms = slice_bound = None
     fft_cost = _SLICE_COST_FACTOR * prec * math.log2(max(prec, 1)) + _FFT_OVERHEAD
     if cost <= fft_cost:
         slice_terms, slice_bound = _slice_terms(held, nonzeros)
     if slice_terms is not None:
         route, out = "slices", _convolve_slices(slice_terms, prec)
-    else:
-        rows = iter(_dense_rows([op for pair in held for op in pair]))
-        held = list(zip(rows, rows))
-        terms = [(a, b) for a, b in held if a.mags.shape[1] and b.mags.shape[1]]
-        limbs = max((op.mags.shape[1] for pair in terms for op in pair), default=0)
-        wide = limbs > _KRONECKER_LIMB_RATIO * prec  # the limb rule
-        out = None if wide else convolve_fft(terms, prec)
-        route = "fft" if out is not None else "kronecker"
-        if out is None:
-            out = _convolve_kronecker(terms, prec)
-    logging = sys.modules.get("logging")  # never imported: DEBUG is off
-    if logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG):
-        detail = ""
-        if route == "slices":
-            if len(held) == 1:
-                detail = " len=%d,%d" % tuple(len(op.values) for op in held[0])
+        if debug:
             detail += f" nnz={sum(map(min, nonzeros))} bound={slice_bound} limit=2^63"
-        else:
+    else:
+        terms, limbs = _dense_terms(held)
+        widest = max((op.mags.shape[1] for pair in terms for op in pair), default=0)
+        wide = widest > _KRONECKER_LIMB_RATIO * prec  # the limb rule
+        if debug:  # taken before the FFT route frees the rows
             if len(held) == 1:
-                (a, b), = held
-                detail = (f" len={len(a.mags)},{len(b.mags)}"
-                          f" limbs={a.mags.shape[1]},{b.mags.shape[1]}")
+                detail += " limbs=%d,%d" % tuple(limbs)
             if slice_bound is not None:  # slice-adds refused by their bound
                 detail += f" slice_bound_bits={slice_bound.bit_length()}"
             if wide:
-                detail += f" max_limbs={limbs} limit={_KRONECKER_LIMB_RATIO * prec}"
+                detail += f" max_limbs={widest} limit={_KRONECKER_LIMB_RATIO * prec}"
             else:
                 bits, bound = _limb_width(terms)
                 detail += f" bound={bound} limit={_CERT_LIMIT}"
-                if bits is not None:  # the FFT ran, at this width
+                if bits is not None:  # the FFT runs at this width
                     detail += f" limb_bits={bits}"
+        out = None if wide else convolve_fft(terms, prec)
+        route = "fft" if out is not None else "kronecker"
+        if out is None:
+            if terms and terms[0] is None:  # the FFT ran, freeing the rows
+                terms = _dense_terms(held)[0]
+            out = _convolve_kronecker(terms, prec)
+    if debug:
         logging.getLogger(__name__).debug(
             "convolve_sum route=%s pairs=%d prec=%d%s", route, len(held), prec, detail
         )

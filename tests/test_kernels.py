@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -526,6 +527,33 @@ def test_residual_failure_after_the_last_pair_falls_back_to_kronecker(
     assert record.getMessage().endswith(" limit=0.25 limb_bits=16")
 
 
+def test_fft_sum_keeps_one_pairs_byte_rows_alive(monkeypatch):
+    # The FFT route reads the pairs in order and releases each pair's byte
+    # rows once their limb rows are transformed.  The first inverse
+    # transform comes in the last of four pairs: by then the rows of the
+    # first three are gone, and only the last pair's are alive.
+    pairs = [_dense(10**9, seed=seed) for seed in range(4)]
+    expected = _naive_sum(pairs, 200)
+    dense_rows, refs = kernels._dense_rows, []
+
+    def recording(ops, *args):
+        rows = dense_rows(ops, *args)
+        refs.extend(weakref.ref(op.mags) for op in rows)
+        return rows
+
+    irfft, alive = np.fft.irfft, []
+
+    def checking(*args, **kwargs):
+        if not alive:
+            alive.extend(ref() is not None for ref in refs)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_dense_rows", recording)
+    monkeypatch.setattr(np.fft, "irfft", checking)
+    assert kernels.convolve_sum(pairs, 200) == expected
+    assert alive == [False] * 6 + [True] * 2
+
+
 def test_route_is_logged_at_debug_only(caplog, capsys):
     a, b = _dense(1000)
     with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
@@ -759,7 +787,7 @@ def test_every_limb_width_is_the_naive_sum(shapes, prec, seed):
     ]
     assert 8 in certified
     for bits in certified:
-        assert kernels._fft_sum(terms, prec, bits) == expected
+        assert kernels._fft_sum(list(terms), prec, bits) == expected
     widest = max(certified)
     assert kernels._limb_width(terms) == (
         widest, kernels.fft_error_bound(bit_shapes, widest)
@@ -941,7 +969,7 @@ def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, 
     # rows, slice-adds wherever their certificate holds, and the
     # Kronecker route through convolve_sum with the FFT refused.
     terms = _nonzero(rows)
-    assert kernels.convolve_fft(terms, prec) == expected
+    assert kernels.convolve_fft(list(terms), prec) == expected
     assert kernels._convolve_kronecker(terms, prec) == expected
     cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in ints)
     assert slices(pairs, prec) == (expected if cert < 2**63 else None)
