@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, _rc_numerator, _twice_rising
-from .kernels import Scaled, correlate_sum, int64_array, np
+from .kernels import Scaled, correlate_sum, int64_array, ints_at, np
 from .qseries import QSeries
 
 GUARD_BITS = 168
@@ -142,12 +142,13 @@ def growth_exponent(series: QSeries) -> float:
     coefficients of bounded forms stay put).
     """
     w = float(series.meta.twice_weight) / 2.0
-    e = (w / 2.0 - 0.25) if series.num[0] == 0 else (w - 1.0)
+    e = (w - 1.0) if series.stored_num[0] else (w / 2.0 - 0.25)
     return max(e, 0.0)
 
 
 def _tail_candidates(coeffs, den: int, exponent: float) -> Optional[List[int]]:
-    """The n at which |a(n)|/den/n^exponent can be largest, a(n) = coeffs[n-1].
+    """The n at which |a(n)|/den/n^exponent can be largest, a(n) = coeffs[n-1]
+    (Python ints or an int64 array).
 
     A float64 screen: every quotient is computed in floats, and the n whose
     value is within _SCREEN_SLACK relative of the largest are returned.  The
@@ -159,14 +160,17 @@ def _tail_candidates(coeffs, den: int, exponent: float) -> Optional[List[int]]:
     subnormal, or the largest value is not finite or is near the subnormals
     (the zero series included).
 
-    The a(n) are read as int64 and then cast to float64 when they all fit,
-    and as floats directly otherwise: both round each int correctly to
-    nearest, so the floats are the same.  The magnitudes are taken after
-    the cast, where -2^63 has one.
+    An int64 array is cast to float64 as it is; Python ints are read as
+    int64 and then cast when they all fit, and as floats directly
+    otherwise: each way rounds each int correctly to nearest, so the floats
+    are the same.  The magnitudes are taken after the cast, where -2^63 has
+    one.
     """
     try:
         try:
-            floats = int64_array(coeffs).astype(np.float64)
+            if not isinstance(coeffs, np.ndarray):
+                coeffs = int64_array(coeffs)
+            floats = coeffs.astype(np.float64)
         except OverflowError:
             floats = np.array(coeffs, dtype=np.float64)
         mags = np.abs(floats, out=floats)
@@ -206,12 +210,11 @@ def fit_tail_profile(series: QSeries, epsilon: float = DEFAULT_EPSILON) -> TailP
     exponent = growth_exponent(series) + epsilon
     constant = 0.0
     den = series.den
-    coeffs = series.num[1:]
+    coeffs = series.stored_num[1:]
     candidates = _tail_candidates(coeffs, den, exponent)
     if candidates is None:
         candidates = range(1, len(coeffs) + 1)
-    for n in candidates:
-        v = coeffs[n - 1]
+    for n, v in zip(candidates, ints_at(series.stored_num, candidates)):
         if v:
             try:
                 # int / int rounds correctly, exactly as float(Fraction) does.
@@ -284,7 +287,8 @@ def _l_series_sums(
     not a cusp form.  gamma is ``gamma_s(p)``.
 
     With A[j] = f.num[j] floor(2^P j^-gamma), computed once for each j = n+m
-    that a nonzero b(m) reaches, row n is
+    that a nonzero b(m) reaches (f's stored numerators read at those j
+    only), row n is
     sum_r w_r n^r sum_m A[n+m] m^(nu-r) g.num[m], all over
     2^(nu+P) f.den g.den: w_r = 2^nu c_r are the weights rc_bracket
     convolves with, and m^(nu-r) g.num[m] its g-side operands
@@ -311,15 +315,15 @@ def _l_series_sums(
         raise ValueError(
             f"g needs at least {M + 1} coefficients, has {g.precision}"
         )
-    a = f.num
+    a = f.stored_num
     two_gamma = int(2 * gamma)
     P = GUARD_BITS + math.ceil(gamma * top.bit_length())
     floor_weight = _floor_weight(P, two_gamma)
 
     def weights(js):
-        return [a[j] * floor_weight(j) if a[j] else 0 for j in js]
+        return [v * floor_weight(j) if v else 0 for j, v in zip(js, ints_at(a, js))]
 
-    b = g.num[: M + 1]
+    b = g.stored_num[: M + 1]
     W = [_rc_numerator(p, r) for r in range(p.nu + 1)]
     g_side = [Scaled(b, 1, p.nu - r) for r in range(p.nu + 1)]
     inner = correlate_sum(weights, ns, g_side)
@@ -427,9 +431,9 @@ def adjoint_coefficients(
     p = adjoint_case(*_twice_weights(f, g), nu)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if f.num[0] != 0:
+    if f.stored_num[0]:
         raise ValueError("f must be a cusp form at infinity (a(0) = 0)")
-    message = validate_hypotheses(p, g_is_cusp=g.num[0] == 0)
+    message = validate_hypotheses(p, g_is_cusp=not g.stored_num[0])
     if message is not None:
         warnings.warn(message, HypothesisWarning, stacklevel=2)
     if n_max == 0:

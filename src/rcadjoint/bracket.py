@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .kernels import Scaled, convolve_sum
+from .kernels import Scaled, _convolve
 from .qseries import CharacterMod4, FormMeta, QSeries, _from_ints
 
 
@@ -101,8 +101,11 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
     The bracket is one exact sum of nu + 1 integer convolutions, of
     w_r n^r f_n with n^(nu-r) g_n for w_r = 2^nu rc_coefficient(p, r),
     over the one denominator 2^nu f.den g.den.  Each operand is passed as
-    ``Scaled(values, w, r)``, so the dense routes build its byte rows from
-    those of f or g without forming its ints.
+    ``Scaled(values, w, r)`` of the stored numerators (``stored_num``, an
+    int64 array or a tuple), so the dense routes build its byte rows from
+    those of f or g without forming its ints.  The sum is kept as the
+    route gives it: the int64 array of slice-adds, which the result keeps
+    over the denominator 1, or the dense routes' Python ints.
     """
     if f.meta is not None and f.meta.twice_weight != p.k2:
         raise ValueError(
@@ -113,12 +116,12 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
             f"g has twice-weight {g.meta.twice_weight}, bracket expects {p.l2}"
         )
     prec = min(f.precision, g.precision)
-    f_num, g_num = f.num[:prec], g.num[:prec]
+    f_num, g_num = f.stored_num[:prec], g.stored_num[:prec]
     pairs = [
         (Scaled(f_num, _rc_numerator(p, r), r), Scaled(g_num, 1, p.nu - r))
         for r in range(p.nu + 1)
     ]
-    num = convolve_sum(pairs, prec)
+    num = _convolve(pairs, prec)
     meta = None
     if f.meta is not None and g.meta is not None:
         meta = FormMeta(

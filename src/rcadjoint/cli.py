@@ -191,7 +191,7 @@ def _series_parts(series: QSeries):
     fields = series.json_fields().items()
     head = "".join(f"  {json.dumps(k)}: {json.dumps(v)},\n" for k, v in fields)
     yield f'{{\n{head}  "coeffs": [\n    "'
-    num, den, sep = series.num, series.den, '",\n    "'
+    num, den, sep = series.stored_num, series.den, '",\n    "'
     for start in range(0, len(num), _WRITE_COEFFS):
         block = sep.join(_coeff_strings(num[start : start + _WRITE_COEFFS], den))
         yield sep + block if start else block

@@ -32,21 +32,30 @@ times base one factor at a time.  The route is picked from the inputs:
   some operand has more than two byte limbs per coefficient of prec (the
   limb rule, _KRONECKER_LIMB_RATIO).
 
-Python ints enter numpy through one reader, ``int64_array``, wherever
-they may fit an int64: slice-adds' dense side, narrow byte rows and, in
-``adjoint``, the tail fit's float screen; each caller keeps its own path
-for values beyond int64.  Both dense routes share one byte-row format:
-``_byte_rows`` turns ints into rows of little-endian magnitude bytes and
-a negative mask, and ``_ints_from_rows`` reads rows back as signed
-two's-complement ints.  The FFT route builds its wider limbs from the
-byte rows one limb row at a time, and packs its coefficients back into
-byte rows.  The codec picks how from its input: rows of at
-most 7 bytes are written, and rows whose values all fit in an int64 are
-read, as one int64 array; wider rows are written one ``int.to_bytes``
-at a time, and read one ``int.from_bytes`` at a time from bytes objects
-made a block of rows at a time.
+Every values list may also be an int64 array: slice-adds make their sum
+on one, ``_convolve`` and ``_convolve_power`` hand it back as it is, and
+a series keeps it (``qseries.QSeries.stored_num``), so the next product,
+the tail fit's float screen and the L-sum read it without converting;
+only the public ``convolve_sum``, ``convolve_exact`` and
+``convolve_power`` turn it into Python ints.  An array is read by numpy
+operations only, never element by element: its nonzeros by
+``np.flatnonzero``, its values at some positions by one gather
+(``ints_at``).  Python ints enter numpy through one reader,
+``int64_array``, wherever they may fit an int64: slice-adds' dense side,
+narrow byte rows and, in ``adjoint``, the tail fit's float screen; each
+caller keeps its own path for values beyond int64.  Both dense routes
+share one byte-row format: ``_byte_rows`` turns ints into rows of
+little-endian magnitude bytes and a negative mask, and
+``_ints_from_rows`` reads rows back as signed two's-complement ints.  The
+FFT route builds its wider limbs from the byte rows one limb row at a
+time, and packs its coefficients back into byte rows.  The codec picks
+how from its input: an int64 array and rows of at most 7 bytes are
+written, and rows whose values all fit in an int64 are read, as one int64
+array; wider rows are written one ``int.to_bytes`` at a time, and read
+one ``int.from_bytes`` at a time from bytes objects made a block of rows
+at a time.
 Every operand is held as a ``Scaled(values, w, r)``, the list
-w * n^r * values[n]: an int list (or a chain's int64 array) as
+w * n^r * values[n]: an int list (or an int64 array) as
 ``Scaled(list)``, with w = 1 and r = 0, the bracket's operands with their
 own w and r.  Slice-adds read it as that int list.  The dense routes
 never form its ints: each distinct values list becomes byte rows once
@@ -57,7 +66,7 @@ and w is applied in one more such pass, by its 32-bit digits.  The rows
 equal those of the int list in limb count, magnitudes and signs, so the
 route, the bounds and the output are the same.
 
-Every route is exact and returns exactly ``prec`` Python ints.
+Every route is exact and gives exactly ``prec`` coefficients.
 
 ``correlate_sum(weights, ns, ops)``, the adjoint's L-sum, correlates
 integers A with Scaled operands for many n at once by one float64 limb
@@ -157,16 +166,39 @@ def int64_array(values):
     return np.fromiter(values, "<i8", len(values))
 
 
+def _listed(values):
+    """values as Python ints: an int64 array's tolist, any other list as it is."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def ints_at(values, at):
+    """[values[n] for n in at] as Python ints; an int64 array is read by one
+    gather, so only the values at those positions become ints."""
+    if isinstance(values, np.ndarray):
+        return values[at].tolist()
+    return [values[n] for n in at]
+
+
+def _peak(values) -> int:
+    """max |v| over values, 0 when there are none."""
+    if isinstance(values, np.ndarray):  # -(-2^63) is no int64: negate as an int
+        return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    return max(map(abs, values), default=0)
+
+
 def _byte_rows(vals, width):
     """(len(vals), width) uint8 little-endian magnitudes of vals, and vals < 0.
 
-    Every |v| must be below 2^(8 width).  Rows of at most 7 bytes hold
-    magnitudes below 2^56, which are read as one int64 array; wider rows
-    are written one int at a time, and joined _JOIN_ROWS at a time, since
-    bytes.join holds an 80-byte buffer record per row it joins.
+    Every |v| must be below 2^(8 width).  An int64 array, and rows of at
+    most 7 bytes, which hold magnitudes below 2^56, are read as one int64
+    array (abs leaves -2^63 in place, whose bytes are those of 2^63);
+    wider rows are written one int at a time, and joined _JOIN_ROWS at a
+    time, since bytes.join holds an 80-byte buffer record per row it joins.
     """
-    if width < _WORD_BYTES:
-        words = int64_array(vals)
+    array = isinstance(vals, np.ndarray)
+    if array or width < _WORD_BYTES:
+        # A new array either way: abs below writes in place.
+        words = vals.astype("<i8") if array else int64_array(vals)
         neg = (words >> 63).astype(bool)  # the shift leaves -1 in negatives
         mags = np.abs(words, out=words).view(np.uint8)
         return mags.reshape(len(vals), _WORD_BYTES)[:, :width], neg
@@ -216,8 +248,9 @@ class _Rows(NamedTuple):
 class Scaled(NamedTuple):
     """The operand w * n^r * values[n], n = 0, 1, ..., kept as its parts.
 
-    Slice-adds read it as that int list; the dense routes build its byte
-    rows from those of ``values`` (``_dense_rows``)."""
+    values is a list or tuple of Python ints, or an int64 array.  Slice-adds
+    read it as that int list; the dense routes build its byte rows from
+    those of ``values`` (``_dense_rows``)."""
 
     values: list
     w: int = 1
@@ -225,11 +258,12 @@ class Scaled(NamedTuple):
 
 
 def _ints(op):
-    """The int list w * n^r * values[n] of a Scaled operand."""
+    """The int list w * n^r * values[n] of a Scaled operand; values as they
+    are when w = 1 and r = 0 (an int64 array included)."""
     w, r = op.w, op.r
     if w == 1 and not r:
         return op.values
-    return [w * n**r * v if v else 0 for n, v in enumerate(op.values)]
+    return [w * n**r * v if v else 0 for n, v in enumerate(_listed(op.values))]
 
 
 def _times(mags, digits, step):
@@ -268,8 +302,8 @@ def _dense_rows(ops, at=None):
     those n only.
 
     Each distinct values list becomes byte rows once, with as many limbs
-    as its largest magnitude needs (an int64 array, convolve_power's
-    running product, as its list of ints).  The rows of n^r values come
+    as its largest magnitude needs (an int64 array as it is, or, with at,
+    its values at those n gathered).  The rows of n^r values come
     from those of n^(r-1) values by one _times pass with the factors n
     (below 2^55 for any list that fits in memory), walking r upwards and
     keeping only the current power; |w| then multiplies by its 32-bit
@@ -282,14 +316,12 @@ def _dense_rows(ops, at=None):
         if base != ident:
             base, power = ident, 0
             values = wanted[key]
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
             if at is None:
                 factors = [np.arange(len(values), dtype=np.uint64)]
             else:
-                values = [values[n] for n in at]
+                values = ints_at(values, at)
                 factors = [np.array(at, dtype=np.uint64)]
-            peak = max(map(abs, values), default=0)
+            peak = _peak(values)
             limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
             mags, neg = _byte_rows(values, limbs)
             mags = mags.T
@@ -651,10 +683,10 @@ def _slice_terms(held, nonzeros):
             values = [a[i] for i in index]
         try:
             array = b if isinstance(b, np.ndarray) else int64_array(b)
-            peak = max(int(array.max()), -int(array.min()))
+            peak = _peak(array)
         except OverflowError:
             # Some |b_j| >= 2^63, so the bound reaches the limit below.
-            peak = max(map(abs, b))
+            peak = _peak(b)
         bound += sum(map(abs, values)) * peak
         if bound >= _SLICE_LIMIT:
             return None, bound
@@ -701,10 +733,12 @@ def _cut(op, prec):
     op = op if isinstance(op, Scaled) else Scaled(op)
     values = op.values if len(op.values) <= prec else op.values[:prec]
     nnz = 0
-    if isinstance(values, np.ndarray):
-        nnz = np.count_nonzero(values)
-    elif op.w:  # n^r vanishes at n = 0 when r > 0
-        nnz = len(values) - values.count(0) - bool(op.r and values and values[0])
+    if op.w:
+        if isinstance(values, np.ndarray):
+            nnz = int(np.count_nonzero(values))
+        else:
+            nnz = len(values) - values.count(0)
+        nnz -= bool(op.r and nnz and values[0])  # n^r vanishes at n = 0
     return op._replace(values=values), len(values), nnz
 
 
@@ -803,14 +837,21 @@ def convolve_sum(pairs, prec):
     ``limb_bits=``, that width, when one certifies.  ``logging`` is not
     imported here.
     """
-    out = _convolve(pairs, prec)
-    return out.tolist() if isinstance(out, np.ndarray) else out
+    return _listed(_convolve(pairs, prec))
 
 
 def convolve_exact(a, b, prec):
     """Exact truncated convolution of two lists of Python ints: the
     one-pair case of convolve_sum."""
     return convolve_sum([(a, b)], prec)
+
+
+def _convolve_power(acc, base, n, prec):
+    """convolve_power's product: the int64 array that slice-adds make it
+    on, or the dense routes' list of Python ints."""
+    for _ in range(n):
+        acc = _convolve([(acc, base)], prec)
+    return acc
 
 
 def convolve_power(acc, base, n, prec):
@@ -824,9 +865,7 @@ def convolve_power(acc, base, n, prec):
     product that the cost rule or the certificate refuses takes the dense
     routes, from Python ints, exactly as convolve_exact would.
     """
-    for _ in range(n):
-        acc = _convolve([(acc, base)], prec)
-    return acc.tolist() if isinstance(acc, np.ndarray) else acc
+    return _listed(_convolve_power(acc, base, n, prec))
 
 
 def _limbs16(mags, neg):
@@ -860,7 +899,10 @@ def correlate_sum(weights, ns, ops):
     b = ops[0].values
     if any(op.values is not b for op in ops):
         raise ValueError("the operands must share one values list")
-    nonzero = list(compress(range(len(b)), b))
+    if isinstance(b, np.ndarray):
+        nonzero = np.flatnonzero(b)
+    else:
+        nonzero = list(compress(range(len(b)), b))
     if len(nonzero) * _LIMB16_SQUARE >= 1 << 62:
         raise ValueError(f"{len(nonzero)} terms overflow the int64 sum of the blocks")
     g_rows = _dense_rows(ops, nonzero)

@@ -1,11 +1,16 @@
 """Exact truncated q-expansion arithmetic and classical constructors.
 
-A series stores its coefficients as Python-int numerators over one
-common positive denominator, in lowest terms, so every operation runs on
+A series stores its coefficients as integer numerators over one common
+positive denominator, in lowest terms, so every operation runs on
 integers: products (``bracket.series_mul``) are integer convolutions
-over the product of the denominators.  ``Fraction`` appears only at the
-edges (the public constructor and ``coeff``/``coeffs``); JSON input is
-read as integers p and q, and floating point never enters this module.
+over the product of the denominators.  The numerators are a tuple of
+Python ints, or, over the denominator 1, the read-only int64 array that a
+kernel made them on (slice-adds' accumulator, theta, the eta powers that
+slice-adds build): the next product, the tail fit and the L-sum read that
+array as it is, and the tuple ``num`` is built only when something asks
+for it.  ``Fraction`` appears only at the edges (the public constructor
+and ``coeff``/``coeffs``); JSON input is read as integers p and q, and
+floating point never enters this module.
 A series knows exactly ``precision`` coefficients (of q^0 ..
 q^(precision-1)) and arithmetic never reports coefficients beyond the
 minimum precision of its inputs.
@@ -24,7 +29,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
-from .kernels import convolve_exact, convolve_power, np
+from .kernels import _convolve_power, convolve_exact, np
 
 
 class CharacterMod4(Enum):
@@ -83,25 +88,35 @@ def _as_fraction(x) -> Fraction:
 
 
 def _store(series: "QSeries", num, den: int, meta: Optional[FormMeta]) -> None:
-    """Set num/den/meta on a new series, in canonical form.
+    """Set the numerators, den and meta of a new series, in canonical form.
 
     num[i]/den is the coefficient of q^i; den > 0 on entry.  Canonical
-    means gcd(den, *num) == 1, so equal series have equal (num, den).
+    means gcd(den, *num) == 1, so equal series have equal (num, den).  An
+    int64 array is kept, made read-only, over den 1 (the series takes it
+    over: nothing else may write to it); over any other den it is read
+    into Python ints and reduced as any other num.
     """
-    num = tuple(num)
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            num, den = tuple(v // g for v in num), den // g
-    if not num:
+    if isinstance(num, np.ndarray) and den == 1:
+        num.flags.writeable = False
+        ints = None
+    else:
+        num = tuple(num.tolist() if isinstance(num, np.ndarray) else num)
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = tuple(v // g for v in num), den // g
+        ints = num
+    if not len(num):
         raise ValueError("a series must know at least one coefficient")
-    object.__setattr__(series, "num", num)
+    object.__setattr__(series, "stored_num", num)
+    object.__setattr__(series, "_num", ints)
     object.__setattr__(series, "den", den)
     object.__setattr__(series, "meta", meta)
 
 
 def _from_ints(num, den: int, meta: Optional[FormMeta] = None) -> "QSeries":
-    """The series with coefficients num[i]/den (den > 0)."""
+    """The series with coefficients num[i]/den (den > 0): num is an iterable
+    of Python ints, or an int64 array the series takes over."""
     series = object.__new__(QSeries)
     _store(series, num, den, meta)
     return series
@@ -114,7 +129,10 @@ _COEFF_READ = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def _coeff_strings(num, den: int) -> list:
-    """Each num[i]/den as the string "p/q" in lowest terms."""
+    """Each num[i]/den as the string "p/q" in lowest terms; num is a
+    sequence of Python ints or an int64 array."""
+    if isinstance(num, np.ndarray):
+        num = num.tolist()
     if den == 1:
         return [str(v) + "/1" for v in num]
     return [f"{v // g}/{den // g}" for v in num for g in (math.gcd(v, den),)]
@@ -123,12 +141,19 @@ def _coeff_strings(num, den: int) -> list:
 class QSeries:
     """Truncated q-expansion with exact rational coefficients.
 
-    Stored as a tuple of integer numerators ``num`` over one positive
-    denominator ``den``, in lowest terms (gcd(den, *num) == 1).
-    Immutable; safe to share between threads.
+    Stored as integer numerators over one positive denominator ``den``, in
+    lowest terms (gcd(den, *num) == 1).  ``stored_num`` holds the
+    numerators as the kernels read them: a tuple of Python ints, or, over
+    den 1, the read-only int64 array a kernel made.  ``num`` is always the
+    tuple: for an array it is built on first access and kept.  Equality,
+    hashing, ``repr``, ``coeff``/``coeffs``, ``truncate`` and the JSON text
+    do not depend on which one is stored.  Immutable: no attribute can be
+    set and the array cannot be written; safe to share between threads (two
+    threads that build ``num`` at once build equal tuples, and either is
+    kept).
     """
 
-    __slots__ = ("num", "den", "meta")
+    __slots__ = ("stored_num", "_num", "den", "meta")
 
     def __init__(self, coeffs: Sequence, meta: Optional[FormMeta] = None):
         cs = [_as_fraction(c) for c in coeffs]
@@ -139,8 +164,17 @@ class QSeries:
         raise AttributeError("QSeries is immutable")
 
     @property
+    def num(self) -> tuple:
+        """The numerators as a tuple of Python ints."""
+        num = self._num
+        if num is None:
+            num = tuple(self.stored_num.tolist())
+            object.__setattr__(self, "_num", num)
+        return num
+
+    @property
     def precision(self) -> int:
-        return len(self.num)
+        return len(self.stored_num)
 
     @property
     def coeffs(self) -> tuple:
@@ -148,22 +182,23 @@ class QSeries:
         return tuple(Fraction(v, self.den) for v in self.num)
 
     def coeff(self, n: int) -> Fraction:
-        if not 0 <= n < len(self.num):
+        if not 0 <= n < self.precision:
             raise IndexError(
-                f"coefficient of q^{n} unknown (precision {len(self.num)})"
+                f"coefficient of q^{n} unknown (precision {self.precision})"
             )
-        return Fraction(self.num[n], self.den)
+        return Fraction(int(self.stored_num[n]), self.den)
 
     def truncate(self, precision: int) -> "QSeries":
-        if not 1 <= precision <= len(self.num):
+        if not 1 <= precision <= self.precision:
             raise ValueError("cannot truncate beyond known precision")
-        return _from_ints(self.num[:precision], self.den, self.meta)
+        return _from_ints(self.stored_num[:precision], self.den, self.meta)
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        num = self.stored_num
+        return not (num.any() if isinstance(num, np.ndarray) else any(num))
 
     def with_meta(self, meta: Optional[FormMeta]) -> "QSeries":
-        return _from_ints(self.num, self.den, meta)
+        return _from_ints(self.stored_num, self.den, meta)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -174,9 +209,9 @@ class QSeries:
         return hash((self.num, self.den, self.meta))
 
     def __repr__(self):
-        head = ", ".join(str(self.coeff(n)) for n in range(min(6, len(self.num))))
-        tail = ", ..." if len(self.num) > 6 else ""
-        return f"QSeries([{head}{tail}], precision={len(self.num)})"
+        head = ", ".join(str(self.coeff(n)) for n in range(min(6, self.precision)))
+        tail = ", ..." if self.precision > 6 else ""
+        return f"QSeries([{head}{tail}], precision={self.precision})"
 
     def json_fields(self) -> dict:
         """The fields of ``to_json_dict`` that come before "coeffs"."""
@@ -185,11 +220,12 @@ class QSeries:
             "twice_weight": m.twice_weight if m else None,
             "level": m.level if m else None,
             "character": m.character.value if m else None,
-            "precision": len(self.num),
+            "precision": self.precision,
         }
 
     def to_json_dict(self) -> dict:
-        return {**self.json_fields(), "coeffs": _coeff_strings(self.num, self.den)}
+        coeffs = _coeff_strings(self.stored_num, self.den)
+        return {**self.json_fields(), "coeffs": coeffs}
 
     @staticmethod
     def from_json_dict(d: dict) -> "QSeries":
@@ -259,32 +295,30 @@ def make_theta(precision: int) -> QSeries:
     """The classical weight-1/2 theta series on Gamma_0(4).
 
     Sum over all integers n of q^(n^2): constant term 1, coefficient 2
-    at every positive perfect square.
+    at every positive perfect square.  Its numerators are an int64 array.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    num = [0] * precision
+    num = np.zeros(precision, dtype=np.int64)
+    num[np.arange(1, math.isqrt(precision - 1) + 1) ** 2] = 2
     num[0] = 1
-    n = 1
-    while n * n < precision:
-        num[n * n] = 2
-        n += 1
     return _from_ints(num, 1, FormMeta(1, 4, CharacterMod4.TRIVIAL))
 
 
-def _power_product(powers, size: int) -> list:
-    """prod base^n over the (base, n) pairs, to size coefficients.
+def _power_product(powers, size):
+    """prod base^n over the (base, n) pairs, to size coefficients: an int
+    list, or the int64 array slice-adds made it on.
 
     A power with (sum |base_i|)^n < 2^63 is built one factor at a time by
-    convolve_power: every coefficient of base^k is at most
+    _convolve_power: every coefficient of base^k is at most
     (sum |base_i|)^k, so each product base^k * base passes slice-adds'
     int64 certificate (for Jacobi's J, a sparse side against a dense one),
     and the running power stays one int64 array from the first product to
-    the last.  A product with an earlier factor in front may still fail
-    that certificate; it then takes the dense routes.  Any other power is
-    built by square-and-multiply, each product through convolve_exact.
-    The first factor is taken as it is, so only an empty product (every n
-    zero) is the series 1.
+    the last, which is returned as it is.  A product with an earlier factor
+    in front may still fail that certificate; it then takes the dense
+    routes.  Any other power is built by square-and-multiply, each product
+    through convolve_exact, as Python ints.  The first factor is taken as
+    it is, so only an empty product (every n zero) is the series 1.
     """
     result = None
 
@@ -295,7 +329,7 @@ def _power_product(powers, size: int) -> list:
         if n > 1 and sum(map(abs, base)) ** n < 1 << 63:
             if result is None:
                 result, n = base, n - 1
-            result = convolve_power(result, base, n, size)
+            result = _convolve_power(result, base, n, size)
             continue
         while n:
             if n & 1:
@@ -304,6 +338,14 @@ def _power_product(powers, size: int) -> list:
             if n:
                 base = convolve_exact(base, base, size)
     return [1] + [0] * (size - 1) if result is None else result
+
+
+def _spread(p, size: int, start: int = 0, step: int = 1):
+    """size coefficients, p[i] at start + step i and 0 elsewhere: an int64
+    array when p is one, else an int list."""
+    out = np.zeros(size, np.int64) if isinstance(p, np.ndarray) else [0] * size
+    out[start::step] = p
+    return out
 
 
 def _pentagonal(size: int) -> list:
@@ -353,17 +395,18 @@ def _miller_power(exponent: int, size: int) -> list:
     return p
 
 
-def _euler_factor(step: int, exponent: int, prec: int) -> list:
-    """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent.
+def _euler_factor(step: int, exponent: int, prec: int):
+    """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent, as an
+    int list or the int64 array ``_power_product`` made them on.
 
     In x = q^step this is B^e for the pentagonal series B = prod (1 - x^n).
     For e >= 0 it is J^(e // 3) * B^(e % 3), with J = B^3 the sparse
     series of Jacobi's identity: a few products (``_power_product``).  A
     power J^q with (sum |J_i|)^q < 2^63 multiplies J in one factor at a
-    time (``convolve_power``), each product by int64 slice-adds on one
-    int64 array that is read back into Python ints once; a larger one is
-    built by square-and-multiply through convolve_exact, J * J by
-    slice-adds and the dense later products by the certified FFT route.
+    time (``_convolve_power``), each product by int64 slice-adds on one
+    int64 array, which is kept; a larger one is built by
+    square-and-multiply through convolve_exact, J * J by slice-adds and
+    the dense later products by the certified FFT route.
     For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
     first need a dense series inverse, while Miller's recurrence gives
     B^e directly, so negative exponents keep it.
@@ -374,9 +417,7 @@ def _euler_factor(step: int, exponent: int, prec: int) -> list:
     else:
         q, r = divmod(exponent, 3)
         p = _power_product([(_jacobi(size), q), (_pentagonal(size), r)], size)
-    out = [0] * prec
-    out[::step] = p
-    return out
+    return _spread(p, prec, step=step)
 
 
 def make_eta_product(
@@ -396,7 +437,8 @@ def make_eta_product(
     and B reach it only through a series inverse.  The factors are
     multiplied with convolve_exact, starting from the first one.  For
     eta(2z)^12 at the flagship's sizes, the one factor is J^4, built as
-    J * J, J^2 * J and J^3 * J by slice-adds on one int64 array.
+    J * J, J^2 * J and J^3 * J by slice-adds on one int64 array, and the
+    series keeps that array, spread to q^(1 + 2i).
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -417,7 +459,7 @@ def make_eta_product(
     prod = _power_product(
         ((_euler_factor(mult, expo, inner), 1) for mult, expo in factors), inner
     )
-    return _from_ints([0] * shift + prod, 1, meta)
+    return _from_ints(_spread(prod, precision, shift), 1, meta)
 
 
 def bernoulli_number(n: int) -> Fraction:

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .adjoint import DEFAULT_EPSILON, _twice_weights, adjoint_coefficients
 from .bracket import BracketParams, rc_bracket
+from .kernels import ints_at
 from .qseries import QSeries
 
 
@@ -61,8 +62,8 @@ def ratio_test(
     ratios = []
     zero_rows = []
     budget = 0.0
-    for n, c_n, err in c_list:
-        a = basis_form.num[n]
+    basis = ints_at(basis_form.stored_num, [n for n, _, _ in c_list])
+    for (n, c_n, err), a in zip(c_list, basis):
         if a == 0:
             zero_rows.append((n, c_n, err))
             continue

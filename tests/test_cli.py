@@ -7,13 +7,18 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import rcadjoint
 import rcadjoint.adjoint as adjoint_module
+import rcadjoint.cli as cli_module
 import rcadjoint.forms as forms_module
+from rcadjoint.adjoint import adjoint_coefficients
+from rcadjoint.bracket import series_mul
 from rcadjoint.cli import _emit, _positive_int, _series_parts, main
 from rcadjoint.forms import catalog_get
+from rcadjoint.qseries import QSeries
 
 from oracles import series_file_dumps
 
@@ -751,6 +756,47 @@ def test_debug_route_log_leaves_output_unchanged(capsys, caplog):
     assert any("route=fft" in r.getMessage() for r in caplog.records)
     # The nu = 1 bracket is one sum of its two products.
     assert any("pairs=2" in r.getMessage() for r in caplog.records)
+
+
+def _tuple_spy(monkeypatch):
+    """The array-backed series whose tuple ``num`` is read from here on."""
+    built, num = [], QSeries.num
+
+    def spy(series):
+        if isinstance(series.stored_num, np.ndarray):
+            built.append(series)
+        return num.fget(series)
+
+    monkeypatch.setattr(QSeries, "num", property(spy))
+    return built
+
+
+def test_the_flagship_keeps_its_int64_arrays(monkeypatch, capsys):
+    # theta, Delta_{4,6} (J^4 by slice-adds) and their product (slice-adds)
+    # keep the int64 arrays the kernels made: the tail fit, the L-sum, the
+    # constant-term checks and the ratio test read them as they are, and no
+    # tuple of Python ints is built for any of them.
+    M, n_max = 20000, 10
+    theta, delta = (catalog_get(name, M + n_max + 1) for name in ("theta", "delta_4_6"))
+    f, g = series_mul(theta, delta), catalog_get("theta", M + 1)
+    built = _tuple_spy(monkeypatch)
+    rows = adjoint_coefficients(f, g, 0, n_max, M)
+    assert [type(s.stored_num) for s in (theta, delta, f, g)] == [np.ndarray] * 4
+    assert len(rows) == n_max and not built
+    # verify ratio at a small M: the product's operands and the product.
+    seen = []
+
+    def recording(a, b):
+        seen.extend([a, b, series_mul(a, b)])
+        return seen[-1]
+
+    monkeypatch.setattr(cli_module, "series_mul", recording)
+    argv = ["verify", "ratio", "--f-product", "theta", "delta_4_6", "--g", "theta",
+            "--n-max", "10", "--terms", "2000"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert [type(s.stored_num) for s in seen] == [np.ndarray] * 3
+    assert not built
 
 
 def test_l_sum_debug_line_at_the_dense_nu2_shape(tmp_path, monkeypatch, capsys, caplog):

@@ -14,15 +14,41 @@ the FFT route at the widest limb width its per-shift certificate allows,
 against a product made by series_mul (one pair per call).  The route line
 is asserted too, so that each check keeps meaning what it says when the
 routing rules move.
+
+Two more identities check the int64 path, where a series keeps the int64
+array that slice-adds made it on: the Hecke relations of the weight-6
+newform Delta_{4,6} = eta(2z)^12, built by the slice-add chain J * J,
+J^2 * J, J^3 * J, and Jacobi's four-square theorem for theta^4, whose
+second product reads an array-backed theta^2 on the FFT route.
 """
 
 import logging
+import math
 
+import numpy as np
 import pytest
 
 from rcadjoint import kernels
 from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
 from rcadjoint.forms import catalog_get
+
+
+def _route_lines(caplog, run):
+    """run()'s result and the kernels' DEBUG lines it wrote."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=kernels.__name__):
+        out = run()
+    return out, [r.getMessage() for r in caplog.records if r.name == kernels.__name__]
+
+
+def _odd_primes(limit):
+    """The odd primes below limit, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(3, limit, 2) if sieve[p]]
 
 
 @pytest.mark.parametrize(
@@ -54,3 +80,46 @@ def test_bracket_is_its_multiple_of_delta_times_a_form(
     assert [v * expected.den for v in bracket.num] == [
         factor * bracket.den * v for v in expected.num
     ]
+
+
+def test_delta_4_6_hecke_relations_on_the_slice_add_chain(caplog):
+    # Delta_{4,6} = q prod (1 - q^(2n))^12 spans S_6(Gamma_0(4)), so its
+    # coefficients are Hecke eigenvalues: a(pn) = a(p) a(n) - p^5 a(n/p)
+    # for every odd prime p, and a(2n) = 0 (the 2-part of the level).
+    prec = 20011
+    delta, lines = _route_lines(caplog, lambda: catalog_get("delta_4_6", prec))
+    assert len(lines) == 3
+    assert all(line.startswith("convolve_sum route=slices pairs=1 prec=10005 ")
+               for line in lines)
+    assert isinstance(delta.stored_num, np.ndarray)
+    a = delta.num
+    assert a[:4] == (0, 1, 0, -12) and not any(a[2::2])
+    relations = 0
+    for p in _odd_primes(prec):
+        for n in range(1, (prec - 1) // p + 1):
+            lower = a[n // p] if n % p == 0 else 0
+            assert a[p * n] == a[p] * a[n] - p**5 * lower, (p, n)
+            relations += 1
+    assert relations == 40151
+
+
+def test_theta_fourth_power_is_jacobis_four_square_count(caplog):
+    # r_4(n) = 8 sigma(n) - 32 sigma(n/4) (Jacobi), with sigma(n/4) = 0
+    # unless 4 | n: theta^4 = 1 + sum r_4(n) q^n.
+    prec = 20000
+    theta = catalog_get("theta", prec)
+    square, lines = _route_lines(caplog, lambda: series_mul(theta, theta))
+    (line,) = lines
+    assert line.startswith(f"convolve_sum route=slices pairs=1 prec={prec} ")
+    assert isinstance(square.stored_num, np.ndarray)
+    fourth, lines = _route_lines(caplog, lambda: series_mul(square, square))
+    (line,) = lines
+    assert line.startswith(f"convolve_sum route=fft pairs=1 prec={prec} ")
+    assert " limbs=1,1 " in line and line.endswith(" limb_bits=16")
+    sigma = [0] * prec
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            sigma[n] += d
+    expected = [1] + [8 * sigma[n] - (32 * sigma[n // 4] if n % 4 == 0 else 0)
+                      for n in range(1, prec)]
+    assert (fourth.den, list(fourth.num)) == (1, expected)

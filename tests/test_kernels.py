@@ -367,6 +367,9 @@ def test_power_product_with_a_lead_is_repeated_products(
     with pytest.MonkeyPatch.context() as patch:
         calls = _spy_routes(patch)
         out = qseries._power_product([(acc, 1), (base, n)], size)
+    if isinstance(out, np.ndarray):  # the int64 array slice-adds made it on
+        assert out.dtype == np.int64 and calls[-1] == "slices"
+        out = out.tolist()
     assert out == expected
     assert all(type(v) is int for v in out)
     if n == 1 or sum(map(abs, base)) ** n < 2**63:

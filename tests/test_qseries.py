@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -247,7 +248,8 @@ class TestEtaProduct:
     )
     def test_euler_factor_against_miller_and_oracle(self, exponent, step, prec):
         size = (prec - 1) // step + 1
-        got = _euler_factor(step, exponent, prec)
+        # An int list, or the int64 array slice-adds made it on.
+        got = list(map(int, _euler_factor(step, exponent, prec)))
         assert len(got) == prec
         assert all(got[i] == 0 for i in range(prec) if i % step)
         assert got[::step] == _miller_power(exponent, size)
@@ -284,10 +286,10 @@ class TestEtaProduct:
             for _ in range(count):
                 expected = [int(x) for x in naive_mul(expected, factor, size)]
         # Whether each product's second operand is base itself: one entry
-        # per convolve_exact call, and one per factor of a convolve_power.
+        # per convolve_exact call, and one per factor of a _convolve_power.
         calls = []
         real_exact = qseries_module.convolve_exact
-        real_power = qseries_module.convolve_power
+        real_power = qseries_module._convolve_power
 
         def spy_exact(a, b, prec):
             calls.append(b is base)
@@ -299,8 +301,8 @@ class TestEtaProduct:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qseries_module, "convolve_exact", spy_exact)
-            patch.setattr(qseries_module, "convolve_power", spy_power)
-            assert _power_product(powers, size) == expected
+            patch.setattr(qseries_module, "_convolve_power", spy_power)
+            assert list(map(int, _power_product(powers, size))) == expected
         if n > 1 and sum(map(abs, base)) ** n < 2**63:
             # One factor at a time: base goes in n times.
             assert calls == [True] * (n - (not lead))
@@ -541,6 +543,93 @@ class TestIntegerNumeratorCore:
         d = json.loads(json.dumps(QSeries(coeffs).to_json_dict()))
         assert d["coeffs"] == [f"{c.numerator}/{c.denominator}" for c in coeffs]
         assert_equals_oracle(QSeries.from_json_dict(d), coeffs)
+
+
+# Numerators an int64 array can hold, both ends and zero drawn often.
+_INT64_ENDS = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]
+int64_values = st.one_of(
+    st.sampled_from(_INT64_ENDS), st.integers(-(2**63), 2**63 - 1), st.integers(-9, 9)
+)
+int64_lists = st.lists(int64_values, min_size=1, max_size=14)
+
+
+def _both_backings(values, den=1, meta=None):
+    """(array-backed, tuple-backed) series of the same numerators."""
+    return (_from_ints(np.array(values, dtype=np.int64), den, meta),
+            _from_ints(values, den, meta))
+
+
+class TestStorage:
+    """A series may keep a kernel's int64 array; nothing it shows depends on it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int64_lists, st.one_of(st.none(), form_metas), st.integers(1, 14))
+    @example(_INT64_ENDS, None, 3)
+    @example([0] * 9, None, 9)
+    @example([-(2**63)], FormMeta(12, 4, CharacterMod4.TRIVIAL), 1)
+    def test_the_backing_is_invisible(self, values, meta, prec):
+        array, plain = _both_backings(values, 1, meta)
+        assert isinstance(array.stored_num, np.ndarray)
+        assert type(plain.stored_num) is tuple
+        assert array == plain and plain == array
+        assert hash(array) == hash(plain)
+        assert repr(array) == repr(plain)
+        assert array.precision == plain.precision == len(values)
+        assert array.is_zero() == plain.is_zero() == (not any(values))
+        assert array.num == plain.num == tuple(values)
+        assert all(type(v) is int for v in array.num)
+        for n in range(len(values)):
+            assert array.coeff(n) == plain.coeff(n)
+            assert type(array.coeff(n).numerator) is int
+        assert array.coeffs == plain.coeffs
+        prec = min(prec, len(values))
+        assert array.truncate(prec) == plain.truncate(prec)
+        assert isinstance(array.truncate(prec).stored_num, np.ndarray)
+        assert "".join(_series_parts(array)) == "".join(_series_parts(plain))
+        assert array.to_json_dict() == plain.to_json_dict()
+        assert series_add(array.coeffs, plain.coeffs, 3, -2) == series_add(
+            plain.coeffs, plain.coeffs, 3, -2
+        )
+        for r in range(3):
+            assert apply_D(array.coeffs, r) == apply_D(plain.coeffs, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(int64_lists, int64_lists, st.integers(0, 3), st.integers(1, 3))
+    @example(_INT64_ENDS, _INT64_ENDS, 2, 1)
+    @example([0] * 6, [-(2**63)] * 6, 1, 1)
+    @example([2**63 - 1] * 12, [-(2**63)] * 12, 0, 2)  # the FFT route
+    @example([2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], 0, 1)  # Kronecker
+    def test_products_and_brackets_do_not_see_the_backing(self, a, b, nu, den):
+        # Slice-adds, the FFT and Kronecker read an array operand as they
+        # read the Python ints, and the results are the same series.
+        size = min(len(a), len(b))
+        p = BracketParams(1, 3, nu)
+        f, f_plain = _both_backings(a[:size], den)
+        g, g_plain = _both_backings(b[:size])
+        expected = rc_bracket(f_plain, g_plain, p)
+        for x, y in [(f, g), (f, g_plain), (f_plain, g)]:
+            assert rc_bracket(x, y, p) == expected
+        product = series_mul(f, g)
+        assert product == series_mul(f_plain, g_plain)
+        assert list(product.coeffs) == naive_mul(f.coeffs, g.coeffs, size)
+
+    def test_an_array_over_a_denominator_is_read_into_ints(self):
+        array, plain = _both_backings([2, -4, 6], 4)
+        assert type(array.stored_num) is tuple
+        assert (array.num, array.den) == (plain.num, plain.den) == ((1, -2, 3), 2)
+
+    def test_the_array_cannot_be_written(self):
+        theta = make_theta(10)
+        for series in (theta, theta.truncate(5), theta.with_meta(None),
+                       series_mul(theta, theta)):
+            assert isinstance(series.stored_num, np.ndarray)
+            with pytest.raises(ValueError, match="read-only"):
+                series.stored_num[1] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                series.stored_num.fill(0)
+        assert theta.num[:5] == (1, 2, 0, 0, 2)
+        with pytest.raises(AttributeError):
+            theta.stored_num = ()
 
 
 class TestFormMeta:
