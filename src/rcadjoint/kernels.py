@@ -33,8 +33,9 @@ times base one factor at a time.  The route is picked from the inputs:
   limb rule, _KRONECKER_LIMB_RATIO).
 
 Every values list may also be an int64 array: slice-adds make their sum
-on one, ``_convolve`` and ``_convolve_power`` hand it back as it is, and
-a series keeps it (``qseries.QSeries.stored_num``), so the next product,
+on one, the dense routes read theirs into one when every value fits,
+``_convolve`` and ``_convolve_power`` hand it back as it is, and a series
+keeps it (``qseries.QSeries.stored_num``), so the next product,
 the tail fit's float screen and the L-sum read it without converting;
 only the public ``convolve_sum``, ``convolve_exact`` and
 ``convolve_power`` turn it into Python ints.  An array is read by numpy
@@ -46,14 +47,17 @@ narrow byte rows and, in ``adjoint``, the tail fit's float screen; each
 caller keeps its own path for values beyond int64.  Both dense routes
 share one byte-row format: ``_byte_rows`` turns ints into rows of
 little-endian magnitude bytes and a negative mask, and
-``_ints_from_rows`` reads rows back as signed two's-complement ints.  The
+``_read_rows`` reads rows back as signed two's-complement ints.  The
 FFT route builds its wider limbs from the byte rows one limb row at a
 time, and packs its coefficients back into byte rows.  The codec picks
 how from its input: an int64 array and rows of at most 7 bytes are
 written, and rows whose values all fit in an int64 are read, as one int64
-array; wider rows are written one ``int.to_bytes`` at a time, and read
-one ``int.from_bytes`` at a time from bytes objects made a block of rows
-at a time.
+array; rows whose bytes past the 16th only sign-extend the first 16 are
+read as two int64 words, hi 2^64 + lo, combined into Python ints by
+numpy's object loops (the FFT route's ~115-bit [E4, E6]_3 output, E6);
+wider rows are written one ``int.to_bytes`` at a time, and read one
+``int.from_bytes`` at a time from bytes objects made a block of rows at a
+time.  ``qseries``' divisor sieve reads its rows through the same codec.
 Every operand is held as a ``Scaled(values, w, r)``, the list
 w * n^r * values[n]: an int list (or an int64 array) as
 ``Scaled(list)``, with w = 1 and r = 0, the bracket's operands with their
@@ -80,7 +84,7 @@ import math
 import os
 import sys
 from itertools import compress, islice
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 # Loading numpy starts OpenBLAS's thread pool, one thread per core; on two
 # cores that pool is about half of numpy's import time.  Load it with one
@@ -210,22 +214,42 @@ def _byte_rows(vals, width):
     return mags, np.fromiter((v < 0 for v in vals), bool, len(vals))
 
 
-def _ints_from_rows(rows) -> List[int]:
-    """Each row of a uint8 array as a signed little-endian two's-complement int.
+def _extends(rows, word) -> bool:
+    """Whether every row's bytes past its first 8 k only sign-extend word,
+    the int64 array of its bytes 8 (k - 1) to 8 k."""
+    # Compared as byte strings: the first call of a numpy comparison loop
+    # would map about 128 KB more of numpy's code.
+    extension = (word >> 63).astype(np.uint8).repeat(rows.shape[1])
+    return rows.tobytes() == extension.tobytes()
 
-    When rows have at least 8 bytes and every row's bytes past the 8th
-    only sign-extend its first 8 (every value fits in an int64), the rows
-    are read as one int64 array; otherwise each block of _JOIN_ROWS rows is
-    read as bytes objects and each of those by one ``int.from_bytes``.
+
+def _read_rows(rows):
+    """Each row of a uint8 array as a signed little-endian two's-complement
+    int: one int64 array when rows of at least 8 bytes only sign-extend
+    their first 8, else Python ints.  Wider rows that only sign-extend
+    their first 16 are read as two int64 words, lo unsigned and hi signed
+    (rows of 9 to 15 bytes sign-extended to 16), each value hi 2^64 + lo;
+    any other rows a block of _JOIN_ROWS at a time as bytes objects, each
+    by one ``int.from_bytes``.
     """
     count, width = rows.shape
     if width >= _WORD_BYTES:
         low = np.ascontiguousarray(rows[:, :_WORD_BYTES]).view("<i8").reshape(count)
-        # Compared as byte strings: the first call of a numpy comparison
-        # loop would map about 128 KB more of numpy's code.
-        extension = (low >> 63).astype(np.uint8).repeat(width - _WORD_BYTES)
-        if rows[:, _WORD_BYTES:].tobytes() == extension.tobytes():
-            return low.tolist()
+        if _extends(rows[:, _WORD_BYTES:], low):
+            return low
+    if width > _WORD_BYTES:
+        high = np.empty((count, _WORD_BYTES), np.uint8)
+        high[:] = (rows[:, -1:] >> 7) * np.uint8(_LIMB_MAX)  # the sign's bytes
+        high[:, : width - _WORD_BYTES] = rows[:, _WORD_BYTES : 2 * _WORD_BYTES]
+        high = high.view("<i8").reshape(count)
+        if _extends(rows[:, 2 * _WORD_BYTES :], high):
+            # Object arrays of one block at a time: numpy's loops make and
+            # add the ints, not bytecode.
+            low, values = low.view("<u8"), []
+            for start in range(0, count, _JOIN_ROWS):
+                hi, lo = high[start : start + _JOIN_ROWS], low[start : start + _JOIN_ROWS]
+                values += ((hi.astype(object) << 64) + lo.astype(object)).tolist()
+            return values
     # Each block's rows become bytes objects in one C loop, the void view's
     # tolist, which holds one block of them at a time.
     voids = np.ascontiguousarray(rows).view(f"V{width}").reshape(count)
@@ -234,6 +258,21 @@ def _ints_from_rows(rows) -> List[int]:
         for start in range(0, count, _JOIN_ROWS)
         for row in voids[start : start + _JOIN_ROWS].tolist()
     ]
+
+
+def _ints_from_rows(rows) -> List[int]:
+    """Each row of a uint8 array as a signed little-endian two's-complement
+    int, in Python ints (_read_rows, its int64 array listed)."""
+    return _listed(_read_rows(rows))
+
+
+def _padded(values, prec):
+    """values followed by zeros up to prec entries; an int64 array stays one."""
+    if isinstance(values, np.ndarray):
+        out = np.zeros(prec, np.int64)
+        out[: len(values)] = values
+        return out
+    return values + [0] * (prec - len(values))
 
 
 class _Rows(NamedTuple):
@@ -361,7 +400,8 @@ def _convolve_kronecker(terms, prec):
     c_i of the sum below X/2 in magnitude, and the pairs' signed
     big-integer products are added.  Adding X/2 to every slot makes slot
     i hold c_i + X/2 in [0, X), with no borrow between slots; flipping
-    each slot's top bit then leaves c_i in two's complement.
+    each slot's top bit then leaves c_i in two's complement.  The slots
+    are read as _fft_sum's rows are: an int64 array when every c_i fits.
     """
     if not terms:
         return [0] * prec
@@ -379,7 +419,7 @@ def _convolve_kronecker(terms, prec):
     data = total.to_bytes(width * slots, "little")
     rows = np.frombuffer(data, np.uint8, width * n_out).reshape(n_out, width).copy()
     rows[:, -1] ^= 0x80
-    return _ints_from_rows(rows) + [0] * (prec - n_out)
+    return _padded(_read_rows(rows), prec)
 
 
 def _fft_length(n: int) -> int:
@@ -528,7 +568,7 @@ def _limb_rows(op: _Rows, bits, out):
         yield np.multiply(out, signs, out=out)
 
 
-def convolve_fft(terms, prec) -> Optional[List[int]]:
+def convolve_fft(terms, prec):
     """Exact truncated sum of convolutions by a limb-split floating-point FFT.
 
     terms holds the pairs as byte rows (_Rows), every operand nonzero.
@@ -538,7 +578,8 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     the assumption stated there), certifies rounding, i.e. is below 1/4
     (_limb_width).  Returns None, and computes nothing, when no width
     certifies; None when some computed value lies farther than 1/8 from an
-    integer; and exactly ``prec`` Python ints otherwise.
+    integer; and otherwise exactly ``prec`` values, an int64 array when
+    every one fits (_read_rows), else Python ints.
 
     Once a width certifies, the list is the sum's: _fft_sum takes each
     pair out of it (its entry becomes None) as it reads it, so the byte
@@ -552,7 +593,7 @@ def convolve_fft(terms, prec) -> Optional[List[int]]:
     return None if bits is None else _fft_sum(terms, prec, bits)
 
 
-def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
+def _fft_sum(terms, prec, bits):
     """convolve_fft's sum on balanced bits-bit limbs, with no bound checked.
 
     Each coefficient is split into limbs carrying its sign (_limb_rows);
@@ -564,8 +605,9 @@ def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
     of one row per coefficient: an int64 carry at the weight of the next
     byte takes each shift and gives up every byte below bit bits (s + 1).
     The final carry is appended as 8 more bytes, so that the row read as a
-    signed int is the coefficient.  None when a value lies farther than
-    _RESIDUAL_LIMIT from an integer.
+    signed int is the coefficient (_read_rows: an int64 array when every
+    coefficient fits one, padded with zeros to prec).  None when a value
+    lies farther than _RESIDUAL_LIMIT from an integer.
 
     The pairs are read in order, each taken out of terms (its entry set
     to None) as it is read, so a pair's byte rows are released once its
@@ -651,7 +693,7 @@ def _fft_sum(terms, prec, bits) -> Optional[List[int]]:
     if not finish(shifts):
         return None
     digits[:, done:] = carry.view(np.uint8).reshape(n_out, 8)
-    return _ints_from_rows(digits) + [0] * (prec - n_out)
+    return _padded(_read_rows(digits), prec)
 
 
 def _slice_terms(held, nonzeros):
@@ -769,7 +811,8 @@ def _dense_terms(held):
 
 def _convolve(pairs, prec):
     """convolve_sum's sum, after its DEBUG line: the int64 array that
-    slice-adds make it on, or the dense routes' list of Python ints."""
+    slice-adds make it on, the dense routes' int64 array when every value
+    fits one, else their list of Python ints."""
     held, nonzeros, cost = _read_pairs(pairs, prec)
     logging = sys.modules.get("logging")  # never imported: DEBUG is off
     debug = logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG)
@@ -847,8 +890,7 @@ def convolve_exact(a, b, prec):
 
 
 def _convolve_power(acc, base, n, prec):
-    """convolve_power's product: the int64 array that slice-adds make it
-    on, or the dense routes' list of Python ints."""
+    """convolve_power's product, as _convolve gives its last factor."""
     for _ in range(n):
         acc = _convolve([(acc, base)], prec)
     return acc

@@ -5,11 +5,12 @@ positive denominator, in lowest terms, so every operation runs on
 integers: products (``bracket.series_mul``) are integer convolutions
 over the product of the denominators.  The numerators are a tuple of
 Python ints, or, over the denominator 1, the read-only int64 array that a
-kernel made them on (slice-adds' accumulator, theta, the eta powers that
-slice-adds build): the next product, the tail fit and the L-sum read that
-array as it is, and the tuple ``num`` is built only when something asks
-for it.  ``Fraction`` appears only at the edges (the public constructor
-and ``coeff``/``coeffs``); JSON input is read as integers p and q, and
+kernel made them on (slice-adds' accumulator, a dense route's output whose
+values all fit, theta, the eta powers, E4 up to 317940 coefficients and E6
+up to 1776): the next product, the tail fit and the L-sum read that array
+as it is, and the tuple ``num`` is built only when something asks for it.
+``Fraction`` appears only at the edges (the public constructor and
+``coeff``/``coeffs``); JSON input is read as integers p and q, and
 floating point never enters this module.
 A series knows exactly ``precision`` coefficients (of q^0 ..
 q^(precision-1)) and arithmetic never reports coefficients beyond the
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
-from .kernels import _convolve_power, convolve_exact, np
+from .kernels import _convolve_power, _ints_from_rows, _listed, _read_rows, np
 
 
 class CharacterMod4(Enum):
@@ -307,7 +308,7 @@ def make_theta(precision: int) -> QSeries:
 
 def _power_product(powers, size):
     """prod base^n over the (base, n) pairs, to size coefficients: an int
-    list, or the int64 array slice-adds made it on.
+    list, or the int64 array that slice-adds or the FFT made it on.
 
     A power with (sum |base_i|)^n < 2^63 is built one factor at a time by
     _convolve_power: every coefficient of base^k is at most
@@ -317,13 +318,14 @@ def _power_product(powers, size):
     the last, which is returned as it is.  A product with an earlier factor
     in front may still fail that certificate; it then takes the dense
     routes.  Any other power is built by square-and-multiply, each product
-    through convolve_exact, as Python ints.  The first factor is taken as
-    it is, so only an empty product (every n zero) is the series 1.
+    one _convolve_power factor, kept as its route gives it (the dense
+    routes' int64 array when every value fits one).  The first factor is
+    taken as it is, so only an empty product (every n zero) is the series 1.
     """
     result = None
 
     def times(base):
-        return base if result is None else convolve_exact(result, base, size)
+        return base if result is None else _convolve_power(result, base, 1, size)
 
     for base, n in powers:
         if n > 1 and sum(map(abs, base)) ** n < 1 << 63:
@@ -336,7 +338,7 @@ def _power_product(powers, size):
                 result = times(base)
             n >>= 1
             if n:
-                base = convolve_exact(base, base, size)
+                base = _convolve_power(base, base, 1, size)
     return [1] + [0] * (size - 1) if result is None else result
 
 
@@ -405,8 +407,8 @@ def _euler_factor(step: int, exponent: int, prec: int):
     power J^q with (sum |J_i|)^q < 2^63 multiplies J in one factor at a
     time (``_convolve_power``), each product by int64 slice-adds on one
     int64 array, which is kept; a larger one is built by
-    square-and-multiply through convolve_exact, J * J by slice-adds and
-    the dense later products by the certified FFT route.
+    square-and-multiply, J * J by slice-adds and the dense later products
+    by the certified FFT route, whose int64 output is kept too.
     For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
     first need a dense series inverse, while Miller's recurrence gives
     B^e directly, so negative exponents keep it.
@@ -435,10 +437,12 @@ def make_eta_product(
     prod (1 - x^n)^3 = sum_k (-1)^k (2k+1) x^(k(k+1)/2) and the pentagonal
     series B; for a negative one, Miller's recurrence, since powers of J
     and B reach it only through a series inverse.  The factors are
-    multiplied with convolve_exact, starting from the first one.  For
+    multiplied one product at a time, starting from the first one.  For
     eta(2z)^12 at the flagship's sizes, the one factor is J^4, built as
-    J * J, J^2 * J and J^3 * J by slice-adds on one int64 array, and the
-    series keeps that array, spread to q^(1 + 2i).
+    J * J, J^2 * J and J^3 * J by slice-adds on one int64 array (above
+    54991 coefficients as J^2 * J^2 on the FFT route, whose output is an
+    int64 array too), and the series keeps that array, spread to
+    q^(1 + 2i).
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -474,42 +478,69 @@ def bernoulli_number(n: int) -> Fraction:
     return b[n]
 
 
+def _divisor_sum_rows(e: int, size: int, factor: int = 1):
+    """factor sigma_e(n) for 0 <= n < size, with sigma_e(0) = 0, as (size,
+    width) uint8 rows of little-endian two's-complement bytes.
+
+    A divisor-pair sieve in base-2^32 digits (uint64, exact) modulo
+    2^(32 count): for each d <= sqrt(size - 1), one strided add puts q^e
+    into every n = d q with q >= d, and one more puts d^e into those with
+    q > d.  The terms factor q^e are e multiply-and-carry passes by q on
+    the digits of factor mod 2^(32 count), so a negative factor comes out
+    in two's complement.  count digits hold factor sigma_e(n), below
+    |factor| 2^(e B + 1) with B the bit length of size - 1 (sigma_e(n) <
+    zeta(e) n^e for e >= 2), and its sign bit.
+    """
+    bits = max(size - 1, 1).bit_length()
+    top = e * bits + (1 if e >= 2 else bits) + abs(factor).bit_length()
+    count = top // 32 + 1
+    modular = factor % (1 << 32 * count)
+    digits = [[modular >> s & 0xFFFFFFFF] for s in range(0, 32 * count, 32)]
+    terms = np.array(digits, np.uint64).repeat(size, axis=1)
+    q = np.arange(size, dtype=np.uint64)
+    carry = np.empty(size, np.uint64)
+    for _ in range(e):
+        carry.fill(0)
+        for digit in terms:
+            digit *= q
+            digit += carry
+            np.right_shift(digit, 32, out=carry)
+            digit &= 0xFFFFFFFF
+    sums = np.zeros_like(terms)
+    for d in range(1, math.isqrt(max(size - 1, 0)) + 1):
+        sums[:, d * d :: d] += terms[:, d : (size - 1) // d + 1]
+        sums[:, d * d + d :: d] += terms[:, d, None]
+    del terms
+    carry.fill(0)
+    for digit in sums:
+        carry += digit
+        np.bitwise_and(carry, 0xFFFFFFFF, out=digit)
+        carry >>= 32
+    return sums.T.astype("<u4", order="C").view(np.uint8)
+
+
 def _divisor_power_sums(e: int, size: int) -> list:
     """sigma_e(n) = sum_{d | n} d^e for 0 <= n < size, with sigma_e(0) = 0,
-    as exact Python ints.
-
-    Multiplicative, from a smallest-prime-factor sieve: for n = p m with p
-    the least prime factor of n, sigma(n) = (1 + p^e) sigma(m) when p does
-    not divide m, and (1 + p^e) sigma(m) - p^e sigma(m / p) when it does.
-    """
-    spf = np.zeros(size, dtype=np.int64)
-    for p in range(2, math.isqrt(max(size - 1, 0)) + 1):
-        if not spf[p]:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
-    primes = spf == 0
-    spf[primes] = np.flatnonzero(primes)
-    sigma = [0] * size
-    if size > 1:
-        sigma[1] = 1
-    for n, p in enumerate(spf[2:size].tolist(), 2):
-        m = n // p
-        pe = p**e
-        sigma[n] = (1 + pe) * sigma[m]
-        if m % p == 0:
-            sigma[n] -= pe * sigma[m // p]
-    return sigma
+    as exact Python ints (_divisor_sum_rows read by the kernels' codec)."""
+    return _ints_from_rows(_divisor_sum_rows(e, size))
 
 
 def make_eisenstein(weight_k: int, precision: int) -> QSeries:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
+
+    The numerators q and p sigma_{k-1}(n) over the denominator q of
+    -2k/B_k = p/q come from the divisor sieve (_divisor_sum_rows).  Over
+    q = 1 the series keeps the int64 array the codec reads them as when
+    every one fits (E4 up to 317940 coefficients, E6 up to 1776).
+    """
     if weight_k % 2 != 0 or weight_k < 4:
         raise ValueError("Eisenstein weight must be an even integer >= 4")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     factor = Fraction(-2 * weight_k) / bernoulli_number(weight_k)
-    sigma = _divisor_power_sums(weight_k - 1, precision)
-    # 1 + (p/q) sum sigma(n) q^n, over the denominator q of the factor.
     p, q = factor.numerator, factor.denominator
-    num = [q] + [p * sigma[n] for n in range(1, precision)]
+    num = _read_rows(_divisor_sum_rows(weight_k - 1, precision, p))
+    if q != 1:  # an array is kept over the denominator 1 only
+        num = _listed(num)
+    num[0] = q
     return _from_ints(num, q, FormMeta(2 * weight_k, 1, CharacterMod4.TRIVIAL))

@@ -20,6 +20,10 @@ array that slice-adds made it on: the Hecke relations of the weight-6
 newform Delta_{4,6} = eta(2z)^12, built by the slice-add chain J * J,
 J^2 * J, J^3 * J, and Jacobi's four-square theorem for theta^4, whose
 second product reads an array-backed theta^2 on the FFT route.
+
+The last ones check the Eisenstein series of the divisor sieve where its
+numerators pass one and two int64 words: M_8 and M_10 are spanned by E8
+and E10, so E8 = E4^2 and E10 = E4 E6, and 1728 Delta = E4^3 - E6^2.
 """
 
 import logging
@@ -31,6 +35,7 @@ import pytest
 from rcadjoint import kernels
 from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
 from rcadjoint.forms import catalog_get
+from rcadjoint.qseries import make_eisenstein
 
 
 def _route_lines(caplog, run):
@@ -123,3 +128,46 @@ def test_theta_fourth_power_is_jacobis_four_square_count(caplog):
     expected = [1] + [8 * sigma[n] - (32 * sigma[n // 4] if n % 4 == 0 else 0)
                       for n in range(1, prec)]
     assert (fourth.den, list(fourth.num)) == (1, expected)
+
+
+@pytest.mark.parametrize(
+    "k, weights, prec, limb_bits",
+    [(8, (4, 4), 1000, 16), (10, (4, 6), 400, 16)],
+    ids=["E8=E4^2", "E10=E4*E6"],
+)
+def test_eisenstein_series_past_int64_are_products(caplog, k, weights, prec, limb_bits):
+    # 480 sigma_7(n) and -264 sigma_9(n) pass 2^64 from n = 566 and 139, so
+    # E8 and E10 are read from the sieve as two int64 words, while E4 keeps
+    # its int64 array.
+    series, lines = _route_lines(caplog, lambda: make_eisenstein(k, prec))
+    assert lines == [] and type(series.stored_num) is tuple
+    assert max(map(abs, series.num)) >= 2**64
+    factors = [make_eisenstein(w, prec) for w in weights]
+    assert isinstance(factors[0].stored_num, np.ndarray)
+    product, lines = _route_lines(caplog, lambda: series_mul(*factors))
+    (line,) = lines
+    assert line.startswith(f"convolve_sum route=fft pairs=1 prec={prec} ")
+    assert line.endswith(f" limb_bits={limb_bits}")
+    assert product == series
+
+
+def test_delta_is_the_discriminant_of_e4_and_e6(caplog):
+    # 1728 Delta = E4^3 - E6^2 at a size where E4 keeps its int64 array and
+    # sigma_5 passes 2^64 (from n = 7086), so E6 takes the two-word read.
+    prec = 8000
+    e4, e6 = make_eisenstein(4, prec), make_eisenstein(6, prec)
+    assert isinstance(e4.stored_num, np.ndarray) and type(e6.stored_num) is tuple
+    square, lines = _route_lines(caplog, lambda: series_mul(e4, e4))
+    cube, more = _route_lines(caplog, lambda: series_mul(square, e4))
+    lines += more
+    e6_square, more = _route_lines(caplog, lambda: series_mul(e6, e6))
+    lines += more
+    assert [line.split(" len=")[0] for line in lines] == [
+        f"convolve_sum route=fft pairs=1 prec={prec}"
+    ] * 3
+    assert all(line.endswith(" limb_bits=15") for line in lines)
+    delta = catalog_get("delta", prec)
+    assert cube.den == e6_square.den == delta.den == 1
+    assert [a - b for a, b in zip(cube.num, e6_square.num)] == [
+        1728 * v for v in delta.num
+    ]

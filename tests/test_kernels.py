@@ -38,13 +38,13 @@ def _nonzero(terms):
 
 
 def fft(a, b, prec):
-    """convolve_fft on the one pair (a, b)."""
-    return kernels.convolve_fft(_terms([(a, b)], prec), prec)
+    """convolve_fft on the one pair (a, b), as Python ints."""
+    return kernels._listed(kernels.convolve_fft(_terms([(a, b)], prec), prec))
 
 
 def kronecker(a, b, prec):
-    """The Kronecker route on the one pair (a, b)."""
-    return kernels._convolve_kronecker(_terms([(a, b)], prec), prec)
+    """The Kronecker route on the one pair (a, b), as Python ints."""
+    return kernels._listed(kernels._convolve_kronecker(_terms([(a, b)], prec), prec))
 
 
 def slices(pairs, prec):
@@ -152,6 +152,45 @@ def test_rows_read_as_the_signed_ints_of_their_bytes(width, narrow, block, data)
         out = kernels._ints_from_rows(rows)
     assert out == [int.from_bytes(bytes(row), "little", signed=True) for row in rows]
     assert out == vals
+
+
+# The ends of one and of two int64 words.
+_WORD_ENDS = [
+    0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63),
+    2**127 - 1, -(2**127 - 1), -(2**127),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(8, 40),
+    vals=st.lists(
+        st.one_of(
+            st.sampled_from(_WORD_ENDS),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(-(2**127), 2**127 - 1),
+            st.integers(-(2**319), 2**319 - 1),
+        ),
+        max_size=12,
+    ),
+)
+@example(width=16, vals=_WORD_ENDS)
+@example(width=12, vals=_WORD_ENDS)
+@example(width=24, vals=_WORD_ENDS + [2**128, -(2**128) - 1])
+@example(width=9, vals=[2**64, -(2**64) - 1, 2**63, -(2**63) - 1, -1])
+def test_two_word_rows_read_as_the_signed_ints_of_their_bytes(width, vals):
+    # _ints_from_rows against one int.from_bytes per row at widths 8-40, on
+    # values that fit one int64 word (read as one int64 array), two words
+    # (hi 2^64 + lo, rows of 9-15 bytes sign-extended to 16) or neither,
+    # mixed in one call; a value too wide for the row wraps into it.
+    top = 1 << (8 * width - 1)
+    vals = [(v + top) % (2 * top) - top for v in vals]
+    rows = _signed_rows(vals, width)
+    out = kernels._ints_from_rows(rows)
+    assert out == [int.from_bytes(bytes(row), "little", signed=True) for row in rows]
+    assert out == vals and all(type(v) is int for v in out)
+    one_word = all(-(2**63) <= v < 2**63 for v in vals)
+    assert isinstance(kernels._read_rows(rows), np.ndarray) == one_word
 
 
 # Magnitudes on both sides of the 8-bit limb boundary, of the 7-byte rows
@@ -367,8 +406,12 @@ def test_power_product_with_a_lead_is_repeated_products(
     with pytest.MonkeyPatch.context() as patch:
         calls = _spy_routes(patch)
         out = qseries._power_product([(acc, 1), (base, n)], size)
-    if isinstance(out, np.ndarray):  # the int64 array slice-adds made it on
-        assert out.dtype == np.int64 and calls[-1] == "slices"
+    # The int64 array the last product's route made it on: slice-adds'
+    # always, the dense routes' when every value fits in an int64.
+    fits = all(-(2**63) <= v < 2**63 for v in expected)
+    assert isinstance(out, np.ndarray) == (calls[-1] == "slices" or fits)
+    if isinstance(out, np.ndarray):
+        assert out.dtype == np.int64
         out = out.tolist()
     assert out == expected
     assert all(type(v) is int for v in out)
@@ -641,7 +684,8 @@ def test_convolve_sum_is_the_sum_of_naive_products(shapes, prec, seed):
     # At these sizes the summed rounding bound is far below the limit, so
     # the fused FFT route must certify and answer, whichever route the
     # density picks.
-    assert kernels.convolve_fft(_nonzero(_terms(pairs, prec)), prec) == expected
+    out = kernels.convolve_fft(_nonzero(_terms(pairs, prec)), prec)
+    assert kernels._listed(out) == expected
     # Slice-adds answer exactly whenever the summed certificate holds.
     cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in pairs)
     assert slices(pairs, prec) == (expected if cert < 2**63 else None)
@@ -790,12 +834,12 @@ def test_every_limb_width_is_the_naive_sum(shapes, prec, seed):
     ]
     assert 8 in certified
     for bits in certified:
-        assert kernels._fft_sum(list(terms), prec, bits) == expected
+        assert kernels._listed(kernels._fft_sum(list(terms), prec, bits)) == expected
     widest = max(certified)
     assert kernels._limb_width(terms) == (
         widest, kernels.fft_error_bound(bit_shapes, widest)
     )
-    assert kernels.convolve_fft(terms, prec) == expected
+    assert kernels._listed(kernels.convolve_fft(terms, prec)) == expected
 
 
 _SHAPE = st.tuples(st.integers(1, 5000), st.integers(1, 400))
@@ -855,7 +899,7 @@ def test_kronecker_slots_hold_the_whole_sum():
     m = (1 << 23) - 1
     pairs = [([m, -m], [m, m])] * 1000
     expected = [1000 * m * m, 0]
-    assert kernels._convolve_kronecker(_terms(pairs, 2), 2) == expected
+    assert kernels._listed(kernels._convolve_kronecker(_terms(pairs, 2), 2)) == expected
     assert kernels.convolve_sum(pairs, 2) == expected
 
 
@@ -972,8 +1016,8 @@ def test_convolve_sum_of_scaled_operands_is_the_naive_sum(shapes, shared, prec, 
     # rows, slice-adds wherever their certificate holds, and the
     # Kronecker route through convolve_sum with the FFT refused.
     terms = _nonzero(rows)
-    assert kernels.convolve_fft(list(terms), prec) == expected
-    assert kernels._convolve_kronecker(terms, prec) == expected
+    assert kernels._listed(kernels.convolve_fft(list(terms), prec)) == expected
+    assert kernels._listed(kernels._convolve_kronecker(terms, prec)) == expected
     cert = sum(_slice_certificate(a[:prec], b[:prec]) for a, b in ints)
     assert slices(pairs, prec) == (expected if cert < 2**63 else None)
     with pytest.MonkeyPatch.context() as patch:

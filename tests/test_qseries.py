@@ -286,21 +286,16 @@ class TestEtaProduct:
             for _ in range(count):
                 expected = [int(x) for x in naive_mul(expected, factor, size)]
         # Whether each product's second operand is base itself: one entry
-        # per convolve_exact call, and one per factor of a _convolve_power.
+        # per factor of a _convolve_power call (square-and-multiply passes
+        # one factor per product).
         calls = []
-        real_exact = qseries_module.convolve_exact
         real_power = qseries_module._convolve_power
-
-        def spy_exact(a, b, prec):
-            calls.append(b is base)
-            return real_exact(a, b, prec)
 
         def spy_power(acc, b, count, prec):
             calls.extend([b is base] * count)
             return real_power(acc, b, count, prec)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qseries_module, "convolve_exact", spy_exact)
             patch.setattr(qseries_module, "_convolve_power", spy_power)
             assert list(map(int, _power_product(powers, size))) == expected
         if n > 1 and sum(map(abs, base)) ** n < 2**63:
@@ -338,6 +333,46 @@ class TestEisenstein:
         assert all(type(v) is int for v in _divisor_power_sums(e, size))
         for small in (1, 2, 3, 4, 5):
             assert _divisor_power_sums(e, small) == expected[:small]
+
+    @pytest.mark.parametrize(
+        "e, size, ns, bound",
+        [
+            # sigma_5 passes 2^64 from n = 7086; sigma_11 passes 2^128 from 3184.
+            (5, 8000, [7086, 7200, 7560, 7919, 7999], 2**64),
+            (11, 4000, [3184, 3360, 3600, 3989, 3999], 2**128),
+        ],
+        ids=["sigma_5>2^64", "sigma_11>2^128"],
+    )
+    def test_divisor_power_sums_past_two_and_four_words(self, e, size, ns, bound):
+        sigma = _divisor_power_sums(e, size)
+        assert len(sigma) == size
+        for n in ns:
+            expected = sum(d**e for d in range(1, n + 1) if n % d == 0)
+            assert expected >= bound
+            assert sigma[n] == expected, n
+
+    @pytest.mark.parametrize(
+        "k, prec, array",
+        [
+            (4, 8000, True),
+            # 504 sigma_5(n) < 2^63 for every n < 1776, not at n = 1776.
+            (6, 1776, True),
+            (6, 1777, False),
+            (6, 8000, False),
+            (12, 20, False),  # every numerator fits, over the denominator 691
+        ],
+    )
+    def test_array_backed_exactly_when_every_numerator_fits(self, k, prec, array):
+        series = make_eisenstein(k, prec)
+        assert isinstance(series.stored_num, np.ndarray) == array
+        fits = all(-(2**63) <= v < 2**63 for v in series.num)
+        assert array == (series.den == 1 and fits)
+        assert all(type(v) is int for v in series.num)
+        factor = Fraction(-2 * k) / bernoulli_number(k)
+        n = prec - 1
+        sigma = sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        assert series.coeff(n) == factor * sigma
+        assert series.coeff(0) == 1
 
     def test_e6_past_int64(self):
         # sigma_5(n) passes 2^63 near n = 6000; the coefficients stay exact.
