@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bracket import BracketParams, _rc_numerator, _twice_rising
-from .kernels import Scaled, correlate_sum, int64_array, ints_at, np
+from .kernels import Scaled, _listed, correlate_sum, int64_array, ints_at, np
 from .qseries import QSeries
 
 GUARD_BITS = 168
@@ -142,13 +142,13 @@ def growth_exponent(series: QSeries) -> float:
     coefficients of bounded forms stay put).
     """
     w = float(series.meta.twice_weight) / 2.0
-    e = (w - 1.0) if series.stored_num[0] else (w / 2.0 - 0.25)
+    e = (w - 1.0) if series.coeff(0) else (w / 2.0 - 0.25)
     return max(e, 0.0)
 
 
 def _tail_candidates(coeffs, den: int, exponent: float) -> Optional[List[int]]:
     """The n at which |a(n)|/den/n^exponent can be largest, a(n) = coeffs[n-1]
-    (Python ints or an int64 array).
+    (Python ints, an int64 array or rows).
 
     A float64 screen: every quotient is computed in floats, and the n whose
     value is within _SCREEN_SLACK relative of the largest are returned.  The
@@ -160,12 +160,14 @@ def _tail_candidates(coeffs, den: int, exponent: float) -> Optional[List[int]]:
     subnormal, or the largest value is not finite or is near the subnormals
     (the zero series included).
 
-    An int64 array is cast to float64 as it is; Python ints are read as
-    int64 and then cast when they all fit, and as floats directly
-    otherwise: each way rounds each int correctly to nearest, so the floats
-    are the same.  The magnitudes are taken after the cast, where -2^63 has
-    one.
+    An int64 array is cast to float64 as it is; Python ints, and rows read
+    into them, are read as int64 and then cast when they all fit, and as
+    floats directly otherwise: each way rounds each int correctly to
+    nearest, so the floats are the same.  The magnitudes are taken after
+    the cast, where -2^63 has one.
     """
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim > 1:
+        coeffs = _listed(coeffs)
     try:
         try:
             if not isinstance(coeffs, np.ndarray):
@@ -431,9 +433,9 @@ def adjoint_coefficients(
     p = adjoint_case(*_twice_weights(f, g), nu)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if f.stored_num[0]:
+    if f.coeff(0):
         raise ValueError("f must be a cusp form at infinity (a(0) = 0)")
-    message = validate_hypotheses(p, g_is_cusp=not g.stored_num[0])
+    message = validate_hypotheses(p, g_is_cusp=not g.coeff(0))
     if message is not None:
         warnings.warn(message, HypothesisWarning, stacklevel=2)
     if n_max == 0:

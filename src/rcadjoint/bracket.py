@@ -101,11 +101,13 @@ def rc_bracket(f: QSeries, g: QSeries, p: BracketParams) -> QSeries:
     The bracket is one exact sum of nu + 1 integer convolutions, of
     w_r n^r f_n with n^(nu-r) g_n for w_r = 2^nu rc_coefficient(p, r),
     over the one denominator 2^nu f.den g.den.  Each operand is passed as
-    ``Scaled(values, w, r)`` of the stored numerators (``stored_num``, an
-    int64 array or a tuple), so the dense routes build its byte rows from
-    those of f or g without forming its ints.  The sum is kept as the
-    route gives it: the int64 array of slice-adds, which the result keeps
-    over the denominator 1, or the dense routes' Python ints.
+    ``Scaled(values, w, r)`` of the stored numerators (``stored_num``, a
+    tuple, an int64 array or byte rows), so the dense routes build its
+    byte rows from those of f or g without forming its ints.  The sum is
+    kept as the route gives it, the int64 array of slice-adds or the
+    dense routes' int64 array or byte rows; the result takes the power of
+    two it shares with the denominator off it on its words
+    (``qseries._store``).
     """
     if f.meta is not None and f.meta.twice_weight != p.k2:
         raise ValueError(

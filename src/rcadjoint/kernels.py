@@ -32,34 +32,33 @@ times base one factor at a time.  The route is picked from the inputs:
   some operand has more than two byte limbs per coefficient of prec (the
   limb rule, _KRONECKER_LIMB_RATIO).
 
-Every values list may also be an int64 array: slice-adds make their sum
-on one, the dense routes read theirs into one when every value fits,
-``_convolve`` and ``_convolve_power`` hand it back as it is, and a series
-keeps it (``qseries.QSeries.stored_num``), so the next product,
-the tail fit's float screen and the L-sum read it without converting;
-only the public ``convolve_sum``, ``convolve_exact`` and
-``convolve_power`` turn it into Python ints.  An array is read by numpy
-operations only, never element by element: its nonzeros by
-``np.flatnonzero``, its values at some positions by one gather
-(``ints_at``).  Python ints enter numpy through one reader,
-``int64_array``, wherever they may fit an int64: slice-adds' dense side,
-narrow byte rows and, in ``adjoint``, the tail fit's float screen; each
-caller keeps its own path for values beyond int64.  Both dense routes
-share one byte-row format: ``_byte_rows`` turns ints into rows of
-little-endian magnitude bytes and a negative mask, and
-``_read_rows`` reads rows back as signed two's-complement ints.  The
-FFT route builds its wider limbs from the byte rows one limb row at a
-time, and packs its coefficients back into byte rows.  The codec picks
-how from its input: an int64 array and rows of at most 7 bytes are
-written, and rows whose values all fit in an int64 are read, as one int64
-array; rows whose bytes past the 16th only sign-extend the first 16 are
-read as two int64 words, hi 2^64 + lo, combined into Python ints by
-numpy's object loops (the FFT route's ~115-bit [E4, E6]_3 output, E6);
-wider rows are written one ``int.to_bytes`` at a time, and read one
-``int.from_bytes`` at a time from bytes objects made a block of rows at a
-time.  ``qseries``' divisor sieve reads its rows through the same codec.
+A values list has one of three backings: Python ints, an int64 array,
+or byte rows, a (length, width) uint8 array of little-endian
+two's-complement values trimmed to the bytes of the widest one.
+Slice-adds make their sum on an int64 array; the dense routes' output,
+packed into byte rows, is read (``_read_rows``) as an int64 array when
+every value fits, else kept as those rows trimmed.  ``_convolve`` and
+``_convolve_power`` hand either back as it is, and a series keeps it
+(``qseries.QSeries.stored_num``) for the next product, the tail fit and
+the L-sum.  Arrays are read by numpy operations only: nonzeros by
+``np.flatnonzero``, values at some positions by one gather
+(``ints_at``), the signs and magnitudes of rows by one negation on their
+uint64 words (``_sign_magnitude``), a power of two off every value by one
+shift across them (``_without_twos``).  Python ints are made at the
+edges only, by ``_listed`` (rows of at most 16 bytes as two int64 words,
+hi 2^64 + lo, joined by numpy's object loops a block at a time, wider
+ones by ``int.from_bytes``): a series' ``num`` and ``coeff``, the JSON
+writer, slice-adds' scaled operands (``_ints``) and the public
+``convolve_sum``, ``convolve_exact`` and ``convolve_power``.  They
+enter numpy through ``int64_array`` wherever they may fit an int64
+(slice-adds' dense side, narrow byte rows, the tail fit's float
+screen), and through ``_byte_rows`` as the dense routes' magnitude
+rows and negative mask (``_Rows``), one ``int.to_bytes`` at a time past
+7 bytes (a series read from JSON).  The FFT route builds its wider
+limbs from those rows one limb row at a time.  ``qseries``' divisor
+sieve makes its rows in the same format.
 Every operand is held as a ``Scaled(values, w, r)``, the list
-w * n^r * values[n]: an int list (or an int64 array) as
+w * n^r * values[n]: a values list of any backing as
 ``Scaled(list)``, with w = 1 and r = 0, the bracket's operands with their
 own w and r.  Slice-adds read it as that int list.  The dense routes
 never form its ints: each distinct values list becomes byte rows once
@@ -171,16 +170,31 @@ def int64_array(values):
 
 
 def _listed(values):
-    """values as Python ints: an int64 array's tolist, any other list as it is."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
+    """values as Python ints: an int64 array's tolist, rows read by
+    _wide_ints, any other list as it is."""
+    if not isinstance(values, np.ndarray):
+        return values
+    return values.tolist() if values.ndim == 1 else _wide_ints(values)
 
 
 def ints_at(values, at):
-    """[values[n] for n in at] as Python ints; an int64 array is read by one
-    gather, so only the values at those positions become ints."""
+    """[values[n] for n in at] as Python ints; an array (rows included) is
+    read by one gather, so only the values at those positions become ints."""
     if isinstance(values, np.ndarray):
-        return values[at].tolist()
+        return _listed(values[at])
     return [values[n] for n in at]
+
+
+def _nonzero_mask(array):
+    """Which entries of an int64 array, or which rows, are nonzero."""
+    return array.any(axis=1) if array.ndim > 1 else array
+
+
+def _nonzero(values) -> list:
+    """The positions of the nonzero entries of an int list or an array."""
+    if isinstance(values, np.ndarray):
+        return np.flatnonzero(_nonzero_mask(values)).tolist()
+    return list(compress(range(len(values)), values))
 
 
 def _peak(values) -> int:
@@ -193,11 +207,12 @@ def _peak(values) -> int:
 def _byte_rows(vals, width):
     """(len(vals), width) uint8 little-endian magnitudes of vals, and vals < 0.
 
-    Every |v| must be below 2^(8 width).  An int64 array, and rows of at
-    most 7 bytes, which hold magnitudes below 2^56, are read as one int64
-    array (abs leaves -2^63 in place, whose bytes are those of 2^63);
-    wider rows are written one int at a time, and joined _JOIN_ROWS at a
-    time, since bytes.join holds an 80-byte buffer record per row it joins.
+    Every |v| must be below 2^(8 width).  An int64 array, and ints in rows
+    of at most 7 bytes, which hold magnitudes below 2^56, are read as one
+    int64 array (abs leaves -2^63 in place, whose bytes are those of 2^63);
+    wider ints (a series read from JSON) are written one at a time, and
+    joined _JOIN_ROWS at a time, since bytes.join holds an 80-byte buffer
+    record per row it joins.  Two's-complement rows take _sign_magnitude.
     """
     array = isinstance(vals, np.ndarray)
     if array or width < _WORD_BYTES:
@@ -214,42 +229,54 @@ def _byte_rows(vals, width):
     return mags, np.fromiter((v < 0 for v in vals), bool, len(vals))
 
 
-def _extends(rows, word) -> bool:
-    """Whether every row's bytes past its first 8 k only sign-extend word,
-    the int64 array of its bytes 8 (k - 1) to 8 k."""
-    # Compared as byte strings: the first call of a numpy comparison loop
-    # would map about 128 KB more of numpy's code.
-    extension = (word >> 63).astype(np.uint8).repeat(rows.shape[1])
-    return rows.tobytes() == extension.tobytes()
+def _sign_bytes(rows):
+    """The byte that sign-extends each row, 0 or 255, as a (count, 1) array."""
+    return (rows[:, -1:] >> 7) * np.uint8(_LIMB_MAX)
+
+
+def _extended(rows, width):
+    """Two's-complement rows cut, or sign-extended, to width bytes: a new
+    C-contiguous array."""
+    out = np.empty((len(rows), width), np.uint8)
+    keep = min(width, rows.shape[1])
+    out[:, keep:] = _sign_bytes(rows)
+    out[:, :keep] = rows[:, :keep]
+    return out
 
 
 def _read_rows(rows):
-    """Each row of a uint8 array as a signed little-endian two's-complement
-    int: one int64 array when rows of at least 8 bytes only sign-extend
-    their first 8, else Python ints.  Wider rows that only sign-extend
-    their first 16 are read as two int64 words, lo unsigned and hi signed
-    (rows of 9 to 15 bytes sign-extended to 16), each value hi 2^64 + lo;
-    any other rows a block of _JOIN_ROWS at a time as bytes objects, each
-    by one ``int.from_bytes``.
+    """A uint8 array of signed little-endian two's-complement rows, as a
+    series stores it: one int64 array when every value fits, else the rows
+    trimmed to the bytes of the widest value, a new array.
+
+    The top bytes that only repeat the sign are dropped as whole columns,
+    compared as byte strings; one of them comes back when the sign bit of
+    some row's new top byte disagrees with its sign.
     """
+    sign, width = _sign_bytes(rows).tobytes(), rows.shape[1]
+    while width and rows[:, width - 1].tobytes() == sign:
+        width -= 1
+    if width and _sign_bytes(rows[:, :width]).tobytes() != sign:
+        width += 1
+    if width <= _WORD_BYTES:
+        return _extended(rows, _WORD_BYTES).view("<i8").reshape(len(rows))
+    return _extended(rows, width)
+
+
+def _wide_ints(rows) -> List[int]:
+    """Each two's-complement row as a Python int.  Rows of at most 16 bytes
+    are read as two int64 words, lo unsigned and hi signed, each value
+    hi 2^64 + lo, by numpy's object loops one block of _JOIN_ROWS rows at a
+    time (the FFT route's ~116-bit [E4, E6]_3 output, E6); wider rows one
+    ``int.from_bytes`` each, from bytes objects made a block at a time."""
     count, width = rows.shape
-    if width >= _WORD_BYTES:
-        low = np.ascontiguousarray(rows[:, :_WORD_BYTES]).view("<i8").reshape(count)
-        if _extends(rows[:, _WORD_BYTES:], low):
-            return low
-    if width > _WORD_BYTES:
-        high = np.empty((count, _WORD_BYTES), np.uint8)
-        high[:] = (rows[:, -1:] >> 7) * np.uint8(_LIMB_MAX)  # the sign's bytes
-        high[:, : width - _WORD_BYTES] = rows[:, _WORD_BYTES : 2 * _WORD_BYTES]
-        high = high.view("<i8").reshape(count)
-        if _extends(rows[:, 2 * _WORD_BYTES :], high):
-            # Object arrays of one block at a time: numpy's loops make and
-            # add the ints, not bytecode.
-            low, values = low.view("<u8"), []
-            for start in range(0, count, _JOIN_ROWS):
-                hi, lo = high[start : start + _JOIN_ROWS], low[start : start + _JOIN_ROWS]
-                values += ((hi.astype(object) << 64) + lo.astype(object)).tolist()
-            return values
+    if width <= 2 * _WORD_BYTES:
+        words, values = _extended(rows, 2 * _WORD_BYTES), []
+        low, high = words.view("<u8")[:, 0], words.view("<i8")[:, 1]
+        for start in range(0, count, _JOIN_ROWS):
+            hi, lo = high[start : start + _JOIN_ROWS], low[start : start + _JOIN_ROWS]
+            values += ((hi.astype(object) << 64) + lo.astype(object)).tolist()
+        return values
     # Each block's rows become bytes objects in one C loop, the void view's
     # tolist, which holds one block of them at a time.
     voids = np.ascontiguousarray(rows).view(f"V{width}").reshape(count)
@@ -262,17 +289,63 @@ def _read_rows(rows):
 
 def _ints_from_rows(rows) -> List[int]:
     """Each row of a uint8 array as a signed little-endian two's-complement
-    int, in Python ints (_read_rows, its int64 array listed)."""
+    int, in Python ints (_read_rows, listed)."""
     return _listed(_read_rows(rows))
 
 
-def _padded(values, prec):
-    """values followed by zeros up to prec entries; an int64 array stays one."""
+def _words(rows):
+    """Two's-complement rows as (count, k) little-endian uint64 words, the
+    fewest that hold every row, sign-extended: a new array."""
+    return _extended(rows, -(-rows.shape[1] // _WORD_BYTES) * _WORD_BYTES).view("<u8")
+
+
+def _negated(words):
+    """-x for the two's-complement value x of each row of uint64 words,
+    modulo 2^(64 k): ~x + 1, the carry running up while the words below
+    are zero."""
+    out = ~words
+    carry = np.ones(len(words), np.uint64)
+    for j in range(words.shape[1]):
+        out[:, j] += carry
+        carry &= ~words[:, j].astype(bool)
+    return out
+
+
+def _without_twos(values, den):
+    """(values / 2^s, den / 2^s) for an int64 array or rows and a den > 0,
+    2^s the largest power of two that divides den and every value: the
+    rows (an int64 array's are its 8 bytes) shift right by s bits across
+    their words and are read again (_read_rows).  Only the bytes below the
+    power of two in den are looked at."""
+    if values.ndim == 1:
+        values = np.ascontiguousarray(values, "<i8")
+        rows = values.view(np.uint8).reshape(len(values), _WORD_BYTES)
+    else:
+        rows = values
+    shift = (den & -den).bit_length() - 1
+    low = np.bitwise_or.reduce(rows[:, : -(-shift // _LIMB_BITS)], axis=0)
+    low = int.from_bytes(low.tobytes(), "little")  # every value's low bytes, or-ed
+    if low:
+        shift = min(shift, (low & -low).bit_length() - 1)
+    if not shift or shift >= _LIMB_BITS * rows.shape[1]:  # the latter: every value is 0
+        return values, den >> shift
+    words = _words(rows)[:, shift // 64 :]
+    out = words >> (shift % 64)
+    if shift % 64:
+        out[:, :-1] |= words[:, 1:] << (64 - shift % 64)
+    out[:, -1] = (words[:, -1].view("<i8") >> (shift % 64)).view("<u8")  # the sign comes in
+    return _read_rows(out.view(np.uint8)), den >> shift
+
+
+def _spread(values, size, start=0, step=1):
+    """size entries, values[i] at start + step i and 0 elsewhere: an array
+    of values' kind (int64 or rows) when values is one, else an int list."""
     if isinstance(values, np.ndarray):
-        out = np.zeros(prec, np.int64)
-        out[: len(values)] = values
-        return out
-    return values + [0] * (prec - len(values))
+        out = np.zeros((size,) + values.shape[1:], values.dtype)
+    else:
+        out = [0] * size
+    out[start : start + step * len(values) : step] = values
+    return out
 
 
 class _Rows(NamedTuple):
@@ -287,9 +360,9 @@ class _Rows(NamedTuple):
 class Scaled(NamedTuple):
     """The operand w * n^r * values[n], n = 0, 1, ..., kept as its parts.
 
-    values is a list or tuple of Python ints, or an int64 array.  Slice-adds
-    read it as that int list; the dense routes build its byte rows from
-    those of ``values`` (``_dense_rows``)."""
+    values is a list or tuple of Python ints, an int64 array or byte rows.
+    Slice-adds read it as that list (``_ints``); the dense routes build its
+    byte rows from those of ``values`` (``_dense_rows``)."""
 
     values: list
     w: int = 1
@@ -298,11 +371,28 @@ class Scaled(NamedTuple):
 
 def _ints(op):
     """The int list w * n^r * values[n] of a Scaled operand; values as they
-    are when w = 1 and r = 0 (an int64 array included)."""
+    are when w = 1 and r = 0 (an array included)."""
     w, r = op.w, op.r
     if w == 1 and not r:
         return op.values
     return [w * n**r * v if v else 0 for n, v in enumerate(_listed(op.values))]
+
+
+def _sign_magnitude(values) -> _Rows:
+    """An int list, an int64 array or two's-complement rows as byte rows
+    (_Rows), with as many limbs as the largest magnitude needs: rows by
+    negating their negative rows on uint64 words (_negated), the others by
+    _byte_rows."""
+    if not (isinstance(values, np.ndarray) and values.ndim > 1):
+        limbs = (_peak(values).bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
+        return _Rows(*_byte_rows(values, limbs))
+    words = _words(values)
+    neg = (words[:, -1] >> 63).astype(bool)
+    mags = np.where(neg[:, None], _negated(words), words).view(np.uint8)
+    limbs = mags.shape[1]
+    while limbs and not mags[:, limbs - 1].any():
+        limbs -= 1
+    return _Rows(mags[:, :limbs].copy(), neg)
 
 
 def _times(mags, digits, step):
@@ -340,9 +430,8 @@ def _dense_rows(ops, at=None):
     without forming that list; with at, a list of positions n, the rows at
     those n only.
 
-    Each distinct values list becomes byte rows once, with as many limbs
-    as its largest magnitude needs (an int64 array as it is, or, with at,
-    its values at those n gathered).  The rows of n^r values come
+    Each distinct values list becomes byte rows once (_sign_magnitude; with
+    at, its values at those n gathered first).  The rows of n^r values come
     from those of n^(r-1) values by one _times pass with the factors n
     (below 2^55 for any list that fits in memory), walking r upwards and
     keeping only the current power; |w| then multiplies by its 32-bit
@@ -358,11 +447,10 @@ def _dense_rows(ops, at=None):
             if at is None:
                 factors = [np.arange(len(values), dtype=np.uint64)]
             else:
-                values = ints_at(values, at)
+                array = isinstance(values, np.ndarray)  # rows included
+                values = values[at] if array else [values[n] for n in at]
                 factors = [np.array(at, dtype=np.uint64)]
-            peak = _peak(values)
-            limbs = (peak.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS
-            mags, neg = _byte_rows(values, limbs)
+            mags, neg = _sign_magnitude(values)
             mags = mags.T
         while power < r:
             mags = _times(mags, factors, 0)
@@ -419,7 +507,7 @@ def _convolve_kronecker(terms, prec):
     data = total.to_bytes(width * slots, "little")
     rows = np.frombuffer(data, np.uint8, width * n_out).reshape(n_out, width).copy()
     rows[:, -1] ^= 0x80
-    return _padded(_read_rows(rows), prec)
+    return _spread(_read_rows(rows), prec)
 
 
 def _fft_length(n: int) -> int:
@@ -579,7 +667,7 @@ def convolve_fft(terms, prec):
     (_limb_width).  Returns None, and computes nothing, when no width
     certifies; None when some computed value lies farther than 1/8 from an
     integer; and otherwise exactly ``prec`` values, an int64 array when
-    every one fits (_read_rows), else Python ints.
+    every one fits, else byte rows (_read_rows).
 
     Once a width certifies, the list is the sum's: _fft_sum takes each
     pair out of it (its entry becomes None) as it reads it, so the byte
@@ -606,8 +694,9 @@ def _fft_sum(terms, prec, bits):
     byte takes each shift and gives up every byte below bit bits (s + 1).
     The final carry is appended as 8 more bytes, so that the row read as a
     signed int is the coefficient (_read_rows: an int64 array when every
-    coefficient fits one, padded with zeros to prec).  None when a value
-    lies farther than _RESIDUAL_LIMIT from an integer.
+    coefficient fits one, else the rows trimmed; padded with zeros to prec
+    by _spread).  None when a value lies farther than _RESIDUAL_LIMIT from
+    an integer.
 
     The pairs are read in order, each taken out of terms (its entry set
     to None) as it is read, so a pair's byte rows are released once its
@@ -693,12 +782,12 @@ def _fft_sum(terms, prec, bits):
     if not finish(shifts):
         return None
     digits[:, done:] = carry.view(np.uint8).reshape(n_out, 8)
-    return _padded(_read_rows(digits), prec)
+    return _spread(_read_rows(digits), prec)
 
 
 def _slice_terms(held, nonzeros):
     """(terms, bound): per pair with a nonzero sparser side a, the tuple
-    (indices of a's nonzeros, their values as Python ints, the other side
+    (indices of a's nonzeros, those values as Python ints, the other side
     b as an int64 array), and the certificate bound = sum over pairs of
     sum_i |a_i| * max|b|; (None, bound) as soon as the bound summed so far
     reaches _SLICE_LIMIT.
@@ -706,9 +795,9 @@ def _slice_terms(held, nonzeros):
     held and nonzeros are _read_pairs' pairs and nonzero counts; the
     sparser side is the one with fewer nonzeros, the first on a tie.  A
     side that is an int64 array (convolve_power's running product) is
-    read as it is, and an int list through int64_array.  A pair whose
-    sparser side is all zero is skipped before its other side is read:
-    that side may hold values an int64 cannot.
+    read as it is, rows through _read_rows and an int list through
+    int64_array.  A pair whose sparser side is all zero is skipped before
+    its other side is read: that side may hold values an int64 cannot.
     """
     terms, bound = [], 0
     for (a, b), (nnz_a, nnz_b) in zip(held, nonzeros):
@@ -717,12 +806,11 @@ def _slice_terms(held, nonzeros):
         if nnz_a > nnz_b:
             a, b = b, a
         a, b = _ints(a), _ints(b)
-        if isinstance(a, np.ndarray):
-            nonzero = np.flatnonzero(a)
-            index, values = nonzero.tolist(), a[nonzero].tolist()
-        else:
-            index = list(compress(range(len(a)), a))
-            values = [a[i] for i in index]
+        index = _nonzero(a)
+        values = ints_at(a, index)
+        if isinstance(b, np.ndarray) and b.ndim > 1:
+            b = _read_rows(b)
+            b = b if b.ndim == 1 else _listed(b)  # past int64: refused below
         try:
             array = b if isinstance(b, np.ndarray) else int64_array(b)
             peak = _peak(array)
@@ -771,16 +859,16 @@ def _convolve_slices(terms, prec):
 
 def _cut(op, prec):
     """(op as a Scaled cut to prec, copied only when longer, its length, its
-    nonzero count); an int list or int64 array is taken as Scaled(op)."""
+    nonzero count); a values list of any backing is taken as Scaled(op)."""
     op = op if isinstance(op, Scaled) else Scaled(op)
     values = op.values if len(op.values) <= prec else op.values[:prec]
     nnz = 0
     if op.w:
         if isinstance(values, np.ndarray):
-            nnz = int(np.count_nonzero(values))
+            nnz = int(np.count_nonzero(_nonzero_mask(values)))
         else:
             nnz = len(values) - values.count(0)
-        nnz -= bool(op.r and nnz and values[0])  # n^r vanishes at n = 0
+        nnz -= bool(op.r and nnz and ints_at(values, [0])[0])  # n^r is 0 at n = 0
     return op._replace(values=values), len(values), nnz
 
 
@@ -812,7 +900,7 @@ def _dense_terms(held):
 def _convolve(pairs, prec):
     """convolve_sum's sum, after its DEBUG line: the int64 array that
     slice-adds make it on, the dense routes' int64 array when every value
-    fits one, else their list of Python ints."""
+    fits one, else their byte rows (_read_rows)."""
     held, nonzeros, cost = _read_pairs(pairs, prec)
     logging = sys.modules.get("logging")  # never imported: DEBUG is off
     debug = logging and logging.getLogger(__name__).isEnabledFor(logging.DEBUG)
@@ -859,9 +947,9 @@ def _convolve(pairs, prec):
 def convolve_sum(pairs, prec):
     """Exact sum of the truncated convolutions a*b over the (a, b) in
     pairs; pairs may be any iterable, read once.  Each operand is a list
-    of Python ints, an int64 array or a ``Scaled(values, w, r)``, the list
-    w * n^r * values[n], whose byte rows the dense routes build from those
-    of values without forming its ints.
+    of Python ints, an int64 array, byte rows or a ``Scaled(values, w,
+    r)``, the list w * n^r * values[n], whose byte rows the dense routes
+    build from those of values without forming its ints.
 
     Slice-adds run when the pairs' slice-add cost is at most
     _SLICE_COST_FACTOR * prec * log2(prec) + _FFT_OVERHEAD and their int64
@@ -941,10 +1029,7 @@ def correlate_sum(weights, ns, ops):
     b = ops[0].values
     if any(op.values is not b for op in ops):
         raise ValueError("the operands must share one values list")
-    if isinstance(b, np.ndarray):
-        nonzero = np.flatnonzero(b)
-    else:
-        nonzero = list(compress(range(len(b)), b))
+    nonzero = _nonzero(b)
     if len(nonzero) * _LIMB16_SQUARE >= 1 << 62:
         raise ValueError(f"{len(nonzero)} terms overflow the int64 sum of the blocks")
     g_rows = _dense_rows(ops, nonzero)

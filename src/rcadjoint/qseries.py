@@ -3,15 +3,21 @@
 A series stores its coefficients as integer numerators over one common
 positive denominator, in lowest terms, so every operation runs on
 integers: products (``bracket.series_mul``) are integer convolutions
-over the product of the denominators.  The numerators are a tuple of
-Python ints, or, over the denominator 1, the read-only int64 array that a
-kernel made them on (slice-adds' accumulator, a dense route's output whose
-values all fit, theta, the eta powers, E4 up to 317940 coefficients and E6
-up to 1776): the next product, the tail fit and the L-sum read that array
-as it is, and the tuple ``num`` is built only when something asks for it.
-``Fraction`` appears only at the edges (the public constructor and
-``coeff``/``coeffs``); JSON input is read as integers p and q, and
-floating point never enters this module.
+over the product of the denominators.  The numerators have one of three
+backings: a tuple of Python ints (the public constructor, JSON input, a
+denominator with an odd factor such as E12's 691), or, over the
+denominator 1, the read-only array a kernel made them on.  That is an
+int64 array when every value fits (slice-adds' accumulator, theta, Delta
+up to 2563 coefficients, Delta_{4,6}, E4 up to 317940 coefficients and
+E6 up to 1776), else the kernels' byte rows, two's-complement uint8 rows
+trimmed to the widest value (the FFT and Kronecker routes' output past
+int64, E6 past 1776, Delta from 2564).  The next product, the tail fit
+and the L-sum read an array as it is, a bracket's 2^nu comes off it on
+its words, and Python ints are made only at the edges: the tuple
+``num``, built when something asks for it, ``coeff`` and the JSON
+writer, a block of rows at a time.  ``Fraction`` appears only at the
+edges (the public constructor and ``coeff``/``coeffs``); JSON input is
+read as integers p and q, and floating point never enters this module.
 A series knows exactly ``precision`` coefficients (of q^0 ..
 q^(precision-1)) and arithmetic never reports coefficients beyond the
 minimum precision of its inputs.
@@ -30,7 +36,16 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
-from .kernels import _convolve_power, _ints_from_rows, _listed, _read_rows, np
+from .kernels import (
+    _convolve_power,
+    _ints_from_rows,
+    _listed,
+    _read_rows,
+    _spread,
+    _without_twos,
+    ints_at,
+    np,
+)
 
 
 class CharacterMod4(Enum):
@@ -93,15 +108,20 @@ def _store(series: "QSeries", num, den: int, meta: Optional[FormMeta]) -> None:
 
     num[i]/den is the coefficient of q^i; den > 0 on entry.  Canonical
     means gcd(den, *num) == 1, so equal series have equal (num, den).  An
-    int64 array is kept, made read-only, over den 1 (the series takes it
-    over: nothing else may write to it); over any other den it is read
-    into Python ints and reduced as any other num.
+    int64 array or byte rows first loses the power of two that den and
+    every value share, on its words (kernels._without_twos); it is then
+    kept, made read-only, over den 1 (the series takes it over: nothing
+    else may write to it), and over any other den (an odd factor, or a
+    power of two some value does not share) it is read into Python ints
+    and reduced as any other num.
     """
+    if isinstance(num, np.ndarray) and den != 1:
+        num, den = _without_twos(num, den)
     if isinstance(num, np.ndarray) and den == 1:
         num.flags.writeable = False
         ints = None
     else:
-        num = tuple(num.tolist() if isinstance(num, np.ndarray) else num)
+        num = tuple(_listed(num))
         if den != 1:
             g = math.gcd(den, *num)
             if g != 1:
@@ -117,7 +137,7 @@ def _store(series: "QSeries", num, den: int, meta: Optional[FormMeta]) -> None:
 
 def _from_ints(num, den: int, meta: Optional[FormMeta] = None) -> "QSeries":
     """The series with coefficients num[i]/den (den > 0): num is an iterable
-    of Python ints, or an int64 array the series takes over."""
+    of Python ints, or an int64 array or rows the series takes over."""
     series = object.__new__(QSeries)
     _store(series, num, den, meta)
     return series
@@ -131,9 +151,8 @@ _COEFF_READ = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 def _coeff_strings(num, den: int) -> list:
     """Each num[i]/den as the string "p/q" in lowest terms; num is a
-    sequence of Python ints or an int64 array."""
-    if isinstance(num, np.ndarray):
-        num = num.tolist()
+    sequence of Python ints, an int64 array or rows."""
+    num = _listed(num)
     if den == 1:
         return [str(v) + "/1" for v in num]
     return [f"{v // g}/{den // g}" for v in num for g in (math.gcd(v, den),)]
@@ -145,13 +164,15 @@ class QSeries:
     Stored as integer numerators over one positive denominator ``den``, in
     lowest terms (gcd(den, *num) == 1).  ``stored_num`` holds the
     numerators as the kernels read them: a tuple of Python ints, or, over
-    den 1, the read-only int64 array a kernel made.  ``num`` is always the
-    tuple: for an array it is built on first access and kept.  Equality,
-    hashing, ``repr``, ``coeff``/``coeffs``, ``truncate`` and the JSON text
-    do not depend on which one is stored.  Immutable: no attribute can be
-    set and the array cannot be written; safe to share between threads (two
-    threads that build ``num`` at once build equal tuples, and either is
-    kept).
+    den 1, the read-only array a kernel made, an int64 array when every
+    value fits and otherwise byte rows, a (precision, width) uint8 array
+    of two's-complement values trimmed to the widest one.  ``num`` is
+    always the tuple: for an array it is built on first access and kept;
+    ``coeff`` reads one value.  Equality, hashing, ``repr``,
+    ``coeff``/``coeffs``, ``truncate`` and the JSON text do not depend on
+    which one is stored.  Immutable: no attribute can be set and the array
+    cannot be written; safe to share between threads (two threads that
+    build ``num`` at once build equal tuples, and either is kept).
     """
 
     __slots__ = ("stored_num", "_num", "den", "meta")
@@ -169,7 +190,7 @@ class QSeries:
         """The numerators as a tuple of Python ints."""
         num = self._num
         if num is None:
-            num = tuple(self.stored_num.tolist())
+            num = tuple(_listed(self.stored_num))
             object.__setattr__(self, "_num", num)
         return num
 
@@ -187,12 +208,15 @@ class QSeries:
             raise IndexError(
                 f"coefficient of q^{n} unknown (precision {self.precision})"
             )
-        return Fraction(int(self.stored_num[n]), self.den)
+        return Fraction(ints_at(self.stored_num, [n])[0], self.den)
 
     def truncate(self, precision: int) -> "QSeries":
         if not 1 <= precision <= self.precision:
             raise ValueError("cannot truncate beyond known precision")
-        return _from_ints(self.stored_num[:precision], self.den, self.meta)
+        num = self.stored_num[:precision]
+        if isinstance(num, np.ndarray) and num.ndim > 1:
+            num = _read_rows(num)  # trimmed again, or an int64 array
+        return _from_ints(num, self.den, self.meta)
 
     def is_zero(self) -> bool:
         num = self.stored_num
@@ -308,7 +332,8 @@ def make_theta(precision: int) -> QSeries:
 
 def _power_product(powers, size):
     """prod base^n over the (base, n) pairs, to size coefficients: an int
-    list, or the int64 array that slice-adds or the FFT made it on.
+    list, or the int64 array or byte rows that slice-adds or the FFT made
+    it on.
 
     A power with (sum |base_i|)^n < 2^63 is built one factor at a time by
     _convolve_power: every coefficient of base^k is at most
@@ -319,7 +344,7 @@ def _power_product(powers, size):
     in front may still fail that certificate; it then takes the dense
     routes.  Any other power is built by square-and-multiply, each product
     one _convolve_power factor, kept as its route gives it (the dense
-    routes' int64 array when every value fits one).  The first factor is
+    routes' int64 array or byte rows).  The first factor is
     taken as it is, so only an empty product (every n zero) is the series 1.
     """
     result = None
@@ -340,14 +365,6 @@ def _power_product(powers, size):
             if n:
                 base = _convolve_power(base, base, 1, size)
     return [1] + [0] * (size - 1) if result is None else result
-
-
-def _spread(p, size: int, start: int = 0, step: int = 1):
-    """size coefficients, p[i] at start + step i and 0 elsewhere: an int64
-    array when p is one, else an int list."""
-    out = np.zeros(size, np.int64) if isinstance(p, np.ndarray) else [0] * size
-    out[start::step] = p
-    return out
 
 
 def _pentagonal(size: int) -> list:
@@ -399,7 +416,7 @@ def _miller_power(exponent: int, size: int) -> list:
 
 def _euler_factor(step: int, exponent: int, prec: int):
     """Integer coefficients of prod_{n>=1} (1 - q^(step*n))^exponent, as an
-    int list or the int64 array ``_power_product`` made them on.
+    int list or the array ``_power_product`` made them on.
 
     In x = q^step this is B^e for the pentagonal series B = prod (1 - x^n).
     For e >= 0 it is J^(e // 3) * B^(e % 3), with J = B^3 the sparse
@@ -408,7 +425,9 @@ def _euler_factor(step: int, exponent: int, prec: int):
     time (``_convolve_power``), each product by int64 slice-adds on one
     int64 array, which is kept; a larger one is built by
     square-and-multiply, J * J by slice-adds and the dense later products
-    by the certified FFT route, whose int64 output is kept too.
+    by the certified FFT route, whose output (an int64 array, or byte rows
+    past int64, such as Delta's J^4 * J^4 from 2564 coefficients) is kept
+    too.
     For e < 0 (eta quotients such as eta(2z)^-4) a power of J or B would
     first need a dense series inverse, while Miller's recurrence gives
     B^e directly, so negative exponents keep it.
@@ -530,8 +549,9 @@ def make_eisenstein(weight_k: int, precision: int) -> QSeries:
 
     The numerators q and p sigma_{k-1}(n) over the denominator q of
     -2k/B_k = p/q come from the divisor sieve (_divisor_sum_rows).  Over
-    q = 1 the series keeps the int64 array the codec reads them as when
-    every one fits (E4 up to 317940 coefficients, E6 up to 1776).
+    q = 1 the series keeps the sieve's rows as the codec stores them: an
+    int64 array when every one fits (E4 up to 317940 coefficients, E6 up
+    to 1776), else the rows trimmed (E6 past 1776, E8, E10).
     """
     if weight_k % 2 != 0 or weight_k < 4:
         raise ValueError("Eisenstein weight must be an even integer >= 4")
@@ -539,8 +559,11 @@ def make_eisenstein(weight_k: int, precision: int) -> QSeries:
         raise ValueError("precision must be >= 1")
     factor = Fraction(-2 * weight_k) / bernoulli_number(weight_k)
     p, q = factor.numerator, factor.denominator
-    num = _read_rows(_divisor_sum_rows(weight_k - 1, precision, p))
+    rows = _divisor_sum_rows(weight_k - 1, precision, p)
     if q != 1:  # an array is kept over the denominator 1 only
-        num = _listed(num)
-    num[0] = q
+        num = _ints_from_rows(rows)
+        num[0] = q
+    else:
+        rows[0, 0] = 1  # the constant term: row 0, sigma(0) = 0, is zero
+        num = _read_rows(rows)
     return _from_ints(num, q, FormMeta(2 * weight_k, 1, CharacterMod4.TRIVIAL))

@@ -14,6 +14,7 @@ import rcadjoint
 import rcadjoint.adjoint as adjoint_module
 import rcadjoint.cli as cli_module
 import rcadjoint.forms as forms_module
+import rcadjoint.kernels as kernels
 from rcadjoint.adjoint import adjoint_coefficients
 from rcadjoint.bracket import series_mul
 from rcadjoint.cli import _emit, _positive_int, _series_parts, main
@@ -797,6 +798,39 @@ def test_the_flagship_keeps_its_int64_arrays(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
     assert [type(s.stored_num) for s in seen] == [np.ndarray] * 3
     assert not built
+
+
+def test_the_bracket_workload_keeps_its_byte_rows(tmp_path, monkeypatch):
+    # [E4, E6]_3 at 8000: E4 keeps its int64 array, E6 the divisor sieve's
+    # byte rows and the bracket the FFT route's, 2^3 taken off on their
+    # bytes.  No operand is written into byte rows one int.to_bytes at a
+    # time, and no tuple of Python ints is built before the writer, which
+    # reads the rows one block at a time.
+    monkeypatch.chdir(tmp_path)
+    built = _tuple_spy(monkeypatch)
+    wide, byte_rows = [], kernels._byte_rows
+
+    def spy(vals, width):
+        if not isinstance(vals, np.ndarray) and width >= 8:  # the per-int path
+            wide.append(width)
+        return byte_rows(vals, width)
+
+    seen, bracket = [], cli_module.rc_bracket
+
+    def recording(f, g, p):
+        seen.extend([f, g, bracket(f, g, p)])
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_byte_rows", spy)
+    monkeypatch.setattr(cli_module, "rc_bracket", recording)
+    assert run(["bracket", "--f", "E4", "--g", "E6", "--nu", "3",
+                "--precision", "8000", "--output", "b.json"]) == 0
+    e4, e6, result = (s.stored_num for s in seen)
+    assert e4.dtype == np.int64 and e6.shape == (8000, 10)
+    assert result.shape == (8000, 15) and seen[-1].den == 1
+    assert not wide and not built
+    digest = hashlib.sha256((tmp_path / "b.json").read_bytes()).hexdigest()
+    assert digest == "4110167a88e4749892c9d858469a169fe301dc70f41c024768edbd6830b38403"
 
 
 def test_l_sum_debug_line_at_the_dense_nu2_shape(tmp_path, monkeypatch, capsys, caplog):

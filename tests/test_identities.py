@@ -23,7 +23,10 @@ second product reads an array-backed theta^2 on the FFT route.
 
 The last ones check the Eisenstein series of the divisor sieve where its
 numerators pass one and two int64 words: M_8 and M_10 are spanned by E8
-and E10, so E8 = E4^2 and E10 = E4 E6, and 1728 Delta = E4^3 - E6^2.
+and E10, so E8 = E4^2 and E10 = E4 E6, and 1728 Delta = E4^3 - E6^2; and
+an eta quotient with a negative exponent, which Miller's recurrence
+builds: F = eta(4z)^8 / eta(2z)^4 in M_2(Gamma_0(4)), with
+eta(2z)^12 = theta^8 F - 16 theta^4 F^2.
 """
 
 import logging
@@ -35,7 +38,7 @@ import pytest
 from rcadjoint import kernels
 from rcadjoint.bracket import BracketParams, rc_bracket, series_mul
 from rcadjoint.forms import catalog_get
-from rcadjoint.qseries import make_eisenstein
+from rcadjoint.qseries import make_eisenstein, make_eta_product, make_theta
 
 
 def _route_lines(caplog, run):
@@ -137,10 +140,9 @@ def test_theta_fourth_power_is_jacobis_four_square_count(caplog):
 )
 def test_eisenstein_series_past_int64_are_products(caplog, k, weights, prec, limb_bits):
     # 480 sigma_7(n) and -264 sigma_9(n) pass 2^64 from n = 566 and 139, so
-    # E8 and E10 are read from the sieve as two int64 words, while E4 keeps
-    # its int64 array.
+    # E8 and E10 keep the sieve's byte rows, while E4 keeps its int64 array.
     series, lines = _route_lines(caplog, lambda: make_eisenstein(k, prec))
-    assert lines == [] and type(series.stored_num) is tuple
+    assert lines == [] and series.stored_num.ndim == 2
     assert max(map(abs, series.num)) >= 2**64
     factors = [make_eisenstein(w, prec) for w in weights]
     assert isinstance(factors[0].stored_num, np.ndarray)
@@ -153,10 +155,10 @@ def test_eisenstein_series_past_int64_are_products(caplog, k, weights, prec, lim
 
 def test_delta_is_the_discriminant_of_e4_and_e6(caplog):
     # 1728 Delta = E4^3 - E6^2 at a size where E4 keeps its int64 array and
-    # sigma_5 passes 2^64 (from n = 7086), so E6 takes the two-word read.
+    # sigma_5 passes 2^64 (from n = 7086), so E6 keeps the sieve's byte rows.
     prec = 8000
     e4, e6 = make_eisenstein(4, prec), make_eisenstein(6, prec)
-    assert isinstance(e4.stored_num, np.ndarray) and type(e6.stored_num) is tuple
+    assert e4.stored_num.dtype == np.int64 and e6.stored_num.shape == (prec, 10)
     square, lines = _route_lines(caplog, lambda: series_mul(e4, e4))
     cube, more = _route_lines(caplog, lambda: series_mul(square, e4))
     lines += more
@@ -171,3 +173,33 @@ def test_delta_is_the_discriminant_of_e4_and_e6(caplog):
     assert [a - b for a, b in zip(cube.num, e6_square.num)] == [
         1728 * v for v in delta.num
     ]
+
+
+def test_eta_2z_twelfth_power_from_theta_and_an_eta_quotient(caplog):
+    # M_6(Gamma_0(4)) holds theta^8 F, theta^4 F^2 and eta(2z)^12, with
+    # F = eta(4z)^8 / eta(2z)^4 = sum_{n odd} sigma(n) q^n (its eta(2z)^-4
+    # from Miller's recurrence, which no CLI command reaches), and
+    # eta(2z)^12 = theta^8 F - 16 theta^4 F^2.  Every dense product is on
+    # the FFT route at 16-bit limbs.
+    prec = 2000
+    f, lines = _route_lines(caplog, lambda: make_eta_product([(4, 8), (2, -4)], prec))
+    assert f.num[:8] == (0, 1, 0, 4, 0, 6, 0, 8)
+    theta = make_theta(prec)
+
+    def products():
+        square = series_mul(theta, theta)
+        fourth = series_mul(square, square)
+        return (series_mul(series_mul(fourth, fourth), f),
+                series_mul(fourth, series_mul(f, f)))
+
+    (first, second), more = _route_lines(caplog, products)
+    lines += more
+    dense = [line for line in lines if " route=slices " not in line]
+    assert [line.split(" len=")[0] for line in dense] == [
+        "convolve_sum route=fft pairs=1 prec=1999"
+    ] + [f"convolve_sum route=fft pairs=1 prec={prec}"] * 5
+    assert " limbs=3,27 " in dense[0]  # B^-4 to 1000 terms has 27 byte limbs
+    assert all(line.endswith(" limb_bits=16") for line in dense)
+    eta = catalog_get("delta_4_6", prec)
+    assert first.den == second.den == eta.den == 1
+    assert [a - 16 * b for a, b in zip(first.num, second.num)] == list(eta.num)

@@ -180,17 +180,61 @@ _WORD_ENDS = [
 @example(width=9, vals=[2**64, -(2**64) - 1, 2**63, -(2**63) - 1, -1])
 def test_two_word_rows_read_as_the_signed_ints_of_their_bytes(width, vals):
     # _ints_from_rows against one int.from_bytes per row at widths 8-40, on
-    # values that fit one int64 word (read as one int64 array), two words
+    # values that fit one int64 word (stored as one int64 array), two words
     # (hi 2^64 + lo, rows of 9-15 bytes sign-extended to 16) or neither,
     # mixed in one call; a value too wide for the row wraps into it.
+    # Rows past int64 are stored trimmed to the bytes of the widest value.
     top = 1 << (8 * width - 1)
     vals = [(v + top) % (2 * top) - top for v in vals]
     rows = _signed_rows(vals, width)
     out = kernels._ints_from_rows(rows)
     assert out == [int.from_bytes(bytes(row), "little", signed=True) for row in rows]
     assert out == vals and all(type(v) is int for v in out)
-    one_word = all(-(2**63) <= v < 2**63 for v in vals)
-    assert isinstance(kernels._read_rows(rows), np.ndarray) == one_word
+    stored = kernels._read_rows(rows)
+    needed = max((v.bit_length() if v >= 0 else (~v).bit_length()) // 8 + 1
+                 for v in vals or [0])
+    if needed <= 8:
+        assert stored.dtype == np.int64 and stored.tolist() == vals
+    else:
+        assert stored.shape == (len(vals), needed) and stored.dtype == np.uint8
+        assert kernels._listed(stored) == vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vals=st.lists(
+        st.one_of(st.sampled_from(_WORD_ENDS), st.integers(-(2**200), 2**200)),
+        min_size=1, max_size=8,
+    ),
+    zeros=st.integers(0, 140),
+    odd=st.sampled_from([1, 3, 691]),
+    twos=st.integers(0, 150),
+    spare=st.integers(0, 3),
+    int64=st.booleans(),
+)
+@example(vals=[0, 0], zeros=0, odd=1, twos=70, spare=0, int64=False)
+@example(vals=[-(2**63)], zeros=0, odd=1, twos=63, spare=0, int64=True)
+@example(vals=[2**127 - 1, -(2**127)], zeros=64, odd=3, twos=64, spare=1, int64=False)
+def test_the_power_of_two_comes_off_the_rows(vals, zeros, odd, twos, spare, int64):
+    # _without_twos against gcd over Python ints: the largest power of two
+    # dividing den and every value comes off both, the values shifted on
+    # their words (an int64 array as its 8 bytes), and the rows read again
+    # as a series stores them.
+    vals = [v << zeros for v in vals]
+    den = odd << twos
+    if int64 and all(-(2**63) <= v < 2**63 for v in vals):
+        values = np.array(vals, dtype=np.int64)
+    else:
+        width = max((v if v >= 0 else ~v).bit_length() // 8 + 1 for v in vals)
+        values = _signed_rows(vals, width + spare)
+    out, out_den = kernels._without_twos(values, den)
+    g = math.gcd(den, *vals)
+    power = g & -g
+    assert out_den == den // power
+    assert kernels._listed(out) == [v // power for v in vals]
+    if power > 1 and any(vals):
+        fits = all(-(2**63) <= v // power < 2**63 for v in vals)
+        assert (out.ndim == 1) == fits
 
 
 # Magnitudes on both sides of the 8-bit limb boundary, of the 7-byte rows
@@ -407,12 +451,12 @@ def test_power_product_with_a_lead_is_repeated_products(
         calls = _spy_routes(patch)
         out = qseries._power_product([(acc, 1), (base, n)], size)
     # The int64 array the last product's route made it on: slice-adds'
-    # always, the dense routes' when every value fits in an int64.
+    # always, the dense routes' when every value fits in an int64, and
+    # their byte rows otherwise.
     fits = all(-(2**63) <= v < 2**63 for v in expected)
-    assert isinstance(out, np.ndarray) == (calls[-1] == "slices" or fits)
-    if isinstance(out, np.ndarray):
-        assert out.dtype == np.int64
-        out = out.tolist()
+    assert isinstance(out, np.ndarray)
+    assert (out.dtype == np.int64) == (calls[-1] == "slices" or fits)
+    out = kernels._listed(out)
     assert out == expected
     assert all(type(v) is int for v in out)
     if n == 1 or sum(map(abs, base)) ** n < 2**63:

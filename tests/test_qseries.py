@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rcadjoint import kernels
 from rcadjoint import qseries as qseries_module
 from rcadjoint.qseries import (
     CharacterMod4,
@@ -297,7 +298,7 @@ class TestEtaProduct:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qseries_module, "_convolve_power", spy_power)
-            assert list(map(int, _power_product(powers, size))) == expected
+            assert kernels._listed(_power_product(powers, size)) == expected
         if n > 1 and sum(map(abs, base)) ** n < 2**63:
             # One factor at a time: base goes in n times.
             assert calls == [True] * (n - (not lead))
@@ -357,14 +358,18 @@ class TestEisenstein:
             (4, 8000, True),
             # 504 sigma_5(n) < 2^63 for every n < 1776, not at n = 1776.
             (6, 1776, True),
-            (6, 1777, False),
+            (6, 1777, False),  # byte rows
             (6, 8000, False),
             (12, 20, False),  # every numerator fits, over the denominator 691
         ],
     )
     def test_array_backed_exactly_when_every_numerator_fits(self, k, prec, array):
+        # Over the denominator 1, the numerators past int64 keep the
+        # sieve's byte rows.
         series = make_eisenstein(k, prec)
-        assert isinstance(series.stored_num, np.ndarray) == array
+        stored = series.stored_num
+        assert (isinstance(stored, np.ndarray) and stored.ndim == 1) == array
+        assert (type(stored) is tuple) == (series.den != 1)
         fits = all(-(2**63) <= v < 2**63 for v in series.num)
         assert array == (series.den == 1 and fits)
         assert all(type(v) is int for v in series.num)
@@ -594,8 +599,57 @@ def _both_backings(values, den=1, meta=None):
             _from_ints(values, den, meta))
 
 
+# Numerators past int64 too: one and two words at their ends, several
+# words, and zero drawn often.
+_WIDE_ENDS = _INT64_ENDS + [2**63, -(2**63) - 1, 2**64, -(2**64),
+                            2**127 - 1, -(2**127 - 1), -(2**127), 3**200, -(5**150)]
+wide_values = st.one_of(
+    st.sampled_from(_WIDE_ENDS), st.integers(-(2**127), 2**127 - 1),
+    st.integers(-(2**400), 2**400), st.integers(-9, 9),
+)
+wide_lists = st.lists(wide_values, min_size=1, max_size=14)
+
+
+def _rows_backing(values, den=1, meta=None, spare=0):
+    """(rows-backed, tuple-backed) series of the same numerators: the rows
+    the kernels' codec stores, two's complement at the widest value's
+    bytes plus spare more."""
+    width = max(((v if v >= 0 else ~v).bit_length() // 8 + 1 for v in values))
+    width += spare
+    raw = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(values), width).copy()
+    return _from_ints(rows, den, meta), _from_ints(values, den, meta)
+
+
+def _assert_backing_invisible(stored, plain, values, prec):
+    """stored and the tuple-backed plain show the same series of values."""
+    assert type(plain.stored_num) is tuple
+    assert stored == plain and plain == stored
+    assert hash(stored) == hash(plain)
+    assert repr(stored) == repr(plain)
+    assert stored.precision == plain.precision == len(values)
+    assert stored.is_zero() == plain.is_zero() == (not any(values))
+    assert stored.num == plain.num == tuple(values)
+    assert all(type(v) is int for v in stored.num)
+    for n in range(len(values)):
+        assert stored.coeff(n) == plain.coeff(n)
+        assert type(stored.coeff(n).numerator) is int
+    assert stored.coeffs == plain.coeffs
+    prec = min(prec, len(values))
+    assert stored.truncate(prec) == plain.truncate(prec)
+    assert type(stored.truncate(prec).stored_num) is type(stored.stored_num)
+    assert "".join(_series_parts(stored)) == "".join(_series_parts(plain))
+    assert stored.to_json_dict() == plain.to_json_dict()
+    assert series_add(stored.coeffs, plain.coeffs, 3, -2) == series_add(
+        plain.coeffs, plain.coeffs, 3, -2
+    )
+    for r in range(3):
+        assert apply_D(stored.coeffs, r) == apply_D(plain.coeffs, r)
+
+
 class TestStorage:
-    """A series may keep a kernel's int64 array; nothing it shows depends on it."""
+    """A series may keep a kernel's int64 array or byte rows; nothing it
+    shows depends on it."""
 
     @settings(max_examples=150, deadline=None)
     @given(int64_lists, st.one_of(st.none(), form_metas), st.integers(1, 14))
@@ -605,28 +659,19 @@ class TestStorage:
     def test_the_backing_is_invisible(self, values, meta, prec):
         array, plain = _both_backings(values, 1, meta)
         assert isinstance(array.stored_num, np.ndarray)
-        assert type(plain.stored_num) is tuple
-        assert array == plain and plain == array
-        assert hash(array) == hash(plain)
-        assert repr(array) == repr(plain)
-        assert array.precision == plain.precision == len(values)
-        assert array.is_zero() == plain.is_zero() == (not any(values))
-        assert array.num == plain.num == tuple(values)
-        assert all(type(v) is int for v in array.num)
-        for n in range(len(values)):
-            assert array.coeff(n) == plain.coeff(n)
-            assert type(array.coeff(n).numerator) is int
-        assert array.coeffs == plain.coeffs
-        prec = min(prec, len(values))
-        assert array.truncate(prec) == plain.truncate(prec)
-        assert isinstance(array.truncate(prec).stored_num, np.ndarray)
-        assert "".join(_series_parts(array)) == "".join(_series_parts(plain))
-        assert array.to_json_dict() == plain.to_json_dict()
-        assert series_add(array.coeffs, plain.coeffs, 3, -2) == series_add(
-            plain.coeffs, plain.coeffs, 3, -2
-        )
-        for r in range(3):
-            assert apply_D(array.coeffs, r) == apply_D(plain.coeffs, r)
+        _assert_backing_invisible(array, plain, values, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_lists, st.one_of(st.none(), form_metas), st.integers(1, 14),
+           st.integers(0, 3))
+    @example(_WIDE_ENDS, None, 3, 0)
+    @example([0] * 9, None, 9, 0)
+    @example([-(2**127)], FormMeta(12, 4, CharacterMod4.TRIVIAL), 1, 2)
+    @example([2**63, -(2**63)], None, 2, 0)
+    def test_the_rows_backing_is_invisible(self, values, meta, prec, spare):
+        rows, plain = _rows_backing(values, 1, meta, spare)
+        assert rows.stored_num.dtype == np.uint8 and rows.stored_num.ndim == 2
+        _assert_backing_invisible(rows, plain, values, prec)
 
     @settings(max_examples=100, deadline=None)
     @given(int64_lists, int64_lists, st.integers(0, 3), st.integers(1, 3))
@@ -648,6 +693,35 @@ class TestStorage:
         assert product == series_mul(f_plain, g_plain)
         assert list(product.coeffs) == naive_mul(f.coeffs, g.coeffs, size)
 
+    @settings(max_examples=100, deadline=None)
+    @given(wide_lists, wide_lists, st.integers(0, 3), st.integers(1, 3),
+           st.integers(0, 3))
+    @example([0] * 6, _WIDE_ENDS[:6], 1, 1, 0)
+    @example([3, -9, 0, 7] * 3, [-5, 0, 2] * 4, 2, 1, 1)  # slice-adds
+    @example([2**127 - 1] * 12, [-(2**127)] * 12, 3, 1, 0)
+    @example([2**63, -(2**64)] * 6, [0, 5**150] * 6, 1, 2, 1)  # rows over 2
+    @example([-(2**127), 2**127 - 1], [3**200, -(5**150)], 2, 1, 0)
+    def test_products_and_brackets_do_not_see_rows(self, a, b, nu, den, spare):
+        # Slice-adds (rows of values that fit, read as int64), the FFT and
+        # Kronecker read rows operands as they read the Python ints, and
+        # the results are the same series: each sum on the route the rule
+        # picks, then with slice-adds refused (the FFT, or Kronecker by the
+        # limb rule), then with the FFT refused too (Kronecker).
+        size = min(len(a), len(b))
+        p = BracketParams(1, 3, nu)
+        f, f_plain = _rows_backing(a[:size], den, spare=spare)
+        g, g_plain = _rows_backing(b[:size], spare=spare)
+        expected = rc_bracket(f_plain, g_plain, p)
+        expected_product = series_mul(f_plain, g_plain)
+        assert list(expected_product.coeffs) == naive_mul(f.coeffs, g.coeffs, size)
+        for refused in ([], ["_SLICE_LIMIT"], ["_SLICE_LIMIT", "_CERT_LIMIT"]):
+            with pytest.MonkeyPatch.context() as patch:
+                for limit in refused:
+                    patch.setattr(kernels, limit, -1)
+                for x, y in [(f, g), (f, g_plain), (f_plain, g)]:
+                    assert rc_bracket(x, y, p) == expected
+                assert series_mul(f, g) == expected_product
+
     def test_an_array_over_a_denominator_is_read_into_ints(self):
         array, plain = _both_backings([2, -4, 6], 4)
         assert type(array.stored_num) is tuple
@@ -665,6 +739,32 @@ class TestStorage:
         assert theta.num[:5] == (1, 2, 0, 0, 2)
         with pytest.raises(AttributeError):
             theta.stored_num = ()
+
+    def test_a_truncated_series_is_stored_as_if_made_at_that_size(self):
+        # E6 is rows from 1777 coefficients: cut below that, its values
+        # fit an int64 array; cut above, rows as narrow as a new E6's.
+        e6 = make_eisenstein(6, 8000)
+        for prec in (1776, 1777, 5000):
+            cut = e6.truncate(prec).stored_num
+            made = make_eisenstein(6, prec).stored_num
+            assert (cut.dtype, cut.shape) == (made.dtype, made.shape)
+            assert np.array_equal(cut, made)
+            assert not cut.flags.writeable
+
+    def test_the_rows_cannot_be_written(self):
+        # E6 past 1776 keeps the divisor sieve's rows, its bracket with E4
+        # the FFT route's, and a bracket over 2^nu loses the 2^nu on them.
+        e4, e6 = make_eisenstein(4, 2000), make_eisenstein(6, 2000)
+        bracket = rc_bracket(e4, e6, BracketParams(8, 12, 3))
+        assert bracket.den == 1
+        for series in (e6, e6.truncate(1900), e6.with_meta(None), bracket,
+                       _rows_backing([2**64, -1])[0]):
+            assert series.stored_num.ndim == 2
+            with pytest.raises(ValueError, match="read-only"):
+                series.stored_num[1] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                series.stored_num[1, 0] = 7
+        assert e6.num[:3] == (1, -504, -16632)
 
 
 class TestFormMeta:
